@@ -16,27 +16,34 @@ layouts:
   factor targets, sampling) are all phase-free.
 
 Conditioning multiplies each entry by its eps overlap, reports the surviving
-mass, and renormalizes.  Sums are accumulated per fixed-size chunk and the
-chunk partials combined with math.fsum in index order, so results are
-bit-identical no matter how many worker threads run the chunks (pool size
-capped by HOAMP_THREADS).
+mass, and renormalizes.  The overlaps come from the phasor kernel in
+dynamics: one phase table per step, built before the chunks are dispatched
+and shared read-only by the workers.  Sums are accumulated per fixed-size
+chunk and the chunk partials combined with math.fsum in index order, so
+results are bit-identical no matter how many worker threads run the chunks
+(pool size capped by HOAMP_THREADS).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import (
+    KERNEL_BLOCK,
     MarkerAmplitude,
     OscillatorParams,
     epsilon_batch,
     eps_squared_batch,
-    phase_delta_batch,
+    phase_table,
+    phasor_batch,
+    phasors,
+    term_differences,
 )
 from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange, NoFactorInRange
 from .rng import SplitMix64
@@ -301,11 +308,15 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
         keys, mass = state.keys, state.mass
         post = state if in_place else state.copy()
         pm = post.mass
+        # keys ascend, so the end bins bound every |key|
+        table = phase_table(params, t, max(abs(target_term), abs(int(keys[0])),
+                                           abs(int(keys[-1]))))
 
         def job(ci, a, b):
-            ang = phase_delta_batch(params, target_term, keys[a:b], t)
-            w = eps_squared_batch(amag, ang, out=ang)
-            pm[a:b] *= w
+            for lo in range(a, b, KERNEL_BLOCK):
+                hi = min(lo + KERNEL_BLOCK, b)
+                cos, _ = phasors(table, term_differences(params.order, target_term, keys[lo:hi]))
+                pm[lo:hi] *= eps_squared_batch(amag, cos, out=cos)
             return float(np.sum(pm[a:b]))
 
         c = math.fsum(_run_chunks(len(mass), job))
@@ -316,12 +327,11 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
         return MeasurementOutcome(probability=pr, post_state=post,
                                   normalization=prev_norm * pr)
 
-    keys = state.product_keys()
-    angles = phase_delta_batch(params, target_term, keys, t)
+    cos, sin = phasor_batch(params, target_term, state.product_keys(), t)
     if state.mode == "pure":
-        mult = epsilon_batch(alpha.magnitude, angles)
+        mult = epsilon_batch(alpha.magnitude, cos, sin)
     else:
-        mult = eps_squared_batch(alpha.magnitude, angles, out=angles)
+        mult = eps_squared_batch(alpha.magnitude, cos, out=cos)
     return apply_entry_multipliers(state, mult, prev_norm=prev_norm, in_place=in_place)
 
 
@@ -337,12 +347,26 @@ def _bin_members(v: int, domain) -> list:
     return out
 
 
+def _row_index(tuples: np.ndarray, member) -> int:
+    """Row of `member` in lexicographically sorted tuples, or None: one
+    binary search per component, O(arity * log rows)."""
+    if len(member) != tuples.shape[1]:
+        return None
+    lo, hi = 0, len(tuples)
+    for j, x in enumerate(member):
+        col = tuples[:, j]
+        lo, hi = bisect_left(col, x, lo, hi), bisect_right(col, x, lo, hi)
+    return lo if lo < hi else None
+
+
 def fidelity(state: TrialEnsemble, target: TargetState) -> float:
     """Uhlmann fidelity against the target mixture/superposition.
 
     Pure state, single-member target: the state's mass on that member.  Pure
     state, several members: |<phi_target|Psi>|^2 with phi_target the
     root-weight superposition.  Diagonal state: (sum_f sqrt(w_f p_f))^2.
+    Target rows are found by binary search, in the ascending key order
+    (binned) or lexicographic tuple order (explicit) every state keeps.
     """
     if state.layout == "binned":
         # all supported targets live inside single product bins here
@@ -359,11 +383,11 @@ def fidelity(state: TrialEnsemble, target: TargetState) -> float:
                              "multi-bin pure targets are not representable")
         total = 0.0
         for v, items in key_of.items():
-            i = int(np.searchsorted(state.keys, v))
+            # a Python-int needle would cast the whole key array
+            i = int(np.searchsorted(state.keys, state.keys.dtype.type(v)))
             if i >= len(state.keys) or int(state.keys[i]) != v:
                 continue
             per_member = float(state.mass[i]) / float(state.counts[i])
-            members = None
             if state.mode == "pure":
                 # equal per-member amplitudes with a common phase within the bin
                 amp = math.sqrt(per_member)
@@ -372,17 +396,16 @@ def fidelity(state: TrialEnsemble, target: TargetState) -> float:
                 total += sum(math.sqrt(w * per_member) for _, w in items) ** 2
         return min(total, 1.0)
 
-    index = {tuple(int(x) for x in row): i for i, row in enumerate(state.tuples)}
+    rows = [(_row_index(state.tuples, member), w)
+            for member, w in zip(target.members, target.weights)]
     if state.mode == "pure":
         acc = complex(0.0, 0.0)
-        for member, w in zip(target.members, target.weights):
-            i = index.get(tuple(int(x) for x in member))
+        for i, w in rows:
             if i is not None:
                 acc += math.sqrt(w) * complex(state.weights[i])
         return min(abs(acc) ** 2, 1.0)
     acc = 0.0
-    for member, w in zip(target.members, target.weights):
-        i = index.get(tuple(int(x) for x in member))
+    for i, w in rows:
         if i is not None:
             acc += math.sqrt(w * float(state.weights[i]))
     return min(acc * acc, 1.0)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSystem, relation_accepts
-from .dynamics import OscillatorParams, epsilon_batch, phase_delta_batch
+from .dynamics import (KERNEL_BLOCK, OscillatorParams, eps_squared_batch, epsilon_batch,
+                       phase_table, phasors)
 from .ensemble import TrialEnsemble, apply_entry_multipliers, sample
 from .errors import DomainTooLarge, InfeasibleSystem
 from .factoring import sample_times
@@ -35,7 +36,6 @@ from .rng import SplitMix64
 
 _ACCEPTED_ENUM_CAP = 1_000_000
 _STATE_CAP = 4_000_000
-_PAIR_BLOCK = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -161,20 +161,19 @@ def _values_int64(vals) -> np.ndarray:
     return vals
 
 
-def _best_angles(params: OscillatorParams, accepted: np.ndarray, vals: np.ndarray,
-                 t: float) -> np.ndarray:
-    """Per value, the accepted-target angle maximizing cos(Delta)."""
+def _best_phasors(table, accepted: np.ndarray, vals: np.ndarray):
+    """Per value, (cos, sin) of the accepted target maximizing cos(Delta)."""
     n = len(vals)
-    best = np.empty(n, dtype=np.float64)
-    block = max(1, _PAIR_BLOCK // max(1, len(accepted)))
+    best_cos = np.empty(n, dtype=np.float64)
+    best_sin = np.empty(n, dtype=np.float64)
+    block = max(1, KERNEL_BLOCK // max(1, len(accepted)))
     for start in range(0, n, block):
         chunk = vals[start : start + block]
-        angles = np.empty((len(chunk), len(accepted)), dtype=np.float64)
-        for j, x in enumerate(accepted):
-            angles[:, j] = phase_delta_batch(params, int(x), chunk, t)
-        pick = np.argmax(np.cos(angles), axis=1)
-        best[start : start + block] = angles[np.arange(len(chunk)), pick]
-    return best
+        cos, sin = phasors(table, [accepted[None, :] - chunk[:, None]])
+        pick = (np.arange(len(chunk)), np.argmax(cos, axis=1))
+        best_cos[start : start + block] = cos[pick]
+        best_sin[start : start + block] = sin[pick]
+    return best_cos, best_sin
 
 
 def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorParams,
@@ -189,36 +188,35 @@ def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorPara
     idx = np.flatnonzero(~ok)
     if len(idx) == 0:
         return mult, ok
+    if mode not in ("max", "sum-clipped"):
+        raise ValueError(f"unknown mode {mode!r}")
     bad = vals[idx]
-    if accepted.values is not None:
-        targets = accepted.values
+    targets = accepted.values
+    if targets is None:
+        if mode == "sum-clipped":
+            raise DomainTooLarge("sum-clipped mode needs an enumerable accepted set")
+        lo, hi = accepted.lo, accepted.hi
     else:
-        # nearest accepted integer in [lo, hi]
-        targets = None
-    a2 = alpha_mag * alpha_mag
+        lo, hi = int(targets[0]), int(targets[-1])      # ascending
+    table = phase_table(params, t, max(abs(lo), abs(hi), abs(int(bad.min())),
+                                       abs(int(bad.max()))))
     if mode == "max":
         if targets is None:
-            nearest = np.clip(bad, accepted.lo, accepted.hi)
-            angles = np.empty(len(bad), dtype=np.float64)
-            for i, (v, x) in enumerate(zip(bad, nearest)):
-                angles[i] = phase_delta_batch(params, int(x), np.array([v]), t)[0]
+            # nearest accepted integer in [lo, hi]
+            cos, sin = phasors(table, [np.clip(bad, lo, hi) - bad])
         else:
-            angles = _best_angles(params, targets, bad, t)
+            cos, sin = _best_phasors(table, targets, bad)
         if pure:
-            mult[idx] = epsilon_batch(alpha_mag, angles)
+            mult[idx] = epsilon_batch(alpha_mag, cos, sin)
         else:
-            mult[idx] = np.exp(-2.0 * a2 * (1.0 - np.cos(angles)))
-    elif mode == "sum-clipped":
-        if targets is None:
-            raise DomainTooLarge("sum-clipped mode needs an enumerable accepted set")
+            mult[idx] = eps_squared_batch(alpha_mag, cos)
+    else:
         total = np.zeros(len(bad), dtype=np.float64)
         for x in targets:
-            ang = phase_delta_batch(params, int(x), bad, t)
-            total += np.exp(-2.0 * a2 * (1.0 - np.cos(ang)))
+            cos, _ = phasors(table, [int(x) - bad])
+            total += eps_squared_batch(alpha_mag, cos)
         w = np.minimum(1.0, total)
         mult[idx] = np.sqrt(w) if pure else w
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return mult, ok
 
 

@@ -5,12 +5,48 @@ import math
 import numpy as np
 import pytest
 
+from hoamp import dynamics
 from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, PhaseDelta,
                             epsilon_batch, epsilon_overlap, eps_squared_batch,
                             evolve_marker, phase_delta, phase_delta_batch,
-                            reduce_angle, rotation_frequency)
+                            phase_table, phasor_batch, phasors, reduce_angle,
+                            rotation_frequency, term_differences)
 
 PI = math.pi
+
+
+def circle_distance(a, b):
+    d = abs(a - b) % (2 * PI)
+    return min(d, 2 * PI - d)
+
+
+def assert_matches_scalar(p, target, trials, t, tol=1e-12):
+    """Batch angle, cos and sin against the exact scalar reduction."""
+    batch = phase_delta_batch(p, target, trials, t)
+    cos, sin = phasor_batch(p, target, trials, t)
+    for i, trial in enumerate(trials):
+        exact = phase_delta(p, target, int(trial), t).angle
+        assert circle_distance(batch[i], exact) < tol, (target, int(trial), t)
+        assert abs(cos[i] - math.cos(exact)) < tol
+        assert abs(sin[i] - math.sin(exact)) < tol
+
+
+# wide-term inputs: K = 2 just below 2^31 (int64 differences near 2^62) and
+# past it, K = 3, and K = 4 up to the signed 128-bit limit (object-dtype
+# differences)
+_K4_MAX = math.isqrt(math.isqrt((1 << 127) - 1))
+WIDE_CASES = [
+    (OscillatorParams(couplings=(0.7, 0.3)), 2_000_000_011,
+     [(1 << 31) - 1, 1, 1_999_999_999, 1_234_567_890]),
+    (OscillatorParams(couplings=(0.7, 0.3)), 1 << 31,
+     [(1 << 31) + 12_345, 3_000_000_017, 5, (1 << 31) - 1, 1 << 32]),
+    (OscillatorParams(couplings=(0.7, 0.3)), 3_037_000_000,
+     [0, 1, 2_147_483_659, 3_037_000_499, 1_030_189]),
+    (OscillatorParams(couplings=(0.5, 0.25, 0.125)), (1 << 42) - 77,
+     [0, 3, 1 << 42, 5_000_000_000_000, 123_456_789_012]),
+    (OscillatorParams(couplings=(0.9, 0.1, 0.01, 0.001)), _K4_MAX - 5,
+     [_K4_MAX, 1, _K4_MAX - 1_000_000_007, 2_000_000_011, 0]),
+]
 
 
 def test_params_validation():
@@ -130,8 +166,8 @@ def test_epsilon_magnitude_strictly_below_one_off_resonance():
 
 def test_epsilon_batch_agrees_with_scalar():
     angles = np.array([0.0, 0.3, -1.2, PI, -PI + 1e-12])
-    eb = epsilon_batch(1.3, angles)
-    sq = eps_squared_batch(1.3, angles)
+    eb = epsilon_batch(1.3, np.cos(angles), np.sin(angles))
+    sq = eps_squared_batch(1.3, np.cos(angles))
     for i, a in enumerate(angles):
         s = epsilon_overlap(MarkerAmplitude(1.3), float(a))
         assert abs(eb[i] - s) < 1e-15
@@ -142,7 +178,7 @@ def test_epsilon_batch_agrees_with_scalar():
 def test_eps_squared_batch_reuses_buffer():
     angles = np.array([0.1, 0.2, 0.3])
     out = np.empty(3)
-    res = eps_squared_batch(2.0, angles, out=out)
+    res = eps_squared_batch(2.0, np.cos(angles), out=out)
     assert res is out
 
 
@@ -179,3 +215,94 @@ def test_phase_delta_overflow_guard():
     p = OscillatorParams(couplings=(0.0, 0.0, 0.0, 1.0))
     with pytest.raises(OverflowError):
         phase_delta(p, 0, 1 << 32, 1.0)           # (2^32)^4 = 2^128 overflows
+    with pytest.raises(OverflowError):
+        phase_delta_batch(p, 0, np.array([1 << 32]), 1.0)
+
+
+@pytest.mark.parametrize("p,target,trials", WIDE_CASES)
+def test_phase_delta_batch_wide_terms_match_scalar(p, target, trials):
+    trials = np.array(trials, dtype=np.int64)
+    for t in (0.013, 1.704, 6.046, 97.31):
+        assert_matches_scalar(p, target, trials, t)
+
+
+def test_phasor_sign_of_negative_differences():
+    # trials above the target give negative d: sin flips, cos does not
+    p = OscillatorParams()
+    above = np.array([36, 1_000, 123_456_789, (1 << 40) + 3], dtype=np.int64)
+    below = 70 - above                  # mirror images: d -> -d
+    for t in (0.4, 2.9, 5.3):
+        c_up, s_up = phasor_batch(p, 35, above, t)
+        c_dn, s_dn = phasor_batch(p, 35, below, t)
+        assert np.array_equal(c_up, c_dn)
+        assert np.array_equal(s_up, -s_dn)
+        assert_matches_scalar(p, 35, above, t)
+        assert_matches_scalar(p, 35, below, t)
+
+
+def test_phasor_near_digit_resonances():
+    # t near a multiple of 2*pi/B^j puts B^j*g*t next to a turn, where the
+    # table row for digit j must still be reduced exactly
+    p = OscillatorParams(couplings=(1.0, 0.5))
+    trials = np.array([0, 1, 8191, 8192, 8193, (1 << 26) + 5, 67_108_863, 40_000_000],
+                      dtype=np.int64)
+    for j in (1, 2, 3):
+        for m in (1, 3, 4097):
+            base = 2 * PI * m / 8192**j
+            for t in (base, math.nextafter(base, 0.0), base * (1 + 1e-9)):
+                assert_matches_scalar(p, 12_345_678, trials, t)
+
+
+def test_zero_difference_is_exactly_one():
+    # on-target entries must multiply by exactly 1.0, in every order and
+    # on both the int64 and the object-dtype path
+    for p, target in ((OscillatorParams(), 35),
+                      (OscillatorParams(couplings=(0.3, 0.2, 0.1)), 123_456_789),
+                      (OscillatorParams(couplings=(1.0, 1.0, 1.0, 1.0)), _K4_MAX)):
+        trials = np.array([target, target - 1, target, 0], dtype=np.int64)
+        for t in (0.37, 5.9):
+            cos, sin = phasor_batch(p, target, trials, t)
+            assert cos[0] == 1.0 and sin[0] == 0.0
+            assert cos[2] == 1.0 and sin[2] == 0.0
+            assert not math.copysign(1.0, sin[0]) < 0     # +0.0, not -0.0
+            assert epsilon_batch(2.0, cos[:1], sin[:1])[0] == 1.0 + 0.0j
+            assert eps_squared_batch(2.0, cos[:1])[0] == 1.0
+
+
+def test_phasor_value_independent_of_call():
+    # a value comes out bit-identical whatever else shares the call or the
+    # table (the solver-equals-factoring embedding relies on it)
+    p = OscillatorParams()
+    trials = np.array([3, 17, 35, 72, 1_000_003], dtype=np.int64)
+    cos, sin = phasor_batch(p, 35, trials, 2.2)
+    big = phase_table(p, 2.2, 1 << 40)
+    cos2, sin2 = phasors(big, term_differences(1, 35, trials[:2]))
+    assert np.array_equal(cos[:2], cos2) and np.array_equal(sin[:2], sin2)
+    grid = 35 - trials[None, :] + np.zeros((3, 1), dtype=np.int64)
+    cos3, sin3 = phasors(big, [grid])
+    assert np.array_equal(cos3[1], cos) and np.array_equal(sin3[2], sin)
+
+
+def test_phasors_reject_differences_outside_table():
+    p = OscillatorParams()
+    table = phase_table(p, 1.0, 1000)
+    with pytest.raises(IndexError):
+        phasors(table, term_differences(1, 0, np.array([1 << 20])))    # no row
+    with pytest.raises(IndexError):
+        phasors(table, term_differences(1, 0, np.array([5000])))       # short row
+
+
+
+@pytest.mark.parametrize("p,target,trials", WIDE_CASES)
+def test_phase_delta_batch_never_calls_scalar(monkeypatch, p, target, trials):
+    # no silent per-element fallback: the batch path must not reach the
+    # scalar reduction, whatever the width of the terms
+    reference = [phase_delta(p, target, int(x), 3.3).angle for x in trials]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("phase_delta_batch fell back to the scalar path")
+
+    monkeypatch.setattr(dynamics, "phase_delta", forbidden)
+    batch = phase_delta_batch(p, target, np.array(trials, dtype=np.int64), 3.3)
+    for got, want in zip(batch, reference):
+        assert circle_distance(got, want) < 1e-12

@@ -168,6 +168,24 @@ def test_fidelity_multi_member_target_pure():
     assert f == pytest.approx((2 / math.sqrt(2 * n)) ** 2, rel=1e-12)
 
 
+def test_fidelity_finds_every_explicit_row():
+    # explicit rows are found by binary search in lexicographic order: each
+    # single-member target must pick out exactly its own row's mass
+    st = init_uniform_factoring(1961)
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=len(st.tuples)) + 1j * rng.normal(size=len(st.tuples))
+    st.weights = amps / np.linalg.norm(amps)
+    diag = TrialEnsemble(mode="diagonal", arity=2, tuples=st.tuples,
+                         weights=np.abs(st.weights) ** 2)
+    for i in range(0, len(st.tuples), 7):
+        t = TargetState(members=(tuple(int(x) for x in st.tuples[i]),), weights=(1.0,))
+        assert fidelity(st, t) == pytest.approx(abs(st.weights[i]) ** 2, rel=1e-12)
+        assert fidelity(diag, t) == pytest.approx(diag.weights[i], rel=1e-12)
+    absent = TargetState(members=((2, 1961), (46, 40), (3,)), weights=(0.5, 0.25, 0.25))
+    assert fidelity(st, absent) == 0.0
+    assert fidelity(diag, absent) == 0.0
+
+
 def test_fidelity_member_outside_domain_counts_zero():
     b = init_uniform_factoring(35, layout="binned")
     t = TargetState(members=((1, 35),), weights=(1.0,))   # n=1 outside [3,6]

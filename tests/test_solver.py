@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hoamp.constraints import ConstraintSystem, feasible_set
-from hoamp.dynamics import OscillatorParams
+from hoamp.dynamics import MarkerAmplitude, OscillatorParams, epsilon_overlap, phase_delta
 from hoamp.ensemble import init_uniform_factoring
 from hoamp.errors import DomainTooLarge, InfeasibleSystem
 from hoamp.factoring import FactoringConfig, run_factoring
@@ -95,6 +95,30 @@ def test_constraint_multipliers_sum_clipped_bounded():
                                       False)
     assert ok.tolist() == [False, False, False, False]
     assert np.all(mult <= 1.0) and np.all(mult > 0.0)
+
+
+def test_constraint_multipliers_interval_set_matches_scalar():
+    # an accepted set too large to enumerate is an interval [lo, hi]; max mode
+    # conditions each violator against its nearest accepted integer
+    acc = AcceptedSet(relation="<=", bound=0.0, lo=-3_000_000_000, hi=5_000_000_000)
+    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
+    vals = np.array([0, 5_000_000_000, 5_000_000_001, 5_000_008_193, 9_876_543_210_123,
+                     -3_000_000_001, -3_000_000_000 - (1 << 40), 7, 6_000_000_000],
+                    dtype=np.int64)
+    for t in (0.3, 2.71, 6.1):
+        pure, ok = constraint_multipliers(vals, acc, params, 1.7, t, "max", True)
+        diag, ok2 = constraint_multipliers(vals, acc, params, 1.7, t, "max", False)
+        assert ok.tolist() == ok2.tolist() == [True, True, False, False, False,
+                                               False, False, True, False]
+        for v, m_pure, m_diag, inside in zip(vals, pure, diag, ok):
+            if inside:
+                assert m_pure == 1.0 + 0.0j and m_diag == 1.0
+                continue
+            x = min(max(int(v), acc.lo), acc.hi)
+            eps = epsilon_overlap(MarkerAmplitude(1.7), phase_delta(params, x, int(v), t))
+            assert abs(m_pure - eps) < 1e-12
+            assert abs(m_diag - abs(eps) ** 2) < 1e-12
+            assert 0.0 < m_diag < 1.0
 
 
 def test_uniform_state_box():
