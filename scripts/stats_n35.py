@@ -12,6 +12,7 @@ import os
 import sys
 
 from hoamp import FactoringConfig, run_factoring
+from hoamp.factoring import STREAM_STATS
 from hoamp.reporting import (summarize_trajectories, write_stats_long_csv,
                              write_stats_summary_csv)
 from hoamp.rng import SplitMix64
@@ -19,14 +20,13 @@ from hoamp.rng import SplitMix64
 N = 35
 SAMPLES = 100
 SEED = 0
-_STREAM_STATS = 2
 
 
 def main() -> int:
     master = SplitMix64(SEED)
     reports = []
     for i in range(SAMPLES):
-        config = FactoringConfig(N=N, seed=master.derive(_STREAM_STATS + i),
+        config = FactoringConfig(N=N, seed=master.derive(STREAM_STATS + i),
                                  L_max=25, stop_fidelity=0.999)
         reports.append(run_factoring(config))
 

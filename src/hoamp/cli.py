@@ -18,8 +18,8 @@ from .dynamics import OscillatorParams
 from .errors import (ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge,
                      DomainError, DomainTooLarge, EmptyRange, HoampError,
                      InfeasibleSystem, NoFactorInRange, NoSolutionFound, ParseError)
-from .factoring import (TABLE1_TIME_GRID_NOTE, FactoringConfig, replay_table1,
-                        run_factoring, table1_comparison)
+from .factoring import (STREAM_STATS, TABLE1_TIME_GRID_NOTE, FactoringConfig,
+                        replay_table1, run_factoring, table1_comparison)
 from .reporting import (fmt_float, report_to_dict, summarize_trajectories,
                         to_json_text, write_iteration_csv, write_json,
                         write_replay_csv, write_stats_long_csv,
@@ -27,8 +27,6 @@ from .reporting import (fmt_float, report_to_dict, summarize_trajectories,
 from .rng import SplitMix64
 from .search import BlackBox, SearchConfig, run_search
 from .solver import MarkerBank, run_solver
-
-_STREAM_STATS = 2
 
 
 class _UsageError(Exception):
@@ -102,16 +100,7 @@ def _emit(args, report_dict, csv_writer) -> None:
         if args.format == "json":
             sys.stdout.write(to_json_text(report_dict))
         else:
-            import tempfile
-            with tempfile.NamedTemporaryFile("r", suffix=".csv", delete=False) as fh:
-                tmp = fh.name
-            try:
-                csv_writer(tmp)
-                with open(tmp) as fh:
-                    sys.stdout.write(fh.read())
-            finally:
-                os.unlink(tmp)
-
+            csv_writer(sys.stdout)
 
 
 def _say(args, msg: str) -> None:
@@ -219,7 +208,7 @@ def cmd_stats(args) -> int:
     for i in range(args.samples):
         config = FactoringConfig(
             N=args.n, params=_oscillator_params(args),
-            alpha_schedule=_alpha_schedule(args), seed=master.derive(_STREAM_STATS + i),
+            alpha_schedule=_alpha_schedule(args), seed=master.derive(STREAM_STATS + i),
             L_max=args.l_max, stop_fidelity=args.stop_fidelity,
         )
         reports.append(run_factoring(config))

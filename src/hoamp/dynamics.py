@@ -146,6 +146,28 @@ class MarkerAmplitude:
         return self.magnitude * complex(math.cos(self.phase), math.sin(self.phase))
 
 
+def normalize_alpha_schedule(sched) -> tuple:
+    """Validated marker-amplitude schedule: |alpha| per iteration, as floats.
+
+    A scalar means a constant schedule.  The schedule must be non-empty,
+    non-negative and non-decreasing; its last entry repeats once exhausted.
+    """
+    if isinstance(sched, (int, float)):
+        sched = (float(sched),)
+    else:
+        sched = tuple(float(a) for a in sched)
+    if not sched or any(a < 0 for a in sched):
+        raise ValueError("alpha schedule must be non-empty and non-negative")
+    if any(b < a for a, b in zip(sched, sched[1:])):
+        raise ValueError("alpha schedule must be non-decreasing")
+    return sched
+
+
+def alpha_at(sched: tuple, l: int) -> float:
+    """|alpha| for iteration l >= 1 of a schedule from normalize_alpha_schedule."""
+    return sched[min(l - 1, len(sched) - 1)]
+
+
 def _int_pow_checked(base: int, k: int) -> int:
     v = base**k
     if v > _INT128_MAX or v < -_INT128_MAX - 1:
@@ -384,7 +406,11 @@ def epsilon_overlap(alpha: MarkerAmplitude, delta) -> complex:
 
 
 def epsilon_batch(alpha_mag: float, cos, sin) -> np.ndarray:
-    """Vectorized complex eps from cos Delta and sin Delta."""
+    """Vectorized complex eps from cos Delta and sin Delta.
+
+    Conditioning needs only |eps|^2 (eps_squared_batch); this is the complex
+    counterpart of epsilon_overlap, kept for checks against it.
+    """
     a2 = alpha_mag * alpha_mag
     mag = np.exp(-a2 * (1.0 - np.asarray(cos, dtype=np.float64)))
     ph = a2 * np.asarray(sin, dtype=np.float64)

@@ -1,27 +1,30 @@
 """State store for the register oscillators.
 
-A TrialEnsemble is a sparse table over integer occupation tuples in one of two
-layouts:
+A TrialEnsemble holds a real probability mass per row, in one of two layouts:
 
-* explicit: every tuple stored with its complex amplitude (pure mode) or
-  probability (diagonal mode).  Tuples are kept in ascending lexicographic
-  order, which fixes summation and sampling order across platforms.
+* explicit: every tuple stored with its own mass.  Tuples are kept in
+  ascending lexicographic order, which fixes summation and sampling order
+  across platforms.
 * binned: for the big two-factor rectangles (hundreds of millions of pairs)
   only the distinct products v = n*m are stored, with the pair count and the
-  total probability mass per bin.  Every conditioning multiplier depends on
-  the pair only through v, and all tuples of a bin start with equal real
-  amplitudes, so per-member amplitudes stay equal within each bin forever and
-  nothing observable is lost by aggregating.  Phases are not tracked across
-  bins in this layout; the quantities it serves (Pr, C, fidelity against
-  factor targets, sampling) are all phase-free.
+  total mass per bin.  Every conditioning multiplier depends on the pair only
+  through v, and all tuples of a bin start with equal mass, so the mass stays
+  shared equally within each bin forever.
 
-Conditioning multiplies each entry by its eps overlap, reports the surviving
-mass, and renormalizes.  The overlaps come from the phasor kernel in
-dynamics: one phase table per step, built before the chunks are dispatched
-and shared read-only by the workers.  Sums are accumulated per fixed-size
-chunk and the chunk partials combined with math.fsum in index order, so
-results are bit-identical no matter how many worker threads run the chunks
-(pool size capped by HOAMP_THREADS).
+Masses suffice because every reported quantity (Pr(E), C, fidelity against
+the target members, solution mass, samples) depends only on |eps|^2: target
+and accepted rows are multiplied by exactly eps = 1 and start real and equal,
+so their amplitudes never pick up a relative phase.  tests/test_fockoracle.py
+checks this against dense complex amplitudes.
+
+Conditioning multiplies each row's mass by its multiplier, reports the
+surviving mass, and renormalizes, in one loop (_condition) for every caller.
+Factoring takes |eps|^2 from the phasor kernel in dynamics: one phase table
+per step, built before the chunks are dispatched and shared read-only by the
+workers.  Sums are accumulated per fixed-size chunk and the chunk partials
+combined with math.fsum in index order, so results are bit-identical no
+matter how many worker threads run the chunks (pool size capped by
+HOAMP_THREADS).
 """
 
 from __future__ import annotations
@@ -38,10 +41,8 @@ from .dynamics import (
     KERNEL_BLOCK,
     MarkerAmplitude,
     OscillatorParams,
-    epsilon_batch,
     eps_squared_batch,
     phase_table,
-    phasor_batch,
     phasors,
     term_differences,
 )
@@ -99,11 +100,10 @@ def factoring_ranges(N: int):
 
 @dataclass
 class TrialEnsemble:
-    mode: str                      # 'pure' | 'diagonal'
     arity: int
     # explicit layout
     tuples: np.ndarray = None      # (n_entries, arity) int64, lexicographic
-    weights: np.ndarray = None     # complex128 amplitudes | float64 probabilities
+    weights: np.ndarray = None     # float64 probability mass per tuple
     # binned layout (two-factor rectangle states)
     keys: np.ndarray = None        # distinct products, ascending
     counts: np.ndarray = None      # pairs per bin
@@ -122,11 +122,7 @@ class TrialEnsemble:
 
     def entry_masses(self) -> np.ndarray:
         """Probability mass per stored row (per tuple, or per bin total)."""
-        if self.layout == "binned":
-            return self.mass
-        if self.mode == "pure":
-            return (self.weights.real**2 + self.weights.imag**2)
-        return self.weights
+        return self.mass if self.keys is not None else self.weights
 
     def total_mass(self) -> float:
         m = self.entry_masses()
@@ -135,7 +131,6 @@ class TrialEnsemble:
 
     def copy(self) -> "TrialEnsemble":
         return TrialEnsemble(
-            mode=self.mode,
             arity=self.arity,
             tuples=None if self.tuples is None else self.tuples.copy(),
             weights=None if self.weights is None else self.weights.copy(),
@@ -204,7 +199,7 @@ class ProductBinTable:
 
 
 def init_uniform_factoring(N: int, layout: str = "auto") -> TrialEnsemble:
-    """Uniform pure superposition over all trial pairs for factoring N.
+    """Uniform mass 1/n_pairs over all trial pairs for factoring N.
 
     layout 'auto' stores pairs explicitly up to ~4e6 of them and switches to
     product bins beyond that; 'explicit'/'binned' force one representation.
@@ -224,8 +219,8 @@ def init_uniform_factoring(N: int, layout: str = "auto") -> TrialEnsemble:
         tuples = np.empty((n_pairs, 2), dtype=np.int64)
         tuples[:, 0] = np.repeat(n_vals, len(m_vals))
         tuples[:, 1] = np.tile(m_vals, len(n_vals))
-        weights = np.full(n_pairs, 1.0 / math.sqrt(n_pairs), dtype=np.complex128)
-        return TrialEnsemble(mode="pure", arity=2, tuples=tuples, weights=weights)
+        weights = np.full(n_pairs, 1.0 / n_pairs)
+        return TrialEnsemble(arity=2, tuples=tuples, weights=weights)
 
     if layout != "binned":
         raise ValueError(f"unknown layout {layout!r}")
@@ -252,46 +247,47 @@ def init_uniform_factoring(N: int, layout: str = "auto") -> TrialEnsemble:
     mass = counts.astype(np.float64)
     mass *= 1.0 / n_pairs
     return TrialEnsemble(
-        mode="pure", arity=2, keys=keys, counts=counts, mass=mass,
+        arity=2, keys=keys, counts=counts, mass=mass,
         domain=(n_lo, n_hi, m_lo, m_hi),
     )
 
 
-def apply_entry_multipliers(state: TrialEnsemble, multipliers, prev_norm: float = 1.0,
-                            in_place: bool = False) -> MeasurementOutcome:
-    """Multiply each entry by its conditioning factor, renormalize, report Pr.
+def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
+               in_place: bool) -> MeasurementOutcome:
+    """The conditioning loop: scale each row's mass, renormalize, report Pr.
 
-    `multipliers` is per-row: complex eps for pure explicit states, real
-    |eps|^2 for diagonal or binned ones.  This is the single code path every
-    algorithm module funnels through, so identical inputs give bit-identical
-    outcomes across modules.
+    block_multipliers(lo, hi) gives the real multipliers of rows [lo, hi),
+    called per KERNEL_BLOCK inside each chunk so kernel temporaries stay in
+    cache.  Each chunk is summed after its blocks are scaled, and the chunk
+    sums combined with math.fsum in index order.
     """
     post = state if in_place else state.copy()
-    if post.layout == "binned" or post.mode == "diagonal":
-        arr = post.mass if post.layout == "binned" else post.weights
+    arr = post.entry_masses()
 
-        def job(ci, a, b):
-            arr[a:b] *= multipliers[a:b]
-            return float(np.sum(arr[a:b]))
+    def job(ci, a, b):
+        for lo in range(a, b, KERNEL_BLOCK):
+            hi = min(lo + KERNEL_BLOCK, b)
+            arr[lo:hi] *= block_multipliers(lo, hi)
+        return float(np.sum(arr[a:b]))
 
-        c = math.fsum(_run_chunks(len(arr), job))
-        if c < _VANISH:
-            raise ConditionedMassVanished(f"surviving mass {c:.3e}")
-        arr /= c
-    else:
-        arr = post.weights
-
-        def job(ci, a, b):
-            arr[a:b] *= multipliers[a:b]
-            seg = arr[a:b]
-            return float(np.sum(seg.real**2 + seg.imag**2))
-
-        c = math.fsum(_run_chunks(len(arr), job))
-        if c < _VANISH:
-            raise ConditionedMassVanished(f"surviving mass {c:.3e}")
-        arr /= math.sqrt(c)
+    c = math.fsum(_run_chunks(len(arr), job))
+    if c < _VANISH:
+        raise ConditionedMassVanished(f"surviving mass {c:.3e}")
+    arr /= c
     pr = min(c, 1.0) if c <= 1.0 + 1e-9 else c  # guard rounding overshoot only
     return MeasurementOutcome(probability=pr, post_state=post, normalization=prev_norm * pr)
+
+
+def apply_entry_multipliers(state: TrialEnsemble, multipliers, prev_norm: float = 1.0,
+                            in_place: bool = False) -> MeasurementOutcome:
+    """Multiply each row's mass by its real multiplier, renormalize, report Pr.
+
+    `multipliers` holds one factor per stored row (|eps|^2 or a product of
+    them).  Search and the solver condition through here, and factoring
+    through the same loop, so identical inputs give bit-identical outcomes
+    across modules.
+    """
+    return _condition(state, lambda lo, hi: multipliers[lo:hi], prev_norm, in_place)
 
 
 def conditional_update(state: TrialEnsemble, params: OscillatorParams,
@@ -299,40 +295,22 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
                        prev_norm: float = 1.0, in_place: bool = False) -> MeasurementOutcome:
     """One conditional measurement against the target product term.
 
-    Every entry's amplitude (probability) is multiplied by eps (|eps|^2) for
-    the phase difference between its product term and the target, the
-    surviving mass Pr(E) is recorded, and the state is renormalized.
+    Every row's mass is multiplied by |eps|^2 for the phase difference
+    between its product term and the target, the surviving mass Pr(E) is
+    recorded, and the state is renormalized.
     """
-    if state.layout == "binned":
-        amag = alpha.magnitude
-        keys, mass = state.keys, state.mass
-        post = state if in_place else state.copy()
-        pm = post.mass
-        # keys ascend, so the end bins bound every |key|
-        table = phase_table(params, t, max(abs(target_term), abs(int(keys[0])),
-                                           abs(int(keys[-1]))))
+    amag = alpha.magnitude
+    keys = state.product_keys()
+    # binned keys ascend, so the end bins bound every |key|; explicit
+    # products are not sorted
+    lo, hi = (keys[0], keys[-1]) if state.layout == "binned" else (keys.min(), keys.max())
+    table = phase_table(params, t, max(abs(target_term), abs(int(lo)), abs(int(hi))))
 
-        def job(ci, a, b):
-            for lo in range(a, b, KERNEL_BLOCK):
-                hi = min(lo + KERNEL_BLOCK, b)
-                cos, _ = phasors(table, term_differences(params.order, target_term, keys[lo:hi]))
-                pm[lo:hi] *= eps_squared_batch(amag, cos, out=cos)
-            return float(np.sum(pm[a:b]))
+    def block(a, b):
+        cos, _ = phasors(table, term_differences(params.order, target_term, keys[a:b]))
+        return eps_squared_batch(amag, cos, out=cos)
 
-        c = math.fsum(_run_chunks(len(mass), job))
-        if c < _VANISH:
-            raise ConditionedMassVanished(f"surviving mass {c:.3e}")
-        pm /= c
-        pr = min(c, 1.0) if c <= 1.0 + 1e-9 else c
-        return MeasurementOutcome(probability=pr, post_state=post,
-                                  normalization=prev_norm * pr)
-
-    cos, sin = phasor_batch(params, target_term, state.product_keys(), t)
-    if state.mode == "pure":
-        mult = epsilon_batch(alpha.magnitude, cos, sin)
-    else:
-        mult = eps_squared_batch(alpha.magnitude, cos, out=cos)
-    return apply_entry_multipliers(state, mult, prev_norm=prev_norm, in_place=in_place)
+    return _condition(state, block, prev_norm, in_place)
 
 
 def _bin_members(v: int, domain) -> list:
@@ -359,55 +337,35 @@ def _row_index(tuples: np.ndarray, member) -> int:
     return lo if lo < hi else None
 
 
-def fidelity(state: TrialEnsemble, target: TargetState) -> float:
-    """Uhlmann fidelity against the target mixture/superposition.
+def _member_mass(state: TrialEnsemble, member):
+    """Mass of one occupation tuple, or None if the state does not hold it.
 
-    Pure state, single-member target: the state's mass on that member.  Pure
-    state, several members: |<phi_target|Psi>|^2 with phi_target the
-    root-weight superposition.  Diagonal state: (sum_f sqrt(w_f p_f))^2.
-    Target rows are found by binary search, in the ascending key order
-    (binned) or lexicographic tuple order (explicit) every state keeps.
+    Binned: the bin's mass shared equally among its pairs, the bin found by
+    binary search in ascending key order.  Explicit: the row's mass, found by
+    binary search in lexicographic order.
     """
-    if state.layout == "binned":
-        # all supported targets live inside single product bins here
-        n_lo, n_hi, m_lo, m_hi = state.domain
-        key_of = {}
-        for member, w in zip(target.members, target.weights):
-            n, m = (int(x) for x in member)
-            if n_lo <= n <= n_hi and m_lo <= m <= m_hi:
-                key_of.setdefault(n * m, []).append(((n, m), w))
-        if not key_of:
-            return 0.0
-        if state.mode == "pure" and len(key_of) > 1:
-            raise ValueError("binned layout does not track phases across bins; "
-                             "multi-bin pure targets are not representable")
-        total = 0.0
-        for v, items in key_of.items():
-            # a Python-int needle would cast the whole key array
-            i = int(np.searchsorted(state.keys, state.keys.dtype.type(v)))
-            if i >= len(state.keys) or int(state.keys[i]) != v:
-                continue
-            per_member = float(state.mass[i]) / float(state.counts[i])
-            if state.mode == "pure":
-                # equal per-member amplitudes with a common phase within the bin
-                amp = math.sqrt(per_member)
-                total += sum(math.sqrt(w) for _, w in items) ** 2 * amp * amp
-            else:
-                total += sum(math.sqrt(w * per_member) for _, w in items) ** 2
-        return min(total, 1.0)
+    if state.layout == "explicit":
+        i = _row_index(state.tuples, member)
+        return None if i is None else float(state.weights[i])
+    n_lo, n_hi, m_lo, m_hi = state.domain
+    n, m = (int(x) for x in member)
+    if not (n_lo <= n <= n_hi and m_lo <= m <= m_hi):
+        return None
+    # a Python-int needle would cast the whole key array
+    i = int(np.searchsorted(state.keys, state.keys.dtype.type(n * m)))
+    if i >= len(state.keys) or int(state.keys[i]) != n * m:
+        return None
+    return float(state.mass[i]) / float(state.counts[i])
 
-    rows = [(_row_index(state.tuples, member), w)
-            for member, w in zip(target.members, target.weights)]
-    if state.mode == "pure":
-        acc = complex(0.0, 0.0)
-        for i, w in rows:
-            if i is not None:
-                acc += math.sqrt(w) * complex(state.weights[i])
-        return min(abs(acc) ** 2, 1.0)
+
+def fidelity(state: TrialEnsemble, target: TargetState) -> float:
+    """Uhlmann fidelity (sum_f sqrt(w_f p_f))^2 against the target members,
+    with p_f the state's mass on member f (members it does not hold add 0)."""
     acc = 0.0
-    for i, w in rows:
-        if i is not None:
-            acc += math.sqrt(w * float(state.weights[i]))
+    for member, w in zip(target.members, target.weights):
+        p = _member_mass(state, member)
+        if p is not None:
+            acc += math.sqrt(w * p)
     return min(acc * acc, 1.0)
 
 

@@ -16,7 +16,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .dynamics import MarkerAmplitude, OscillatorParams
+from .dynamics import (MarkerAmplitude, OscillatorParams, alpha_at,
+                       normalize_alpha_schedule)
 from .ensemble import (
     TargetState,
     TrialEnsemble,
@@ -28,10 +29,11 @@ from .ensemble import (
 from .errors import DomainError
 from .rng import SplitMix64
 
-# child-stream indices off the master seed; fixed so reports are reproducible
-_STREAM_TIMES = 0
-_STREAM_SAMPLE = 1
-_STREAM_STATS = 2
+# child-stream indices off the master seed, shared by every command; fixed
+# so reports are reproducible
+STREAM_TIMES = 0
+STREAM_SAMPLE = 1
+STREAM_STATS = 2      # first of the per-run seeds of repeated runs (stats)
 
 # published reference trajectory for the N = 1,030,189 = 1009 x 1021 example
 # (|alpha| = 2, g = 1, K = 1): per iteration (fidelity, Pr(E_l), t_l)
@@ -93,16 +95,8 @@ class FactoringConfig:
     stop_fidelity: float = 0.99
 
     def __post_init__(self):
-        sched = self.alpha_schedule
-        if isinstance(sched, (int, float)):
-            sched = (float(sched),)
-        else:
-            sched = tuple(float(a) for a in sched)
-        object.__setattr__(self, "alpha_schedule", sched)
-        if not sched or any(a < 0 for a in sched):
-            raise ValueError("alpha schedule must be non-negative")
-        if any(b < a for a, b in zip(sched, sched[1:])):
-            raise ValueError("alpha schedule must be non-decreasing")
+        object.__setattr__(self, "alpha_schedule",
+                           normalize_alpha_schedule(self.alpha_schedule))
         if self.L_max < 1:
             raise ValueError("L_max must be >= 1")
         if not 0.0 < self.stop_fidelity <= 1.0:
@@ -111,7 +105,7 @@ class FactoringConfig:
             raise ValueError("N must be >= 2")
 
     def alpha_for(self, l: int) -> float:
-        return self.alpha_schedule[min(l - 1, len(self.alpha_schedule) - 1)]
+        return alpha_at(self.alpha_schedule, l)
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,7 @@ def run_factoring(config: FactoringConfig, progress: bool = False) -> RunReport:
     target = TargetState.factor_target(config.N)   # NoFactorInRange if none
     master = SplitMix64(config.seed)
     g = abs(config.params.couplings[0])
-    times = sample_times(config.times, master.derive(_STREAM_TIMES), g)
+    times = sample_times(config.times, master.derive(STREAM_TIMES), g)
 
     f0 = fidelity(state, target)
     records = []
@@ -204,7 +198,7 @@ def run_factoring(config: FactoringConfig, progress: bool = False) -> RunReport:
         if rec.fidelity >= config.stop_fidelity:
             break
 
-    drawn = sample(state, SplitMix64(master.derive(_STREAM_SAMPLE)))
+    drawn = sample(state, SplitMix64(master.derive(STREAM_SAMPLE)))
     factors = drawn if drawn[0] * drawn[1] == config.N else None
     return RunReport(
         config=config_echo(config), seed=config.seed, initial_fidelity=f0,

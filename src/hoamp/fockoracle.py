@@ -5,7 +5,9 @@ a dense complex array, time evolution applies the diagonal Hamiltonian phases
 per basis state, and the conditional measurement projects the marker onto an
 explicitly constructed coherent vector.  Deliberately slow and ignorant of the
 closed-form overlap used by the fast path, so the two can only agree if both
-are right.
+are right.  Unlike the engine, which keeps one real mass per row, the oracle
+carries complex register amplitudes, so chaining dense_condition checks that
+no reported quantity depends on their phases.
 """
 
 from __future__ import annotations
@@ -70,60 +72,60 @@ def _product_term(tup) -> int:
     return u
 
 
-def _evolved_marker_rows(state, params, t, alpha, term_fn):
+def _evolved_marker_rows(tuples, params, t, alpha, term_fn):
     """Dense joint evolution: each register row's marker picks up per-Fock-level
     phases at its own effective rotation frequency (no coherent closed form)."""
     M = required_cutoff(alpha.magnitude) + 5
-    n_entries = len(state.tuples)
+    n_entries = len(tuples)
     if n_entries * M > _MAX_JOINT_DIM:
         raise DimensionTooLarge(f"joint dimension {n_entries * M} exceeds {_MAX_JOINT_DIM}")
     v0 = coherent_vector(alpha, M)
     levels = np.arange(M, dtype=np.float64)
     rows = np.empty((n_entries, M), dtype=np.complex128)
-    for e, tup in enumerate(state.tuples):
+    for e, tup in enumerate(tuples):
         omega_eff = rotation_frequency(params, term_fn(tup)).value
         reg_phase = _register_phase(params, tup)
         rows[e] = v0 * np.exp(-1j * (reg_phase + omega_eff * levels) * t)
     return rows, M
 
 
+def dense_condition(tuples: np.ndarray, amplitudes: np.ndarray, params: OscillatorParams,
+                    t: float, target_term: int, alpha: MarkerAmplitude, term_fn=None):
+    """One full measurement cycle on complex register amplitudes, dense.
+
+    Attaches |alpha> to each row, evolves the joint state and projects the
+    marker onto the coherent state the target branch has rotated to.
+    Returns (post amplitudes, renormalized; probability).  `term_fn` maps an
+    occupation tuple to the marker coupling argument; default is the product
+    of the components.
+    """
+    term_fn = term_fn or _product_term
+    rows, M = _evolved_marker_rows(tuples, params, t, alpha, term_fn)
+    omega_target = rotation_frequency(params, target_term).value
+    v_target = coherent_vector(alpha.value * cmath.exp(-1j * omega_target * t), M)
+    joint = DenseJointState(tuples=tuples, cutoff=M, psi=amplitudes[:, None] * rows)
+    if abs(joint.norm_sq() - 1.0) > 1e-10:
+        raise ValueError(f"joint norm drifted to {joint.norm_sq()!r}")
+    amps = joint.psi @ v_target.conj()
+    prob = float(np.vdot(amps, amps).real)
+    if prob < 1e-300:
+        raise ConditionedMassVanished(f"dense surviving mass {prob:.3e}")
+    return amps / math.sqrt(prob), prob
+
+
 def brute_force_step(state: TrialEnsemble, params: OscillatorParams, t: float,
                      target_term: int, alpha: MarkerAmplitude, term_fn=None):
-    """One full measurement cycle, dense: attach |alpha>, evolve, project.
+    """dense_condition on an explicit mass state, from amplitudes sqrt(mass).
 
-    Returns (post_state, probability).  `term_fn` maps an occupation tuple to
-    the marker coupling argument; default is the product of the components.
+    Returns (post_state, probability), the post state holding the dense
+    post-measurement masses |amplitude|^2.
     """
     if state.layout != "explicit":
         raise ValueError("dense oracle works on explicit states only")
-    term_fn = term_fn or _product_term
-    rows, M = _evolved_marker_rows(state, params, t, alpha, term_fn)
-
-    # conditioning state: the coherent state the target branch has rotated to
-    omega_target = rotation_frequency(params, target_term).value
-    v_target = coherent_vector(alpha.value * cmath.exp(-1j * omega_target * t), M)
-
-    if state.mode == "pure":
-        joint = DenseJointState(tuples=state.tuples, cutoff=M,
-                                psi=state.weights[:, None] * rows)
-        if abs(joint.norm_sq() - 1.0) > 1e-10:
-            raise ValueError(f"joint norm drifted to {joint.norm_sq()!r}")
-        amps = joint.psi @ v_target.conj()
-        prob = float(np.vdot(amps, amps).real)
-        if prob < 1e-300:
-            raise ConditionedMassVanished(f"dense surviving mass {prob:.3e}")
-        post = TrialEnsemble(mode="pure", arity=state.arity,
-                             tuples=state.tuples.copy(),
-                             weights=amps / math.sqrt(prob))
-    else:
-        o = rows @ v_target.conj()
-        o2 = o.real**2 + o.imag**2
-        masses = state.weights * o2
-        prob = float(np.sum(masses))
-        if prob < 1e-300:
-            raise ConditionedMassVanished(f"dense surviving mass {prob:.3e}")
-        post = TrialEnsemble(mode="diagonal", arity=state.arity,
-                             tuples=state.tuples.copy(), weights=masses / prob)
+    amps, prob = dense_condition(state.tuples, np.sqrt(state.weights), params, t,
+                                 target_term, alpha, term_fn)
+    post = TrialEnsemble(arity=state.arity, tuples=state.tuples.copy(),
+                         weights=amps.real**2 + amps.imag**2)
     return post, prob
 
 

@@ -35,15 +35,21 @@ def _cell(v) -> str:
     return s
 
 
-def write_csv(path, header, rows, meta: dict = None) -> None:
-    """CSV with '# key: value' comment lines before the header row."""
-    with open(path, "w", newline="") as fh:
-        if meta:
-            for key, value in meta.items():
-                fh.write(f"# {key}: {value}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+def write_csv(dest, header, rows, meta: dict = None) -> None:
+    """CSV with '# key: value' comment lines before the header row.
+
+    `dest` is a path, or an open text stream such as sys.stdout.
+    """
+    if not hasattr(dest, "write"):
+        with open(dest, "w", newline="") as fh:
+            write_csv(fh, header, rows, meta)
+        return
+    if meta:
+        for key, value in meta.items():
+            dest.write(f"# {key}: {value}\n")
+    dest.write(",".join(header) + "\n")
+    for row in rows:
+        dest.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def _json_value(v, out: io.StringIO, indent: int) -> None:
@@ -119,7 +125,10 @@ def _meta_lines(meta: dict = None) -> dict:
 
 
 def write_iteration_csv(path, report, meta: dict = None) -> None:
-    """One row per conditioning step, column set adapted to the record type."""
+    """One row per conditioning step, column set adapted to the record type.
+
+    `path` may also be an open text stream (see write_csv).
+    """
     recs = report.records
     if not recs:
         raise ValueError("report has no iteration records")
@@ -192,17 +201,3 @@ def write_stats_long_csv(path, reports, meta: dict = None) -> None:
         for r in rep.records:
             rows.append([s, r.l, r.t_l, r.pr_E, r.C_l, r.fidelity])
     write_csv(path, header, rows, _meta_lines(meta))
-
-
-def dump_state(path, state, limit: int = 1000) -> None:
-    """Debug snapshot of the heaviest entries of an ensemble."""
-    masses = state.entry_masses()
-    order = np.argsort(masses)[::-1][:limit]
-    if state.layout == "explicit":
-        header = tuple(f"x{j}" for j in range(state.arity)) + ("mass",)
-        rows = [list(state.tuples[i]) + [masses[i]] for i in order]
-    else:
-        header = ("product", "count", "mass")
-        rows = [[int(state.keys[i]), int(state.counts[i]), masses[i]] for i in order]
-    write_csv(path, header, rows, _meta_lines({"layout": state.layout,
-                                               "entries": state.n_entries}))

@@ -6,10 +6,11 @@ fixed time t_s = pi/g_tilde a solution's marker has returned exactly to
 |alpha> (the marker frequency omega_3 is an even multiple of g_tilde) while a
 non-solution's marker sits at |-alpha>.  Conditioning on |alpha> therefore
 multiplies every non-solution amplitude by <alpha|-alpha> = exp(-2|alpha|^2),
-a huge suppression per iteration at |alpha| = 2.
+i.e. its mass by exp(-4|alpha|^2), a huge suppression per iteration at
+|alpha| = 2.
 
 The parity arithmetic is carried symbolically: solution multipliers are the
-exact float 1.0 and non-solution ones the exact exp(-2 alpha^2), with no trig
+exact float 1.0 and non-solution ones the exact exp(-4 alpha^2), with no trig
 rounding in between.
 """
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import alpha_at, normalize_alpha_schedule
 from .ensemble import TrialEnsemble, apply_entry_multipliers
 from .errors import ConditionedMassVanished, DomainError, EmptyRange, NoSolutionFound
 
@@ -67,14 +69,8 @@ class SearchConfig:
             raise ValueError("g_tilde must be positive")
         if self.omega3_multiple % 2 != 0:
             raise ValueError("omega_3 must be an even multiple of g_tilde")
-        sched = self.alpha_schedule
-        if isinstance(sched, (int, float)):
-            sched = (float(sched),)
-        else:
-            sched = tuple(float(a) for a in sched)
-        object.__setattr__(self, "alpha_schedule", sched)
-        if any(b < a for a, b in zip(sched, sched[1:])):
-            raise ValueError("alpha schedule must be non-decreasing")
+        object.__setattr__(self, "alpha_schedule",
+                           normalize_alpha_schedule(self.alpha_schedule))
         if not 0.0 < self.stop_mass <= 1.0:
             raise ValueError("stop_mass must be in (0, 1]")
 
@@ -83,7 +79,7 @@ class SearchConfig:
         return math.pi / self.g_tilde
 
     def alpha_for(self, l: int) -> float:
-        return self.alpha_schedule[min(l - 1, len(self.alpha_schedule) - 1)]
+        return alpha_at(self.alpha_schedule, l)
 
 
 @dataclass(frozen=True)
@@ -105,20 +101,20 @@ class SearchReport:
 
 
 def initial_search_state(box: BlackBox, m0: int = 0) -> TrialEnsemble:
-    """Uniform superposition |n>|m0> over the whole domain."""
+    """Uniform mass 1/d on |n>|m0> over the whole domain."""
     d = box.domain_size
     tuples = np.empty((d, 2), dtype=np.int64)
     tuples[:, 0] = np.arange(d)
     tuples[:, 1] = m0
-    weights = np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128)
-    return TrialEnsemble(mode="pure", arity=2, tuples=tuples, weights=weights)
+    return TrialEnsemble(arity=2, tuples=tuples, weights=np.full(d, 1.0 / d))
 
 
 def apply_black_box(state: TrialEnsemble, box: BlackBox) -> TrialEnsemble:
-    """(n, m) -> (n, h(n)); amplitudes untouched.  One oracle call per entry."""
+    """(n, m) -> (n, h(n)); masses untouched.  One oracle call per entry."""
     out = state.copy()
-    for row in out.tuples:
-        row[1] = box.h(int(row[0]))
+    items = out.tuples[:, 0].tolist()
+    out.tuples[:, 1] = np.fromiter((box.h(n) for n in items), dtype=np.int64,
+                                   count=len(items))
     return out
 
 
@@ -130,12 +126,7 @@ def _parity_multipliers(state: TrialEnsemble, config: SearchConfig, alpha_mag: f
     # every solution branch
     for h in np.unique(h_vals[even]):
         assert (config.omega3_multiple + int(h)) % 2 == 0
-    if state.mode == "pure":
-        eps_ns = math.exp(-2.0 * alpha_mag * alpha_mag)
-        mult = np.where(even, 1.0 + 0.0j, complex(eps_ns, 0.0))
-    else:
-        eps_ns = math.exp(-4.0 * alpha_mag * alpha_mag)
-        mult = np.where(even, 1.0, eps_ns)
+    mult = np.where(even, 1.0, math.exp(-4.0 * alpha_mag * alpha_mag))
     return mult, even
 
 
@@ -172,10 +163,9 @@ def run_search(config: SearchConfig, box: BlackBox) -> SearchReport:
     except ConditionedMassVanished as exc:
         raise NoSolutionFound(f"conditioning extinguished the register: {exc}") from exc
 
-    even = (state.tuples[:, 1] % 2) == 0
-    masses = state.entry_masses()
-    solutions = [(int(n), float(m))
-                 for (n, _), m, ok in zip(state.tuples, masses, even) if ok]
+    marked = np.flatnonzero(state.tuples[:, 1] % 2 == 0)
+    solutions = list(zip(state.tuples[marked, 0].tolist(),
+                         state.entry_masses()[marked].tolist()))
     if not solutions:
         raise NoSolutionFound(
             f"no marked item among {box.domain_size} after {len(records)} iterations")

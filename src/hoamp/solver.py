@@ -4,7 +4,7 @@ A register of A oscillators holds candidate tuples; each constraint f_k gets
 its own marker oscillator rotating at omega_k + f_k(tuple).  Conditioning
 compares every tuple's marker against the markers of the accepted values of
 f_k (those satisfying the relation), so tuples that satisfy a constraint keep
-their amplitude exactly while violators shrink.
+their mass exactly while violators shrink.
 
 The product of coherent projectors over all accepted values, taken literally,
 is not a valid measurement element, so the per-constraint multiplier is
@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSystem, relation_accepts
-from .dynamics import (KERNEL_BLOCK, OscillatorParams, eps_squared_batch, epsilon_batch,
-                       phase_table, phasors)
+from .dynamics import (KERNEL_BLOCK, OscillatorParams, alpha_at, eps_squared_batch,
+                       normalize_alpha_schedule, phase_table, phasors)
 from .ensemble import TrialEnsemble, apply_entry_multipliers, sample
 from .errors import DomainTooLarge, InfeasibleSystem
-from .factoring import sample_times
+from .factoring import STREAM_SAMPLE, STREAM_TIMES, sample_times
 from .rng import SplitMix64
 
 _ACCEPTED_ENUM_CAP = 1_000_000
@@ -47,16 +47,10 @@ class MarkerBank:
 
     def __post_init__(self):
         object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
-        scheds = tuple(
-            (float(s),) if isinstance(s, (int, float)) else tuple(float(a) for a in s)
-            for s in self.alpha_schedules
-        )
+        scheds = tuple(normalize_alpha_schedule(s) for s in self.alpha_schedules)
         object.__setattr__(self, "alpha_schedules", scheds)
         if len(self.omegas) != len(scheds):
             raise ValueError("need one omega and one alpha schedule per constraint")
-        for s in scheds:
-            if any(b < a for a, b in zip(s, s[1:])):
-                raise ValueError("alpha schedules must be non-decreasing")
 
     @classmethod
     def uniform(cls, n_constraints: int, alpha: float = 2.0, omega: float = 0.0):
@@ -64,8 +58,7 @@ class MarkerBank:
                    alpha_schedules=((float(alpha),),) * n_constraints)
 
     def alpha_for(self, k: int, l: int) -> float:
-        s = self.alpha_schedules[k]
-        return s[min(l - 1, len(s) - 1)]
+        return alpha_at(self.alpha_schedules[k], l)
 
 
 @dataclass(frozen=True)
@@ -161,30 +154,23 @@ def _values_int64(vals) -> np.ndarray:
     return vals
 
 
-def _best_phasors(table, accepted: np.ndarray, vals: np.ndarray):
-    """Per value, (cos, sin) of the accepted target maximizing cos(Delta)."""
-    n = len(vals)
-    best_cos = np.empty(n, dtype=np.float64)
-    best_sin = np.empty(n, dtype=np.float64)
+def _best_cos(table, accepted: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per value, the largest cos(Delta) over the accepted targets."""
+    best = np.empty(len(vals), dtype=np.float64)
     block = max(1, KERNEL_BLOCK // max(1, len(accepted)))
-    for start in range(0, n, block):
+    for start in range(0, len(vals), block):
         chunk = vals[start : start + block]
-        cos, sin = phasors(table, [accepted[None, :] - chunk[:, None]])
-        pick = (np.arange(len(chunk)), np.argmax(cos, axis=1))
-        best_cos[start : start + block] = cos[pick]
-        best_sin[start : start + block] = sin[pick]
-    return best_cos, best_sin
+        cos, _ = phasors(table, [accepted[None, :] - chunk[:, None]])
+        best[start : start + block] = cos.max(axis=1)
+    return best
 
 
 def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorParams,
-                           alpha_mag: float, t: float, mode: str, pure: bool):
-    """Per-entry multiplier for one constraint: complex eps (pure) or |eps|^2."""
+                           alpha_mag: float, t: float, mode: str):
+    """Per-entry mass multiplier for one constraint, and the satisfied mask."""
     vals = _values_int64(values)
     ok = accepted.contains(vals)
-    if pure:
-        mult = np.ones(len(vals), dtype=np.complex128)
-    else:
-        mult = np.ones(len(vals), dtype=np.float64)
+    mult = np.ones(len(vals), dtype=np.float64)
     idx = np.flatnonzero(~ok)
     if len(idx) == 0:
         return mult, ok
@@ -203,20 +189,16 @@ def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorPara
     if mode == "max":
         if targets is None:
             # nearest accepted integer in [lo, hi]
-            cos, sin = phasors(table, [np.clip(bad, lo, hi) - bad])
+            cos, _ = phasors(table, [np.clip(bad, lo, hi) - bad])
         else:
-            cos, sin = _best_phasors(table, targets, bad)
-        if pure:
-            mult[idx] = epsilon_batch(alpha_mag, cos, sin)
-        else:
-            mult[idx] = eps_squared_batch(alpha_mag, cos)
+            cos = _best_cos(table, targets, bad)
+        mult[idx] = eps_squared_batch(alpha_mag, cos)
     else:
         total = np.zeros(len(bad), dtype=np.float64)
         for x in targets:
             cos, _ = phasors(table, [int(x) - bad])
             total += eps_squared_batch(alpha_mag, cos)
-        w = np.minimum(1.0, total)
-        mult[idx] = np.sqrt(w) if pure else w
+        mult[idx] = np.minimum(1.0, total)
     return mult, ok
 
 
@@ -229,13 +211,12 @@ def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, bank: Marke
     if values_cache is None:
         cols = {name: state.tuples[:, j] for j, name in enumerate(system.names)}
         values_cache = [expr.evaluate_batch(cols) for expr, _, _ in system.constraints]
-    pure = state.mode == "pure"
     joint = None
     all_ok = None
     for k, acc in enumerate(accepted_sets):
         params = _constraint_params(bank, k)
         mult, ok = constraint_multipliers(values_cache[k], acc, params,
-                                          bank.alpha_for(k, l), t_l, mode, pure)
+                                          bank.alpha_for(k, l), t_l, mode)
         joint = mult if joint is None else joint * mult
         all_ok = ok if all_ok is None else (all_ok & ok)
     out = apply_entry_multipliers(state, joint, prev_norm=prev_norm, in_place=in_place)
@@ -246,15 +227,15 @@ def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, bank: Marke
 
 
 def uniform_state(system: ConstraintSystem) -> TrialEnsemble:
-    """Uniform pure superposition over the whole bounded box."""
+    """Uniform mass over the whole bounded box."""
     size = system.domain_size()
     if size > _STATE_CAP:
         raise DomainTooLarge(f"{size} tuples exceeds the explicit-state cap {_STATE_CAP}")
     grids = np.meshgrid(*[np.arange(b + 1, dtype=np.int64) for _, b in system.variables],
                         indexing="ij")
     tuples = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-    return TrialEnsemble(mode="pure", arity=system.arity, tuples=tuples, weights=weights)
+    return TrialEnsemble(arity=system.arity, tuples=tuples,
+                         weights=np.full(size, 1.0 / size))
 
 
 def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "max",
@@ -269,7 +250,7 @@ def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "m
     values_cache = [expr.evaluate_batch(cols) for expr, _, _ in system.constraints]
 
     master = SplitMix64(seed)
-    stream = sample_times(times, master.derive(0), 1.0)
+    stream = sample_times(times, master.derive(STREAM_TIMES), 1.0)
     records = []
     c_prev = 1.0
     for l in range(1, L_max + 1):
@@ -307,6 +288,6 @@ def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "m
                 "bank": {"omegas": list(bank.omegas),
                          "alpha_schedules": [list(s) for s in bank.alpha_schedules]}},
         seed=seed, records=records, solutions=solutions,
-        sampled_tuple=sample(state, SplitMix64(master.derive(1))),
+        sampled_tuple=sample(state, SplitMix64(master.derive(STREAM_SAMPLE))),
         solution_count=len(solutions), estimated_iterations=est,
     )

@@ -255,7 +255,7 @@ def _solver_instance(rng):
         vals = expr.evaluate_batch(cols)
         joint *= dense_marker_overlaps(vals, 0.0, MarkerAmplitude(alpha_mag), t,
                                        list(acc.values))[:, 0]
-    amps = state.weights * joint
+    amps = np.sqrt(state.weights) * joint
     pr_d = float(np.vdot(amps, amps).real)
     masses_d = (amps.real**2 + amps.imag**2) / pr_d
     return (abs(rec.pr_E - pr_d),

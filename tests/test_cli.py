@@ -22,12 +22,14 @@ def test_factor_json(tmp_path, capsys):
     assert doc["sampled_factors"] == [17, 23]
 
 
-def test_factor_csv_stdout(capsys):
+def test_factor_csv_stdout(tmp_path, capsys):
     rc = run(["factor", "--n", "35"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("# generator: hoamp")
     assert "l,t_l,alpha_mag,pr_E" in out
+    assert run(["factor", "--n", "35", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "factor_report.csv").read_text() == out
 
 
 def test_factor_prime_exit_code(capsys):
@@ -38,6 +40,7 @@ def test_factor_prime_exit_code(capsys):
 def test_factor_bad_flags(capsys):
     assert run(["factor"]) == 3                        # --n required
     assert run(["factor", "--n", "35", "--alpha-schedule", "3,2"]) == 3
+    assert run(["factor", "--n", "35", "--alpha-schedule", ","]) == 3
     assert run(["factor", "--n", "35", "--couplings", "abc"]) == 3
     assert run(["factor", "--n", "35", "--times", "x"]) == 3
 
@@ -78,6 +81,13 @@ def test_search_missing_solutions_usage(capsys):
     assert run(["search", "--n", "16", "--solutions", "99"]) == 3
 
 
+@pytest.mark.parametrize("schedule", [",", "-1", "3,2"])
+def test_search_bad_alpha_schedule_usage(schedule, capsys):
+    assert run(["search", "--n", "16", "--solutions", "3",
+                "--alpha-schedule", schedule]) == 3
+    assert "usage error: alpha schedule" in capsys.readouterr().err
+
+
 def test_solve_roundtrip(tmp_path, capsys):
     system = {
         "variables": [{"name": "x", "bound": 3}, {"name": "y", "bound": 3}],
@@ -103,6 +113,17 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
         "constraints": [{"expr": "x^2", "relation": "=", "bound": 5}],
     }))
     assert run(["solve", "--system", str(f)]) == 4
+
+
+@pytest.mark.parametrize("schedule", [",", "-1", "3,2"])
+def test_solve_bad_alpha_schedule_usage(schedule, tmp_path, capsys):
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps({
+        "variables": [{"name": "x", "bound": 3}],
+        "constraints": [{"expr": "x", "relation": "=", "bound": 2}],
+    }))
+    assert run(["solve", "--system", str(f), "--alpha-schedule", schedule]) == 3
+    assert "usage error: alpha schedule" in capsys.readouterr().err
 
 
 def test_solve_missing_file(capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hoamp.dynamics import MarkerAmplitude, OscillatorParams
+from hoamp.dynamics import MarkerAmplitude, OscillatorParams, epsilon_overlap, phase_delta
 from hoamp.ensemble import (TargetState, TrialEnsemble, apply_entry_multipliers,
                             bin_by_product, ceil_sqrt, conditional_update,
                             factoring_ranges, fidelity, init_uniform_factoring,
@@ -38,9 +38,9 @@ def test_init_n35_explicit():
     st = init_uniform_factoring(35)
     assert st.layout == "explicit"
     assert st.n_entries == 28                      # 4 values of n, 7 of m
-    assert st.mode == "pure"
-    # uniform weights, unit norm
-    assert st.weights[0] == pytest.approx(1 / math.sqrt(28))
+    assert st.weights.dtype == np.float64
+    # uniform masses, unit total
+    assert st.weights[0] == pytest.approx(1 / 28)
     assert st.total_mass() == pytest.approx(1.0, abs=1e-14)
     # lexicographic order
     assert tuple(st.tuples[0]) == (3, 6)
@@ -118,6 +118,19 @@ def test_conditional_update_chains_normalization():
                                              rel=1e-14)
 
 
+def test_conditional_update_unsorted_explicit_products():
+    # explicit rows are sorted by tuple, not by product: here the largest
+    # product sits in the middle row, and every mass must still get the
+    # scalar |eps|^2
+    st = TrialEnsemble(arity=2, tuples=np.array([[1, 5], [2, 500], [3, 1]]),
+                       weights=np.full(3, 1 / 3))
+    alpha = MarkerAmplitude(0.3)
+    out = conditional_update(st, PARAMS, alpha, 3, 0.7)
+    want = np.array([abs(epsilon_overlap(alpha, phase_delta(PARAMS, 3, u, 0.7))) ** 2
+                     for u in (5, 1000, 3)])
+    np.testing.assert_allclose(out.post_state.weights, want / want.sum(), rtol=1e-12)
+
+
 def test_binned_update_matches_explicit_update():
     a = init_uniform_factoring(35, layout="explicit")
     b = init_uniform_factoring(35, layout="binned")
@@ -133,21 +146,21 @@ def test_apply_entry_multipliers_identity():
     # all-ones multiplier: the measured mass is the (rounded) state norm,
     # so Pr caps at 1 and the state only gets renormalized within an ulp
     st = init_uniform_factoring(35)
-    out = apply_entry_multipliers(st, np.ones(28, dtype=np.complex128))
+    out = apply_entry_multipliers(st, np.ones(28))
     assert out.probability == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(out.post_state.weights, st.weights, rtol=1e-14)
 
 
 def test_apply_entry_multipliers_probability_capped():
     st = init_uniform_factoring(35)
-    out = apply_entry_multipliers(st, np.ones(28, dtype=np.complex128), prev_norm=1.0)
+    out = apply_entry_multipliers(st, np.ones(28), prev_norm=1.0)
     assert out.probability <= 1.0
 
 
 def test_apply_entry_multipliers_vanished_mass():
     st = init_uniform_factoring(35)
     with pytest.raises(ConditionedMassVanished):
-        apply_entry_multipliers(st, np.zeros(28, dtype=np.complex128))
+        apply_entry_multipliers(st, np.zeros(28))
 
 
 def test_fidelity_initial_uniform():
@@ -174,16 +187,13 @@ def test_fidelity_finds_every_explicit_row():
     st = init_uniform_factoring(1961)
     rng = np.random.default_rng(3)
     amps = rng.normal(size=len(st.tuples)) + 1j * rng.normal(size=len(st.tuples))
-    st.weights = amps / np.linalg.norm(amps)
-    diag = TrialEnsemble(mode="diagonal", arity=2, tuples=st.tuples,
-                         weights=np.abs(st.weights) ** 2)
+    st = TrialEnsemble(arity=2, tuples=st.tuples,
+                       weights=np.abs(amps / np.linalg.norm(amps)) ** 2)
     for i in range(0, len(st.tuples), 7):
         t = TargetState(members=(tuple(int(x) for x in st.tuples[i]),), weights=(1.0,))
-        assert fidelity(st, t) == pytest.approx(abs(st.weights[i]) ** 2, rel=1e-12)
-        assert fidelity(diag, t) == pytest.approx(diag.weights[i], rel=1e-12)
+        assert fidelity(st, t) == pytest.approx(st.weights[i], rel=1e-12)
     absent = TargetState(members=((2, 1961), (46, 40), (3,)), weights=(0.5, 0.25, 0.25))
     assert fidelity(st, absent) == 0.0
-    assert fidelity(diag, absent) == 0.0
 
 
 def test_fidelity_member_outside_domain_counts_zero():

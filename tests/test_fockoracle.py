@@ -8,9 +8,10 @@ import pytest
 
 from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap,
                             phase_delta)
-from hoamp.ensemble import conditional_update, init_uniform_factoring
+from hoamp.ensemble import (TargetState, conditional_update, fidelity,
+                            init_uniform_factoring)
 from hoamp.errors import CutoffTooSmall, DimensionTooLarge
-from hoamp.fockoracle import (brute_force_step, coherent_vector,
+from hoamp.fockoracle import (brute_force_step, coherent_vector, dense_condition,
                               dense_marker_overlaps, required_cutoff)
 
 
@@ -56,8 +57,35 @@ def test_brute_force_step_matches_engine_pure():
     out = conditional_update(st, params, MarkerAmplitude(1.5), 35, 0.8)
     post, pr = brute_force_step(st, params, 0.8, 35, MarkerAmplitude(1.5))
     assert pr == pytest.approx(out.probability, abs=1e-12)
-    np.testing.assert_allclose(np.abs(post.weights) ** 2,
-                               np.abs(out.post_state.weights) ** 2, atol=1e-12)
+    np.testing.assert_allclose(post.weights, out.post_state.weights, atol=1e-12)
+
+
+def test_observables_are_phase_free_against_dense_amplitudes():
+    # N = 105 has three factor pairs in range, so F is a coherent sum over
+    # three members.  The dense oracle carries complex amplitudes through four
+    # chained steps, the engine only masses (in both layouts): Pr and F agree,
+    # because the target amplitudes stay real and equal while the others turn
+    N, alpha, params = 105, MarkerAmplitude(2.0), OscillatorParams()
+    target = TargetState.factor_target(N)
+    assert target.members == ((3, 35), (5, 21), (7, 15))
+    states = [init_uniform_factoring(N, layout=lay) for lay in ("explicit", "binned")]
+    tuples = states[0].tuples
+    assert len(tuples) == 225
+    rows = [int(np.flatnonzero((tuples == m).all(axis=1))[0]) for m in target.members]
+    amps = np.sqrt(states[0].weights).astype(np.complex128)
+    for t in (0.8, 2.3, 4.1, 5.6):
+        amps, pr_dense = dense_condition(tuples, amps, params, t, N, alpha)
+        f_dense = abs(sum(math.sqrt(w) * amps[i]
+                          for w, i in zip(target.weights, rows))) ** 2
+        on_target = amps[rows]
+        assert np.max(np.abs(on_target.imag)) <= 1e-12 * abs(on_target[0])
+        np.testing.assert_allclose(on_target.real, on_target.real[0], rtol=1e-12)
+        assert np.max(np.abs(amps.imag)) > 1e-3          # off-target phases exist
+        for k, st in enumerate(states):
+            out = conditional_update(st, params, alpha, N, t)
+            states[k] = out.post_state
+            assert out.probability == pytest.approx(pr_dense, abs=1e-10)
+            assert fidelity(out.post_state, target) == pytest.approx(f_dense, abs=1e-10)
 
 
 def test_brute_force_step_higher_order_coupling():
@@ -81,8 +109,7 @@ def test_brute_force_step_custom_term_fn():
                                   MarkerAmplitude(2.0),
                                   term_fn=lambda row: int(row[1]))
     assert pr == pytest.approx(rec.pr_E, abs=1e-12)
-    np.testing.assert_allclose(np.abs(post_b.weights) ** 2,
-                               np.abs(post_a.weights) ** 2, atol=1e-12)
+    np.testing.assert_allclose(post_b.weights, post_a.weights, atol=1e-12)
 
 
 def test_dense_marker_overlaps_match_epsilon():

@@ -131,8 +131,8 @@ def test_sample_returns_supported_tuple(n, seed):
 @settings(max_examples=50, deadline=None)
 def test_apply_entry_multipliers_renormalizes(mults, seed):
     state = init_uniform_factoring(35)
-    m = np.ones(28, dtype=np.complex128)
-    m[: len(mults)] = np.array(mults, dtype=np.complex128)
+    m = np.ones(28)
+    m[: len(mults)] = np.array(mults)
     out = apply_entry_multipliers(state, m)
     assert out.post_state.total_mass() == pytest.approx(1.0, abs=1e-12)
     assert 0.0 < out.probability <= 1.0

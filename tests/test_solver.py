@@ -80,10 +80,10 @@ def test_constraint_multipliers_satisfying_exactly_one():
     acc = build_accepted_sets(system)
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
     vals = np.array([0, 1, 2, 3, 4, 6], dtype=np.int64)    # x+y values
-    mult, ok = constraint_multipliers(vals, acc[0], params, 2.0, 1.234, "max", True)
+    mult, ok = constraint_multipliers(vals, acc[0], params, 2.0, 1.234, "max")
     assert ok.tolist() == [True, True, True, True, False, False]
-    assert all(mult[i] == 1.0 + 0.0j for i in range(4))     # exact
-    assert all(abs(mult[i]) < 1.0 for i in (4, 5))
+    assert all(mult[i] == 1.0 for i in range(4))            # exact
+    assert all(mult[i] < 1.0 for i in (4, 5))
 
 
 def test_constraint_multipliers_sum_clipped_bounded():
@@ -91,8 +91,7 @@ def test_constraint_multipliers_sum_clipped_bounded():
     acc = build_accepted_sets(system)
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
     vals = np.array([0, 1, 5, 8], dtype=np.int64)
-    mult, ok = constraint_multipliers(vals, acc[1], params, 2.0, 0.9, "sum-clipped",
-                                      False)
+    mult, ok = constraint_multipliers(vals, acc[1], params, 2.0, 0.9, "sum-clipped")
     assert ok.tolist() == [False, False, False, False]
     assert np.all(mult <= 1.0) and np.all(mult > 0.0)
 
@@ -106,19 +105,17 @@ def test_constraint_multipliers_interval_set_matches_scalar():
                      -3_000_000_001, -3_000_000_000 - (1 << 40), 7, 6_000_000_000],
                     dtype=np.int64)
     for t in (0.3, 2.71, 6.1):
-        pure, ok = constraint_multipliers(vals, acc, params, 1.7, t, "max", True)
-        diag, ok2 = constraint_multipliers(vals, acc, params, 1.7, t, "max", False)
-        assert ok.tolist() == ok2.tolist() == [True, True, False, False, False,
-                                               False, False, True, False]
-        for v, m_pure, m_diag, inside in zip(vals, pure, diag, ok):
+        mult, ok = constraint_multipliers(vals, acc, params, 1.7, t, "max")
+        assert ok.tolist() == [True, True, False, False, False,
+                               False, False, True, False]
+        for v, m, inside in zip(vals, mult, ok):
             if inside:
-                assert m_pure == 1.0 + 0.0j and m_diag == 1.0
+                assert m == 1.0
                 continue
             x = min(max(int(v), acc.lo), acc.hi)
             eps = epsilon_overlap(MarkerAmplitude(1.7), phase_delta(params, x, int(v), t))
-            assert abs(m_pure - eps) < 1e-12
-            assert abs(m_diag - abs(eps) ** 2) < 1e-12
-            assert 0.0 < m_diag < 1.0
+            assert abs(m - abs(eps) ** 2) < 1e-12
+            assert 0.0 < m < 1.0
 
 
 def test_uniform_state_box():
