@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Re-run the published 15-step factoring trajectory for N = 1,030,189.
 
-Streams per-iteration progress to stderr (the full run takes a couple of
-minutes and ~2 GB), writes replay_table1.csv next to this script, and prints
+Streams per-iteration progress to stderr (the full run takes about 10 s
+with two threads and ~2 GB), writes replay_table1.csv next to this script, and prints
 the row-by-row comparison against the reference values.
 
 Expect rows 1-4 (and the row-15 probability) to match and rows 5-14 to

@@ -21,22 +21,26 @@ difference by the exact double-double value of g_k*t and reduces the
 rational sum against a 2*pi accurate to ~1e-49.
 
 The vector path reduces no phase per element.  Write each term difference
-d_k = target^k - trial^k in base B = 2^13; then
+d_k = target^k - trial^k in base B_k = 2^w_k; then
 
     exp(i*Delta) = prod_k prod_j T_kj[digit_j(|d_k|)],   conjugated for d_k < 0,
 
-where T_kj[r] = exp(i * r * B^j * g_k * t mod 2*pi).  phase_table builds the
-tables once per (params, t): each B^j*g_k*t is reduced exactly in Fraction
-arithmetic and kept as a double-double, and its B multiples are filled by an
-exact two-product and a Cody-Waite split, so every entry is within an ulp or
-two of the exact angle.  phasors gathers one entry per digit and multiplies
-the unit phasors, so the hot loop is gathers and multiplies with no trig call
-and no width limit: differences beyond int64 (K >= 2 with large terms) have
-their digits taken from Python ints in an object array.  A zero difference
-gathers only T[0] = (1, 0), so on-target entries get exactly cos = 1,
-sin = 0.  The batch angle agrees with phase_delta to within 2.3e-15 rad
-(5,120 random comparisons, K = 1..4, terms up to the int64 and 128-bit
-limits).
+where T_kj[r] = exp(i * r * B_k^j * g_k * t mod 2*pi).  phase_table builds
+the tables once per (params, t), sized to the call: the bound on |d_k| takes
+nd = ceil(bits / 13) digits, each w_k = ceil(bits / nd) bits wide, so a small
+bound gets short rows and the digit count is the least that 13-bit digits
+allow.  Each B_k^j*g_k*t is reduced exactly in Fraction arithmetic and kept
+as a double-double, and its B_k multiples are filled by an exact two-product
+and a Cody-Waite split, so every entry is within an ulp or two of the exact
+angle.  phasors gathers one entry per digit and multiplies the unit phasors,
+so the hot loop is gathers and multiplies with no trig call and no width
+limit: differences beyond int64 (K >= 2 with large terms) have their digits
+taken from Python ints in an object array.  Callers that loop over blocks
+pass a KernelScratch (out=) so the blocks reuse one set of buffers.  A zero
+difference gathers only T[0] = (1, 0), so on-target entries get exactly
+cos = 1, sin = 0.  The batch angle agrees with phase_delta to within
+2.3e-15 rad (5,120 random comparisons, K = 1..4, terms up to the int64 and
+128-bit limits, with 13-bit and with narrower digits).
 """
 
 from __future__ import annotations
@@ -64,9 +68,8 @@ _INT128_MAX = (1 << 127) - 1
 _INT64_MAX = (1 << 63) - 1
 _MAX_ORDER = 4
 
-# phasor tables index term differences by base-2^13 digits
+# phasor tables index term differences by digits of at most 13 bits
 _DIGIT_BITS = 13
-_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 # callers hand phasors at most this many elements at a time, so its
 # temporaries stay in cache; values are element-wise, so the size changes none
 KERNEL_BLOCK = 1 << 16
@@ -253,16 +256,17 @@ def _reduce_batch(raw_hi, raw_lo):
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """cos and sin of r * B^j * g_k * t mod 2*pi, for digits r < B = 2^13.
+    """cos and sin of r * B^j * g_k * t mod 2*pi, for digits r < B = 2^bits[k-1].
 
     cos[k-1][j] and sin[k-1][j] are the rows for order k and digit position
     j, holding every digit value a |target^k - trial^k| can take with terms
-    up to the max_term the table was built for.  Read-only once built, so
-    worker threads share it.
+    up to the max_term the table was built for; bits[k-1] is the digit width
+    of order k.  Read-only once built, so worker threads share it.
     """
 
     cos: tuple
     sin: tuple
+    bits: tuple
 
 
 def phase_table(params: OscillatorParams, t: float, max_term: int) -> PhaseTable:
@@ -272,16 +276,18 @@ def phase_table(params: OscillatorParams, t: float, max_term: int) -> PhaseTable
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    cos_k, sin_k = [], []
+    cos_k, sin_k, bits_k = [], [], []
     for k, g in enumerate(params.couplings, start=1):
         hi, lo = _two_prod(g, t)
         theta = Fraction(hi) + Fraction(lo)
         bound = 2 * _int_pow_checked(max_term, k)     # >= |target^k - trial^k|
+        n_digits = max(1, -(-bound.bit_length() // _DIGIT_BITS))
+        w = max(1, -(-bound.bit_length() // n_digits))
         cos_j, sin_j = [], []
-        for j in range(max(1, -(-bound.bit_length() // _DIGIT_BITS))):
+        for j in range(n_digits):
             # digit values reachable at position j: the top row is short
-            r = np.arange(min(_DIGIT_MASK, bound >> (_DIGIT_BITS * j)) + 1, dtype=np.float64)
-            phi = _mod_twopi(theta * (1 << (_DIGIT_BITS * j)))
+            r = np.arange(min((1 << w) - 1, bound >> (w * j)) + 1, dtype=np.float64)
+            phi = _mod_twopi(theta * (1 << (w * j)))
             phi_hi = float(phi)
             phi_lo = float(phi - Fraction(phi_hi))
             p_hi, p_lo = _two_prod(r, phi_hi)      # r * phi_hi exactly
@@ -290,7 +296,29 @@ def phase_table(params: OscillatorParams, t: float, max_term: int) -> PhaseTable
             sin_j.append(np.sin(angle))
         cos_k.append(tuple(cos_j))
         sin_k.append(tuple(sin_j))
-    return PhaseTable(cos=tuple(cos_k), sin=tuple(sin_k))
+        bits_k.append(w)
+    return PhaseTable(cos=tuple(cos_k), sin=tuple(sin_k), bits=tuple(bits_k))
+
+
+class KernelScratch:
+    """Work buffers for term_differences, phasors and eps_squared_batch.
+
+    A loop over blocks of up to `size` elements passes one scratch as out=
+    to each call, so the blocks reuse the same buffers instead of allocating
+    their temporaries afresh.  Buffers are made on first use, one per name;
+    results returned from a call are views into them, valid until the next
+    call with the same scratch.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._bufs = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None:
+            buf = self._bufs[name] = np.empty(self.size, dtype=dtype)
+        return buf[: math.prod(shape)].reshape(shape)
 
 
 def _int_array(terms) -> np.ndarray:
@@ -304,72 +332,95 @@ def _max_abs_term(target_term: int, trials: np.ndarray) -> int:
     return max(abs(target_term), abs(int(trials.max())), abs(int(trials.min())))
 
 
-def term_differences(order: int, target_term: int, trial_terms) -> list:
+def term_differences(order: int, target_term: int, trial_terms, out=None) -> list:
     """[target^k - trial^k for k = 1..order] as arrays shaped like trial_terms.
 
-    int64 where every difference fits, else an object array of Python ints.
+    int64 where every difference fits, written into `out` (a KernelScratch)
+    when given; else object arrays of Python ints.
     """
     trials = _int_array(trial_terms)
     if 2 * _int_pow_checked(_max_abs_term(target_term, trials), order) <= _INT64_MAX:
         dtype = np.int64
+        ws = KernelScratch(trials.size) if out is None else out
+        diffs = [ws.get(f"d{k}", trials.shape, dtype) for k in range(1, order + 1)]
     else:
         dtype, trials = object, trials.astype(object)
-    diffs = [np.subtract(target_term, trials, dtype=dtype)]
+        diffs = [None] * order
     power = trials
-    for k in range(2, order + 1):
-        power = np.multiply(power, trials, dtype=dtype)
-        diffs.append(np.subtract(target_term**k, power, dtype=dtype))
+    for k in range(2, order + 1):      # the powers first, each from the last
+        power = diffs[k - 1] = np.multiply(power, trials, out=diffs[k - 1], dtype=dtype)
+    for k in range(1, order + 1):
+        diffs[k - 1] = np.subtract(target_term**k, trials if k == 1 else diffs[k - 1],
+                                   out=diffs[k - 1], dtype=dtype)
     return diffs
 
 
-def _complex_mul(c, s, c2, s2):
-    """(c + i s) *= (c2 + i s2), in place; overwrites s2."""
-    t = c * s2
+def _complex_mul(c, s, c2, s2, t):
+    """(c + i s) *= (c2 + i s2), in place; overwrites s2 and t."""
+    np.multiply(c, s2, out=t)
     c *= c2
     c -= np.multiply(s, s2, out=s2)
     s *= c2
     s += t
 
 
-def phasors(table: PhaseTable, diffs) -> tuple:
+def _digit(mag, shift: int, mask, out):
+    """The digit of |d| at bit `shift`, masked unless it is the top digit."""
+    if mag.dtype == object:
+        d = mag >> shift
+        np.copyto(out, d if mask is None else d & mask, casting="unsafe")
+        return out
+    if not shift and mask is None:
+        return mag
+    src = np.right_shift(mag, shift, out=out) if shift else mag
+    return src if mask is None else np.bitwise_and(src, mask, out=out)
+
+
+def phasors(table: PhaseTable, diffs, out=None) -> tuple:
     """(cos Delta, sin Delta) from the term differences d_k = target^k - trial^k.
 
     diffs[k-1] holds d_k (int64 or object array, as term_differences gives).
-    One table entry is gathered per base-2^13 digit of |d_k|, and the unit
-    phasors are multiplied in digit order; the sign of d_k conjugates, i.e.
-    negates only sin.  Each element's arithmetic is independent of the
-    others, so a value comes out bit-identical in any call that contains it.
-    A difference beyond the range the table was built for raises IndexError.
+    One table entry is gathered per digit of |d_k| (table.bits[k-1] bits
+    wide), and the unit phasors are multiplied in digit order; the sign of
+    d_k conjugates, i.e. negates only sin.  Each element's arithmetic is
+    independent of the others, so a value comes out bit-identical in any
+    call that contains it, given tables of the same digit widths.  The
+    results are views into `out` (a KernelScratch) when given.  A difference
+    beyond the range the table was built for raises IndexError.
     """
+    shape = np.shape(diffs[0])
+    ws = KernelScratch(math.prod(shape)) if out is None else out
+    mag, digit = ws.get("mag", shape, np.int64), ws.get("digit", shape, np.intp)
     cos = sin = None
     for k, d in enumerate(diffs):
-        mag = np.abs(d)
-        top = int(mag.max()) if mag.size else 0
-        n_digits = -(-top.bit_length() // _DIGIT_BITS)
-        c = s = None
-        for j in range(n_digits):
-            digit = mag >> (_DIGIT_BITS * j) if j else mag
-            if j < n_digits - 1:
-                digit = digit & _DIGIT_MASK
-            if digit.dtype == object:
-                digit = digit.astype(np.intp)
-            cj = table.cos[k][j].take(digit)
-            sj = table.sin[k][j].take(digit)
-            if c is None:
-                c, s = cj, sj
-            else:
-                _complex_mul(c, s, cj, sj)
-        if c is None:       # every d_k is zero
+        w, rows_c, rows_s = table.bits[k], table.cos[k], table.sin[k]
+        mag_k = np.abs(d) if d.dtype == object else np.abs(d, out=mag)
+        top = int(mag_k.max()) if mag_k.size else 0
+        n_digits = -(-top.bit_length() // w)
+        if not n_digits:    # every d_k is zero
             continue
+        if n_digits > len(rows_c) or top >> (w * (n_digits - 1)) >= len(rows_c[n_digits - 1]):
+            raise IndexError(f"|d_{k + 1}| = {top} is beyond the phase table")
+        # the first order accumulates straight into the result
+        c, s = (ws.get("cos", shape), ws.get("sin", shape)) if cos is None else \
+            (ws.get("c", shape), ws.get("s", shape))
+        for j in range(n_digits):
+            idx = _digit(mag_k, w * j, (1 << w) - 1 if j < n_digits - 1 else None, digit)
+            cj, sj = (c, s) if j == 0 else (ws.get("cj", shape), ws.get("sj", shape))
+            rows_c[j].take(idx, out=cj, mode="wrap")     # range checked above
+            rows_s[j].take(idx, out=sj, mode="wrap")
+            if j:
+                _complex_mul(c, s, cj, sj, ws.get("tmp", shape))
         # conjugate where d_k < 0 (a multiply: sign masks mispredict)
-        np.multiply(s, np.sign(d), out=s, casting="unsafe")
+        np.multiply(s, np.sign(d, out=digit, casting="unsafe"), out=s, casting="unsafe")
         if cos is None:
             cos, sin = c, s
         else:
-            _complex_mul(cos, sin, c, s)
+            _complex_mul(cos, sin, c, s, ws.get("tmp", shape))
     if cos is None:
-        shape = np.shape(diffs[0])
-        return np.ones(shape), np.zeros(shape)
+        cos, sin = ws.get("cos", shape), ws.get("sin", shape)
+        cos.fill(1.0)
+        sin.fill(0.0)
     # a product of unit phasors can round a hair above 1
     if cos.size and cos.max() > 1.0:
         np.minimum(cos, 1.0, out=cos)

@@ -9,7 +9,9 @@ A TrialEnsemble holds a real probability mass per row, in one of two layouts:
   only the distinct products v = n*m are stored, with the pair count and the
   total mass per bin.  Every conditioning multiplier depends on the pair only
   through v, and all tuples of a bin start with equal mass, so the mass stays
-  shared equally within each bin forever.
+  shared equally within each bin forever.  The bins are built by a segmented
+  sieve over the product range, one 4 MiB window at a time, straight into
+  the key and count arrays: no dense scratch over all products.
 
 Masses suffice because every reported quantity (Pr(E), C, fidelity against
 the target members, solution mass, samples) depends only on |eps|^2: target
@@ -21,16 +23,18 @@ Conditioning multiplies each row's mass by its multiplier, reports the
 surviving mass, and renormalizes, in one loop (_condition) for every caller.
 Factoring takes |eps|^2 from the phasor kernel in dynamics: one phase table
 per step, built before the chunks are dispatched and shared read-only by the
-workers.  Sums are accumulated per fixed-size chunk and the chunk partials
-combined with math.fsum in index order, so results are bit-identical no
-matter how many worker threads run the chunks (pool size capped by
-HOAMP_THREADS).
+workers, and one set of kernel buffers per worker, reused by every block it
+runs.  Renormalizing runs on the same chunks.  Sums are accumulated per
+fixed-size chunk and the chunk partials combined with math.fsum in index
+order, so results are bit-identical no matter how many worker threads run
+the chunks (pool size capped by HOAMP_THREADS).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,6 +43,7 @@ import numpy as np
 
 from .dynamics import (
     KERNEL_BLOCK,
+    KernelScratch,
     MarkerAmplitude,
     OscillatorParams,
     eps_squared_batch,
@@ -53,7 +58,10 @@ _CHUNK = 1 << 20
 _VANISH = 1e-300
 # explicit pair tables get unwieldy beyond this; switch to product bins
 _BINNED_THRESHOLD = 1 << 22
-_MAX_DENSE_BINS = 4_000_000_000  # dense counts scratch above this would not fit
+# product slots the bin sieve counts at a time (a 4 MiB int32 window)
+_SIEVE_WINDOW = 1 << 20
+# keys, counts and mass for more bins than this take over 16 GiB
+_MAX_BINS = 1 << 30
 
 
 def _worker_count() -> int:
@@ -224,26 +232,10 @@ def init_uniform_factoring(N: int, layout: str = "auto") -> TrialEnsemble:
 
     if layout != "binned":
         raise ValueError(f"unknown layout {layout!r}")
-    vmax = n_hi * m_hi
-    if vmax + 1 > _MAX_DENSE_BINS:
-        raise DomainTooLarge(f"bin construction for N={N} needs {vmax + 1} slots")
-    dense = np.zeros(vmax + 1, dtype=np.int32)
-    for n in range(n_lo, n_hi + 1):
-        dense[n * m_lo : n * m_hi + 1 : n] += 1
-    key_dtype = np.int32 if vmax < 2**31 else np.int64
-    # two passes over segments: count nonzero bins, then extract
-    n_bins = int(np.count_nonzero(dense))
-    keys = np.empty(n_bins, dtype=key_dtype)
-    counts = np.empty(n_bins, dtype=np.int32)
-    seg = 1 << 24
-    out = 0
-    for start in range(0, vmax + 1, seg):
-        idx = np.flatnonzero(dense[start : start + seg])
-        stop = out + len(idx)
-        keys[out:stop] = idx + start
-        counts[out:stop] = dense[start + idx]
-        out = stop
-    del dense
+    if n_pairs > _MAX_BINS:     # a rectangle has no more product bins than pairs
+        raise DomainTooLarge(f"N={N} has {n_pairs} trial pairs; product bins for more "
+                             f"than {_MAX_BINS} would not fit")
+    keys, counts = _product_bins(n_lo, n_hi, m_lo, m_hi)
     mass = counts.astype(np.float64)
     mass *= 1.0 / n_pairs
     return TrialEnsemble(
@@ -252,28 +244,77 @@ def init_uniform_factoring(N: int, layout: str = "auto") -> TrialEnsemble:
     )
 
 
+def _product_bins(n_lo: int, n_hi: int, m_lo: int, m_hi: int):
+    """Distinct products n*m over the rectangle, ascending, with pair counts.
+
+    A segmented sieve: one window of _SIEVE_WINDOW product slots at a time,
+    each n adding 1 at its multiples n*m that fall in the window, and the
+    nonzero slots appended to keys/counts.  Those are allocated for one bin
+    per pair, the most there can be, and shrunk to fit at the end; pages
+    never written cost no memory.
+    """
+    n_pairs = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
+    vmin, vmax = n_lo * m_lo, n_hi * m_hi
+    keys = np.empty(n_pairs, dtype=np.int32 if vmax < 2**31 else np.int64)
+    counts = np.empty(n_pairs, dtype=np.int32)
+    width = min(_SIEVE_WINDOW, vmax - vmin + 1)
+    window = np.empty(width, dtype=np.int32)
+    offsets = np.arange(width, dtype=keys.dtype)
+    out = 0
+    for w0 in range(vmin, vmax + 1, width):
+        w1 = min(w0 + width, vmax + 1)
+        win = window[: w1 - w0]
+        win.fill(0)
+        # n with a multiple n*m, m_lo <= m <= m_hi, inside [w0, w1)
+        for n in range(max(n_lo, -(-w0 // m_hi)), min(n_hi, (w1 - 1) // m_lo) + 1):
+            first = max(n * m_lo, -(-w0 // n) * n)
+            win[first - w0 : min(n * m_hi, w1 - 1) - w0 + 1 : n] += 1
+        nz = win != 0
+        found = np.compress(nz, offsets[: w1 - w0])
+        stop = out + len(found)
+        np.add(found, w0, out=keys[out:stop])
+        counts[out:stop] = np.compress(nz, win)
+        out = stop
+    # no view of either array is alive, so both shrink in place
+    keys.resize(out, refcheck=False)
+    counts.resize(out, refcheck=False)
+    return keys, counts
+
+
 def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
                in_place: bool) -> MeasurementOutcome:
     """The conditioning loop: scale each row's mass, renormalize, report Pr.
 
-    block_multipliers(lo, hi) gives the real multipliers of rows [lo, hi),
-    called per KERNEL_BLOCK inside each chunk so kernel temporaries stay in
-    cache.  Each chunk is summed after its blocks are scaled, and the chunk
-    sums combined with math.fsum in index order.
+    block_multipliers(lo, hi, scratch) gives the real multipliers of rows
+    [lo, hi), called per KERNEL_BLOCK inside each chunk so kernel temporaries
+    stay in cache; scratch is a KernelScratch for one block, made once per
+    worker and reused by every block it runs.  Each chunk is summed after its
+    blocks are scaled, and the chunk sums combined with math.fsum in index
+    order.
     """
     post = state if in_place else state.copy()
     arr = post.entry_masses()
+    spare = queue.SimpleQueue()     # scratches not in use by a running chunk
 
     def job(ci, a, b):
+        try:
+            scratch = spare.get_nowait()
+        except queue.Empty:
+            scratch = KernelScratch(min(KERNEL_BLOCK, len(arr)))
         for lo in range(a, b, KERNEL_BLOCK):
             hi = min(lo + KERNEL_BLOCK, b)
-            arr[lo:hi] *= block_multipliers(lo, hi)
+            arr[lo:hi] *= block_multipliers(lo, hi, scratch)
+        spare.put(scratch)
         return float(np.sum(arr[a:b]))
+
+    def rescale(ci, a, b):
+        seg = arr[a:b]
+        seg /= c
 
     c = math.fsum(_run_chunks(len(arr), job))
     if c < _VANISH:
         raise ConditionedMassVanished(f"surviving mass {c:.3e}")
-    arr /= c
+    _run_chunks(len(arr), rescale)
     pr = min(c, 1.0) if c <= 1.0 + 1e-9 else c  # guard rounding overshoot only
     return MeasurementOutcome(probability=pr, post_state=post, normalization=prev_norm * pr)
 
@@ -287,7 +328,7 @@ def apply_entry_multipliers(state: TrialEnsemble, multipliers, prev_norm: float 
     through the same loop, so identical inputs give bit-identical outcomes
     across modules.
     """
-    return _condition(state, lambda lo, hi: multipliers[lo:hi], prev_norm, in_place)
+    return _condition(state, lambda lo, hi, _: multipliers[lo:hi], prev_norm, in_place)
 
 
 def conditional_update(state: TrialEnsemble, params: OscillatorParams,
@@ -306,8 +347,9 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
     lo, hi = (keys[0], keys[-1]) if state.layout == "binned" else (keys.min(), keys.max())
     table = phase_table(params, t, max(abs(target_term), abs(int(lo)), abs(int(hi))))
 
-    def block(a, b):
-        cos, _ = phasors(table, term_differences(params.order, target_term, keys[a:b]))
+    def block(a, b, scratch):
+        diffs = term_differences(params.order, target_term, keys[a:b], out=scratch)
+        cos, _ = phasors(table, diffs, out=scratch)
         return eps_squared_batch(amag, cos, out=cos)
 
     return _condition(state, block, prev_norm, in_place)

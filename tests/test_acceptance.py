@@ -4,9 +4,9 @@ Each test funnels its verdict through the `acceptance` fixture, which prints
 a single ``ACCEPTANCE: <name> ... PASS/FAIL`` line and re-prints all of them
 in a terminal section at the end of the run.
 
-The slow part is the N = 1,030,189 trajectory of Table 1 (~25 s and ~3 GB per
-run here), run three times.  The verbatim replay takes the printed times as
-exact values; it is shared by the tests that need it and is checked for its
+The slow part is the N = 1,030,189 trajectory of Table 1 (~9 s and ~2 GB per
+run on 2 cores), run three times.  The verbatim replay takes the printed times
+as exact values; it is shared by the tests that need it and is checked for its
 documented resonance-comb stall.  A rounding-interval run draws each time
 from the interval its three printed decimals stand for, and is checked
 against Table 1: at the published tolerances on rows 1-5 and 14-15, and on

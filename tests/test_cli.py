@@ -49,6 +49,12 @@ def test_factor_huge_n_runtime_error(capsys):
     assert run(["factor", "--n", "9999999999999999999999"]) == 2
 
 
+def test_factor_past_bin_cap_runtime_error(capsys):
+    # 1.73e9 trial pairs, more than the product-bin cap: refused before any work
+    assert run(["factor", "--n", "3000000"]) == 2
+    assert "runtime error" in capsys.readouterr().err
+
+
 def test_factor_explicit_times(tmp_path, capsys):
     rc = run(["factor", "--n", "35", "--times", "1.0,0.4,2.2,0.9,1.7",
               "--l-max", "5", "--out-dir", str(tmp_path), "--format", "json"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hoamp import dynamics
-from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, PhaseDelta,
+from hoamp.dynamics import (KernelScratch, MarkerAmplitude, OscillatorParams, PhaseDelta,
                             epsilon_batch, epsilon_overlap, eps_squared_batch,
                             evolve_marker, phase_delta, phase_delta_batch,
                             phase_table, phasor_batch, phasors, reduce_angle,
@@ -270,12 +270,14 @@ def test_zero_difference_is_exactly_one():
 
 
 def test_phasor_value_independent_of_call():
-    # a value comes out bit-identical whatever else shares the call or the
-    # table (the solver-equals-factoring embedding relies on it)
+    # a value comes out bit-identical whatever else shares the call, and in
+    # any table of the same digit widths: both tables here use 11-bit digits
+    # (the solver-equals-factoring embedding relies on it)
     p = OscillatorParams()
     trials = np.array([3, 17, 35, 72, 1_000_003], dtype=np.int64)
     cos, sin = phasor_batch(p, 35, trials, 2.2)
     big = phase_table(p, 2.2, 1 << 40)
+    assert big.bits == phase_table(p, 2.2, 1_000_003).bits == (11,)
     cos2, sin2 = phasors(big, term_differences(1, 35, trials[:2]))
     assert np.array_equal(cos[:2], cos2) and np.array_equal(sin[:2], sin2)
     grid = 35 - trials[None, :] + np.zeros((3, 1), dtype=np.int64)
@@ -291,6 +293,58 @@ def test_phasors_reject_differences_outside_table():
     with pytest.raises(IndexError):
         phasors(table, term_differences(1, 0, np.array([5000])))       # short row
 
+
+
+# tables whose digits are narrower than 13 bits: (params, max_term, widths)
+NARROW_CASES = [
+    (OscillatorParams(), 9_000, (8,)),                        # two 8-bit digits
+    (OscillatorParams(), 1 << 30, (11,)),                     # three 11-bit digits
+    (OscillatorParams(couplings=(0.7, 0.3)), 1_000, (11, 11)),  # K = 2, two digits
+]
+
+
+@pytest.mark.parametrize("p,max_term,bits", NARROW_CASES)
+def test_narrow_phase_tables(p, max_term, bits):
+    t = 2.7
+    table = phase_table(p, t, max_term)
+    assert table.bits == bits
+    target = max_term - 17
+    rng = np.random.default_rng(5)
+    trials = np.concatenate([[0, 1, max_term, target, target + 1],
+                             rng.integers(0, max_term + 1, 200)])
+    cos, sin = phasors(table, term_differences(p.order, target, trials))
+    for i, trial in enumerate(trials):
+        exact = phase_delta(p, target, int(trial), t).angle
+        assert abs(cos[i] - math.cos(exact)) < 1e-12, (target, int(trial))
+        assert abs(sin[i] - math.sin(exact)) < 1e-12, (target, int(trial))
+    # the largest |d_k| the rows cover passes; one more, or one more digit, raises
+    for k in range(p.order):
+        w, rows = bits[k], table.cos[k]
+        edge = (len(rows[-1]) << (w * (len(rows) - 1))) - 1
+        diffs = [np.zeros(1, dtype=np.int64) for _ in range(p.order)]
+        for covered in (edge, -edge):
+            diffs[k][0] = covered
+            phasors(table, diffs)
+        for beyond in (edge + 1, -(edge + 1), 1 << (w * len(rows))):
+            diffs[k][0] = beyond
+            with pytest.raises(IndexError):
+                phasors(table, diffs)
+
+
+def test_kernel_scratch_reuse_is_bitwise():
+    # blocks run through one scratch, the last one short, give the values of
+    # calls that allocate their own buffers
+    p = OscillatorParams(couplings=(0.7, 0.3))
+    trials = np.arange(0, 5000, 7, dtype=np.int64)
+    table = phase_table(p, 1.3, 5000)
+    scratch = KernelScratch(300)
+    for lo in range(0, len(trials), 300):
+        block = trials[lo : lo + 300]
+        want_cos, want_sin = phasors(table, term_differences(2, 2500, block))
+        cos, sin = phasors(table, term_differences(2, 2500, block, out=scratch), out=scratch)
+        assert np.array_equal(cos, want_cos) and np.array_equal(sin, want_sin)
+        want = eps_squared_batch(1.5, want_cos)
+        assert np.array_equal(eps_squared_batch(1.5, cos, out=cos), want)
 
 
 @pytest.mark.parametrize("p,target,trials", WIDE_CASES)

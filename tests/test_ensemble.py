@@ -1,16 +1,20 @@
 """Trial ensembles, conditional measurements, fidelity, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hoamp.dynamics import MarkerAmplitude, OscillatorParams, epsilon_overlap, phase_delta
+from hoamp import ensemble
+from hoamp.dynamics import (KERNEL_BLOCK, KernelScratch, MarkerAmplitude, OscillatorParams,
+                            epsilon_overlap, phase_delta)
 from hoamp.ensemble import (TargetState, TrialEnsemble, apply_entry_multipliers,
                             bin_by_product, ceil_sqrt, conditional_update,
                             factoring_ranges, fidelity, init_uniform_factoring,
                             sample)
-from hoamp.errors import (ConditionedMassVanished, EmptyRange, NoFactorInRange)
+from hoamp.errors import (ConditionedMassVanished, DomainTooLarge, EmptyRange,
+                          NoFactorInRange)
 from hoamp.rng import SplitMix64
 
 PARAMS = OscillatorParams()
@@ -78,6 +82,70 @@ def test_binned_layout_matches_explicit():
     # bin for the factor product holds exactly the factor pair
     i = int(np.searchsorted(b.keys, 35))
     assert b.keys[i] == 35 and b.counts[i] == 1
+
+
+def _brute_force_bins(n_lo, n_hi, m_lo, m_hi):
+    """np.unique over every explicit pair product: (keys, counts)."""
+    n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
+    return np.unique(np.outer(n, m), return_counts=True)
+
+
+@pytest.mark.parametrize("N", [35, 6557, 30_000])
+def test_binned_build_matches_brute_force(N):
+    # 30,000: 1.74M product slots, two sieve windows, the second partial
+    st = init_uniform_factoring(N, layout="binned")
+    keys, counts = _brute_force_bins(*factoring_ranges(N))
+    assert st.keys.dtype == np.int32 and np.array_equal(st.keys, keys)
+    assert st.counts.dtype == np.int32 and np.array_equal(st.counts, counts)
+    mass = counts.astype(np.float64) * (1.0 / counts.sum())
+    assert st.mass.tobytes() == mass.tobytes()
+
+
+@pytest.mark.parametrize("rect,window,key_dtype", [
+    (factoring_ranges(6557), 4096, np.int32),          # 44 windows, last partial
+    ((50_000, 50_010, 49_990, 50_100), 1 << 20, np.int64),   # products past 2^31
+])
+def test_product_bins_across_windows(monkeypatch, rect, window, key_dtype):
+    monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
+    keys, counts = ensemble._product_bins(*rect)
+    want_keys, want_counts = _brute_force_bins(*rect)
+    assert keys.dtype == key_dtype and np.array_equal(keys, want_keys)
+    assert counts.dtype == np.int32 and np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("N", [3_000_000, 10**22])
+def test_bin_cap_raises_before_allocating(N):
+    # 3,000,000 has 1.73e9 trial pairs, so could need that many bins: past
+    # the cap, and refused before any array is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainTooLarge):
+            init_uniform_factoring(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_conditioning_reuses_one_scratch_per_worker(monkeypatch):
+    made = []
+
+    class CountedScratch(KernelScratch):
+        def __init__(self, size):
+            super().__init__(size)
+            made.append(size)
+
+    monkeypatch.setattr(ensemble, "KernelScratch", CountedScratch)
+    st = init_uniform_factoring(50_000, layout="binned")
+    assert len(st.keys) > ensemble._CHUNK           # two chunks, 22 blocks
+    outs = []
+    for threads in (1, 2):
+        monkeypatch.setenv("HOAMP_THREADS", str(threads))
+        made.clear()
+        outs.append(conditional_update(st, PARAMS, MarkerAmplitude(2.0), 50_000, 0.9))
+        assert 1 <= len(made) <= threads and set(made) == {KERNEL_BLOCK}
+    assert outs[0].post_state.mass.tobytes() == outs[1].post_state.mass.tobytes()
 
 
 def test_factor_target():
