@@ -13,11 +13,10 @@ everything else geometrically per step.  Built on top of that:
 
 from .constraints import ConstraintExpr, ConstraintSystem, evaluate_constraints, feasible_set
 from .dynamics import (MarkerAmplitude, OscillatorParams, PhaseDelta, RotationFrequency,
-                       epsilon_overlap, evolve_marker, phase_delta, phase_delta_batch,
-                       reduce_angle, rotation_frequency)
-from .ensemble import (MeasurementOutcome, ProductBinTable, TargetState, TrialEnsemble,
-                       bin_by_product, conditional_update, factoring_ranges, fidelity,
-                       init_uniform_factoring, sample)
+                       epsilon_overlap, phase_delta, phase_delta_batch, reduce_angle,
+                       rotation_frequency)
+from .ensemble import (MeasurementOutcome, TargetState, TrialEnsemble, conditional_update,
+                       factoring_ranges, fidelity, init_uniform_factoring, sample)
 from .errors import (ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge,
                      DomainError, DomainTooLarge, EmptyRange, HoampError,
                      InfeasibleSystem, NoFactorInRange, NoSolutionFound, ParseError)
@@ -37,11 +36,10 @@ __all__ = [
     "DomainTooLarge", "EmptyRange", "FactoringConfig", "HoampError",
     "InfeasibleSystem", "IterationRecord", "MarkerAmplitude", "MarkerBank",
     "MeasurementOutcome", "NoFactorInRange", "NoSolutionFound", "OscillatorParams",
-    "ParseError", "PhaseDelta", "ProductBinTable", "RotationFrequency", "RunReport",
-    "SearchConfig", "SearchReport", "SolverReport", "SplitMix64", "TargetState",
-    "TrialEnsemble", "bin_by_product", "brute_force_step", "coherent_vector",
-    "conditional_update", "epsilon_overlap", "estimate_iterations",
-    "evaluate_constraints", "evolve_marker", "factoring_ranges", "feasible_set",
+    "ParseError", "PhaseDelta", "RotationFrequency", "RunReport", "SearchConfig",
+    "SearchReport", "SolverReport", "SplitMix64", "TargetState", "TrialEnsemble",
+    "brute_force_step", "coherent_vector", "conditional_update", "epsilon_overlap",
+    "estimate_iterations", "evaluate_constraints", "factoring_ranges", "feasible_set",
     "fidelity", "init_uniform_factoring", "phase_delta", "phase_delta_batch",
     "reduce_angle", "replay_table1", "required_cutoff", "required_iterations",
     "rotation_frequency", "run_factoring", "run_search", "run_solver", "sample",

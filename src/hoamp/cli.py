@@ -58,9 +58,10 @@ def _load_solution_indices(path: str):
         text = fh.read()
     try:
         data = json.loads(text)
-        if not isinstance(data, list):
-            raise _UsageError(f"{path}: expected a JSON array of indices")
-        return tuple(int(i) for i in data)
+        # bool is an int subclass, and int() would truncate 5.7
+        if not isinstance(data, list) or any(type(i) is not int for i in data):
+            raise _UsageError(f"{path}: expected a JSON array of integer indices")
+        return tuple(data)
     except json.JSONDecodeError:
         return _parse_ints(text, path)
 

@@ -298,14 +298,17 @@ class ConstraintExpr:
         return res
 
 
-def relation_accepts(value: int, relation: str, bound) -> bool:
-    """Exact integer-vs-real comparison for one constraint row."""
+def relation_accepts(value, relation: str, bound):
+    """Exact integer-vs-real comparison for one constraint row, or elementwise
+    over an integer array."""
     if relation == "<=":
         return value <= math.floor(bound)
     if relation == ">=":
         return value >= math.ceil(bound)
     if relation == "=":
-        return float(bound).is_integer() and value == int(bound)
+        if float(bound).is_integer():
+            return value == int(bound)
+        return np.zeros_like(value, dtype=bool)
     raise ValueError(f"unknown relation {relation!r}")
 
 

@@ -474,12 +474,3 @@ def eps_squared_batch(alpha_mag: float, cos, out=None) -> np.ndarray:
     w = np.subtract(cos, 1.0, out=out)
     w *= 2.0 * a2
     return np.exp(w, out=w)
-
-
-def evolve_marker(alpha: MarkerAmplitude, omega_eff: RotationFrequency, t: float) -> MarkerAmplitude:
-    """Free rotation: alpha -> exp(-i Omega t) alpha; magnitude is preserved."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    hi, lo = _two_prod(omega_eff.value, t)
-    phase = _reduce_fraction(Fraction(alpha.phase) - Fraction(hi) - Fraction(lo))
-    return MarkerAmplitude(magnitude=alpha.magnitude, phase=phase)

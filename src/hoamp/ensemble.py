@@ -1,25 +1,35 @@
 """State store for the register oscillators.
 
-A TrialEnsemble holds a real probability mass per row, in one of two layouts:
+A TrialEnsemble holds the register as bins: the trial tuples that share one
+conditioning argument, which is the product n*m for factoring, the parity of
+h(n) for search and the vector of constraint values f_k(x) for the solver.
+Per bin it keeps that argument (the key), the number of tuples and their total
+probability mass.  Every conditioning multiplier depends on a tuple only
+through its key, and every tuple starts with the same mass, so the tuples of
+a bin share its mass equally forever: one mass per distinct argument is the
+whole state.  Keys ascend (rows in lexicographic order for several markers),
+which fixes summation and sampling order across platforms.
 
-* explicit: every tuple stored with its own mass.  Tuples are kept in
-  ascending lexicographic order, which fixes summation and sampling order
-  across platforms.
-* binned: for the big two-factor rectangles (hundreds of millions of pairs)
-  only the distinct products v = n*m are stored, with the pair count and the
-  total mass per bin.  Every conditioning multiplier depends on the pair only
-  through v, and all tuples of a bin start with equal mass, so the mass stays
-  shared equally within each bin forever.  The bins are built by a segmented
-  sieve over the product range, one 4 MiB window at a time, straight into
-  the key and count arrays: no dense scratch over all products.
+Which tuples a bin holds is the business of the state's member enumerator,
+one per application:
+
+* members(keys, i): the tuples of bin i, ascending, as a (count, arity) array,
+  which sampling and the solution lists use;
+* bin_of(keys, member): the bin holding one tuple, or None if none does,
+  which fidelity uses (factoring only).
+
+Factoring's is Rectangle below; its bins are built by a segmented sieve over
+the product range, one 4 MiB window at a time, straight into the key and
+count arrays.
 
 Masses suffice because every reported quantity (Pr(E), C, fidelity against
 the target members, solution mass, samples) depends only on |eps|^2: target
-and accepted rows are multiplied by exactly eps = 1 and start real and equal,
-so their amplitudes never pick up a relative phase.  tests/test_fockoracle.py
-checks this against dense complex amplitudes.
+and accepted tuples are multiplied by exactly eps = 1 and start real and
+equal, so their amplitudes never pick up a relative phase.
+tests/test_fockoracle.py checks this against dense complex amplitudes, per
+member tuple.
 
-Conditioning multiplies each row's mass by its multiplier, reports the
+Conditioning multiplies each bin's mass by its multiplier, reports the
 surviving mass, and renormalizes, in one loop (_condition) for every caller.
 Factoring takes |eps|^2 from the phasor kernel in dynamics: one phase table
 per step, built before the chunks are dispatched and shared read-only by the
@@ -35,9 +45,8 @@ from __future__ import annotations
 import math
 import os
 import queue
-from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +65,6 @@ from .rng import SplitMix64
 
 _CHUNK = 1 << 20
 _VANISH = 1e-300
-# explicit pair tables get unwieldy beyond this; switch to product bins
-_BINNED_THRESHOLD = 1 << 22
 # product slots the bin sieve counts at a time (a 4 MiB int32 window)
 _SIEVE_WINDOW = 1 << 20
 # keys, counts and mass for more bins than this take over 16 GiB
@@ -108,54 +115,40 @@ def factoring_ranges(N: int):
 
 @dataclass
 class TrialEnsemble:
-    arity: int
-    # explicit layout
-    tuples: np.ndarray = None      # (n_entries, arity) int64, lexicographic
-    weights: np.ndarray = None     # float64 probability mass per tuple
-    # binned layout (two-factor rectangle states)
-    keys: np.ndarray = None        # distinct products, ascending
-    counts: np.ndarray = None      # pairs per bin
-    mass: np.ndarray = None        # total probability mass per bin
-    domain: tuple = None           # (n_lo, n_hi, m_lo, m_hi)
+    keys: np.ndarray       # conditioning argument per bin, ascending; (bins, B) for B markers
+    counts: np.ndarray     # tuples per bin
+    mass: np.ndarray       # total probability mass per bin
+    domain: object         # member enumerator: members(keys, i) [, bin_of(keys, member)]
 
-    @property
-    def layout(self) -> str:
-        return "binned" if self.keys is not None else "explicit"
+    # benchmarks/tracing.py reads these; ROADMAP item 1 deletes this block
+    layout = property(lambda self: "binned")
+    tuples = property(lambda self: None)
+    weights = property(lambda self: None)
+
+    @classmethod
+    def uniform(cls, keys: np.ndarray, counts: np.ndarray, domain) -> "TrialEnsemble":
+        """Mass 1/n on each of the n tuples: counts/n per bin."""
+        mass = counts.astype(np.float64)
+        mass *= 1.0 / int(counts.sum(dtype=np.int64))
+        return cls(keys=keys, counts=counts, mass=mass, domain=domain)
 
     @property
     def n_entries(self) -> int:
-        if self.layout == "binned":
-            return int(self.counts.sum(dtype=np.int64))
-        return len(self.tuples)
+        return int(self.counts.sum(dtype=np.int64))
 
-    def entry_masses(self) -> np.ndarray:
-        """Probability mass per stored row (per tuple, or per bin total)."""
-        return self.mass if self.keys is not None else self.weights
+    def members(self, i: int) -> np.ndarray:
+        """The tuples of bin i, ascending, one per row."""
+        return self.domain.members(self.keys, i)
 
     def total_mass(self) -> float:
-        m = self.entry_masses()
+        m = self.mass
         parts = _run_chunks(len(m), lambda ci, a, b: float(np.sum(m[a:b])))
         return math.fsum(parts)
 
     def copy(self) -> "TrialEnsemble":
-        return TrialEnsemble(
-            arity=self.arity,
-            tuples=None if self.tuples is None else self.tuples.copy(),
-            weights=None if self.weights is None else self.weights.copy(),
-            keys=None if self.keys is None else self.keys.copy(),
-            counts=None if self.counts is None else self.counts.copy(),
-            mass=None if self.mass is None else self.mass.copy(),
-            domain=self.domain,
-        )
-
-    def product_keys(self) -> np.ndarray:
-        """Product of the tuple components per entry (the coupling argument)."""
-        if self.layout == "binned":
-            return self.keys
-        keys = self.tuples[:, 0].astype(np.int64)
-        for j in range(1, self.arity):
-            keys = keys * self.tuples[:, j]
-        return keys
+        # keys and counts are never written after construction: shared
+        return TrialEnsemble(keys=self.keys, counts=self.counts, mass=self.mass.copy(),
+                             domain=self.domain)
 
 
 @dataclass(frozen=True)
@@ -194,54 +187,49 @@ class MeasurementOutcome:
 
 
 @dataclass(frozen=True)
-class ProductBinTable:
-    keys: np.ndarray
-    counts: np.ndarray
-    mass: np.ndarray
-    target_term: int = None
-    target_members: tuple = ()
+class Rectangle:
+    """Members of a factoring state: the trial pairs (n, m) of the rectangle,
+    binned by their product."""
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.keys)
+    n_lo: int
+    n_hi: int
+    m_lo: int
+    m_hi: int
+
+    def members(self, keys: np.ndarray, i: int) -> np.ndarray:
+        """Pairs with n*m = keys[i], ascending n.
+
+        n >= ceil(v/m_hi) and n <= floor(v/m_lo) keep m = v/n in [m_lo, m_hi].
+        """
+        v = int(keys[i])
+        lo, hi = max(self.n_lo, -(-v // self.m_hi)), min(self.n_hi, v // self.m_lo)
+        pairs = [(n, v // n) for n in range(lo, hi + 1) if v % n == 0]
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+    def bin_of(self, keys: np.ndarray, member):
+        if len(member) != 2:
+            return None
+        n, m = (int(x) for x in member)
+        if not (self.n_lo <= n <= self.n_hi and self.m_lo <= m <= self.m_hi):
+            return None
+        # every pair's product is a key; a Python-int needle would cast the
+        # whole key array
+        return int(np.searchsorted(keys, keys.dtype.type(n * m)))
 
 
-def init_uniform_factoring(N: int, layout: str = "auto") -> TrialEnsemble:
-    """Uniform mass 1/n_pairs over all trial pairs for factoring N.
-
-    layout 'auto' stores pairs explicitly up to ~4e6 of them and switches to
-    product bins beyond that; 'explicit'/'binned' force one representation.
-    """
+def init_uniform_factoring(N: int) -> TrialEnsemble:
+    """Uniform mass 1/n_pairs over all trial pairs for factoring N, in product bins."""
     n_lo, n_hi, m_lo, m_hi = factoring_ranges(N)
     if n_hi < n_lo or m_hi < m_lo:
         raise EmptyRange(
             f"trial ranges for N={N} are empty: n in [{n_lo},{n_hi}], m in [{m_lo},{m_hi}]"
         )
     n_pairs = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
-    if layout == "auto":
-        layout = "explicit" if n_pairs <= _BINNED_THRESHOLD else "binned"
-
-    if layout == "explicit":
-        n_vals = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-        m_vals = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-        tuples = np.empty((n_pairs, 2), dtype=np.int64)
-        tuples[:, 0] = np.repeat(n_vals, len(m_vals))
-        tuples[:, 1] = np.tile(m_vals, len(n_vals))
-        weights = np.full(n_pairs, 1.0 / n_pairs)
-        return TrialEnsemble(arity=2, tuples=tuples, weights=weights)
-
-    if layout != "binned":
-        raise ValueError(f"unknown layout {layout!r}")
     if n_pairs > _MAX_BINS:     # a rectangle has no more product bins than pairs
         raise DomainTooLarge(f"N={N} has {n_pairs} trial pairs; product bins for more "
                              f"than {_MAX_BINS} would not fit")
     keys, counts = _product_bins(n_lo, n_hi, m_lo, m_hi)
-    mass = counts.astype(np.float64)
-    mass *= 1.0 / n_pairs
-    return TrialEnsemble(
-        arity=2, keys=keys, counts=counts, mass=mass,
-        domain=(n_lo, n_hi, m_lo, m_hi),
-    )
+    return TrialEnsemble.uniform(keys, counts, Rectangle(n_lo, n_hi, m_lo, m_hi))
 
 
 def _product_bins(n_lo: int, n_hi: int, m_lo: int, m_hi: int):
@@ -283,9 +271,9 @@ def _product_bins(n_lo: int, n_hi: int, m_lo: int, m_hi: int):
 
 def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
                in_place: bool) -> MeasurementOutcome:
-    """The conditioning loop: scale each row's mass, renormalize, report Pr.
+    """The conditioning loop: scale each bin's mass, renormalize, report Pr.
 
-    block_multipliers(lo, hi, scratch) gives the real multipliers of rows
+    block_multipliers(lo, hi, scratch) gives the real multipliers of bins
     [lo, hi), called per KERNEL_BLOCK inside each chunk so kernel temporaries
     stay in cache; scratch is a KernelScratch for one block, made once per
     worker and reused by every block it runs.  Each chunk is summed after its
@@ -293,7 +281,7 @@ def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
     order.
     """
     post = state if in_place else state.copy()
-    arr = post.entry_masses()
+    arr = post.mass
     spare = queue.SimpleQueue()     # scratches not in use by a running chunk
 
     def job(ci, a, b):
@@ -321,10 +309,9 @@ def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
 
 def apply_entry_multipliers(state: TrialEnsemble, multipliers, prev_norm: float = 1.0,
                             in_place: bool = False) -> MeasurementOutcome:
-    """Multiply each row's mass by its real multiplier, renormalize, report Pr.
+    """Multiply each bin's mass by its real multiplier, renormalize, report Pr.
 
-    `multipliers` holds one factor per stored row (|eps|^2 or a product of
-    them).  Search and the solver condition through here, and factoring
+    `multipliers` holds one factor per bin (|eps|^2 or a product of them).  Search and the solver condition through here, and factoring
     through the same loop, so identical inputs give bit-identical outcomes
     across modules.
     """
@@ -336,16 +323,15 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
                        prev_norm: float = 1.0, in_place: bool = False) -> MeasurementOutcome:
     """One conditional measurement against the target product term.
 
-    Every row's mass is multiplied by |eps|^2 for the phase difference
+    Every bin's mass is multiplied by |eps|^2 for the phase difference
     between its product term and the target, the surviving mass Pr(E) is
     recorded, and the state is renormalized.
     """
     amag = alpha.magnitude
-    keys = state.product_keys()
-    # binned keys ascend, so the end bins bound every |key|; explicit
-    # products are not sorted
-    lo, hi = (keys[0], keys[-1]) if state.layout == "binned" else (keys.min(), keys.max())
-    table = phase_table(params, t, max(abs(target_term), abs(int(lo)), abs(int(hi))))
+    keys = state.keys
+    # keys ascend, so the end bins bound every |key|
+    bound = max(abs(target_term), abs(int(keys[0])), abs(int(keys[-1])))
+    table = phase_table(params, t, bound)
 
     def block(a, b, scratch):
         diffs = term_differences(params.order, target_term, keys[a:b], out=scratch)
@@ -355,78 +341,28 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
     return _condition(state, block, prev_norm, in_place)
 
 
-def _bin_members(v: int, domain) -> list:
-    """Pairs (n, m) in the rectangle with n*m = v, ascending n."""
-    n_lo, n_hi, m_lo, m_hi = domain
-    out = []
-    for n in range(max(n_lo, -(-v // m_hi)), min(n_hi, v // m_lo) + 1):
-        if v % n == 0:
-            m = v // n
-            if m_lo <= m <= m_hi:
-                out.append((n, m))
-    return out
-
-
-def _row_index(tuples: np.ndarray, member) -> int:
-    """Row of `member` in lexicographically sorted tuples, or None: one
-    binary search per component, O(arity * log rows)."""
-    if len(member) != tuples.shape[1]:
-        return None
-    lo, hi = 0, len(tuples)
-    for j, x in enumerate(member):
-        col = tuples[:, j]
-        lo, hi = bisect_left(col, x, lo, hi), bisect_right(col, x, lo, hi)
-    return lo if lo < hi else None
-
-
-def _member_mass(state: TrialEnsemble, member):
-    """Mass of one occupation tuple, or None if the state does not hold it.
-
-    Binned: the bin's mass shared equally among its pairs, the bin found by
-    binary search in ascending key order.  Explicit: the row's mass, found by
-    binary search in lexicographic order.
-    """
-    if state.layout == "explicit":
-        i = _row_index(state.tuples, member)
-        return None if i is None else float(state.weights[i])
-    n_lo, n_hi, m_lo, m_hi = state.domain
-    n, m = (int(x) for x in member)
-    if not (n_lo <= n <= n_hi and m_lo <= m <= m_hi):
-        return None
-    # a Python-int needle would cast the whole key array
-    i = int(np.searchsorted(state.keys, state.keys.dtype.type(n * m)))
-    if i >= len(state.keys) or int(state.keys[i]) != n * m:
-        return None
-    return float(state.mass[i]) / float(state.counts[i])
-
-
 def fidelity(state: TrialEnsemble, target: TargetState) -> float:
     """Uhlmann fidelity (sum_f sqrt(w_f p_f))^2 against the target members,
-    with p_f the state's mass on member f (members it does not hold add 0)."""
+    with p_f the state's mass on member f, an equal share of its bin's mass
+    (members the state does not hold add 0)."""
     acc = 0.0
     for member, w in zip(target.members, target.weights):
-        p = _member_mass(state, member)
-        if p is not None:
-            acc += math.sqrt(w * p)
+        i = state.domain.bin_of(state.keys, member)
+        if i is not None:
+            acc += math.sqrt(w * (float(state.mass[i]) / float(state.counts[i])))
     return min(acc * acc, 1.0)
 
 
-def bin_by_product(state: TrialEnsemble, target_term: int = None) -> ProductBinTable:
-    """Group entries by their product value (conditioning multipliers are
-    constant on each bin)."""
-    if state.layout == "binned":
-        members = tuple(_bin_members(target_term, state.domain)) if target_term else ()
-        return ProductBinTable(keys=state.keys, counts=state.counts, mass=state.mass,
-                               target_term=target_term, target_members=members)
-    prods = state.product_keys()
-    keys, inverse, counts = np.unique(prods, return_inverse=True, return_counts=True)
-    mass = np.bincount(inverse, weights=state.entry_masses(), minlength=len(keys))
-    members = ()
-    if target_term is not None:
-        sel = prods == target_term
-        members = tuple(tuple(int(x) for x in row) for row in state.tuples[sel])
-    return ProductBinTable(keys=keys, counts=counts.astype(np.int64), mass=mass,
-                           target_term=target_term, target_members=members)
+def member_masses(state: TrialEnsemble, bins=None) -> list:
+    """(tuple, mass) for every member of the given bins (default: all),
+    ascending by tuple, each member holding an equal share of its bin's mass."""
+    out = []
+    for i in range(len(state.counts)) if bins is None else bins:
+        if state.counts[i]:
+            share = float(state.mass[i]) / float(state.counts[i])
+            out.extend((tuple(m), share) for m in state.members(i).tolist())
+    out.sort()
+    return out
 
 
 def _locate_quantile(mass: np.ndarray, x: float) -> int:
@@ -445,17 +381,11 @@ def _locate_quantile(mass: np.ndarray, x: float) -> int:
 def sample(state: TrialEnsemble, rng_seed) -> tuple:
     """Draw one occupation tuple from the state's probability distribution.
 
-    Deterministic given the seed: cumulative-sum inversion over entries in
-    ascending lexicographic order (explicit) or ascending product key with
-    ascending first component inside the bin (binned).
+    Deterministic given the seed: cumulative-sum inversion over the bins in
+    ascending key order, then one member of the drawn bin, uniformly.
     """
     rng = rng_seed if isinstance(rng_seed, SplitMix64) else SplitMix64(int(rng_seed))
-    masses = state.entry_masses()
-    total = state.total_mass()
-    x = rng.uniform() * total
-    i = _locate_quantile(masses, x)
-    if state.layout == "binned":
-        members = _bin_members(int(state.keys[i]), state.domain)
-        j = min(int(rng.uniform() * len(members)), len(members) - 1)
-        return members[j]
-    return tuple(int(v) for v in state.tuples[i])
+    x = rng.uniform() * state.total_mass()
+    members = state.members(_locate_quantile(state.mass, x))
+    j = min(int(rng.uniform() * len(members)), len(members) - 1)
+    return tuple(int(v) for v in members[j])

@@ -185,11 +185,10 @@ def run_factoring(config: FactoringConfig, progress: bool = False) -> RunReport:
     f0 = fidelity(state, target)
     records = []
     c_prev = 1.0
-    in_place = state.layout == "binned"
     for l in range(1, config.L_max + 1):
         t_l = next(times)
         state, rec = run_iteration(state, config, l, t_l, prev_norm=c_prev,
-                                   target=target, in_place=in_place)
+                                   target=target, in_place=True)
         records.append(rec)
         c_prev = rec.C_l
         if progress:

@@ -5,9 +5,12 @@ a dense complex array, time evolution applies the diagonal Hamiltonian phases
 per basis state, and the conditional measurement projects the marker onto an
 explicitly constructed coherent vector.  Deliberately slow and ignorant of the
 closed-form overlap used by the fast path, so the two can only agree if both
-are right.  Unlike the engine, which keeps one real mass per row, the oracle
-carries complex register amplitudes, so chaining dense_condition checks that
-no reported quantity depends on their phases.
+are right.  Unlike the engine, which keeps one real mass per bin of tuples
+that share a conditioning argument, the oracle carries one complex amplitude
+per register tuple.  Chaining dense_condition therefore checks that no
+reported quantity depends on the phases, and comparing its per-tuple masses
+with the engine's bin masses shared equally among the members checks the
+equal-share argument the engine's state rests on.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MarkerAmplitude, OscillatorParams, rotation_frequency
-from .ensemble import TrialEnsemble
 from .errors import ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge
 
 _MAX_JOINT_DIM = 1_000_000
@@ -113,20 +115,15 @@ def dense_condition(tuples: np.ndarray, amplitudes: np.ndarray, params: Oscillat
     return amps / math.sqrt(prob), prob
 
 
-def brute_force_step(state: TrialEnsemble, params: OscillatorParams, t: float,
-                     target_term: int, alpha: MarkerAmplitude, term_fn=None):
-    """dense_condition on an explicit mass state, from amplitudes sqrt(mass).
+def brute_force_step(tuples: np.ndarray, masses: np.ndarray, params: OscillatorParams,
+                     t: float, target_term: int, alpha: MarkerAmplitude, term_fn=None):
+    """dense_condition on per-tuple masses, from amplitudes sqrt(mass).
 
-    Returns (post_state, probability), the post state holding the dense
-    post-measurement masses |amplitude|^2.
+    Returns (post masses |amplitude|^2, probability).
     """
-    if state.layout != "explicit":
-        raise ValueError("dense oracle works on explicit states only")
-    amps, prob = dense_condition(state.tuples, np.sqrt(state.weights), params, t,
-                                 target_term, alpha, term_fn)
-    post = TrialEnsemble(arity=state.arity, tuples=state.tuples.copy(),
-                         weights=amps.real**2 + amps.imag**2)
-    return post, prob
+    amps, prob = dense_condition(tuples, np.sqrt(masses), params, t, target_term, alpha,
+                                 term_fn)
+    return amps.real**2 + amps.imag**2, prob
 
 
 def dense_marker_overlaps(values, omega_k: float, alpha: MarkerAmplitude, t: float,

@@ -12,18 +12,27 @@ i.e. its mass by exp(-4|alpha|^2), a huge suppression per iteration at
 The parity arithmetic is carried symbolically: solution multipliers are the
 exact float 1.0 and non-solution ones the exact exp(-4 alpha^2), with no trig
 rounding in between.
+
+Since the multiplier depends on an item only through the parity of h(n), the
+state is two bins: the items with even h(n), kept as their sorted indices,
+and the rest.  One chunked pass over the domain fills them, so an iteration
+costs O(1) and the state O(marked) memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import alpha_at, normalize_alpha_schedule
-from .ensemble import TrialEnsemble, apply_entry_multipliers
+from .ensemble import TrialEnsemble, apply_entry_multipliers, member_masses
 from .errors import ConditionedMassVanished, DomainError, EmptyRange, NoSolutionFound
+
+# items the black box sees per call of h_batch, which bounds the marking
+# pass's temporaries (~30 MiB)
+_MARK_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,8 @@ class BlackBox:
     domain_size: int
     predicate: object                   # callable n -> bool
     encoding: object = None             # callable n -> int; default 0/1
+    # sorted solutions, when built from_solution_indices
+    marked: np.ndarray = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.domain_size < 1:
@@ -44,7 +55,8 @@ class BlackBox:
         bad = [i for i in marked if not 0 <= i < domain_size]
         if bad:
             raise ValueError(f"solution indices outside the domain: {sorted(bad)[:5]}")
-        return cls(domain_size=domain_size, predicate=lambda n: n in marked)
+        return cls(domain_size=domain_size, predicate=lambda n: n in marked,
+                   marked=np.array(sorted(marked), dtype=np.int64))
 
     def h(self, n: int) -> int:
         if self.encoding is None:
@@ -53,6 +65,32 @@ class BlackBox:
         if (v % 2 == 0) != bool(self.predicate(n)):
             raise ValueError(f"encoding parity disagrees with predicate at n={n}")
         return v
+
+    def h_batch(self, items: np.ndarray) -> np.ndarray:
+        """h over an array of items: one np.isin when the box was built from
+        solution indices, else h per item, parity check included."""
+        if self.marked is not None:
+            return np.where(np.isin(items, self.marked), 0, 1)
+        return np.fromiter((self.h(n) for n in items.tolist()), dtype=np.int64,
+                           count=len(items))
+
+
+@dataclass(frozen=True)
+class _Items:
+    """Members of a search state: the items (n,) of [0, size).  Once the
+    black box has run, bin 0 holds the `marked` ones (ascending) and bin 1
+    the rest; before that, one bin holds them all."""
+
+    size: int
+    marked: np.ndarray = None
+
+    def members(self, keys, i: int) -> np.ndarray:
+        if self.marked is not None and i == 0:
+            return self.marked[:, None]
+        rest = np.arange(self.size, dtype=np.int64)
+        if self.marked is not None:
+            rest = np.delete(rest, self.marked)
+        return rest[:, None]
 
 
 @dataclass(frozen=True)
@@ -101,38 +139,38 @@ class SearchReport:
 
 
 def initial_search_state(box: BlackBox, m0: int = 0) -> TrialEnsemble:
-    """Uniform mass 1/d on |n>|m0> over the whole domain."""
-    d = box.domain_size
-    tuples = np.empty((d, 2), dtype=np.int64)
-    tuples[:, 0] = np.arange(d)
-    tuples[:, 1] = m0
-    return TrialEnsemble(arity=2, tuples=tuples, weights=np.full(d, 1.0 / d))
+    """Uniform mass 1/d on |n>|m0> over the whole domain: one bin keyed m0."""
+    return TrialEnsemble.uniform(np.array([m0], dtype=np.int64),
+                                 np.array([box.domain_size], dtype=np.int64),
+                                 _Items(box.domain_size))
 
 
 def apply_black_box(state: TrialEnsemble, box: BlackBox) -> TrialEnsemble:
-    """(n, m) -> (n, h(n)); masses untouched.  One oracle call per entry."""
-    out = state.copy()
-    items = out.tuples[:, 0].tolist()
-    out.tuples[:, 1] = np.fromiter((box.h(n) for n in items), dtype=np.int64,
-                                   count=len(items))
-    return out
+    """(n, m0) -> (n, h(n)) on the uniform initial state: one chunked pass
+    over the domain splits the items by the parity of h(n) into two bins,
+    keyed 0 (even: the solutions) and 1, every item keeping mass 1/d."""
+    d = box.domain_size
+    marked = []
+    for lo in range(0, d, _MARK_CHUNK):
+        items = np.arange(lo, min(lo + _MARK_CHUNK, d), dtype=np.int64)
+        marked.append(items[box.h_batch(items) % 2 == 0])
+    marked = np.concatenate(marked)
+    return TrialEnsemble.uniform(np.array([0, 1], dtype=np.int64),
+                                 np.array([len(marked), d - len(marked)], dtype=np.int64),
+                                 _Items(d, marked))
 
 
 def _parity_multipliers(state: TrialEnsemble, config: SearchConfig, alpha_mag: float):
-    h_vals = state.tuples[:, 1]
-    even = (h_vals % 2) == 0
-    # marker return at t_s is exact integer-parity arithmetic:
-    # phase change = pi * (omega3_multiple + h), an even multiple of pi for
-    # every solution branch
-    for h in np.unique(h_vals[even]):
-        assert (config.omega3_multiple + int(h)) % 2 == 0
+    # at t_s the marker turns by pi * (omega3_multiple + h), an even multiple
+    # of pi exactly for even h, since omega3_multiple is even: those bins keep
+    # multiplier 1
+    even = state.keys % 2 == 0
     mult = np.where(even, 1.0, math.exp(-4.0 * alpha_mag * alpha_mag))
     return mult, even
 
 
 def solution_mass(state: TrialEnsemble) -> float:
-    even = (state.tuples[:, 1] % 2) == 0
-    return float(math.fsum(state.entry_masses()[even]))
+    return float(math.fsum(state.mass[state.keys % 2 == 0]))
 
 
 def search_iteration(state: TrialEnsemble, config: SearchConfig, l: int,
@@ -163,9 +201,8 @@ def run_search(config: SearchConfig, box: BlackBox) -> SearchReport:
     except ConditionedMassVanished as exc:
         raise NoSolutionFound(f"conditioning extinguished the register: {exc}") from exc
 
-    marked = np.flatnonzero(state.tuples[:, 1] % 2 == 0)
-    solutions = list(zip(state.tuples[marked, 0].tolist(),
-                         state.entry_masses()[marked].tolist()))
+    solutions = [(n, w) for (n,), w in
+                 member_masses(state, np.flatnonzero(state.keys % 2 == 0))]
     if not solutions:
         raise NoSolutionFound(
             f"no marked item among {box.domain_size} after {len(records)} iterations")

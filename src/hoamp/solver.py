@@ -13,10 +13,15 @@ defined as either
 * max:         max over accepted x of |eps(Delta(x, v))|^2   (default), or
 * sum-clipped: min(1, sum over accepted x of |eps|^2)        (sensitivity mode),
 
-both of which equal 1 exactly on satisfying tuples and never exceed 1.  With a
-single accepted value (equality constraints) the two coincide with the plain
-factoring conditioning, and the factoring embedding f = m1*m2, a = N
-reproduces that module's arithmetic bit for bit.
+both of which equal 1 exactly on satisfying tuples and never exceed 1.
+
+Every multiplier depends on a tuple only through its row of constraint values
+(f_1(x), ..., f_B(x)), so the state bins the domain tuples by that row
+(np.unique over the rows) and each iteration computes one multiplier per
+distinct row.  With a single accepted value (equality constraints) the two
+modes coincide with the plain factoring conditioning: over the factoring
+rectangle, the embedding f = m1*m2, a = N has factoring's product bins as its
+bins and reproduces that module's arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .constraints import ConstraintSystem, relation_accepts
 from .dynamics import (KERNEL_BLOCK, OscillatorParams, alpha_at, eps_squared_batch,
                        normalize_alpha_schedule, phase_table, phasors)
-from .ensemble import TrialEnsemble, apply_entry_multipliers, sample
+from .ensemble import TrialEnsemble, apply_entry_multipliers, member_masses, sample
 from .errors import DomainTooLarge, InfeasibleSystem
 from .factoring import STREAM_SAMPLE, STREAM_TIMES, sample_times
 from .rng import SplitMix64
@@ -151,7 +156,7 @@ def _constraint_params(bank: MarkerBank, k: int) -> OscillatorParams:
 def _values_int64(vals) -> np.ndarray:
     if vals.dtype == object:
         return np.array([int(v) for v in vals], dtype=np.int64)
-    return vals
+    return vals.astype(np.int64, copy=False)     # int32 keys: differences need 64 bits
 
 
 def _best_cos(table, accepted: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -204,50 +209,75 @@ def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorPara
 
 def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, bank: MarkerBank,
                      l: int, t_l: float, mode: str = "max", prev_norm: float = 1.0,
-                     accepted_sets=None, values_cache=None, in_place: bool = False):
+                     accepted_sets=None, in_place: bool = False):
     """One joint conditioning over all B markers; returns (state', SolverRecord)."""
     if accepted_sets is None:
         accepted_sets = build_accepted_sets(system)
-    if values_cache is None:
-        cols = {name: state.tuples[:, j] for j, name in enumerate(system.names)}
-        values_cache = [expr.evaluate_batch(cols) for expr, _, _ in system.constraints]
     joint = None
     all_ok = None
     for k, acc in enumerate(accepted_sets):
         params = _constraint_params(bank, k)
-        mult, ok = constraint_multipliers(values_cache[k], acc, params,
+        mult, ok = constraint_multipliers(state.keys[:, k], acc, params,
                                           bank.alpha_for(k, l), t_l, mode)
         joint = mult if joint is None else joint * mult
         all_ok = ok if all_ok is None else (all_ok & ok)
     out = apply_entry_multipliers(state, joint, prev_norm=prev_norm, in_place=in_place)
-    sol_mass = float(math.fsum(out.post_state.entry_masses()[all_ok]))
+    sol_mass = float(math.fsum(out.post_state.mass[all_ok]))
     rec = SolverRecord(l=l, t_l=t_l, pr_E=out.probability, C_l=out.normalization,
                        solution_mass=sol_mass)
     return out.post_state, rec
 
 
-def uniform_state(system: ConstraintSystem) -> TrialEnsemble:
-    """Uniform mass over the whole bounded box."""
-    size = system.domain_size()
-    if size > _STATE_CAP:
-        raise DomainTooLarge(f"{size} tuples exceeds the explicit-state cap {_STATE_CAP}")
-    grids = np.meshgrid(*[np.arange(b + 1, dtype=np.int64) for _, b in system.variables],
-                        indexing="ij")
-    tuples = np.stack([g.ravel() for g in grids], axis=1)
-    return TrialEnsemble(arity=system.arity, tuples=tuples,
-                         weights=np.full(size, 1.0 / size))
+@dataclass(frozen=True)
+class _TupleBins:
+    """Members of a solver state: the domain tuples sorted by bin, in domain
+    order within a bin; bin i holds rows starts[i]:starts[i+1]."""
+
+    tuples: np.ndarray
+    starts: np.ndarray
+
+    def members(self, keys, i: int) -> np.ndarray:
+        return self.tuples[self.starts[i] : self.starts[i + 1]]
+
+
+def uniform_state(system: ConstraintSystem, tuples: np.ndarray = None) -> TrialEnsemble:
+    """Uniform mass over the domain tuples (default: the whole bounded box),
+    binned by their rows of constraint values."""
+    if tuples is None:
+        size = system.domain_size()
+        if size > _STATE_CAP:
+            raise DomainTooLarge(f"{size} tuples exceeds the state cap {_STATE_CAP}")
+        grids = np.meshgrid(*[np.arange(b + 1, dtype=np.int64) for _, b in system.variables],
+                            indexing="ij")
+        tuples = np.stack([g.ravel() for g in grids], axis=1)
+    cols = {name: tuples[:, j] for j, name in enumerate(system.names)}
+    values = np.stack([_values_int64(expr.evaluate_batch(cols))
+                       for expr, _, _ in system.constraints], axis=1)
+    # the rows of np.unique(values, axis=0), from one stable lexsort: 7x
+    # faster at 2.25M rows, and it keeps domain order within a bin
+    order = np.lexsort(values.T[::-1])
+    values = values[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = (values[1:] != values[:-1]).any(axis=1)
+    starts = np.append(np.flatnonzero(first), len(values))
+    keys = values[starts[:-1]]
+    if -2**31 <= keys.min() and keys.max() < 2**31:
+        keys = keys.astype(np.int32)       # the dtype of factoring's product keys
+    return TrialEnsemble.uniform(keys, np.diff(starts).astype(np.int32),
+                                 _TupleBins(tuples[order], starts))
 
 
 def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "max",
                times="seeded", seed: int = 0, L_max: int = 40,
-               stop_mass: float = 0.999999, initial_state: TrialEnsemble = None) -> SolverReport:
-    """Amplify the feasible tuples of the system and report them."""
+               stop_mass: float = 0.999999, domain: np.ndarray = None) -> SolverReport:
+    """Amplify the feasible tuples of the system and report them.
+
+    `domain` holds the trial tuples, one per row; default the bounded box.
+    """
     if bank is None:
         bank = MarkerBank.uniform(len(system.constraints))
     accepted_sets = build_accepted_sets(system)
-    state = initial_state if initial_state is not None else uniform_state(system)
-    cols = {name: state.tuples[:, j] for j, name in enumerate(system.names)}
-    values_cache = [expr.evaluate_batch(cols) for expr, _, _ in system.constraints]
+    state = uniform_state(system, domain)
 
     master = SplitMix64(seed)
     stream = sample_times(times, master.derive(STREAM_TIMES), 1.0)
@@ -257,21 +287,16 @@ def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "m
         t_l = next(stream)
         state, rec = solver_iteration(state, system, bank, l, t_l, mode=mode,
                                       prev_norm=c_prev, accepted_sets=accepted_sets,
-                                      values_cache=values_cache)
+                                      in_place=True)
         records.append(rec)
         c_prev = rec.C_l
         if rec.solution_mass >= stop_mass:
             break
 
-    ok = None
-    for vals, (expr, relation, bound) in zip(values_cache, system.constraints):
-        v = _values_int64(vals)
-        m = np.fromiter((relation_accepts(int(x), relation, bound) for x in v),
-                        dtype=bool, count=len(v))
-        ok = m if ok is None else (ok & m)
-    masses = state.entry_masses()
-    solutions = [(tuple(int(x) for x in state.tuples[i]), float(masses[i]))
-                 for i in np.flatnonzero(ok)]
+    ok = np.ones(len(state.keys), dtype=bool)
+    for k, (_, relation, bound) in enumerate(system.constraints):
+        ok &= relation_accepts(state.keys[:, k], relation, bound)
+    solutions = member_masses(state, np.flatnonzero(ok))
 
     lambdas = [1.0 / r.pr_E for r in records if r.pr_E < 1.0]
     if lambdas:

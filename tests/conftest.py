@@ -1,7 +1,10 @@
-"""Shared fixtures, plus a reporter that prints one line per acceptance
-criterion at the end of the run."""
+"""Shared fixtures and helpers, plus a reporter that prints one line per
+acceptance criterion at the end of the run."""
 
+import numpy as np
 import pytest
+
+from hoamp.ensemble import factoring_ranges, member_masses
 
 _ACCEPTANCE_LINES = []
 
@@ -17,6 +20,20 @@ class AcceptanceRecorder:
         _ACCEPTANCE_LINES.append(line)
         print(line)
         assert ok, f"acceptance criterion failed: {name} {detail}"
+
+
+def factoring_rectangle(N):
+    """Every trial pair of N, lexicographic, one per row."""
+    n_lo, n_hi, m_lo, m_hi = factoring_ranges(N)
+    n, m = np.meshgrid(np.arange(n_lo, n_hi + 1), np.arange(m_lo, m_hi + 1), indexing="ij")
+    return np.stack([n.ravel(), m.ravel()], axis=1)
+
+
+def per_member(state):
+    """(tuples, masses): every member tuple, ascending, with its share
+    mass/count of its bin's mass."""
+    pairs = member_masses(state)
+    return np.array([p for p, _ in pairs]), np.array([w for _, w in pairs])
 
 
 @pytest.fixture

@@ -37,6 +37,8 @@ from hoamp.search import (BlackBox, SearchConfig, apply_black_box,
                           initial_search_state, run_search, search_iteration)
 from hoamp.solver import MarkerBank, build_accepted_sets, run_solver, solver_iteration, uniform_state
 
+from conftest import factoring_rectangle, per_member
+
 RUNTIME_BUDGET_S = 900.0
 MEMORY_BUDGET_KB = 8 * 1024 * 1024      # ru_maxrss is in KB on Linux
 
@@ -203,10 +205,9 @@ def _factoring_instance(rng):
     params = OscillatorParams()
     state = init_uniform_factoring(n)
     out = conditional_update(state, params, alpha, n, t)
-    post_d, pr_d = brute_force_step(state, params, t, n, alpha)
-    assert np.array_equal(out.post_state.tuples, post_d.tuples)
+    post_d, pr_d = brute_force_step(*per_member(state), params, t, n, alpha)
     return (abs(out.probability - pr_d),
-            float(np.max(np.abs(out.post_state.entry_masses() - post_d.entry_masses()))))
+            float(np.max(np.abs(per_member(out.post_state)[1] - post_d))))
 
 
 def _search_instance(rng):
@@ -217,11 +218,12 @@ def _search_instance(rng):
     state = apply_black_box(initial_search_state(box), box)
     config = SearchConfig(alpha_schedule=(alpha_mag,), L_max=1, stop_mass=1.0)
     post_f, rec = search_iteration(state, config, 1)
-    post_d, pr_d = brute_force_step(state, OscillatorParams(), math.pi, 0,
-                                    MarkerAmplitude(alpha_mag),
+    tuples = np.array([(n, box.h(n)) for n in range(d)])
+    post_d, pr_d = brute_force_step(tuples, np.full(d, 1 / d), OscillatorParams(), math.pi,
+                                    0, MarkerAmplitude(alpha_mag),
                                     term_fn=lambda tup: int(tup[1]))
     return (abs(rec.pr_E - pr_d),
-            float(np.max(np.abs(post_f.entry_masses() - post_d.entry_masses()))))
+            float(np.max(np.abs(per_member(post_f)[1] - post_d))))
 
 
 _SOLVER_TEMPLATES = {
@@ -249,17 +251,18 @@ def _solver_instance(rng):
     state = uniform_state(system)
     post_f, rec = solver_iteration(state, system, bank, 1, t)
 
-    cols = {name: state.tuples[:, j] for j, name in enumerate(system.names)}
-    joint = np.ones(len(state.tuples), dtype=np.complex128)
+    tuples, masses = per_member(state)
+    cols = {name: tuples[:, j] for j, name in enumerate(system.names)}
+    joint = np.ones(len(tuples), dtype=np.complex128)
     for acc, (expr, _, _) in zip(build_accepted_sets(system), system.constraints):
         vals = expr.evaluate_batch(cols)
         joint *= dense_marker_overlaps(vals, 0.0, MarkerAmplitude(alpha_mag), t,
                                        list(acc.values))[:, 0]
-    amps = np.sqrt(state.weights) * joint
+    amps = np.sqrt(masses) * joint
     pr_d = float(np.vdot(amps, amps).real)
     masses_d = (amps.real**2 + amps.imag**2) / pr_d
     return (abs(rec.pr_E - pr_d),
-            float(np.max(np.abs(post_f.entry_masses() - masses_d))))
+            float(np.max(np.abs(per_member(post_f)[1] - masses_d))))
 
 
 def test_dense_oracle_agreement(acceptance):
@@ -310,18 +313,33 @@ INEQ_SYSTEMS = (
 
 
 def test_solver_factoring_embedding(acceptance):
-    # equality mode on m1*m2 = N must be the factoring module, bit for bit
+    # equality mode on m1*m2 = N over the factoring rectangle must be the
+    # factoring module, bit for bit: the same bins, records and masses
     seed, depth = 7, 6
-    frep = run_factoring(FactoringConfig(N=35, seed=seed, L_max=depth,
-                                         stop_fidelity=1.0))
-    srep = run_solver(ConstraintSystem.from_json({
+    system = ConstraintSystem.from_json({
         "variables": [{"name": "m1", "bound": 6}, {"name": "m2", "bound": 12}],
         "constraints": [{"expr": "m1*m2", "relation": "=", "bound": 35}],
-    }), seed=seed, L_max=depth, stop_mass=1.0,
-        initial_state=init_uniform_factoring(35))
-    bitwise = (len(frep.records) == len(srep.records) and
-               all(fr.t_l == sr.t_l and fr.pr_E == sr.pr_E and fr.C_l == sr.C_l
-                   for fr, sr in zip(frep.records, srep.records)))
+    })
+    f_state = init_uniform_factoring(35)
+    s_state = uniform_state(system, factoring_rectangle(35))
+    bitwise = all(getattr(f_state, a).tobytes() == getattr(s_state, a).tobytes()
+                  for a in ("keys", "counts", "mass"))
+    frep = run_factoring(FactoringConfig(N=35, seed=seed, L_max=depth,
+                                         stop_fidelity=1.0))
+    srep = run_solver(system, seed=seed, L_max=depth, stop_mass=1.0,
+                      domain=factoring_rectangle(35))
+    bitwise = bitwise and (len(frep.records) == len(srep.records) and
+                           all(fr.t_l == sr.t_l and fr.pr_E == sr.pr_E and fr.C_l == sr.C_l
+                               for fr, sr in zip(frep.records, srep.records)))
+    bank = MarkerBank.uniform(1, alpha=2.0)
+    c_prev = 1.0
+    for rec in frep.records:
+        out = conditional_update(f_state, OscillatorParams(), MarkerAmplitude(rec.alpha_mag),
+                                 35, rec.t_l, prev_norm=c_prev)
+        s_state, _ = solver_iteration(s_state, system, bank, rec.l, rec.t_l,
+                                      prev_norm=c_prev)
+        f_state, c_prev = out.post_state, out.normalization
+        bitwise = bitwise and f_state.mass.tobytes() == s_state.mass.tobytes()
 
     feas_ok, masses = True, []
     for doc in INEQ_SYSTEMS:

@@ -2,9 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from hoamp import ensemble
 from hoamp.cli import main
+from hoamp.constraints import ConstraintSystem
+from hoamp.search import BlackBox, apply_black_box, initial_search_state
+from hoamp.solver import uniform_state
 
 
 def run(args):
@@ -80,6 +85,16 @@ def test_search_solutions_file(tmp_path, capsys):
     f2 = tmp_path / "sol.txt"
     f2.write_text("3 11\n")
     assert run(["search", "--n", "16", "--solutions-file", str(f2)]) == 0
+
+
+@pytest.mark.parametrize("entries", ["[3, 5.7]", "[3, true]", "[3, \"5\"]", "[3.0]"])
+def test_search_solutions_file_rejects_non_integers(entries, tmp_path, capsys):
+    # int() would have truncated 5.7 and read true as 1: both are refused,
+    # as --solutions 3,5.7 is
+    f = tmp_path / "sol.json"
+    f.write_text(entries)
+    assert run(["search", "--n", "16", "--solutions-file", str(f)]) == 3
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_search_missing_solutions_usage(capsys):
@@ -167,3 +182,41 @@ def test_version_flag(capsys):
         run(["--version"])
     assert ei.value.code == 0
     assert "hoamp" in capsys.readouterr().out
+
+
+GRID_SYSTEM = {
+    "variables": [{"name": "x", "bound": 20}, {"name": "y", "bound": 20}],
+    "constraints": [{"expr": "x + y", "relation": "<=", "bound": 20},
+                    {"expr": "x*y", "relation": ">=", "bound": 50}],
+}
+
+
+@pytest.mark.parametrize("command", ["factor", "search", "solve"])
+def test_reports_identical_across_thread_counts(command, tmp_path, monkeypatch, capsys):
+    # factor --n 50000 has 1.41M product bins: two conditioning chunks
+    system = tmp_path / "grid.json"
+    system.write_text(json.dumps(GRID_SYSTEM))
+    argv = {
+        "factor": ["factor", "--n", "50000", "--seed", "3"],
+        "search": ["search", "--n", "5000", "--solutions", "17,4093", "--seed", "3"],
+        "solve": ["solve", "--system", str(system), "--l-max", "6", "--seed", "3"],
+    }[command]
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HOAMP_THREADS", threads)
+        out = tmp_path / threads
+        assert run(argv + ["--out-dir", str(out), "--format", "json"]) == 0
+        (path,) = out.iterdir()
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+    if command == "factor":
+        assert len(ensemble.init_uniform_factoring(50_000).keys) > ensemble._CHUNK
+    elif command == "search":
+        box = BlackBox.from_solution_indices(5000, [17, 4093])
+        st = apply_black_box(initial_search_state(box), box)
+        assert len(st.keys) == 2 and st.counts.tolist() == [2, 4998]
+    else:
+        # the solver's bins are the distinct rows of its constraint values
+        st = uniform_state(ConstraintSystem.from_json(GRID_SYSTEM))
+        x, y = np.divmod(np.arange(21 * 21), 21)
+        assert np.array_equal(st.keys, np.unique(np.stack([x + y, x * y], axis=1), axis=0))

@@ -92,6 +92,11 @@ def test_relation_accepts_integer_semantics():
     assert relation_accepts(3, "=", 3.0)
     assert not relation_accepts(3, "=", 3.5)     # no integer equals 3.5
     assert relation_accepts(-2, "<=", -2.0)
+    # elementwise over an int array, the same answers as one value at a time
+    vals = np.array([-3, 3, 4, 2**40], dtype=np.int64)
+    for relation, bound in (("<=", 3.5), (">=", 3.5), ("=", 3.0), ("=", 3.5), ("<=", 1e30)):
+        want = [bool(relation_accepts(int(v), relation, bound)) for v in vals]
+        assert relation_accepts(vals, relation, bound).tolist() == want
 
 
 def test_system_validation():

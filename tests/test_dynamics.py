@@ -8,7 +8,7 @@ import pytest
 from hoamp import dynamics
 from hoamp.dynamics import (KernelScratch, MarkerAmplitude, OscillatorParams, PhaseDelta,
                             epsilon_batch, epsilon_overlap, eps_squared_batch,
-                            evolve_marker, phase_delta, phase_delta_batch,
+                            phase_delta, phase_delta_batch,
                             phase_table, phasor_batch, phasors, reduce_angle,
                             rotation_frequency, term_differences)
 
@@ -180,27 +180,6 @@ def test_eps_squared_batch_reuses_buffer():
     out = np.empty(3)
     res = eps_squared_batch(2.0, np.cos(angles), out=out)
     assert res is out
-
-
-def test_evolve_marker_rotates_phase():
-    alpha = MarkerAmplitude(2.0, 0.0)
-    omega = rotation_frequency(OscillatorParams(), 35)   # 35.0
-    moved = evolve_marker(alpha, omega, 0.1)
-    assert moved.magnitude == 2.0
-    assert moved.phase == pytest.approx(reduce_angle(-3.5), abs=1e-15)
-
-
-def test_evolve_marker_example_value():
-    # Omega = 35, t = 0.1: phase -3.5 wraps to 2*pi - 3.5 = 2.7831853...
-    moved = evolve_marker(MarkerAmplitude(1.0, 0.0),
-                          rotation_frequency(OscillatorParams(), 35), 0.1)
-    assert moved.phase == pytest.approx(2 * PI - 3.5, abs=1e-14)
-
-
-def test_evolve_marker_full_turn_is_identity():
-    omega = rotation_frequency(OscillatorParams(), 1)
-    moved = evolve_marker(MarkerAmplitude(1.5, 0.25), omega, 2 * PI)
-    assert moved.phase == pytest.approx(0.25, abs=1e-14)
 
 
 def test_reduce_angle_boundary():

@@ -10,12 +10,13 @@ from hoamp import ensemble
 from hoamp.dynamics import (KERNEL_BLOCK, KernelScratch, MarkerAmplitude, OscillatorParams,
                             epsilon_overlap, phase_delta)
 from hoamp.ensemble import (TargetState, TrialEnsemble, apply_entry_multipliers,
-                            bin_by_product, ceil_sqrt, conditional_update,
-                            factoring_ranges, fidelity, init_uniform_factoring,
-                            sample)
+                            ceil_sqrt, conditional_update, factoring_ranges, fidelity,
+                            init_uniform_factoring, member_masses, sample)
 from hoamp.errors import (ConditionedMassVanished, DomainTooLarge, EmptyRange,
                           NoFactorInRange)
 from hoamp.rng import SplitMix64
+
+from conftest import factoring_rectangle
 
 PARAMS = OscillatorParams()
 
@@ -39,30 +40,27 @@ def test_factoring_ranges_n35():
 
 
 def test_init_n35_explicit():
+    # the 28 explicit pairs, each with mass 1/28, read back through the bins
     st = init_uniform_factoring(35)
-    assert st.layout == "explicit"
     assert st.n_entries == 28                      # 4 values of n, 7 of m
-    assert st.weights.dtype == np.float64
-    # uniform masses, unit total
-    assert st.weights[0] == pytest.approx(1 / 28)
+    assert st.mass.dtype == np.float64
     assert st.total_mass() == pytest.approx(1.0, abs=1e-14)
-    # lexicographic order
-    assert tuple(st.tuples[0]) == (3, 6)
-    assert tuple(st.tuples[-1]) == (6, 12)
+    pairs = member_masses(st)
+    assert len(pairs) == 28
+    assert pairs[0][0] == (3, 6) and pairs[-1][0] == (6, 12)
+    assert all(w == pytest.approx(1 / 28, rel=1e-15) for _, w in pairs)
 
 
 def test_init_n35_distinct_products():
     st = init_uniform_factoring(35)
-    products = sorted(set(int(n) * int(m) for n, m in st.tuples))
-    assert len(products) == 21
-    assert products == [18, 21, 24, 27, 28, 30, 32, 33, 35, 36, 40, 42, 44, 45,
-                        48, 50, 54, 55, 60, 66, 72]
+    assert st.keys.tolist() == [18, 21, 24, 27, 28, 30, 32, 33, 35, 36, 40, 42, 44, 45,
+                                48, 50, 54, 55, 60, 66, 72]
 
 
 def test_init_n8_single_pair():
     st = init_uniform_factoring(8)
     assert st.n_entries == 1
-    assert tuple(st.tuples[0]) == (3, 3)
+    assert st.keys.tolist() == [9] and st.members(0).tolist() == [[3, 3]]
 
 
 def test_init_n9_empty_m_range():
@@ -72,16 +70,19 @@ def test_init_n9_empty_m_range():
 
 
 def test_binned_layout_matches_explicit():
-    a = init_uniform_factoring(35, layout="explicit")
-    b = init_uniform_factoring(35, layout="binned")
-    assert b.layout == "binned"
-    assert b.n_entries == 28
-    table = bin_by_product(a)
-    assert np.array_equal(np.sort(table.keys), b.keys)
-    assert b.total_mass() == pytest.approx(1.0, abs=1e-14)
+    # the bins' members are the explicit pairs, each once, in the bin of its
+    # product and found there again by bin_of
+    b = init_uniform_factoring(35)
+    pairs = factoring_rectangle(35)
+    assert [p for p, _ in member_masses(b)] == [tuple(p) for p in pairs.tolist()]
+    for i, v in enumerate(b.keys.tolist()):
+        members = b.members(i)
+        assert len(members) == b.counts[i]
+        assert (members[:, 0] * members[:, 1] == v).all()
+        assert all(b.domain.bin_of(b.keys, m) == i for m in members.tolist())
     # bin for the factor product holds exactly the factor pair
     i = int(np.searchsorted(b.keys, 35))
-    assert b.keys[i] == 35 and b.counts[i] == 1
+    assert b.keys[i] == 35 and b.members(i).tolist() == [[5, 7]]
 
 
 def _brute_force_bins(n_lo, n_hi, m_lo, m_hi):
@@ -94,7 +95,7 @@ def _brute_force_bins(n_lo, n_hi, m_lo, m_hi):
 @pytest.mark.parametrize("N", [35, 6557, 30_000])
 def test_binned_build_matches_brute_force(N):
     # 30,000: 1.74M product slots, two sieve windows, the second partial
-    st = init_uniform_factoring(N, layout="binned")
+    st = init_uniform_factoring(N)
     keys, counts = _brute_force_bins(*factoring_ranges(N))
     assert st.keys.dtype == np.int32 and np.array_equal(st.keys, keys)
     assert st.counts.dtype == np.int32 and np.array_equal(st.counts, counts)
@@ -137,7 +138,7 @@ def test_conditioning_reuses_one_scratch_per_worker(monkeypatch):
             made.append(size)
 
     monkeypatch.setattr(ensemble, "KernelScratch", CountedScratch)
-    st = init_uniform_factoring(50_000, layout="binned")
+    st = init_uniform_factoring(50_000)
     assert len(st.keys) > ensemble._CHUNK           # two chunks, 22 blocks
     outs = []
     for threads in (1, 2):
@@ -163,8 +164,7 @@ def test_conditional_update_oracle_values():
     out = conditional_update(st, PARAMS, MarkerAmplitude(2.0), 35, 1.0)
     assert out.probability == pytest.approx(0.20603184751938344, rel=1e-12)
     assert out.normalization == pytest.approx(out.probability, rel=0, abs=0)
-    post = {tuple(t): w for t, w in zip(map(tuple, out.post_state.tuples),
-                                        out.post_state.entry_masses())}
+    post = dict(member_masses(out.post_state))
     assert post[(5, 7)] == pytest.approx(0.17334352016100674, rel=1e-12)
     assert post[(3, 6)] == pytest.approx(6.434819982501069e-06, rel=1e-12)
     assert post[(6, 12)] == pytest.approx(0.026538266410709672, rel=1e-12)
@@ -186,57 +186,46 @@ def test_conditional_update_chains_normalization():
                                              rel=1e-14)
 
 
-def test_conditional_update_unsorted_explicit_products():
-    # explicit rows are sorted by tuple, not by product: here the largest
-    # product sits in the middle row, and every mass must still get the
-    # scalar |eps|^2
-    st = TrialEnsemble(arity=2, tuples=np.array([[1, 5], [2, 500], [3, 1]]),
-                       weights=np.full(3, 1 / 3))
-    alpha = MarkerAmplitude(0.3)
-    out = conditional_update(st, PARAMS, alpha, 3, 0.7)
-    want = np.array([abs(epsilon_overlap(alpha, phase_delta(PARAMS, 3, u, 0.7))) ** 2
-                     for u in (5, 1000, 3)])
-    np.testing.assert_allclose(out.post_state.weights, want / want.sum(), rtol=1e-12)
-
-
 def test_binned_update_matches_explicit_update():
-    a = init_uniform_factoring(35, layout="explicit")
-    b = init_uniform_factoring(35, layout="binned")
-    oa = conditional_update(a, PARAMS, MarkerAmplitude(2.0), 35, 1.0)
-    ob = conditional_update(b, PARAMS, MarkerAmplitude(2.0), 35, 1.0)
-    assert ob.probability == pytest.approx(oa.probability, rel=1e-13)
-    ta = bin_by_product(oa.post_state)
-    order = np.argsort(ta.keys)
-    np.testing.assert_allclose(ta.mass[order], ob.post_state.mass, rtol=1e-12)
+    # every explicit pair scaled by its own scalar |eps|^2, then renormalized,
+    # against the bins' masses shared equally among their members
+    b = init_uniform_factoring(35)
+    alpha = MarkerAmplitude(2.0)
+    ob = conditional_update(b, PARAMS, alpha, 35, 1.0)
+    pairs = factoring_rectangle(35).tolist()
+    w = np.array([abs(epsilon_overlap(alpha, phase_delta(PARAMS, 35, n * m, 1.0))) ** 2
+                  for n, m in pairs]) / len(pairs)
+    assert ob.probability == pytest.approx(w.sum(), rel=1e-13)
+    got = member_masses(ob.post_state)
+    assert [p for p, _ in got] == [tuple(p) for p in pairs]
+    np.testing.assert_allclose([x for _, x in got], w / w.sum(), rtol=1e-12)
 
 
 def test_apply_entry_multipliers_identity():
     # all-ones multiplier: the measured mass is the (rounded) state norm,
     # so Pr caps at 1 and the state only gets renormalized within an ulp
     st = init_uniform_factoring(35)
-    out = apply_entry_multipliers(st, np.ones(28))
+    out = apply_entry_multipliers(st, np.ones(21))
     assert out.probability == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(out.post_state.weights, st.weights, rtol=1e-14)
+    np.testing.assert_allclose(out.post_state.mass, st.mass, rtol=1e-14)
 
 
 def test_apply_entry_multipliers_probability_capped():
     st = init_uniform_factoring(35)
-    out = apply_entry_multipliers(st, np.ones(28), prev_norm=1.0)
+    out = apply_entry_multipliers(st, np.ones(21), prev_norm=1.0)
     assert out.probability <= 1.0
 
 
 def test_apply_entry_multipliers_vanished_mass():
     st = init_uniform_factoring(35)
     with pytest.raises(ConditionedMassVanished):
-        apply_entry_multipliers(st, np.zeros(28))
+        apply_entry_multipliers(st, np.zeros(21))
 
 
 def test_fidelity_initial_uniform():
     st = init_uniform_factoring(35)
     t = TargetState.factor_target(35)
     assert fidelity(st, t) == pytest.approx(1.0 / 28.0, rel=1e-14)
-    b = init_uniform_factoring(35, layout="binned")
-    assert fidelity(b, t) == pytest.approx(1.0 / 28.0, rel=1e-14)
 
 
 def test_fidelity_multi_member_target_pure():
@@ -250,34 +239,36 @@ def test_fidelity_multi_member_target_pure():
 
 
 def test_fidelity_finds_every_explicit_row():
-    # explicit rows are found by binary search in lexicographic order: each
-    # single-member target must pick out exactly its own row's mass
+    # bins found by binary search in key order: each single-member target
+    # must pick out exactly its own pair's share of a bin's mass, here with
+    # random bin masses
     st = init_uniform_factoring(1961)
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=len(st.tuples)) + 1j * rng.normal(size=len(st.tuples))
-    st = TrialEnsemble(arity=2, tuples=st.tuples,
-                       weights=np.abs(amps / np.linalg.norm(amps)) ** 2)
-    for i in range(0, len(st.tuples), 7):
-        t = TargetState(members=(tuple(int(x) for x in st.tuples[i]),), weights=(1.0,))
-        assert fidelity(st, t) == pytest.approx(st.weights[i], rel=1e-12)
+    mass = np.random.default_rng(3).random(len(st.keys))
+    st = TrialEnsemble(keys=st.keys, counts=st.counts, mass=mass / mass.sum(),
+                       domain=st.domain)
+    pairs = member_masses(st)
+    assert len(pairs) == st.n_entries
+    for pair, w in pairs[::7]:
+        t = TargetState(members=(pair,), weights=(1.0,))
+        assert fidelity(st, t) == pytest.approx(w, rel=1e-12)
     absent = TargetState(members=((2, 1961), (46, 40), (3,)), weights=(0.5, 0.25, 0.25))
     assert fidelity(st, absent) == 0.0
 
 
 def test_fidelity_member_outside_domain_counts_zero():
-    b = init_uniform_factoring(35, layout="binned")
+    b = init_uniform_factoring(35)
     t = TargetState(members=((1, 35),), weights=(1.0,))   # n=1 outside [3,6]
     assert fidelity(b, t) == 0.0
 
 
-def test_bin_by_product_n35():
+def test_product_bins_n35():
     st = init_uniform_factoring(35)
-    table = bin_by_product(st, target_term=35)
-    assert table.n_bins == 21
-    assert table.target_members == ((5, 7),)
-    i = int(np.flatnonzero(table.keys == 36)[0])
-    assert table.counts[i] == 3                    # (3,12), (4,9), (6,6)
-    assert math.fsum(table.mass) == pytest.approx(1.0, abs=1e-12)
+    assert len(st.keys) == 21
+    assert st.members(int(np.searchsorted(st.keys, 35))).tolist() == [[5, 7]]
+    i = int(np.flatnonzero(st.keys == 36)[0])
+    assert st.counts[i] == 3
+    assert st.members(i).tolist() == [[3, 12], [4, 9], [6, 6]]
+    assert math.fsum(st.mass) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_deterministic_and_supported():
@@ -285,11 +276,11 @@ def test_sample_deterministic_and_supported():
     a = sample(st, 123)
     b = sample(st, 123)
     assert a == b
-    assert a in {tuple(t) for t in map(tuple, st.tuples)}
+    assert a in {p for p, _ in member_masses(st)}
 
 
 def test_sample_binned_returns_valid_pair():
-    b = init_uniform_factoring(35, layout="binned")
+    b = init_uniform_factoring(35)
     for seed in range(20):
         n, m = sample(b, seed)
         assert 3 <= n <= 6 and 6 <= m <= 12
@@ -308,11 +299,13 @@ def test_sample_concentrated_state():
 
 
 def test_explicit_binned_sampling_agree_in_distribution():
-    a = init_uniform_factoring(35)
-    b = init_uniform_factoring(35, layout="binned")
-    # same seed need not give the same pair (different entry order), but both
-    # must stay inside the trial rectangle with uniform marginals over n
-    pairs_a = {sample(a, s) for s in range(50)}
-    pairs_b = {sample(b, s) for s in range(50)}
-    allpairs = {tuple(t) for t in map(tuple, a.tuples)}
-    assert pairs_a <= allpairs and pairs_b <= allpairs
+    # drawing a bin by mass, then a member uniformly, samples each explicit
+    # pair with its own mass: 2,800 draws from the uniform state hit all 28
+    # pairs, each within 5 sigma of 100
+    st = init_uniform_factoring(35)
+    counts = {}
+    for s in range(2800):
+        pair = sample(st, s)
+        counts[pair] = counts.get(pair, 0) + 1
+    assert set(counts) == {p for p, _ in member_masses(st)}
+    assert all(abs(c - 100) <= 5 * math.sqrt(100 * 27 / 28) for c in counts.values())

@@ -14,6 +14,8 @@ from hoamp.errors import CutoffTooSmall, DimensionTooLarge
 from hoamp.fockoracle import (brute_force_step, coherent_vector, dense_condition,
                               dense_marker_overlaps, required_cutoff)
 
+from conftest import per_member
+
 
 def test_required_cutoff_scales_with_alpha():
     assert required_cutoff(0.0) == 10
@@ -55,24 +57,25 @@ def test_brute_force_step_matches_engine_pure():
     st = init_uniform_factoring(35)
     params = OscillatorParams()
     out = conditional_update(st, params, MarkerAmplitude(1.5), 35, 0.8)
-    post, pr = brute_force_step(st, params, 0.8, 35, MarkerAmplitude(1.5))
+    post, pr = brute_force_step(*per_member(st), params, 0.8, 35, MarkerAmplitude(1.5))
     assert pr == pytest.approx(out.probability, abs=1e-12)
-    np.testing.assert_allclose(post.weights, out.post_state.weights, atol=1e-12)
+    np.testing.assert_allclose(post, per_member(out.post_state)[1], atol=1e-12)
 
 
 def test_observables_are_phase_free_against_dense_amplitudes():
     # N = 105 has three factor pairs in range, so F is a coherent sum over
     # three members.  The dense oracle carries complex amplitudes through four
-    # chained steps, the engine only masses (in both layouts): Pr and F agree,
-    # because the target amplitudes stay real and equal while the others turn
+    # chained steps, the engine only bin masses: Pr, F and every pair's share
+    # of its bin agree, because the target amplitudes stay real and equal
+    # while the others turn
     N, alpha, params = 105, MarkerAmplitude(2.0), OscillatorParams()
     target = TargetState.factor_target(N)
     assert target.members == ((3, 35), (5, 21), (7, 15))
-    states = [init_uniform_factoring(N, layout=lay) for lay in ("explicit", "binned")]
-    tuples = states[0].tuples
+    st = init_uniform_factoring(N)
+    tuples, masses = per_member(st)
     assert len(tuples) == 225
     rows = [int(np.flatnonzero((tuples == m).all(axis=1))[0]) for m in target.members]
-    amps = np.sqrt(states[0].weights).astype(np.complex128)
+    amps = np.sqrt(masses).astype(np.complex128)
     for t in (0.8, 2.3, 4.1, 5.6):
         amps, pr_dense = dense_condition(tuples, amps, params, t, N, alpha)
         f_dense = abs(sum(math.sqrt(w) * amps[i]
@@ -81,23 +84,24 @@ def test_observables_are_phase_free_against_dense_amplitudes():
         assert np.max(np.abs(on_target.imag)) <= 1e-12 * abs(on_target[0])
         np.testing.assert_allclose(on_target.real, on_target.real[0], rtol=1e-12)
         assert np.max(np.abs(amps.imag)) > 1e-3          # off-target phases exist
-        for k, st in enumerate(states):
-            out = conditional_update(st, params, alpha, N, t)
-            states[k] = out.post_state
-            assert out.probability == pytest.approx(pr_dense, abs=1e-10)
-            assert fidelity(out.post_state, target) == pytest.approx(f_dense, abs=1e-10)
+        out = conditional_update(st, params, alpha, N, t)
+        st = out.post_state
+        assert out.probability == pytest.approx(pr_dense, abs=1e-10)
+        assert fidelity(st, target) == pytest.approx(f_dense, abs=1e-10)
+        np.testing.assert_allclose(per_member(st)[1], np.abs(amps) ** 2, atol=1e-12)
 
 
 def test_brute_force_step_higher_order_coupling():
     st = init_uniform_factoring(35)
     params = OscillatorParams(couplings=(0.7, 0.3))
     out = conditional_update(st, params, MarkerAmplitude(1.2), 35, 0.37)
-    post, pr = brute_force_step(st, params, 0.37, 35, MarkerAmplitude(1.2))
+    post, pr = brute_force_step(*per_member(st), params, 0.37, 35, MarkerAmplitude(1.2))
     assert pr == pytest.approx(out.probability, abs=1e-12)
+    np.testing.assert_allclose(post, per_member(out.post_state)[1], atol=1e-12)
 
 
 def test_brute_force_step_custom_term_fn():
-    # term = second register component: the parity marker used by search
+    # term = second register component h(n): the parity marker used by search
     from hoamp.search import (BlackBox, SearchConfig, apply_black_box,
                               initial_search_state, search_iteration)
     box = BlackBox.from_solution_indices(8, [5])
@@ -105,11 +109,11 @@ def test_brute_force_step_custom_term_fn():
     config = SearchConfig()
     post_a, rec = search_iteration(st, config, 1)
     params = OscillatorParams(omega=(0.0,), couplings=(config.g_tilde,))
-    post_b, pr = brute_force_step(st, params, config.t_s, 0,
-                                  MarkerAmplitude(2.0),
-                                  term_fn=lambda row: int(row[1]))
+    tuples = np.array([(n, box.h(n)) for n in range(8)])
+    post_b, pr = brute_force_step(tuples, np.full(8, 1 / 8), params, config.t_s, 0,
+                                  MarkerAmplitude(2.0), term_fn=lambda row: int(row[1]))
     assert pr == pytest.approx(rec.pr_E, abs=1e-12)
-    np.testing.assert_allclose(post_b.weights, post_a.weights, atol=1e-12)
+    np.testing.assert_allclose(post_b, per_member(post_a)[1], atol=1e-12)
 
 
 def test_dense_marker_overlaps_match_epsilon():
@@ -129,4 +133,5 @@ def test_dense_marker_overlaps_match_epsilon():
 def test_dimension_guard():
     st = init_uniform_factoring(3599)              # 1920 pairs
     with pytest.raises(DimensionTooLarge):
-        brute_force_step(st, OscillatorParams(), 1.0, 3599, MarkerAmplitude(40.0))
+        brute_force_step(*per_member(st), OscillatorParams(), 1.0, 3599,
+                         MarkerAmplitude(40.0))

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap,
                             phase_delta, phase_delta_batch, reduce_angle)
 from hoamp.ensemble import (TargetState, apply_entry_multipliers,
-                            conditional_update, fidelity, init_uniform_factoring,
-                            sample)
+                            conditional_update, factoring_ranges, fidelity,
+                            init_uniform_factoring, sample)
 from hoamp.rng import SplitMix64
 
 PI = math.pi
@@ -121,17 +121,16 @@ def test_rng_uniform_bounds(seed):
 def test_sample_returns_supported_tuple(n, seed):
     state = init_uniform_factoring(n)
     tup = sample(state, seed)
-    n_lo, n_hi = int(state.tuples[:, 0].min()), int(state.tuples[:, 0].max())
-    assert n_lo <= tup[0] <= n_hi
-    assert tup[0] * tup[1] <= n_hi * int(state.tuples[:, 1].max())
+    n_lo, n_hi, m_lo, m_hi = factoring_ranges(n)
+    assert n_lo <= tup[0] <= n_hi and m_lo <= tup[1] <= m_hi
 
 
-@given(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=28),
+@given(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=21),
        st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=50, deadline=None)
 def test_apply_entry_multipliers_renormalizes(mults, seed):
-    state = init_uniform_factoring(35)
-    m = np.ones(28)
+    state = init_uniform_factoring(35)            # 21 product bins
+    m = np.ones(21)
     m[: len(mults)] = np.array(mults)
     out = apply_entry_multipliers(state, m)
     assert out.post_state.total_mass() == pytest.approx(1.0, abs=1e-12)

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from hoamp.ensemble import member_masses
 from hoamp.errors import DomainError, EmptyRange, NoSolutionFound
 from hoamp.search import (BlackBox, SearchConfig, apply_black_box,
                           initial_search_state, required_iterations, run_search,
@@ -29,6 +31,17 @@ def test_black_box_custom_encoding_validated():
                    encoding=lambda n: 1)          # odd on the solution
     with pytest.raises(ValueError):
         bad.h(2)
+    with pytest.raises(ValueError):                # the batched pass checks it too
+        apply_black_box(initial_search_state(bad), bad)
+
+
+def test_h_batch_matches_h():
+    items = np.arange(16)
+    boxes = (BlackBox.from_solution_indices(16, [0, 9, 15]),
+             BlackBox(domain_size=16, predicate=lambda n: n % 5 == 0,
+                      encoding=lambda n: 2 * n if n % 5 == 0 else 7))
+    for box in boxes:
+        assert box.h_batch(items).tolist() == [box.h(n) for n in range(16)]
 
 
 def test_search_config_validation():
@@ -48,15 +61,32 @@ def test_initial_state_uniform():
     st = initial_search_state(box)
     assert st.n_entries == 8
     assert st.total_mass() == pytest.approx(1.0, abs=1e-14)
-    assert all(int(m) == 0 for _, m in st.tuples)
+    assert st.keys.tolist() == [0]                 # every item in one bin, m0 = 0
+    assert st.members(0)[:, 0].tolist() == list(range(8))
 
 
 def test_apply_black_box_writes_parity():
+    # two parity bins: even h(n) (the solutions) and odd, mass 1/8 per item
     box = BlackBox.from_solution_indices(8, [3, 5])
     st = apply_black_box(initial_search_state(box), box)
-    marks = {int(n): int(h) for n, h in st.tuples}
-    assert marks[3] == 0 and marks[5] == 0
-    assert all(marks[n] == 1 for n in (0, 1, 2, 4, 6, 7))
+    assert st.keys.tolist() == [0, 1] and st.counts.tolist() == [2, 6]
+    assert st.members(0)[:, 0].tolist() == [3, 5]
+    assert st.members(1)[:, 0].tolist() == [0, 1, 2, 4, 6, 7]
+    assert st.mass.tolist() == [2 * (1 / 8), 6 * (1 / 8)]
+
+
+def test_black_box_pass_spans_chunks(monkeypatch):
+    # a domain over several chunks of the marking pass, the last partial;
+    # custom boxes still answer per item through h
+    from hoamp import search
+    monkeypatch.setattr(search, "_MARK_CHUNK", 64)
+    marked = [0, 63, 64, 65, 200, 299]
+    box = BlackBox.from_solution_indices(300, marked)
+    custom = BlackBox(domain_size=300, predicate=lambda n: n in marked)
+    for b in (box, custom):
+        st = apply_black_box(initial_search_state(b), b)
+        assert len(st.keys) == 2 and st.counts.tolist() == [6, 294]
+        assert st.members(0)[:, 0].tolist() == marked
 
 
 def test_one_in_eight_oracle_values():
@@ -85,7 +115,7 @@ def test_suppression_factor_is_symbolic():
     box = BlackBox.from_solution_indices(4, [1])
     st = apply_black_box(initial_search_state(box), box)
     post, _ = search_iteration(st, SearchConfig(alpha_schedule=(1.5,)), 1)
-    masses = {int(n): m for (n, _), m in zip(post.tuples, post.entry_masses())}
+    masses = {n: m for (n,), m in member_masses(post)}
     ratio = masses[0] / masses[1]
     assert ratio == pytest.approx(math.exp(-4 * 1.5 * 1.5), rel=1e-14)
 

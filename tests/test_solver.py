@@ -7,12 +7,14 @@ import pytest
 
 from hoamp.constraints import ConstraintSystem, feasible_set
 from hoamp.dynamics import MarkerAmplitude, OscillatorParams, epsilon_overlap, phase_delta
-from hoamp.ensemble import init_uniform_factoring
+from hoamp.ensemble import init_uniform_factoring, member_masses
 from hoamp.errors import DomainTooLarge, InfeasibleSystem
 from hoamp.factoring import FactoringConfig, run_factoring
 from hoamp.solver import (AcceptedSet, MarkerBank, build_accepted_sets,
                           constraint_multipliers, run_solver, solver_iteration,
                           uniform_state)
+
+from conftest import factoring_rectangle
 
 
 def make_system(doc):
@@ -119,11 +121,19 @@ def test_constraint_multipliers_interval_set_matches_scalar():
 
 
 def test_uniform_state_box():
+    # bins are the distinct rows (x+y, x*y) over the 16 box tuples
     st = uniform_state(make_system(INEQ_SMALL))
     assert st.n_entries == 16
     assert st.total_mass() == pytest.approx(1.0, abs=1e-14)
-    assert tuple(st.tuples[0]) == (0, 0)
-    assert tuple(st.tuples[-1]) == (3, 3)
+    x, y = np.divmod(np.arange(16), 4)
+    rows = np.stack([x + y, x * y], axis=1)
+    assert np.array_equal(st.keys, np.unique(rows, axis=0))
+    pairs = member_masses(st)
+    assert pairs[0][0] == (0, 0) and pairs[-1][0] == (3, 3) and len(pairs) == 16
+    for i, row in enumerate(st.keys.tolist()):
+        assert all([a + b, a * b] == row for a, b in st.members(i).tolist())
+    assert st.members(int(np.flatnonzero((st.keys == [3, 2]).all(axis=1))[0])).tolist() \
+        == [[1, 2], [2, 1]]
     with pytest.raises(DomainTooLarge):
         uniform_state(make_system({
             "variables": [{"name": "x", "bound": 50_000_000}],
@@ -136,7 +146,7 @@ def test_equality_mode_matches_factoring_bit_for_bit():
     frep = run_factoring(FactoringConfig(N=35, seed=seed, L_max=6,
                                          stop_fidelity=1.0))
     srep = run_solver(make_system(EQ_FACTORING_35), seed=seed, L_max=6,
-                      stop_mass=1.0, initial_state=init_uniform_factoring(35))
+                      stop_mass=1.0, domain=factoring_rectangle(35))
     assert len(frep.records) == len(srep.records)
     for fr, sr in zip(frep.records, srep.records):
         assert fr.t_l == sr.t_l
@@ -147,15 +157,18 @@ def test_equality_mode_matches_factoring_bit_for_bit():
 def test_equality_mode_post_state_identical():
     from hoamp.dynamics import MarkerAmplitude
     from hoamp.ensemble import conditional_update
+    # over the factoring rectangle the solver's bins are factoring's bins
     system = make_system(EQ_FACTORING_35)
     bank = MarkerBank.uniform(1, alpha=2.0)
     st_f = init_uniform_factoring(35)
-    st_s = init_uniform_factoring(35)
+    st_s = uniform_state(system, factoring_rectangle(35))
+    for a in ("keys", "counts", "mass"):
+        assert getattr(st_s, a).tobytes() == getattr(st_f, a).tobytes()
     out_f = conditional_update(st_f, OscillatorParams(), MarkerAmplitude(2.0),
                                35, 1.37)
     post_s, rec = solver_iteration(st_s, system, bank, 1, 1.37)
     assert rec.pr_E == out_f.probability
-    np.testing.assert_array_equal(post_s.weights, out_f.post_state.weights)
+    assert post_s.mass.tobytes() == out_f.post_state.mass.tobytes()
 
 
 def test_inequality_solutions_match_feasible_set():
