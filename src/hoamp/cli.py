@@ -176,8 +176,13 @@ def cmd_solve(args) -> int:
             "seed": args.seed}
     _emit(args, report_to_dict(report),
           lambda p: write_iteration_csv(p, report, meta))
-    _say(args, f"{report.solution_count} satisfying tuple(s); sampled "
-               f"{report.sampled_tuple}")
+    summary = f"{report.solution_count} satisfying tuple(s); sampled {report.sampled_tuple}"
+    last = report.records[-1] if report.records else None
+    if last is not None and last.solution_mass < args.stop_mass:
+        summary += (f"; stalled: solution mass {last.solution_mass:.6g} after "
+                    f"{len(report.records)} iterations, stop mass {args.stop_mass:g} "
+                    f"not reached")
+    _say(args, summary)
     return 0
 
 

@@ -20,27 +20,37 @@ The scalar reference, phase_delta, multiplies each exact integer term
 difference by the exact double-double value of g_k*t and reduces the
 rational sum against a 2*pi accurate to ~1e-49.
 
-The vector path reduces no phase per element.  Write each term difference
-d_k = target^k - trial^k in base B_k = 2^w_k; then
+The vector path reduces no phase per element.  Delta splits into a target
+part and a value part, exp(i*Delta) = Q_a * P_v with
 
-    exp(i*Delta) = prod_k prod_j T_kj[digit_j(|d_k|)],   conjugated for d_k < 0,
+    Q_a = exp(+i * sum_k g_k t a^k),   P_v = exp(-i * sum_k g_k t v^k),
 
-where T_kj[r] = exp(i * r * B_k^j * g_k * t mod 2*pi).  phase_table builds
-the tables once per (params, t), sized to the call: the bound on |d_k| takes
-nd = ceil(bits / 13) digits, each w_k = ceil(bits / nd) bits wide, so a small
-bound gets short rows and the digit count is the least that 13-bit digits
-allow.  Each B_k^j*g_k*t is reduced exactly in Fraction arithmetic and kept
-as a double-double, and its B_k multiples are filled by an exact two-product
-and a Cody-Waite split, so every entry is within an ulp or two of the exact
-angle.  phasors gathers one entry per digit and multiplies the unit phasors,
-so the hot loop is gathers and multiplies with no trig call and no width
-limit: differences beyond int64 (K >= 2 with large terms) have their digits
-taken from Python ints in an object array.  Callers that loop over blocks
-pass a KernelScratch (out=) so the blocks reuse one set of buffers.  A zero
-difference gathers only T[0] = (1, 0), so on-target entries get exactly
-cos = 1, sin = 0.  The batch angle agrees with phase_delta to within
-2.3e-15 rad (5,120 random comparisons, K = 1..4, terms up to the int64 and
-128-bit limits, with 13-bit and with narrower digits).
+so a conditioning step needs one scalar Q for its target and one phasor per
+distinct trial value.  target_phasors reduces each Q_a exactly, in integer
+arithmetic over the same double-double g_k*t and 2*pi, to the angle
+phase_delta gives.  For P_v write each |v^k| in base B_k = 2^w_k; then
+
+    P_v = prod_k prod_j T_kj[digit_j(|v^k|)],   conjugated per order where v^k < 0,
+
+where T_kj[r] = exp(-i * (r * B_k^j * g_k * t mod 2*pi)), one complex128
+entry.  phase_table builds the tables once per (params, t), sized to the
+call: the largest |v^k| takes nd = ceil(bits / 13) digits, each
+w_k = ceil(bits / nd) bits wide, so a small bound gets short rows and the
+digit count is the least that 13-bit digits allow.  Each B_k^j*g_k*t is
+reduced exactly in Fraction arithmetic and kept as a double-double, and its
+B_k multiples are filled by an exact two-product and a Cody-Waite split, so
+every entry is within an ulp or two of the exact angle.  value_phasors
+gathers one complex entry per digit and multiplies them, so the hot loop is
+gathers and multiplies with no trig call and no width limit: powers beyond
+int64 (K >= 2 with large values) have their digits taken from Python ints in
+an object array, and non-negative values skip the abs and sign passes.
+Callers that loop over blocks pass a KernelScratch (out=) so the blocks
+reuse one set of buffers; cos Delta is Re(Q_a * P_v), and |eps|^2 follows
+from it in eps_squared_batch.  Re(Q_a * P_a) rounds to 1 +- an ulp, so
+callers set on-target entries to exactly 1 (phasor_batch gives exactly
+cos = 1, sin = 0 there).  The batch angle agrees with phase_delta to within
+2.1e-15 rad (5,600 random comparisons, K = 1..4, signed values up to the
+int64 and 128-bit limits, with 13-bit and with narrower digits).
 """
 
 from __future__ import annotations
@@ -68,9 +78,9 @@ _INT128_MAX = (1 << 127) - 1
 _INT64_MAX = (1 << 63) - 1
 _MAX_ORDER = 4
 
-# phasor tables index term differences by digits of at most 13 bits
+# phase tables index |v^k| by digits of at most 13 bits
 _DIGIT_BITS = 13
-# callers hand phasors at most this many elements at a time, so its
+# callers hand value_phasors at most this many elements at a time, so its
 # temporaries stay in cache; values are element-wise, so the size changes none
 KERNEL_BLOCK = 1 << 16
 
@@ -254,36 +264,40 @@ def _reduce_batch(raw_hi, raw_lo):
     return r
 
 
+def _theta(g: float, t: float) -> Fraction:
+    """g*t as the exact value of its double-double."""
+    hi, lo = _two_prod(g, t)
+    return Fraction(hi) + Fraction(lo)
+
+
 @dataclass(frozen=True)
 class PhaseTable:
-    """cos and sin of r * B^j * g_k * t mod 2*pi, for digits r < B = 2^bits[k-1].
+    """exp(-i * (r * B^j * g_k * t mod 2*pi)) for digits r < B = 2^bits[k-1].
 
-    cos[k-1][j] and sin[k-1][j] are the rows for order k and digit position
-    j, holding every digit value a |target^k - trial^k| can take with terms
-    up to the max_term the table was built for; bits[k-1] is the digit width
-    of order k.  Read-only once built, so worker threads share it.
+    rows[k-1][j] is the complex128 row for order k and digit position j,
+    holding every digit value a |v^k| can take with |v| up to the max_term
+    the table was built for; bits[k-1] is the digit width of order k.
+    Read-only once built, so worker threads share it.
     """
 
-    cos: tuple
-    sin: tuple
+    rows: tuple
     bits: tuple
 
 
 def phase_table(params: OscillatorParams, t: float, max_term: int) -> PhaseTable:
-    """Phasor tables for (params, t), covering terms with |term| <= max_term.
+    """Value-phasor tables for (params, t), covering values with |v| <= max_term.
 
     Raises OverflowError where phase_delta would: max_term**K past 128 bits.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    cos_k, sin_k, bits_k = [], [], []
+    rows_k, bits_k = [], []
     for k, g in enumerate(params.couplings, start=1):
-        hi, lo = _two_prod(g, t)
-        theta = Fraction(hi) + Fraction(lo)
-        bound = 2 * _int_pow_checked(max_term, k)     # >= |target^k - trial^k|
+        theta = _theta(g, t)
+        bound = _int_pow_checked(max_term, k)           # >= |v^k|
         n_digits = max(1, -(-bound.bit_length() // _DIGIT_BITS))
         w = max(1, -(-bound.bit_length() // n_digits))
-        cos_j, sin_j = [], []
+        rows = []
         for j in range(n_digits):
             # digit values reachable at position j: the top row is short
             r = np.arange(min((1 << w) - 1, bound >> (w * j)) + 1, dtype=np.float64)
@@ -292,22 +306,51 @@ def phase_table(params: OscillatorParams, t: float, max_term: int) -> PhaseTable
             phi_lo = float(phi - Fraction(phi_hi))
             p_hi, p_lo = _two_prod(r, phi_hi)      # r * phi_hi exactly
             angle = _reduce_batch(p_hi, p_lo + r * phi_lo)
-            cos_j.append(np.cos(angle))            # r = 0 gives exactly (1, +0)
-            sin_j.append(np.sin(angle))
-        cos_k.append(tuple(cos_j))
-        sin_k.append(tuple(sin_j))
+            row = np.empty(len(r), dtype=np.complex128)
+            np.cos(angle, out=row.real)
+            np.sin(angle, out=row.imag)
+            np.subtract(0.0, row.imag, out=row.imag)    # r = 0 gives exactly (1, +0)
+            rows.append(row)
+        rows_k.append(tuple(rows))
         bits_k.append(w)
-    return PhaseTable(cos=tuple(cos_k), sin=tuple(sin_k), bits=tuple(bits_k))
+    return PhaseTable(rows=tuple(rows_k), bits=tuple(bits_k))
+
+
+def target_phasors(params: OscillatorParams, t: float, targets) -> np.ndarray:
+    """Q_a = exp(i * (sum_k g_k t a^k mod 2*pi)) per integer target a, complex128.
+
+    Each phase is reduced exactly, to the correctly rounded residue mod 2*pi
+    that phase_delta(params, a, 0, t) reduces to, in integer arithmetic over
+    an object array: every g_k*t double-double and 2*pi share one
+    power-of-two denominator.  Raises OverflowError where phase_delta would:
+    a**K past 128 bits.
+    """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    a = np.asarray(targets).astype(object)
+    if a.size:
+        _int_pow_checked(max(abs(a.max()), abs(a.min())), params.order)
+    thetas = [_theta(g, t) for g in params.couplings]
+    den = max(x.denominator for x in thetas + [_TWOPI_FRACTION])
+    turn = _TWOPI_FRACTION.numerator * (den // _TWOPI_FRACTION.denominator)
+    y = 0
+    for x in reversed(thetas):      # Horner: sum_k theta_k a^k, scaled by den
+        y = (y + x.numerator * (den // x.denominator)) * a
+    r = ((y - (2 * y + turn) // (2 * turn) * turn) / den).astype(np.float64)
+    q = np.empty(r.shape, dtype=np.complex128)
+    np.cos(r, out=q.real)
+    np.sin(r, out=q.imag)
+    return q
 
 
 class KernelScratch:
-    """Work buffers for term_differences, phasors and eps_squared_batch.
+    """Work buffers for value_phasors and eps_squared_batch.
 
     A loop over blocks of up to `size` elements passes one scratch as out=
     to each call, so the blocks reuse the same buffers instead of allocating
-    their temporaries afresh.  Buffers are made on first use, one per name;
-    results returned from a call are views into them, valid until the next
-    call with the same scratch.
+    their temporaries afresh.  Buffers are made on first use, one per name
+    and dtype; results returned from a call are views into them, valid until
+    the next call with the same scratch.
     """
 
     def __init__(self, size: int):
@@ -315,9 +358,10 @@ class KernelScratch:
         self._bufs = {}
 
     def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        buf = self._bufs.get(name)
+        key = (name, np.dtype(dtype))
+        buf = self._bufs.get(key)
         if buf is None:
-            buf = self._bufs[name] = np.empty(self.size, dtype=dtype)
+            buf = self._bufs[key] = np.empty(self.size, dtype=dtype)
         return buf[: math.prod(shape)].reshape(shape)
 
 
@@ -326,46 +370,8 @@ def _int_array(terms) -> np.ndarray:
     return arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
 
 
-def _max_abs_term(target_term: int, trials: np.ndarray) -> int:
-    if not trials.size:
-        return abs(target_term)
-    return max(abs(target_term), abs(int(trials.max())), abs(int(trials.min())))
-
-
-def term_differences(order: int, target_term: int, trial_terms, out=None) -> list:
-    """[target^k - trial^k for k = 1..order] as arrays shaped like trial_terms.
-
-    int64 where every difference fits, written into `out` (a KernelScratch)
-    when given; else object arrays of Python ints.
-    """
-    trials = _int_array(trial_terms)
-    if 2 * _int_pow_checked(_max_abs_term(target_term, trials), order) <= _INT64_MAX:
-        dtype = np.int64
-        ws = KernelScratch(trials.size) if out is None else out
-        diffs = [ws.get(f"d{k}", trials.shape, dtype) for k in range(1, order + 1)]
-    else:
-        dtype, trials = object, trials.astype(object)
-        diffs = [None] * order
-    power = trials
-    for k in range(2, order + 1):      # the powers first, each from the last
-        power = diffs[k - 1] = np.multiply(power, trials, out=diffs[k - 1], dtype=dtype)
-    for k in range(1, order + 1):
-        diffs[k - 1] = np.subtract(target_term**k, trials if k == 1 else diffs[k - 1],
-                                   out=diffs[k - 1], dtype=dtype)
-    return diffs
-
-
-def _complex_mul(c, s, c2, s2, t):
-    """(c + i s) *= (c2 + i s2), in place; overwrites s2 and t."""
-    np.multiply(c, s2, out=t)
-    c *= c2
-    c -= np.multiply(s, s2, out=s2)
-    s *= c2
-    s += t
-
-
 def _digit(mag, shift: int, mask, out):
-    """The digit of |d| at bit `shift`, masked unless it is the top digit."""
+    """The digit of |v^k| at bit `shift`, masked unless it is the top digit."""
     if mag.dtype == object:
         d = mag >> shift
         np.copyto(out, d if mask is None else d & mask, casting="unsafe")
@@ -376,63 +382,82 @@ def _digit(mag, shift: int, mask, out):
     return src if mask is None else np.bitwise_and(src, mask, out=out)
 
 
-def phasors(table: PhaseTable, diffs, out=None) -> tuple:
-    """(cos Delta, sin Delta) from the term differences d_k = target^k - trial^k.
+def value_phasors(table: PhaseTable, values, out=None, span=None) -> np.ndarray:
+    """P_v = exp(-i * sum_k g_k t v^k) per integer value v, complex128.
 
-    diffs[k-1] holds d_k (int64 or object array, as term_differences gives).
-    One table entry is gathered per digit of |d_k| (table.bits[k-1] bits
-    wide), and the unit phasors are multiplied in digit order; the sign of
-    d_k conjugates, i.e. negates only sin.  Each element's arithmetic is
-    independent of the others, so a value comes out bit-identical in any
-    call that contains it, given tables of the same digit widths.  The
-    results are views into `out` (a KernelScratch) when given.  A difference
-    beyond the range the table was built for raises IndexError.
+    One table entry is gathered per digit of |v^k| (table.bits[k-1] bits
+    wide) and the entries are multiplied in digit order; a negative v^k
+    conjugates its order's factor.  Powers beyond int64 (K >= 2 with large
+    values) have their digits taken from Python ints in an object array.
+    `span` is (min, max) of the values when the caller knows it (ascending
+    keys give it in O(1)); non-negative values skip the abs and sign passes.
+    Each element's arithmetic is independent of the others, so a value
+    comes out bit-identical in any call that contains it, given tables of
+    the same digit widths.  The result is a view into `out` (a KernelScratch)
+    when given.  A value beyond the range the table was built for raises
+    IndexError.
     """
-    shape = np.shape(diffs[0])
-    ws = KernelScratch(math.prod(shape)) if out is None else out
-    mag, digit = ws.get("mag", shape, np.int64), ws.get("digit", shape, np.intp)
-    cos = sin = None
-    for k, d in enumerate(diffs):
-        w, rows_c, rows_s = table.bits[k], table.cos[k], table.sin[k]
-        mag_k = np.abs(d) if d.dtype == object else np.abs(d, out=mag)
-        top = int(mag_k.max()) if mag_k.size else 0
+    vals = _int_array(values)
+    shape = vals.shape
+    ws = KernelScratch(vals.size) if out is None else out
+    P = ws.get("P", shape, np.complex128)
+    if not vals.size:
+        return P
+    lo, hi = (int(vals.min()), int(vals.max())) if span is None else span
+    big, order = max(-lo, hi), len(table.bits)
+    if _int_pow_checked(big, order) > _INT64_MAX:
+        vals = vals.astype(object)
+    first, power = True, vals
+    for k in range(1, order + 1):
+        if k > 1:
+            power = (power * vals if vals.dtype == object else
+                     np.multiply(power, vals, out=ws.get("pow", shape, np.int64),
+                                 dtype=np.int64))
+        top = big**k
+        w, rows = table.bits[k - 1], table.rows[k - 1]
         n_digits = -(-top.bit_length() // w)
-        if not n_digits:    # every d_k is zero
+        if not n_digits:    # every v^k is zero: a factor of 1
             continue
-        if n_digits > len(rows_c) or top >> (w * (n_digits - 1)) >= len(rows_c[n_digits - 1]):
-            raise IndexError(f"|d_{k + 1}| = {top} is beyond the phase table")
-        # the first order accumulates straight into the result
-        c, s = (ws.get("cos", shape), ws.get("sin", shape)) if cos is None else \
-            (ws.get("c", shape), ws.get("s", shape))
-        for j in range(n_digits):
-            idx = _digit(mag_k, w * j, (1 << w) - 1 if j < n_digits - 1 else None, digit)
-            cj, sj = (c, s) if j == 0 else (ws.get("cj", shape), ws.get("sj", shape))
-            rows_c[j].take(idx, out=cj, mode="wrap")     # range checked above
-            rows_s[j].take(idx, out=sj, mode="wrap")
-            if j:
-                _complex_mul(c, s, cj, sj, ws.get("tmp", shape))
-        # conjugate where d_k < 0 (a multiply: sign masks mispredict)
-        np.multiply(s, np.sign(d, out=digit, casting="unsafe"), out=s, casting="unsafe")
-        if cos is None:
-            cos, sin = c, s
+        if n_digits > len(rows) or top >> (w * (n_digits - 1)) >= len(rows[n_digits - 1]):
+            raise IndexError(f"|v^{k}| = {top} is beyond the phase table")
+        signed = lo < 0 and k % 2 == 1
+        if not signed:
+            mag = power
+        elif power.dtype == object:
+            mag = np.abs(power)
         else:
-            _complex_mul(cos, sin, c, s, ws.get("tmp", shape))
-    if cos is None:
-        cos, sin = ws.get("cos", shape), ws.get("sin", shape)
-        cos.fill(1.0)
-        sin.fill(0.0)
-    # a product of unit phasors can round a hair above 1
-    if cos.size and cos.max() > 1.0:
-        np.minimum(cos, 1.0, out=cos)
-    return cos, sin
+            mag = np.abs(power, out=ws.get("mag", shape, np.int64), dtype=np.int64)
+        digit = ws.get("digit", shape, np.intp if mag.dtype == object else mag.dtype)
+        # the first order gathers straight into the result
+        f = P if first else ws.get("f", shape, np.complex128)
+        for j in range(n_digits):
+            idx = _digit(mag, w * j, (1 << w) - 1 if j < n_digits - 1 else None, digit)
+            if j == 0:
+                rows[j].take(idx, out=f, mode="wrap")       # range checked above
+            else:
+                f *= rows[j].take(idx, out=ws.get("g", shape, np.complex128), mode="wrap")
+        if signed:
+            np.negative(f.imag, out=f.imag, where=power < 0)
+        if not first:
+            P *= f
+        first = False
+    if first:
+        P.fill(1.0)
+    return P
 
 
 def phasor_batch(params: OscillatorParams, target_term: int, trial_terms,
                  t: float) -> tuple:
-    """(cos Delta, sin Delta) for one target against an array of trial terms."""
+    """(cos Delta, sin Delta) for one target against an array of trial terms:
+    Q_target * P_trial, exactly (1, 0) on trials equal to the target."""
     trials = _int_array(trial_terms)
-    table = phase_table(params, t, _max_abs_term(target_term, trials))
-    return phasors(table, term_differences(params.order, target_term, trials))
+    bound = max(abs(int(trials.min())), abs(int(trials.max()))) if trials.size else 0
+    table = phase_table(params, t, bound)
+    z = value_phasors(table, trials) * target_phasors(params, t, [target_term])[0]
+    cos, sin = z.real.copy(), z.imag.copy()
+    on = trials == target_term
+    cos[on], sin[on] = 1.0, 0.0
+    return cos, sin
 
 
 def phase_delta_batch(params: OscillatorParams, target_term: int, trial_terms,
@@ -469,8 +494,15 @@ def epsilon_batch(alpha_mag: float, cos, sin) -> np.ndarray:
 
 
 def eps_squared_batch(alpha_mag: float, cos, out=None) -> np.ndarray:
-    """|eps|^2 = exp(-2 |a|^2 (1 - cos Delta)), elementwise from cos Delta."""
+    """|eps|^2 = exp(-2 |a|^2 (1 - cos Delta)), elementwise from cos Delta.
+
+    A product of unit phasors can round cos a hair above 1; the result is
+    clamped to 1 there, which is exp(0).
+    """
     a2 = alpha_mag * alpha_mag
     w = np.subtract(cos, 1.0, out=out)
     w *= 2.0 * a2
-    return np.exp(w, out=w)
+    np.exp(w, out=w)
+    if w.size and w.max() > 1.0:
+        np.minimum(w, 1.0, out=w)
+    return w

@@ -31,13 +31,16 @@ member tuple.
 
 Conditioning multiplies each bin's mass by its multiplier, reports the
 surviving mass, and renormalizes, in one loop (_condition) for every caller.
-Factoring takes |eps|^2 from the phasor kernel in dynamics: one phase table
-per step, built before the chunks are dispatched and shared read-only by the
-workers, and one set of kernel buffers per worker, reused by every block it
-runs.  Renormalizing runs on the same chunks.  Sums are accumulated per
-fixed-size chunk and the chunk partials combined with math.fsum in index
-order, so results are bit-identical no matter how many worker threads run
-the chunks (pool size capped by HOAMP_THREADS).
+Factoring takes |eps|^2 from the value-phasor kernel in dynamics: per step,
+one phase table and the target's phasor Q (one exactly reduced scalar), both
+made before the chunks are dispatched and shared read-only by the workers.
+Per block of bins a worker gathers each key's phasor P_v, forms
+cos Delta = Re(Q * P_v) and |eps|^2, sets the bin on target to exactly 1,
+scales the masses and sums them while the block is still in cache, with one
+set of kernel buffers per worker reused by every block it runs.
+Renormalizing runs on the same chunks.  The block sums are combined with
+math.fsum in index order, so results are bit-identical no matter how many
+worker threads run the chunks (pool size capped by HOAMP_THREADS).
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from .dynamics import (
     OscillatorParams,
     eps_squared_batch,
     phase_table,
-    phasors,
-    term_differences,
+    target_phasors,
+    value_phasors,
 )
 from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange, NoFactorInRange
 from .rng import SplitMix64
@@ -276,9 +279,9 @@ def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
     block_multipliers(lo, hi, scratch) gives the real multipliers of bins
     [lo, hi), called per KERNEL_BLOCK inside each chunk so kernel temporaries
     stay in cache; scratch is a KernelScratch for one block, made once per
-    worker and reused by every block it runs.  Each chunk is summed after its
-    blocks are scaled, and the chunk sums combined with math.fsum in index
-    order.
+    worker and reused by every block it runs.  Each block is summed right
+    after it is scaled, while it is still in cache, and the block sums are
+    combined with math.fsum in index order.
     """
     post = state if in_place else state.copy()
     arr = post.mass
@@ -289,17 +292,19 @@ def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
             scratch = spare.get_nowait()
         except queue.Empty:
             scratch = KernelScratch(min(KERNEL_BLOCK, len(arr)))
+        sums = []
         for lo in range(a, b, KERNEL_BLOCK):
-            hi = min(lo + KERNEL_BLOCK, b)
-            arr[lo:hi] *= block_multipliers(lo, hi, scratch)
+            seg = arr[lo : min(lo + KERNEL_BLOCK, b)]
+            seg *= block_multipliers(lo, lo + len(seg), scratch)
+            sums.append(float(np.sum(seg)))    # while the block is in cache
         spare.put(scratch)
-        return float(np.sum(arr[a:b]))
+        return sums
 
     def rescale(ci, a, b):
         seg = arr[a:b]
         seg /= c
 
-    c = math.fsum(_run_chunks(len(arr), job))
+    c = math.fsum(s for sums in _run_chunks(len(arr), job) for s in sums)
     if c < _VANISH:
         raise ConditionedMassVanished(f"surviving mass {c:.3e}")
     _run_chunks(len(arr), rescale)
@@ -329,14 +334,21 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
     """
     amag = alpha.magnitude
     keys = state.keys
-    # keys ascend, so the end bins bound every |key|
-    bound = max(abs(target_term), abs(int(keys[0])), abs(int(keys[-1])))
-    table = phase_table(params, t, bound)
+    # keys ascend, so the end bins bound every |key| and give each block's span
+    table = phase_table(params, t, max(abs(int(keys[0])), abs(int(keys[-1]))))
+    q = target_phasors(params, t, [target_term])[0]
+    hit = -1        # the bin on target, whose multiplier is exactly 1
+    if keys[0] <= target_term <= keys[-1]:
+        i = int(np.searchsorted(keys, keys.dtype.type(target_term)))
+        hit = i if keys[i] == target_term else -1
 
     def block(a, b, scratch):
-        diffs = term_differences(params.order, target_term, keys[a:b], out=scratch)
-        cos, _ = phasors(table, diffs, out=scratch)
-        return eps_squared_batch(amag, cos, out=cos)
+        z = value_phasors(table, keys[a:b], out=scratch, span=(int(keys[a]), int(keys[b - 1])))
+        z *= q
+        w = eps_squared_batch(amag, z.real, out=scratch.get("w", (b - a,)))
+        if a <= hit < b:
+            w[hit - a] = 1.0
+        return w
 
     return _condition(state, block, prev_norm, in_place)
 

@@ -224,8 +224,8 @@ def replay_table1(progress: bool = False) -> RunReport:
     """Re-run the published 15-iteration reference trajectory.
 
     Needs ~2 GB of memory for the 123 million product bins of the
-    346,833,979 trial pairs; about 9 s with two threads,
-    17 s on one.
+    346,833,979 trial pairs; about 6 s with two threads,
+    10 s on one.
     """
     config = FactoringConfig(
         N=TABLE1_N, alpha_schedule=(2.0,), times=TABLE1_TIMES,

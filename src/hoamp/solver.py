@@ -18,8 +18,13 @@ both of which equal 1 exactly on satisfying tuples and never exceed 1.
 Every multiplier depends on a tuple only through its row of constraint values
 (f_1(x), ..., f_B(x)), so the state bins the domain tuples by that row
 (np.unique over the rows) and each iteration computes one multiplier per
-distinct row.  With a single accepted value (equality constraints) the two
-modes coincide with the plain factoring conditioning: over the factoring
+distinct row.  The multipliers come from factoring's value-phasor kernel:
+per constraint and iteration, one phasor P_v per distinct violating value
+and one exactly reduced Q_x per accepted value, so cos Delta(x, v) =
+Re(Q_x * P_v).  Max mode takes the outer product of the two a block of
+violators at a time and its largest real part per violator.  With a single
+accepted value (equality constraints) the two modes coincide, and the outer
+product has one column, factoring's own Re(Q * P_v): over the factoring
 rectangle, the embedding f = m1*m2, a = N has factoring's product bins as its
 bins and reproduces that module's arithmetic bit for bit.
 """
@@ -33,7 +38,8 @@ import numpy as np
 
 from .constraints import ConstraintSystem, relation_accepts
 from .dynamics import (KERNEL_BLOCK, OscillatorParams, alpha_at, eps_squared_batch,
-                       normalize_alpha_schedule, phase_table, phasors)
+                       normalize_alpha_schedule, phase_table, target_phasors,
+                       value_phasors)
 from .ensemble import TrialEnsemble, apply_entry_multipliers, member_masses, sample
 from .errors import DomainTooLarge, InfeasibleSystem
 from .factoring import STREAM_SAMPLE, STREAM_TIMES, sample_times
@@ -159,14 +165,16 @@ def _values_int64(vals) -> np.ndarray:
     return vals.astype(np.int64, copy=False)     # int32 keys: differences need 64 bits
 
 
-def _best_cos(table, accepted: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Per value, the largest cos(Delta) over the accepted targets."""
-    best = np.empty(len(vals), dtype=np.float64)
-    block = max(1, KERNEL_BLOCK // max(1, len(accepted)))
-    for start in range(0, len(vals), block):
-        chunk = vals[start : start + block]
-        cos, _ = phasors(table, [accepted[None, :] - chunk[:, None]])
-        best[start : start + block] = cos.max(axis=1)
+def _best_cos(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per value phasor p_v, the largest cos(Delta) = Re(q_x p_v) over the
+    accepted-value phasors q_x, from the outer product a block at a time."""
+    best = np.empty(len(p), dtype=np.float64)
+    block = max(1, KERNEL_BLOCK // len(q))
+    prod = np.empty((min(block, len(p)), len(q)), dtype=np.complex128)
+    for start in range(0, len(p), block):
+        chunk = p[start : start + block, None]
+        z = np.multiply(chunk, q[None, :], out=prod[: len(chunk)])
+        np.max(z.real, axis=1, out=best[start : start + len(chunk)])
     return best
 
 
@@ -183,26 +191,21 @@ def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorPara
         raise ValueError(f"unknown mode {mode!r}")
     bad = vals[idx]
     targets = accepted.values
+    if targets is None and mode == "sum-clipped":
+        raise DomainTooLarge("sum-clipped mode needs an enumerable accepted set")
+    table = phase_table(params, t, max(abs(int(bad.min())), abs(int(bad.max()))))
+    p = value_phasors(table, bad)
     if targets is None:
-        if mode == "sum-clipped":
-            raise DomainTooLarge("sum-clipped mode needs an enumerable accepted set")
-        lo, hi = accepted.lo, accepted.hi
-    else:
-        lo, hi = int(targets[0]), int(targets[-1])      # ascending
-    table = phase_table(params, t, max(abs(lo), abs(hi), abs(int(bad.min())),
-                                       abs(int(bad.max()))))
-    if mode == "max":
-        if targets is None:
-            # nearest accepted integer in [lo, hi]
-            cos, _ = phasors(table, [np.clip(bad, lo, hi) - bad])
-        else:
-            cos = _best_cos(table, targets, bad)
-        mult[idx] = eps_squared_batch(alpha_mag, cos)
+        # nearest accepted integer: lo below the interval, hi above it
+        q = target_phasors(params, t, [accepted.lo, accepted.hi])
+        p *= np.where(bad < accepted.lo, q[0], q[1])
+        mult[idx] = eps_squared_batch(alpha_mag, p.real)
+    elif mode == "max":
+        mult[idx] = eps_squared_batch(alpha_mag, _best_cos(p, target_phasors(params, t, targets)))
     else:
         total = np.zeros(len(bad), dtype=np.float64)
-        for x in targets:
-            cos, _ = phasors(table, [int(x) - bad])
-            total += eps_squared_batch(alpha_mag, cos)
+        for q in target_phasors(params, t, targets):
+            total += eps_squared_batch(alpha_mag, (p * q).real)
         mult[idx] = np.minimum(1.0, total)
     return mult, ok
 

@@ -127,6 +127,26 @@ def test_solve_roundtrip(tmp_path, capsys):
     assert sorted(map(tuple, (s[0] for s in doc["solutions"]))) == [(1, 2), (2, 1)]
 
 
+def test_solve_stall_is_reported(tmp_path, capsys):
+    # a run that ends below its stop mass says so in its summary line, and
+    # still exits 0; the report does not change
+    f = tmp_path / "grid.json"
+    f.write_text(json.dumps(GRID_SYSTEM))
+    argv = ["solve", "--system", str(f), "--l-max", "6", "--seed", "3"]
+    assert run(argv + ["--out-dir", str(tmp_path), "--format", "json"]) == 0
+    said = capsys.readouterr().out
+    report = (tmp_path / "solve_report.json").read_bytes()
+    mass = json.loads(report)["records"][-1]["solution_mass"]
+    assert mass < 0.999999
+    assert said.rstrip().endswith(f"; stalled: solution mass {mass:.6g} after 6 "
+                                  f"iterations, stop mass 0.999999 not reached")
+    assert b"stalled" not in report
+    # a run that reaches its stop mass does not say it
+    assert run(argv + ["--stop-mass", "0.05"]) == 0
+    said = capsys.readouterr().err
+    assert "satisfying tuple(s)" in said and "stalled" not in said
+
+
 def test_solve_infeasible_exit_code(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({

@@ -8,9 +8,9 @@ import pytest
 from hoamp import dynamics
 from hoamp.dynamics import (KernelScratch, MarkerAmplitude, OscillatorParams, PhaseDelta,
                             epsilon_batch, epsilon_overlap, eps_squared_batch,
-                            phase_delta, phase_delta_batch,
-                            phase_table, phasor_batch, phasors, reduce_angle,
-                            rotation_frequency, term_differences)
+                            phase_delta, phase_delta_batch, phase_table, phasor_batch,
+                            reduce_angle, rotation_frequency, target_phasors,
+                            value_phasors)
 
 PI = math.pi
 
@@ -29,6 +29,23 @@ def assert_matches_scalar(p, target, trials, t, tol=1e-12):
         assert circle_distance(batch[i], exact) < tol, (target, int(trial), t)
         assert abs(cos[i] - math.cos(exact)) < tol
         assert abs(sin[i] - math.sin(exact)) < tol
+
+
+def kernel_cos(p, target, values, t, table=None):
+    """cos Delta = Re(Q_target * P_v), as the conditioning kernel forms it."""
+    if table is None:
+        table = phase_table(p, t, max(abs(int(values.min())), abs(int(values.max()))))
+    return (value_phasors(table, values) * target_phasors(p, t, [target])[0]).real
+
+
+def assert_multipliers_match_scalar(p, target, values, t, table=None, alpha=1.7, tol=1e-12):
+    """Kernel cos Delta and |eps|^2 against the exact scalar reduction."""
+    cos = kernel_cos(p, target, values, t, table)
+    mult = eps_squared_batch(alpha, cos)
+    for v, c, m in zip(values, cos, mult):
+        exact = math.cos(phase_delta(p, target, int(v), t).angle)
+        assert abs(c - exact) < tol, (target, int(v), t)
+        assert abs(m - math.exp(-2 * alpha * alpha * (1 - exact))) < tol, (target, int(v), t)
 
 
 # wide-term inputs: K = 2 just below 2^31 (int64 differences near 2^62) and
@@ -182,6 +199,13 @@ def test_eps_squared_batch_reuses_buffer():
     assert res is out
 
 
+def test_eps_squared_batch_clamps_rounding_above_one():
+    # a product of unit phasors can round cos a hair above 1: |eps|^2 stays 1
+    cos = np.array([1.0 + 2.2e-16, 1.0, 1.0 + 4.4e-16, 0.5])
+    w = eps_squared_batch(2.0, cos)
+    assert w[:3].tolist() == [1.0, 1.0, 1.0] and 0.0 < w[3] < 1.0
+
+
 def test_reduce_angle_boundary():
     assert reduce_angle(PI) == PI       # pi stays pi, not -pi
     # -float(pi) sits strictly inside (-pi, pi] because float(pi) < pi,
@@ -205,18 +229,48 @@ def test_phase_delta_batch_wide_terms_match_scalar(p, target, trials):
         assert_matches_scalar(p, target, trials, t)
 
 
-def test_phasor_sign_of_negative_differences():
-    # trials above the target give negative d: sin flips, cos does not
+@pytest.mark.parametrize("p,target,trials", WIDE_CASES + [
+    (OscillatorParams(), 1_030_189, [3, 1_030_188, 348_547_955, (1 << 40) + 3])])
+def test_value_phasor_multipliers_match_scalar(p, target, trials):
+    # K = 1..4, both signs in one call, int64 and object-dtype powers
+    values = np.array(trials + [-x for x in trials], dtype=np.int64)
+    for t in (0.013, 1.704, 6.046, 97.31):
+        assert_multipliers_match_scalar(p, target, values, t)
+        assert_multipliers_match_scalar(p, -target, values, t)
+
+
+def test_target_phasors_reduce_exactly():
+    # Q_a carries the exactly reduced angle of sum_k g_k t a^k
+    for p, target, _ in WIDE_CASES:
+        for t in (0.013, 6.046, 97.31):
+            q = target_phasors(p, t, [target, -target, 0, 1])
+            for a, z in zip((target, -target, 0, 1), q):
+                exact = phase_delta(p, a, 0, t).angle
+                assert abs(z.real - math.cos(exact)) < 3e-16
+                assert abs(z.imag - math.sin(exact)) < 3e-16
+            assert q[2] == 1.0
+    with pytest.raises(OverflowError):
+        target_phasors(OscillatorParams(couplings=(0.0, 0.0, 0.0, 1.0)), 1.0, [1 << 32])
+
+
+def test_phasor_sign_of_negative_values():
+    # a negative v^k conjugates its order's factor: for K = 1, -v gives the
+    # conjugate of P_v bit for bit
     p = OscillatorParams()
     above = np.array([36, 1_000, 123_456_789, (1 << 40) + 3], dtype=np.int64)
-    below = 70 - above                  # mirror images: d -> -d
     for t in (0.4, 2.9, 5.3):
-        c_up, s_up = phasor_batch(p, 35, above, t)
-        c_dn, s_dn = phasor_batch(p, 35, below, t)
-        assert np.array_equal(c_up, c_dn)
-        assert np.array_equal(s_up, -s_dn)
+        table = phase_table(p, t, int(above.max()))
+        up = value_phasors(table, above)
+        assert np.array_equal(value_phasors(table, -above), np.conj(up))
         assert_matches_scalar(p, 35, above, t)
-        assert_matches_scalar(p, 35, below, t)
+        assert_matches_scalar(p, 35, -above, t)
+        assert_matches_scalar(p, -35, 70 - above, t)
+    # even orders keep their sign; odd orders flip it
+    mixed = np.array([-1_234_567, -3, 0, 2, 999_999], dtype=np.int64)
+    for p in (OscillatorParams(couplings=(0.7, 0.3)),
+              OscillatorParams(couplings=(0.5, 0.25, 0.125))):
+        for t in (0.4, 5.3):
+            assert_matches_scalar(p, -17, mixed, t)
 
 
 def test_phasor_near_digit_resonances():
@@ -253,32 +307,33 @@ def test_phasor_value_independent_of_call():
     # any table of the same digit widths: both tables here use 11-bit digits
     # (the solver-equals-factoring embedding relies on it)
     p = OscillatorParams()
-    trials = np.array([3, 17, 35, 72, 1_000_003], dtype=np.int64)
-    cos, sin = phasor_batch(p, 35, trials, 2.2)
-    big = phase_table(p, 2.2, 1 << 40)
-    assert big.bits == phase_table(p, 2.2, 1_000_003).bits == (11,)
-    cos2, sin2 = phasors(big, term_differences(1, 35, trials[:2]))
-    assert np.array_equal(cos[:2], cos2) and np.array_equal(sin[:2], sin2)
-    grid = 35 - trials[None, :] + np.zeros((3, 1), dtype=np.int64)
-    cos3, sin3 = phasors(big, [grid])
-    assert np.array_equal(cos3[1], cos) and np.array_equal(sin3[2], sin)
+    values = np.array([3, 17, 35, 72, 1_000_003], dtype=np.int64)
+    table, big = phase_table(p, 2.2, 1 << 31), phase_table(p, 2.2, 1 << 40)
+    assert table.bits == big.bits == (11,)
+    assert (len(table.rows[0]), len(big.rows[0])) == (3, 4)
+    want = value_phasors(table, values)
+    assert np.array_equal(value_phasors(big, values[:2]), want[:2])
+    assert np.array_equal(value_phasors(table, values, span=(3, 1_000_003)), want)
+    grid = values[None, :] + np.zeros((3, 1), dtype=np.int64)
+    assert np.array_equal(value_phasors(big, grid)[1], want)
 
 
-def test_phasors_reject_differences_outside_table():
+def test_value_phasors_reject_values_outside_table():
     p = OscillatorParams()
-    table = phase_table(p, 1.0, 1000)
+    table = phase_table(p, 1.0, 1000)          # one 10-bit row of 1001 entries
+    value_phasors(table, np.array([1000, -1000]))
     with pytest.raises(IndexError):
-        phasors(table, term_differences(1, 0, np.array([1 << 20])))    # no row
-    with pytest.raises(IndexError):
-        phasors(table, term_differences(1, 0, np.array([5000])))       # short row
-
+        value_phasors(table, np.array([1 << 20]))    # no row
+    for short in (1010, -1010):
+        with pytest.raises(IndexError):
+            value_phasors(table, np.array([short]))  # short row
 
 
 # tables whose digits are narrower than 13 bits: (params, max_term, widths)
 NARROW_CASES = [
-    (OscillatorParams(), 9_000, (8,)),                        # two 8-bit digits
-    (OscillatorParams(), 1 << 30, (11,)),                     # three 11-bit digits
-    (OscillatorParams(couplings=(0.7, 0.3)), 1_000, (11, 11)),  # K = 2, two digits
+    (OscillatorParams(), 9_000, (7,)),                          # two 7-bit digits
+    (OscillatorParams(), 1 << 30, (11,)),                       # three 11-bit digits
+    (OscillatorParams(couplings=(0.7, 0.3)), 1_000, (10, 10)),  # K = 2: one digit, two
 ]
 
 
@@ -289,41 +344,41 @@ def test_narrow_phase_tables(p, max_term, bits):
     assert table.bits == bits
     target = max_term - 17
     rng = np.random.default_rng(5)
-    trials = np.concatenate([[0, 1, max_term, target, target + 1],
-                             rng.integers(0, max_term + 1, 200)])
-    cos, sin = phasors(table, term_differences(p.order, target, trials))
-    for i, trial in enumerate(trials):
-        exact = phase_delta(p, target, int(trial), t).angle
-        assert abs(cos[i] - math.cos(exact)) < 1e-12, (target, int(trial))
-        assert abs(sin[i] - math.sin(exact)) < 1e-12, (target, int(trial))
-    # the largest |d_k| the rows cover passes; one more, or one more digit, raises
-    for k in range(p.order):
-        w, rows = bits[k], table.cos[k]
-        edge = (len(rows[-1]) << (w * (len(rows) - 1))) - 1
-        diffs = [np.zeros(1, dtype=np.int64) for _ in range(p.order)]
-        for covered in (edge, -edge):
-            diffs[k][0] = covered
-            phasors(table, diffs)
-        for beyond in (edge + 1, -(edge + 1), 1 << (w * len(rows))):
-            diffs[k][0] = beyond
-            with pytest.raises(IndexError):
-                phasors(table, diffs)
+    values = np.concatenate([[0, 1, max_term, -max_term, target, target + 1],
+                             rng.integers(-max_term, max_term + 1, 200)])
+    assert_multipliers_match_scalar(p, target, values, t, table)
+    assert_multipliers_match_scalar(p, -target, values, t, table)
+    # the largest |v| the first order's rows cover passes; one more, or one
+    # more digit, raises
+    w, rows = bits[0], table.rows[0]
+    edge = (len(rows[-1]) << (w * (len(rows) - 1))) - 1
+    for covered in (edge, -edge):
+        value_phasors(table, np.array([covered]))
+    for beyond in (edge + 1, -(edge + 1), 1 << (w * len(rows))):
+        with pytest.raises(IndexError):
+            value_phasors(table, np.array([beyond]))
 
 
 def test_kernel_scratch_reuse_is_bitwise():
     # blocks run through one scratch, the last one short, give the values of
-    # calls that allocate their own buffers
-    p = OscillatorParams(couplings=(0.7, 0.3))
-    trials = np.arange(0, 5000, 7, dtype=np.int64)
-    table = phase_table(p, 1.3, 5000)
-    scratch = KernelScratch(300)
-    for lo in range(0, len(trials), 300):
-        block = trials[lo : lo + 300]
-        want_cos, want_sin = phasors(table, term_differences(2, 2500, block))
-        cos, sin = phasors(table, term_differences(2, 2500, block, out=scratch), out=scratch)
-        assert np.array_equal(cos, want_cos) and np.array_equal(sin, want_sin)
-        want = eps_squared_batch(1.5, want_cos)
-        assert np.array_equal(eps_squared_batch(1.5, cos, out=cos), want)
+    # calls that allocate their own buffers, on the int64 and object paths
+    for p, values, target in (
+            (OscillatorParams(couplings=(0.7, 0.3)),
+             np.arange(-2500, 5000, 7, dtype=np.int64), 2500),
+            (OscillatorParams(couplings=(0.9, 0.1, 0.01, 0.001)),
+             np.arange(_K4_MAX - 2000 * 97, _K4_MAX, 97, dtype=np.int64), _K4_MAX - 5)):
+        bound = max(abs(int(values.min())), abs(int(values.max())))
+        table = phase_table(p, 1.3, bound)
+        q = target_phasors(p, 1.3, [target])[0]
+        scratch = KernelScratch(300)
+        for lo in range(0, len(values), 300):
+            block = values[lo : lo + 300]
+            want = value_phasors(table, block) * q
+            z = value_phasors(table, block, out=scratch)
+            z *= q
+            assert np.array_equal(z, want)
+            w = eps_squared_batch(1.5, z.real, out=scratch.get("w", block.shape))
+            assert np.array_equal(w, eps_squared_batch(1.5, want.real))
 
 
 @pytest.mark.parametrize("p,target,trials", WIDE_CASES)

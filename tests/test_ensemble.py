@@ -8,7 +8,8 @@ import pytest
 
 from hoamp import ensemble
 from hoamp.dynamics import (KERNEL_BLOCK, KernelScratch, MarkerAmplitude, OscillatorParams,
-                            epsilon_overlap, phase_delta)
+                            epsilon_overlap, phase_delta, phase_table, target_phasors,
+                            value_phasors)
 from hoamp.ensemble import (TargetState, TrialEnsemble, apply_entry_multipliers,
                             ceil_sqrt, conditional_update, factoring_ranges, fidelity,
                             init_uniform_factoring, member_masses, sample)
@@ -147,6 +148,36 @@ def test_conditioning_reuses_one_scratch_per_worker(monkeypatch):
         outs.append(conditional_update(st, PARAMS, MarkerAmplitude(2.0), 50_000, 0.9))
         assert 1 <= len(made) <= threads and set(made) == {KERNEL_BLOCK}
     assert outs[0].post_state.mass.tobytes() == outs[1].post_state.mass.tobytes()
+
+
+def test_on_target_bin_keeps_multiplier_exactly_one(monkeypatch):
+    # Re(Q_N * P_N) alone rounds to 1 +- an ulp: the bin whose key is the
+    # target must still be multiplied by exactly 1.0, and no bin by more
+    blocks = []
+    condition = ensemble._condition
+
+    def spy(state, block_multipliers, prev_norm, in_place):
+        n, scratch = len(state.keys), KernelScratch(KERNEL_BLOCK)
+        blocks.append(np.concatenate([
+            block_multipliers(lo, min(lo + KERNEL_BLOCK, n), scratch).copy()
+            for lo in range(0, n, KERNEL_BLOCK)]))
+        return condition(state, block_multipliers, prev_norm, in_place)
+
+    monkeypatch.setattr(ensemble, "_condition", spy)
+    raw_misses = 0
+    for N in (35, 899, 6557, 205_193):
+        st = init_uniform_factoring(N) if N < 10**5 else \
+            TrialEnsemble.uniform(np.arange(N - 70_000, N + 70_000, dtype=np.int32),
+                                  np.ones(140_000, dtype=np.int32), None)
+        i = int(np.searchsorted(st.keys, N))
+        for t in np.linspace(0.05, 6.2, 17):
+            conditional_update(st, PARAMS, MarkerAmplitude(2.0), N, t)
+            mult = blocks.pop()
+            assert mult[i] == 1.0 and mult.max() <= 1.0
+            table = phase_table(PARAMS, t, int(st.keys[-1]))
+            z = value_phasors(table, st.keys[i : i + 1]) * target_phasors(PARAMS, t, [N])[0]
+            raw_misses += z.real[0] != 1.0
+    assert raw_misses        # the pin is what makes it exact
 
 
 def test_factor_target():

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from hoamp import solver
 from hoamp.constraints import ConstraintSystem, feasible_set
-from hoamp.dynamics import MarkerAmplitude, OscillatorParams, epsilon_overlap, phase_delta
+from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap, phase_delta,
+                            phase_table, target_phasors, value_phasors)
 from hoamp.ensemble import init_uniform_factoring, member_masses
 from hoamp.errors import DomainTooLarge, InfeasibleSystem
 from hoamp.factoring import FactoringConfig, run_factoring
@@ -30,6 +32,28 @@ INEQ_SMALL = {
     "constraints": [
         {"expr": "x + y", "relation": "<=", "bound": 3},
         {"expr": "x*y", "relation": ">=", "bound": 2},
+    ],
+}
+THREE_CONSTRAINTS = {
+    "variables": [{"name": "x", "bound": 7}, {"name": "y", "bound": 7}],
+    "constraints": [
+        {"expr": "x + y", "relation": "<=", "bound": 6},
+        {"expr": "x*y", "relation": ">=", "bound": 5},
+        {"expr": "x^2 + y", "relation": ">=", "bound": 7},
+    ],
+}
+EQ_AND_SUM = {
+    "variables": [{"name": "x", "bound": 12}, {"name": "y", "bound": 12}],
+    "constraints": [
+        {"expr": "x*y", "relation": "=", "bound": 12},
+        {"expr": "x + y", "relation": "<=", "bound": 8},
+    ],
+}
+GRID_40 = {
+    "variables": [{"name": "x", "bound": 40}, {"name": "y", "bound": 40}],
+    "constraints": [
+        {"expr": "x + y", "relation": "<=", "bound": 40},
+        {"expr": "x*y", "relation": ">=", "bound": 200},
     ],
 }
 
@@ -120,6 +144,53 @@ def test_constraint_multipliers_interval_set_matches_scalar():
             assert 0.0 < m < 1.0
 
 
+@pytest.mark.parametrize("doc", [INEQ_SMALL, THREE_CONSTRAINTS, EQ_AND_SUM,
+                                 EQ_FACTORING_35, GRID_40])
+def test_max_mode_matches_pairwise_reference(doc, monkeypatch):
+    # the outer-product max against a violators x accepted reference from
+    # the scalar phase_delta, within 1e-15 on cos Delta
+    seen = []
+    eps_squared = solver.eps_squared_batch
+
+    def spy(alpha_mag, cos, out=None):
+        seen.append(np.array(cos))
+        return eps_squared(alpha_mag, cos, out)
+
+    monkeypatch.setattr(solver, "eps_squared_batch", spy)
+    system = make_system(doc)
+    state = uniform_state(system)
+    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
+    for k, acc in enumerate(build_accepted_sets(system)):
+        vals = state.keys[:, k].astype(np.int64)
+        for t in (0.3, 2.71, 6.1):
+            mult, ok = constraint_multipliers(vals, acc, params, 2.0, t, "max")
+            bad = vals[~ok]
+            if not len(bad):
+                continue
+            (cos,) = seen
+            seen.clear()
+            # K = 1: the angle depends on x - v only
+            diffs = acc.values[None, :] - bad[:, None]
+            lo = int(diffs.min())
+            ref = np.array([math.cos(phase_delta(params, d, 0, t).angle)
+                            for d in range(lo, int(diffs.max()) + 1)])
+            assert np.abs(cos - ref[diffs - lo].max(axis=1)).max() <= 1e-15
+            assert np.array_equal(mult[~ok], eps_squared(2.0, cos))
+
+
+def test_best_cos_columns_are_the_factoring_product():
+    # with one accepted value the outer product is factoring's Re(q * P_v),
+    # bit for bit, and every column of a wider one is too
+    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
+    vals = np.arange(-3000, 9000, 7, dtype=np.int64)
+    for t in (0.3, 2.71, 6.1):
+        p = value_phasors(phase_table(params, t, 9000), vals)
+        q = target_phasors(params, t, [35, 8191, -77, 4_000])
+        assert np.array_equal(solver._best_cos(p, q[:1]), (p * q[0]).real)
+        full = np.maximum.reduce([(p * x).real for x in q])
+        assert np.array_equal(solver._best_cos(p, q), full)
+
+
 def test_uniform_state_box():
     # bins are the distinct rows (x+y, x*y) over the 16 box tuples
     st = uniform_state(make_system(INEQ_SMALL))
@@ -181,14 +252,7 @@ def test_inequality_solutions_match_feasible_set():
 
 
 def test_three_constraint_system_converges():
-    system = make_system({
-        "variables": [{"name": "x", "bound": 7}, {"name": "y", "bound": 7}],
-        "constraints": [
-            {"expr": "x + y", "relation": "<=", "bound": 6},
-            {"expr": "x*y", "relation": ">=", "bound": 5},
-            {"expr": "x^2 + y", "relation": ">=", "bound": 7},
-        ],
-    })
+    system = make_system(THREE_CONSTRAINTS)
     bank = MarkerBank.uniform(3, alpha=3.0)
     report = run_solver(system, bank=bank, seed=3, L_max=120, stop_mass=0.999)
     assert {t for t, _ in report.solutions} == feasible_set(system)
@@ -198,13 +262,7 @@ def test_three_constraint_system_converges():
 
 
 def test_sum_clipped_mode_equality_converges():
-    system = make_system({
-        "variables": [{"name": "x", "bound": 12}, {"name": "y", "bound": 12}],
-        "constraints": [
-            {"expr": "x*y", "relation": "=", "bound": 12},
-            {"expr": "x + y", "relation": "<=", "bound": 8},
-        ],
-    })
+    system = make_system(EQ_AND_SUM)
     report = run_solver(system, mode="sum-clipped", seed=3, L_max=40,
                         stop_mass=0.999)
     assert {t for t, _ in report.solutions} == feasible_set(system)
