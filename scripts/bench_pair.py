@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs: a parent checkout against the working tree.
+"""Paired benchmark runs: a parent commit against the working tree.
 
     python3 scripts/bench_pair.py --out BENCH_<n>.json
     python3 scripts/bench_pair.py --parent-rev HEAD~1 --workloads factor-bins \\
-        --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH_<n>.json
+        --out BENCH_<n>.json
 
-For every workload and seed, ``benchmarks/run.py`` runs once on the parent
-and once on the working tree, one right after the other; which goes first
-alternates from pair to pair, so a host that drifts slower or faster over
-the session does not favour either side.  Each tree runs its own
-``benchmarks/run.py`` against its own ``src/``.  ``--traced-pairs`` adds that
-many ``--trace 1`` pairs per workload, for the per-layer metrics.
+For every workload and seed (default 1-10), ``benchmarks/run.py`` runs once
+on the parent and once on the working tree, one right after the other;
+which goes first alternates from pair to pair, so a host that drifts slower
+or faster over the session does not favour either side.  Each tree runs its
+own ``benchmarks/run.py`` against its own ``src/``, for the ``run_seconds``
+that ``BENCHMARK.json`` fixes.  One more ``--trace 1`` pair per workload, on
+the first seed, gives the per-layer metrics.
 
-The parent is a checkout given by ``--parent``, or the commit ``--parent-rev``
-exported with ``git archive`` into a temporary directory (default ``HEAD``:
-the working tree against its last commit).  The output holds, per workload
-and metric, the median parent value, the median change value and the pair
-count, with every pair's values; runs that failed or were not correct are
-counted per side.
+The parent is the commit ``--parent-rev`` (default ``HEAD``: the working
+tree against its last commit), exported with ``git archive`` into a
+temporary directory.  The output holds, per workload and metric, the median
+parent value, the median change value and the pair count, with every pair's
+values; runs that failed or were not correct are counted per side.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("factor-bins", "factor-explicit", "search-128k", "solve-grid")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    BENCHMARK = json.load(_fh)
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+TRACED_PAIRS = 1        # --trace 1 pairs per workload, on the first seeds
 
 
 def export_rev(rev: str, dest: str) -> None:
@@ -95,38 +98,27 @@ def summarize(runs: dict) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    where = parser.add_mutually_exclusive_group()
-    where.add_argument("--parent", help="an existing checkout of the parent")
-    where.add_argument("--parent-rev", default="HEAD",
-                       help="commit to export as the parent (default HEAD)")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
-    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=27.0)
-    parser.add_argument("--traced-pairs", type=int, default=1,
-                        help="traced (per-layer) pairs per workload, seeds from --seeds")
+    parser.add_argument("--parent-rev", default="HEAD",
+                        help="commit to export as the parent (default HEAD)")
+    parser.add_argument("--workloads", nargs="+", default=WORKLOADS, choices=WORKLOADS)
+    parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        if args.parent:
-            parent, label = os.path.abspath(args.parent), args.parent
-        else:
-            export_rev(args.parent_rev, tmp)
-            label = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent_rev],
-                                   check=True, capture_output=True, text=True).stdout.strip()
-            parent = tmp
+    seconds = float(BENCHMARK["run_seconds"])
+    label = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent_rev],
+                           check=True, capture_output=True, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
+        export_rev(label, parent)
         trees = {"parent": parent, "change": ROOT}
-        doc = {"parent": label, "seconds": args.seconds, "nproc": len(os.sched_getaffinity(0)),
+        doc = {"parent": label, "seconds": seconds, "nproc": len(os.sched_getaffinity(0)),
                "python": sys.version.split()[0], "end_to_end": {}, "per_layer": {}}
         for w, workload in enumerate(args.workloads):
             print(f"{workload}: {len(args.seeds)} end-to-end pairs", flush=True)
-            runs = pair_runs(trees, workload, args.seeds, args.seconds, 0, w)
+            runs = pair_runs(trees, workload, args.seeds, seconds, 0, w)
             doc["end_to_end"][workload] = summarize(runs)
-            if args.traced_pairs:
-                seeds = args.seeds[: args.traced_pairs]
-                runs = pair_runs(trees, workload, seeds, args.seconds, 1, w)
-                doc["per_layer"][workload] = summarize(runs)
+            runs = pair_runs(trees, workload, args.seeds[:TRACED_PAIRS], seconds, 1, w)
+            doc["per_layer"][workload] = summarize(runs)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -159,10 +159,11 @@ def _constraint_params(bank: MarkerBank, k: int) -> OscillatorParams:
     return OscillatorParams(omega=(bank.omegas[k],), couplings=(1.0,))
 
 
-def _values_int64(vals) -> np.ndarray:
+def _int_values(vals) -> np.ndarray:
+    """Python-int (object) values as int64; integer arrays as they are."""
     if vals.dtype == object:
         return np.array([int(v) for v in vals], dtype=np.int64)
-    return vals.astype(np.int64, copy=False)     # int32 keys: differences need 64 bits
+    return vals
 
 
 def _best_cos(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -181,7 +182,7 @@ def _best_cos(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorParams,
                            alpha_mag: float, t: float, mode: str):
     """Per-entry mass multiplier for one constraint, and the satisfied mask."""
-    vals = _values_int64(values)
+    vals = _int_values(values)
     ok = accepted.contains(vals)
     mult = np.ones(len(vals), dtype=np.float64)
     idx = np.flatnonzero(~ok)
@@ -254,7 +255,7 @@ def uniform_state(system: ConstraintSystem, tuples: np.ndarray = None) -> TrialE
                             indexing="ij")
         tuples = np.stack([g.ravel() for g in grids], axis=1)
     cols = {name: tuples[:, j] for j, name in enumerate(system.names)}
-    values = np.stack([_values_int64(expr.evaluate_batch(cols))
+    values = np.stack([_int_values(expr.evaluate_batch(cols))
                        for expr, _, _ in system.constraints], axis=1)
     # the rows of np.unique(values, axis=0), from one stable lexsort: 7x
     # faster at 2.25M rows, and it keeps domain order within a bin

@@ -334,7 +334,18 @@ NARROW_CASES = [
     (OscillatorParams(), 9_000, (7,)),                          # two 7-bit digits
     (OscillatorParams(), 1 << 30, (11,)),                       # three 11-bit digits
     (OscillatorParams(couplings=(0.7, 0.3)), 1_000, (10, 10)),  # K = 2: one digit, two
+    (OscillatorParams(couplings=(0.7, 0.3)), 9_000, (7, 9)),    # K = 2: two digits, three
 ]
+
+
+def _iroot(x: int, k: int) -> int:
+    """The largest integer v >= 0 with v**k <= x."""
+    v = round(x ** (1.0 / k))
+    while v**k > x:
+        v -= 1
+    while (v + 1) ** k <= x:
+        v += 1
+    return v
 
 
 @pytest.mark.parametrize("p,max_term,bits", NARROW_CASES)
@@ -348,15 +359,28 @@ def test_narrow_phase_tables(p, max_term, bits):
                              rng.integers(-max_term, max_term + 1, 200)])
     assert_multipliers_match_scalar(p, target, values, t, table)
     assert_multipliers_match_scalar(p, -target, values, t, table)
-    # the largest |v| the first order's rows cover passes; one more, or one
-    # more digit, raises
-    w, rows = bits[0], table.rows[0]
-    edge = (len(rows[-1]) << (w * (len(rows) - 1))) - 1
-    for covered in (edge, -edge):
-        value_phasors(table, np.array([covered]))
-    for beyond in (edge + 1, -(edge + 1), 1 << (w * len(rows))):
-        with pytest.raises(IndexError):
-            value_phasors(table, np.array([beyond]))
+    # per order k: the largest |v| whose v^k the order's rows cover passes
+    # that order's check, and one more fails it, or the check of the first
+    # order that stops covering it
+    covers = []
+    for w, rows in zip(bits, table.rows):
+        edge = (len(rows[-1]) << (w * (len(rows) - 1))) - 1
+        covers.append(_iroot(edge, len(covers) + 1))
+    for k, v in enumerate(covers, start=1):
+        for covered in (v, -v):
+            try:
+                value_phasors(table, np.array([covered]))
+            except IndexError as e:
+                assert v > min(covers) and f"v^{k}|" not in str(e)
+        first = next(j for j, c in enumerate(covers, start=1) if c <= v)
+        for beyond in (v + 1, -(v + 1)):
+            with pytest.raises(IndexError, match=rf"\|v\^{first}\|"):
+                value_phasors(table, np.array([beyond]))
+    largest = min(covers)
+    value_phasors(table, np.array([largest, -largest]))
+    # one more first-order digit than the table has
+    with pytest.raises(IndexError, match=r"\|v\^1\|"):
+        value_phasors(table, np.array([1 << (bits[0] * len(table.rows[0]))]))
 
 
 def test_kernel_scratch_reuse_is_bitwise():
