@@ -350,9 +350,6 @@ class ConstraintSystem:
             size *= bound + 1
         return size
 
-    def var_bounds(self) -> dict:
-        return {n: (0, b) for n, b in self.variables}
-
     @classmethod
     def from_json(cls, doc) -> "ConstraintSystem":
         if isinstance(doc, str):

@@ -18,13 +18,17 @@ both of which equal 1 exactly on satisfying tuples and never exceed 1.
 Every multiplier depends on a tuple only through its row of constraint values
 (f_1(x), ..., f_B(x)), so the state bins the domain tuples by that row
 (np.unique over the rows) and each iteration computes one multiplier per
-distinct row.  The multipliers come from factoring's value-phasor kernel:
-per constraint and iteration, one phasor P_v per distinct violating value
-and one exactly reduced Q_x per accepted value, so cos Delta(x, v) =
-Re(Q_x * P_v).  Max mode takes the outer product of the two a block of
-violators at a time and its largest real part per violator.  With a single
-accepted value (equality constraints) the two modes coincide, and the outer
-product has one column, factoring's own Re(Q * P_v): over the factoring
+distinct row.  The accepted values of f_k are read from those rows: the
+values f_k takes over the domain that satisfy its relation.  The multipliers
+come from factoring's value-phasor kernel: per constraint and iteration, one
+phasor P_v per violating row and one exactly reduced Q_x per accepted value,
+so cos Delta(x, v) = Re(Q_x * P_v).  Max mode is exact at every domain size:
+the largest Re(Q_x * P_v) is taken at the Q_x nearest to conj(P_v) on the
+circle, found by one binary search among the sorted angles of the Q_x, so a
+step costs O((V + A) log A) for V violating rows and A accepted values.
+Sum-clipped mode loops over the accepted values and is refused above 10^6
+domain tuples.  With a single accepted value (equality constraints) the two
+modes coincide and the max is factoring's own Re(Q * P_v): over the factoring
 rectangle, the embedding f = m1*m2, a = N has factoring's product bins as its
 bins and reproduces that module's arithmetic bit for bit.
 """
@@ -37,15 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSystem, relation_accepts
-from .dynamics import (KERNEL_BLOCK, OscillatorParams, alpha_at, eps_squared_batch,
-                       normalize_alpha_schedule, phase_table, target_phasors,
-                       value_phasors)
+from .dynamics import (OscillatorParams, alpha_at, eps_squared_batch, normalize_alpha_schedule,
+                       phase_table, target_phasors, value_phasors)
 from .ensemble import TrialEnsemble, apply_entry_multipliers, member_masses, sample
-from .errors import DomainTooLarge, InfeasibleSystem
+from .errors import DomainTooLarge, EmptyRange, InfeasibleSystem
 from .factoring import STREAM_SAMPLE, STREAM_TIMES, sample_times
 from .rng import SplitMix64
 
-_ACCEPTED_ENUM_CAP = 1_000_000
+_SUM_CLIPPED_CAP = 1_000_000
 _STATE_CAP = 4_000_000
 
 
@@ -74,63 +77,31 @@ class MarkerBank:
 
 @dataclass(frozen=True)
 class AcceptedSet:
-    """Accepted marker values of one constraint over the trial domain.
-
-    `values` is the exact achievable set when the domain is small enough to
-    enumerate; otherwise it is None and [lo, hi] is the range-propagated
-    envelope intersected with the relation (membership then ignores
-    achievability gaps, and the max-mode multiplier uses the nearest accepted
-    integer, exact whenever the phase step stays below pi).
-    """
+    """Accepted marker values of one constraint: the sorted distinct values
+    of f_k over the trial domain that satisfy the relation."""
 
     relation: str
     bound: float
-    values: np.ndarray = None
-    lo: int = None
-    hi: int = None
+    values: np.ndarray
 
     def contains(self, vals: np.ndarray) -> np.ndarray:
-        if self.values is not None:
-            return np.isin(vals, self.values)
-        return (vals >= self.lo) & (vals <= self.hi)
+        return np.isin(vals, self.values)
 
 
-def build_accepted_sets(system: ConstraintSystem) -> list:
-    """Accepted value set per constraint; InfeasibleSystem if any is empty."""
+def build_accepted_sets(system: ConstraintSystem, state: TrialEnsemble) -> list:
+    """Accepted value set per constraint, read from the state's keys (every
+    value f_k takes over the domain); InfeasibleSystem if any is empty."""
     out = []
-    enumerable = system.domain_size() <= _ACCEPTED_ENUM_CAP
-    if enumerable:
-        grids = np.meshgrid(
-            *[np.arange(b + 1, dtype=np.int64) for _, b in system.variables],
-            indexing="ij")
-        cols = {name: g.ravel() for (name, _), g in zip(system.variables, grids)}
-    for expr, relation, bound in system.constraints:
-        if enumerable:
-            vals = expr.evaluate_batch(cols)
-            distinct = np.unique(vals.astype(np.int64)) if vals.dtype != object else \
-                np.unique(np.array(sorted({int(v) for v in vals}), dtype=np.int64))
-            keep = np.fromiter((relation_accepts(int(v), relation, bound) for v in distinct),
-                               dtype=bool, count=len(distinct))
-            accepted = distinct[keep]
-            if len(accepted) == 0:
-                raise InfeasibleSystem(
-                    f"no achievable value of {expr.source!r} satisfies {relation} {bound}")
-            out.append(AcceptedSet(relation=relation, bound=bound, values=accepted))
-        else:
-            lo, hi = expr.interval(system.var_bounds())
-            if relation == "<=":
-                hi = min(hi, math.floor(bound))
-            elif relation == ">=":
-                lo = max(lo, math.ceil(bound))
-            else:
-                if not float(bound).is_integer() or not lo <= int(bound) <= hi:
-                    raise InfeasibleSystem(
-                        f"{expr.source!r} = {bound} unreachable within [{lo}, {hi}]")
-                lo = hi = int(bound)
-            if lo > hi:
-                raise InfeasibleSystem(
-                    f"{expr.source!r} {relation} {bound} unreachable")
-            out.append(AcceptedSet(relation=relation, bound=bound, lo=lo, hi=hi))
+    for k, (expr, relation, bound) in enumerate(system.constraints):
+        col = state.keys[:, k]
+        vals = np.sort(col[relation_accepts(col, relation, bound)]).astype(np.int64)
+        if len(vals) == 0:
+            raise InfeasibleSystem(
+                f"no achievable value of {expr.source!r} satisfies {relation} {bound}")
+        # sort plus a change mask: np.unique hashes, ~30x slower at 2.25M keys
+        first = np.ones(len(vals), dtype=bool)
+        first[1:] = vals[1:] != vals[:-1]
+        out.append(AcceptedSet(relation=relation, bound=bound, values=vals[first]))
     return out
 
 
@@ -159,30 +130,20 @@ def _constraint_params(bank: MarkerBank, k: int) -> OscillatorParams:
     return OscillatorParams(omega=(bank.omegas[k],), couplings=(1.0,))
 
 
-def _int_values(vals) -> np.ndarray:
-    """Python-int (object) values as int64; integer arrays as they are."""
-    if vals.dtype == object:
-        return np.array([int(v) for v in vals], dtype=np.int64)
-    return vals
-
-
 def _best_cos(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per value phasor p_v, the largest cos(Delta) = Re(q_x p_v) over the
-    accepted-value phasors q_x, from the outer product a block at a time."""
-    best = np.empty(len(p), dtype=np.float64)
-    block = max(1, KERNEL_BLOCK // len(q))
-    prod = np.empty((min(block, len(p)), len(q)), dtype=np.complex128)
-    for start in range(0, len(p), block):
-        chunk = p[start : start + block, None]
-        z = np.multiply(chunk, q[None, :], out=prod[: len(chunk)])
-        np.max(z.real, axis=1, out=best[start : start + len(chunk)])
-    return best
+    accepted-value phasors q_x.  That is taken at the q_x nearest to
+    conj(p_v) on the circle, one of the two neighbours of -angle(p_v) among
+    the sorted angles of q (with wrap-around): O((V + A) log A)."""
+    q = q[np.argsort(np.angle(q))]
+    i = np.searchsorted(np.angle(q), -np.angle(p))
+    return np.maximum((q[i - 1] * p).real, (q[i % len(q)] * p).real)
 
 
 def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorParams,
                            alpha_mag: float, t: float, mode: str):
     """Per-entry mass multiplier for one constraint, and the satisfied mask."""
-    vals = _int_values(values)
+    vals = np.asarray(values)
     ok = accepted.contains(vals)
     mult = np.ones(len(vals), dtype=np.float64)
     idx = np.flatnonzero(~ok)
@@ -191,22 +152,15 @@ def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorPara
     if mode not in ("max", "sum-clipped"):
         raise ValueError(f"unknown mode {mode!r}")
     bad = vals[idx]
-    targets = accepted.values
-    if targets is None and mode == "sum-clipped":
-        raise DomainTooLarge("sum-clipped mode needs an enumerable accepted set")
     table = phase_table(params, t, max(abs(int(bad.min())), abs(int(bad.max()))))
     p = value_phasors(table, bad)
-    if targets is None:
-        # nearest accepted integer: lo below the interval, hi above it
-        q = target_phasors(params, t, [accepted.lo, accepted.hi])
-        p *= np.where(bad < accepted.lo, q[0], q[1])
-        mult[idx] = eps_squared_batch(alpha_mag, p.real)
-    elif mode == "max":
-        mult[idx] = eps_squared_batch(alpha_mag, _best_cos(p, target_phasors(params, t, targets)))
+    q = target_phasors(params, t, accepted.values)
+    if mode == "max":
+        mult[idx] = eps_squared_batch(alpha_mag, _best_cos(p, q))
     else:
         total = np.zeros(len(bad), dtype=np.float64)
-        for q in target_phasors(params, t, targets):
-            total += eps_squared_batch(alpha_mag, (p * q).real)
+        for q_x in q:
+            total += eps_squared_batch(alpha_mag, (p * q_x).real)
         mult[idx] = np.minimum(1.0, total)
     return mult, ok
 
@@ -216,7 +170,7 @@ def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, bank: Marke
                      accepted_sets=None, in_place: bool = False):
     """One joint conditioning over all B markers; returns (state', SolverRecord)."""
     if accepted_sets is None:
-        accepted_sets = build_accepted_sets(system)
+        accepted_sets = build_accepted_sets(system, state)
     joint = None
     all_ok = None
     for k, acc in enumerate(accepted_sets):
@@ -244,6 +198,16 @@ class _TupleBins:
         return self.tuples[self.starts[i] : self.starts[i + 1]]
 
 
+def _int64_values(expr, cols: dict) -> np.ndarray:
+    """f_k over the domain columns as int64 (the keys' widest dtype)."""
+    vals = expr.evaluate_batch(cols)
+    try:
+        return vals.astype(np.int64, copy=False)
+    except OverflowError:
+        raise DomainTooLarge(f"{expr.source!r} takes values beyond int64 "
+                             f"on the trial domain") from None
+
+
 def uniform_state(system: ConstraintSystem, tuples: np.ndarray = None) -> TrialEnsemble:
     """Uniform mass over the domain tuples (default: the whole bounded box),
     binned by their rows of constraint values."""
@@ -254,9 +218,11 @@ def uniform_state(system: ConstraintSystem, tuples: np.ndarray = None) -> TrialE
         grids = np.meshgrid(*[np.arange(b + 1, dtype=np.int64) for _, b in system.variables],
                             indexing="ij")
         tuples = np.stack([g.ravel() for g in grids], axis=1)
+    if len(tuples) == 0:
+        raise EmptyRange("the trial domain holds no tuples")
     cols = {name: tuples[:, j] for j, name in enumerate(system.names)}
-    values = np.stack([_int_values(expr.evaluate_batch(cols))
-                       for expr, _, _ in system.constraints], axis=1)
+    values = np.stack([_int64_values(expr, cols) for expr, _, _ in system.constraints],
+                      axis=1)
     # the rows of np.unique(values, axis=0), from one stable lexsort: 7x
     # faster at 2.25M rows, and it keeps domain order within a bin
     order = np.lexsort(values.T[::-1])
@@ -280,8 +246,13 @@ def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "m
     """
     if bank is None:
         bank = MarkerBank.uniform(len(system.constraints))
-    accepted_sets = build_accepted_sets(system)
+    size = system.domain_size() if domain is None else len(domain)
+    if mode == "sum-clipped" and size > _SUM_CLIPPED_CAP:
+        # its loop over accepted values costs violators x accepted per step
+        raise DomainTooLarge(f"sum-clipped mode takes at most {_SUM_CLIPPED_CAP} "
+                             f"tuples, got {size}")
     state = uniform_state(system, domain)
+    accepted_sets = build_accepted_sets(system, state)
 
     master = SplitMix64(seed)
     stream = sample_times(times, master.derive(STREAM_TIMES), 1.0)

@@ -254,7 +254,7 @@ def _solver_instance(rng):
     tuples, masses = per_member(state)
     cols = {name: tuples[:, j] for j, name in enumerate(system.names)}
     joint = np.ones(len(tuples), dtype=np.complex128)
-    for acc, (expr, _, _) in zip(build_accepted_sets(system), system.constraints):
+    for acc, (expr, _, _) in zip(build_accepted_sets(system, state), system.constraints):
         vals = expr.evaluate_batch(cols)
         joint *= dense_marker_overlaps(vals, 0.0, MarkerAmplitude(alpha_mag), t,
                                        list(acc.values))[:, 0]

@@ -156,6 +156,28 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     assert run(["solve", "--system", str(f)]) == 4
 
 
+def test_solve_values_beyond_int64_exit_code(tmp_path, capsys):
+    # 200000^4 = 1.6e21 does not fit the solver's int64 keys
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({
+        "variables": [{"name": "x", "bound": 200_000}],
+        "constraints": [{"expr": "x^4", "relation": "<=", "bound": 10}],
+    }))
+    assert run(["solve", "--system", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "'x^4'" in err and "int64" in err
+
+
+def test_solve_sum_clipped_refuses_large_domains(tmp_path, capsys):
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps({
+        "variables": [{"name": "x", "bound": 1_100_000}],
+        "constraints": [{"expr": "x", "relation": "<=", "bound": 10}],
+    }))
+    assert run(["solve", "--system", str(f), "--mode", "sum-clipped"]) == 2
+    assert "runtime error: sum-clipped" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("schedule", [",", "-1", "3,2"])
 def test_solve_bad_alpha_schedule_usage(schedule, tmp_path, capsys):
     f = tmp_path / "sys.json"

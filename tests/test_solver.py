@@ -10,7 +10,7 @@ from hoamp.constraints import ConstraintSystem, feasible_set
 from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap, phase_delta,
                             phase_table, target_phasors, value_phasors)
 from hoamp.ensemble import init_uniform_factoring, member_masses
-from hoamp.errors import DomainTooLarge, InfeasibleSystem
+from hoamp.errors import DomainTooLarge, EmptyRange, InfeasibleSystem
 from hoamp.factoring import FactoringConfig, run_factoring
 from hoamp.solver import (AcceptedSet, MarkerBank, build_accepted_sets,
                           constraint_multipliers, run_solver, solver_iteration,
@@ -70,40 +70,43 @@ def test_marker_bank_validation():
     assert b2.alpha_schedules == ((1.5,),)
 
 
+def accepted_sets(doc):
+    system = make_system(doc)
+    return build_accepted_sets(system, uniform_state(system))
+
+
 def test_accepted_sets_enumerated():
-    system = make_system(INEQ_SMALL)
-    acc = build_accepted_sets(system)
+    acc = accepted_sets(INEQ_SMALL)
     assert list(acc[0].values) == [0, 1, 2, 3]          # x+y <= 3, achievable
     assert list(acc[1].values) == [2, 3, 4, 6, 9]       # x*y >= 2 over [0,3]^2
+    assert acc[0].values.dtype == np.int64
     assert acc[0].contains(np.array([3, 4])).tolist() == [True, False]
 
 
-def test_accepted_sets_range_mode():
-    system = make_system({
-        "variables": [{"name": "x", "bound": 20_000_000}],
-        "constraints": [{"expr": "x", "relation": "<=", "bound": 10}],
-    })
-    acc = build_accepted_sets(system)
-    assert acc[0].values is None
-    assert (acc[0].lo, acc[0].hi) == (0, 10)
+def test_accepted_sets_read_from_the_domain():
+    # a custom domain's sets hold what f_k takes there, not over the box
+    system = make_system(INEQ_SMALL)
+    domain = np.array([[0, 3], [1, 2], [3, 3]])
+    acc = build_accepted_sets(system, uniform_state(system, domain))
+    assert list(acc[0].values) == [3]
+    assert list(acc[1].values) == [2, 9]
 
 
 def test_accepted_sets_infeasible():
     with pytest.raises(InfeasibleSystem):
-        build_accepted_sets(make_system({
+        accepted_sets({
             "variables": [{"name": "x", "bound": 3}],
             "constraints": [{"expr": "x^2", "relation": "=", "bound": 5}],
-        }))
+        })
     with pytest.raises(InfeasibleSystem):
-        build_accepted_sets(make_system({
-            "variables": [{"name": "x", "bound": 20_000_000}],
+        accepted_sets({
+            "variables": [{"name": "x", "bound": 30}],
             "constraints": [{"expr": "x", "relation": ">=", "bound": 1e9}],
-        }))
+        })
 
 
 def test_constraint_multipliers_satisfying_exactly_one():
-    system = make_system(INEQ_SMALL)
-    acc = build_accepted_sets(system)
+    acc = accepted_sets(INEQ_SMALL)
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
     vals = np.array([0, 1, 2, 3, 4, 6], dtype=np.int64)    # x+y values
     mult, ok = constraint_multipliers(vals, acc[0], params, 2.0, 1.234, "max")
@@ -113,8 +116,7 @@ def test_constraint_multipliers_satisfying_exactly_one():
 
 
 def test_constraint_multipliers_sum_clipped_bounded():
-    system = make_system(INEQ_SMALL)
-    acc = build_accepted_sets(system)
+    acc = accepted_sets(INEQ_SMALL)
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
     vals = np.array([0, 1, 5, 8], dtype=np.int64)
     mult, ok = constraint_multipliers(vals, acc[1], params, 2.0, 0.9, "sum-clipped")
@@ -122,10 +124,12 @@ def test_constraint_multipliers_sum_clipped_bounded():
     assert np.all(mult <= 1.0) and np.all(mult > 0.0)
 
 
-def test_constraint_multipliers_interval_set_matches_scalar():
-    # an accepted set too large to enumerate is an interval [lo, hi]; max mode
-    # conditions each violator against its nearest accepted integer
-    acc = AcceptedSet(relation="<=", bound=0.0, lo=-3_000_000_000, hi=5_000_000_000)
+def test_constraint_multipliers_int64_scale_match_scalar():
+    # values past 32 bits: each violator's multiplier is the max over the
+    # accepted values of the scalar |eps(Delta(x, v))|^2
+    acc = AcceptedSet(relation="<=", bound=0.0,
+                      values=np.array([-3_000_000_000, -1, 0, 7, 4_999_999_999,
+                                       5_000_000_000], dtype=np.int64))
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
     vals = np.array([0, 5_000_000_000, 5_000_000_001, 5_000_008_193, 9_876_543_210_123,
                      -3_000_000_001, -3_000_000_000 - (1 << 40), 7, 6_000_000_000],
@@ -138,10 +142,47 @@ def test_constraint_multipliers_interval_set_matches_scalar():
             if inside:
                 assert m == 1.0
                 continue
-            x = min(max(int(v), acc.lo), acc.hi)
-            eps = epsilon_overlap(MarkerAmplitude(1.7), phase_delta(params, x, int(v), t))
-            assert abs(m - abs(eps) ** 2) < 1e-12
+            ref = max(abs(epsilon_overlap(MarkerAmplitude(1.7),
+                                          phase_delta(params, int(x), int(v), t))) ** 2
+                      for x in acc.values)
+            assert abs(m - ref) < 1e-12
             assert 0.0 < m < 1.0
+
+
+def test_max_mode_exact_past_a_million_tuples(monkeypatch):
+    # 1,100,001 one-tuple bins against the accepted values 0..10: each
+    # multiplier is the max over all eleven; at t = 2.71 that is rarely the
+    # one at the nearest accepted integer, 10
+    system = make_system({
+        "variables": [{"name": "x", "bound": 1_100_000}],
+        "constraints": [{"expr": "x", "relation": "<=", "bound": 10}],
+    })
+    seen = []
+    apply = solver.apply_entry_multipliers
+
+    def spy(state, joint, **kw):
+        seen.append(joint.copy())
+        return apply(state, joint, **kw)
+
+    monkeypatch.setattr(solver, "apply_entry_multipliers", spy)
+    t, alpha = 2.71, 2.0
+    state = uniform_state(system)
+    v = state.keys[:, 0].astype(np.int64)
+    solver_iteration(state, system, MarkerBank.uniform(1, alpha=alpha), 1, t)
+    (mult,) = seen
+    assert np.all(mult[v <= 10] == 1.0)
+    # every violator against the pairwise max over the eleven accepted values
+    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
+    bad = v[v > 10]
+    p = value_phasors(phase_table(params, t, int(bad.max())), bad)
+    cos = np.max([(p * q).real for q in target_phasors(params, t, np.arange(11))], axis=0)
+    assert np.abs(mult[v > 10] - solver.eps_squared_batch(alpha, cos)).max() < 1e-12
+    # and a stride of them against the scalar phase_delta
+    for i in np.flatnonzero(v > 10)[::1500]:
+        ref = max(abs(epsilon_overlap(MarkerAmplitude(alpha),
+                                      phase_delta(params, x, int(v[i]), t))) ** 2
+                  for x in range(11))
+        assert abs(mult[i] - ref) < 1e-12
 
 
 @pytest.mark.parametrize("doc", [INEQ_SMALL, THREE_CONSTRAINTS, EQ_AND_SUM,
@@ -160,7 +201,7 @@ def test_max_mode_matches_pairwise_reference(doc, monkeypatch):
     system = make_system(doc)
     state = uniform_state(system)
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
-    for k, acc in enumerate(build_accepted_sets(system)):
+    for k, acc in enumerate(build_accepted_sets(system, state)):
         vals = state.keys[:, k].astype(np.int64)
         for t in (0.3, 2.71, 6.1):
             mult, ok = constraint_multipliers(vals, acc, params, 2.0, t, "max")
@@ -210,6 +251,12 @@ def test_uniform_state_box():
             "variables": [{"name": "x", "bound": 50_000_000}],
             "constraints": [{"expr": "x", "relation": "=", "bound": 3}],
         }))
+
+
+def test_empty_domain_raises_empty_range():
+    system = make_system(INEQ_SMALL)
+    with pytest.raises(EmptyRange):
+        run_solver(system, domain=np.empty((0, 2), dtype=np.int64))
 
 
 def test_equality_mode_matches_factoring_bit_for_bit():
