@@ -19,8 +19,7 @@ one per application:
   which fidelity uses (factoring only).
 
 Factoring's is Rectangle below; its bins are built by a segmented sieve over
-the product range, one 4 MiB window at a time, straight into the key and
-count arrays.
+the product range, one 4 MiB window at a time.
 
 Masses suffice because every reported quantity (Pr(E), C, fidelity against
 the target members, solution mass, samples) depends only on |eps|^2: target
@@ -29,18 +28,29 @@ equal, so their amplitudes never pick up a relative phase.
 tests/test_fockoracle.py checks this against dense complex amplitudes, per
 member tuple.
 
-Conditioning multiplies each bin's mass by its multiplier, reports the
-surviving mass, and renormalizes, in one loop (_condition) for every caller.
+Masses are never renormalized.  The state carries its current total, and
+fidelity, member masses and sampling divide by it.  Conditioning multiplies
+each bin's mass by its multiplier in one loop (_condition) for every caller,
+summing each KERNEL_BLOCK block of bins right after scaling it, while it is
+still in cache; the total C_l is the math.fsum of those block sums in index
+order, and Pr(E_l) = C_l / C_{l-1}.  So results are bit-identical no matter
+how many worker threads run the blocks (pool size capped by HOAMP_THREADS).
+A state whose total falls below 2^-500 (a search with no marked item, an
+infeasible solver system) has its masses scaled up by an exact power of two,
+kept in `shift`, so nothing goes subnormal.
+
 Factoring takes |eps|^2 from the value-phasor kernel in dynamics: per step,
-one phase table and the target's phasor Q (one exactly reduced scalar), both
-made before the chunks are dispatched and shared read-only by the workers.
-Per block of bins a worker gathers each key's phasor P_v, forms
-cos Delta = Re(Q * P_v) and |eps|^2, sets the bin on target to exactly 1,
-scales the masses and sums them while the block is still in cache, with one
-set of kernel buffers per worker reused by every block it runs.
-Renormalizing runs on the same chunks.  The block sums are combined with
-math.fsum in index order, so results are bit-identical no matter how many
-worker threads run the chunks (pool size capped by HOAMP_THREADS).
+one phase table and the target's phasor Q (one exactly reduced scalar).  Per
+block of bins, _block_multipliers gathers each key's phasor P_v, forms
+cos Delta = Re(Q * P_v) and |eps|^2, and sets the bin on target to exactly 1,
+with one set of kernel buffers per worker reused by every block it runs.
+Since the times are fixed before a run and the multipliers depend on the
+product alone, ProductStream computes a whole factoring trajectory without
+storing the state: it sieves the products block by block and takes each
+block through every step with that kernel, keeping only the block sums.  Its
+blocks are cut at the same bin indices as a stored state's, so its totals
+and draws equal those of conditional_update, fidelity and sample bit for bit,
+in memory that does not grow with N.
 """
 
 from __future__ import annotations
@@ -48,6 +58,8 @@ from __future__ import annotations
 import math
 import os
 import queue
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -68,9 +80,13 @@ from .rng import SplitMix64
 
 _CHUNK = 1 << 20
 _VANISH = 1e-300
+# a state total below this is scaled back up by a power of two
+_RESCALE_BELOW = 2.0**-500
 # product slots the bin sieve counts at a time (a 4 MiB int32 window)
 _SIEVE_WINDOW = 1 << 20
-# keys, counts and mass for more bins than this take over 16 GiB
+# rectangles with more trial pairs are refused to bound the run time: sieving
+# and conditioning take time linear in the pairs and bins, while a streamed
+# run's memory does not grow with them
 _MAX_BINS = 1 << 30
 
 
@@ -116,12 +132,19 @@ def factoring_ranges(N: int):
     return n_lo, n_hi, m_lo, m_hi
 
 
+def _block_sums(mass: np.ndarray) -> list:
+    """The sum of each KERNEL_BLOCK block of masses, in index order."""
+    return [float(np.sum(mass[a : a + KERNEL_BLOCK])) for a in range(0, len(mass), KERNEL_BLOCK)]
+
+
 @dataclass
 class TrialEnsemble:
     keys: np.ndarray       # conditioning argument per bin, ascending; (bins, B) for B markers
     counts: np.ndarray     # tuples per bin
-    mass: np.ndarray       # total probability mass per bin
+    mass: np.ndarray       # unnormalized probability mass per bin
     domain: object         # member enumerator: members(keys, i) [, bin_of(keys, member)]
+    total: float = 1.0     # the mass the probabilities are relative to
+    shift: int = 0         # mass and total are scaled by 2**shift
 
     # benchmarks/tracing.py reads these; ROADMAP item 1 deletes this block
     layout = property(lambda self: "binned")
@@ -130,7 +153,7 @@ class TrialEnsemble:
 
     @classmethod
     def uniform(cls, keys: np.ndarray, counts: np.ndarray, domain) -> "TrialEnsemble":
-        """Mass 1/n on each of the n tuples: counts/n per bin."""
+        """Mass 1/n on each of the n tuples: counts/n per bin, total 1."""
         mass = counts.astype(np.float64)
         mass *= 1.0 / int(counts.sum(dtype=np.int64))
         return cls(keys=keys, counts=counts, mass=mass, domain=domain)
@@ -143,15 +166,19 @@ class TrialEnsemble:
         """The tuples of bin i, ascending, one per row."""
         return self.domain.members(self.keys, i)
 
+    def share(self, i: int) -> float:
+        """The probability of each member of bin i."""
+        return float(self.mass[i]) / self.total / float(self.counts[i])
+
     def total_mass(self) -> float:
-        m = self.mass
-        parts = _run_chunks(len(m), lambda ci, a, b: float(np.sum(m[a:b])))
-        return math.fsum(parts)
+        """The sum of the masses, as conditioning totals them: the fsum of the
+        KERNEL_BLOCK block sums."""
+        return math.fsum(_block_sums(self.mass))
 
     def copy(self) -> "TrialEnsemble":
         # keys and counts are never written after construction: shared
         return TrialEnsemble(keys=self.keys, counts=self.counts, mass=self.mass.copy(),
-                             domain=self.domain)
+                             domain=self.domain, total=self.total, shift=self.shift)
 
 
 @dataclass(frozen=True)
@@ -186,7 +213,7 @@ class TargetState:
 class MeasurementOutcome:
     probability: float             # Pr(E_l) = C_l / C_{l-1}
     post_state: TrialEnsemble
-    normalization: float           # cumulative C_l (prev_norm * probability)
+    normalization: float           # cumulative C_l: the post-state's total, unscaled
 
 
 @dataclass(frozen=True)
@@ -198,6 +225,10 @@ class Rectangle:
     n_hi: int
     m_lo: int
     m_hi: int
+
+    @property
+    def n_pairs(self) -> int:
+        return (self.n_hi - self.n_lo + 1) * (self.m_hi - self.m_lo + 1)
 
     def members(self, keys: np.ndarray, i: int) -> np.ndarray:
         """Pairs with n*m = keys[i], ascending n.
@@ -220,39 +251,45 @@ class Rectangle:
         return int(np.searchsorted(keys, keys.dtype.type(n * m)))
 
 
-def init_uniform_factoring(N: int) -> TrialEnsemble:
-    """Uniform mass 1/n_pairs over all trial pairs for factoring N, in product bins."""
+def trial_rectangle(N: int) -> Rectangle:
+    """The trial pairs for factoring N; EmptyRange if there are none and
+    DomainTooLarge past the pair cap."""
     n_lo, n_hi, m_lo, m_hi = factoring_ranges(N)
     if n_hi < n_lo or m_hi < m_lo:
         raise EmptyRange(
             f"trial ranges for N={N} are empty: n in [{n_lo},{n_hi}], m in [{m_lo},{m_hi}]"
         )
-    n_pairs = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
-    if n_pairs > _MAX_BINS:     # a rectangle has no more product bins than pairs
-        raise DomainTooLarge(f"N={N} has {n_pairs} trial pairs; product bins for more "
-                             f"than {_MAX_BINS} would not fit")
-    keys, counts = _product_bins(n_lo, n_hi, m_lo, m_hi)
-    return TrialEnsemble.uniform(keys, counts, Rectangle(n_lo, n_hi, m_lo, m_hi))
+    rect = Rectangle(n_lo, n_hi, m_lo, m_hi)
+    if rect.n_pairs > _MAX_BINS:
+        raise DomainTooLarge(f"N={N} has {rect.n_pairs} trial pairs; the cap of "
+                             f"{_MAX_BINS} bounds the run time")
+    return rect
 
 
-def _product_bins(n_lo: int, n_hi: int, m_lo: int, m_hi: int):
-    """Distinct products n*m over the rectangle, ascending, with pair counts.
+def init_uniform_factoring(N: int) -> TrialEnsemble:
+    """Uniform mass 1/n_pairs over all trial pairs for factoring N, in product bins."""
+    rect = trial_rectangle(N)
+    keys, counts = _product_bins(rect.n_lo, rect.n_hi, rect.m_lo, rect.m_hi)
+    return TrialEnsemble.uniform(keys, counts, rect)
+
+
+def _key_dtype(vmax: int):
+    return np.int32 if vmax < 2**31 else np.int64
+
+
+def _sieve(n_lo: int, n_hi: int, m_lo: int, m_hi: int, start: int):
+    """The distinct products n*m over the rectangle from `start` on, ascending.
 
     A segmented sieve: one window of _SIEVE_WINDOW product slots at a time,
-    each n adding 1 at its multiples n*m that fall in the window, and the
-    nonzero slots appended to keys/counts.  Those are allocated for one bin
-    per pair, the most there can be, and shrunk to fit at the end; pages
-    never written cost no memory.
+    each n adding 1 at its multiples n*m that fall in the window.  Yields
+    (w0, offsets, counts) per window: its products are w0 + offsets, with
+    counts pairs each.
     """
-    n_pairs = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
     vmin, vmax = n_lo * m_lo, n_hi * m_hi
-    keys = np.empty(n_pairs, dtype=np.int32 if vmax < 2**31 else np.int64)
-    counts = np.empty(n_pairs, dtype=np.int32)
     width = min(_SIEVE_WINDOW, vmax - vmin + 1)
     window = np.empty(width, dtype=np.int32)
-    offsets = np.arange(width, dtype=keys.dtype)
-    out = 0
-    for w0 in range(vmin, vmax + 1, width):
+    offsets = np.arange(width, dtype=_key_dtype(vmax))
+    for w0 in range(start, vmax + 1, width):
         w1 = min(w0 + width, vmax + 1)
         win = window[: w1 - w0]
         win.fill(0)
@@ -261,10 +298,24 @@ def _product_bins(n_lo: int, n_hi: int, m_lo: int, m_hi: int):
             first = max(n * m_lo, -(-w0 // n) * n)
             win[first - w0 : min(n * m_hi, w1 - 1) - w0 + 1 : n] += 1
         nz = win != 0
-        found = np.compress(nz, offsets[: w1 - w0])
+        yield w0, np.compress(nz, offsets[: w1 - w0]), np.compress(nz, win)
+
+
+def _product_bins(n_lo: int, n_hi: int, m_lo: int, m_hi: int):
+    """Distinct products n*m over the rectangle, ascending, with pair counts.
+
+    The sieve's windows are appended to keys/counts, which are allocated for
+    one bin per pair, the most there can be, and shrunk to fit at the end;
+    pages never written cost no memory.
+    """
+    n_pairs = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
+    keys = np.empty(n_pairs, dtype=_key_dtype(n_hi * m_hi))
+    counts = np.empty(n_pairs, dtype=np.int32)
+    out = 0
+    for w0, found, cnt in _sieve(n_lo, n_hi, m_lo, m_hi, n_lo * m_lo):
         stop = out + len(found)
         np.add(found, w0, out=keys[out:stop])
-        counts[out:stop] = np.compress(nz, win)
+        counts[out:stop] = cnt
         out = stop
     # no view of either array is alive, so both shrink in place
     keys.resize(out, refcheck=False)
@@ -272,9 +323,17 @@ def _product_bins(n_lo: int, n_hi: int, m_lo: int, m_hi: int):
     return keys, counts
 
 
-def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
-               in_place: bool) -> MeasurementOutcome:
-    """The conditioning loop: scale each bin's mass, renormalize, report Pr.
+def step_fraction(c: float, prev: float) -> float:
+    """Pr(E) = c / prev, the share of the mass a step keeps;
+    ConditionedMassVanished below 1e-300."""
+    pr = c / prev
+    if not pr >= _VANISH:
+        raise ConditionedMassVanished(f"surviving mass fraction {pr:.3e}")
+    return min(pr, 1.0) if pr <= 1.0 + 1e-9 else pr  # guard rounding overshoot only
+
+
+def _condition(state: TrialEnsemble, block_multipliers, in_place: bool) -> MeasurementOutcome:
+    """The conditioning loop: scale each bin's mass, total it, report Pr.
 
     block_multipliers(lo, hi, scratch) gives the real multipliers of bins
     [lo, hi), called per KERNEL_BLOCK inside each chunk so kernel temporaries
@@ -284,6 +343,7 @@ def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
     combined with math.fsum in index order.
     """
     post = state if in_place else state.copy()
+    prev, shift = state.total, state.shift
     arr = post.mass
     spare = queue.SimpleQueue()     # scratches not in use by a running chunk
 
@@ -300,94 +360,234 @@ def _condition(state: TrialEnsemble, block_multipliers, prev_norm: float,
         spare.put(scratch)
         return sums
 
-    def rescale(ci, a, b):
-        seg = arr[a:b]
-        seg /= c
-
     c = math.fsum(s for sums in _run_chunks(len(arr), job) for s in sums)
-    if c < _VANISH:
-        raise ConditionedMassVanished(f"surviving mass {c:.3e}")
-    _run_chunks(len(arr), rescale)
-    pr = min(c, 1.0) if c <= 1.0 + 1e-9 else c  # guard rounding overshoot only
-    return MeasurementOutcome(probability=pr, post_state=post, normalization=prev_norm * pr)
+    pr = step_fraction(c, prev)
+    post.total = c
+    if c < _RESCALE_BELOW:
+        k = -math.frexp(c)[1]       # c * 2**k in [0.5, 1): exact, and no subnormals
+        _run_chunks(len(arr), lambda ci, a, b: np.ldexp(arr[a:b], k, out=arr[a:b]))
+        post.total, post.shift = math.ldexp(c, k), shift + k
+    return MeasurementOutcome(probability=pr, post_state=post,
+                              normalization=math.ldexp(c, -shift))
 
 
-def apply_entry_multipliers(state: TrialEnsemble, multipliers, prev_norm: float = 1.0,
+def apply_entry_multipliers(state: TrialEnsemble, multipliers,
                             in_place: bool = False) -> MeasurementOutcome:
-    """Multiply each bin's mass by its real multiplier, renormalize, report Pr.
+    """Multiply each bin's mass by its real multiplier and report Pr.
 
-    `multipliers` holds one factor per bin (|eps|^2 or a product of them).  Search and the solver condition through here, and factoring
-    through the same loop, so identical inputs give bit-identical outcomes
-    across modules.
+    `multipliers` holds one factor per bin (|eps|^2 or a product of them).
+    Search and the solver condition through here, and factoring through the
+    same loop, so identical inputs give bit-identical outcomes across modules.
     """
-    return _condition(state, lambda lo, hi, _: multipliers[lo:hi], prev_norm, in_place)
+    return _condition(state, lambda lo, hi, _: multipliers[lo:hi], in_place)
+
+
+def _index_of(keys: np.ndarray, v: int):
+    """The index of key v among ascending keys, or None."""
+    if keys[0] <= v <= keys[-1]:
+        i = int(np.searchsorted(keys, keys.dtype.type(v)))
+        if keys[i] == v:
+            return i
+    return None
+
+
+def _block_multipliers(keys: np.ndarray, table, q: complex, amag: float, target_term: int,
+                       scratch: KernelScratch) -> np.ndarray:
+    """|eps|^2 for one block of ascending product keys against the target
+    phasor q, exactly 1 on the bin whose key is the target term."""
+    z = value_phasors(table, keys, out=scratch, span=(int(keys[0]), int(keys[-1])))
+    z *= q
+    w = eps_squared_batch(amag, z.real, out=scratch.get("w", (len(keys),)))
+    i = _index_of(keys, target_term)
+    if i is not None:
+        w[i] = 1.0
+    return w
 
 
 def conditional_update(state: TrialEnsemble, params: OscillatorParams,
                        alpha: MarkerAmplitude, target_term: int, t: float,
-                       prev_norm: float = 1.0, in_place: bool = False) -> MeasurementOutcome:
+                       in_place: bool = False) -> MeasurementOutcome:
     """One conditional measurement against the target product term.
 
     Every bin's mass is multiplied by |eps|^2 for the phase difference
-    between its product term and the target, the surviving mass Pr(E) is
-    recorded, and the state is renormalized.
+    between its product term and the target, and the surviving mass Pr(E)
+    is recorded.
     """
     amag = alpha.magnitude
     keys = state.keys
-    # keys ascend, so the end bins bound every |key| and give each block's span
+    # keys ascend, so the end bins bound every |key|
     table = phase_table(params, t, max(abs(int(keys[0])), abs(int(keys[-1]))))
     q = target_phasors(params, t, [target_term])[0]
-    hit = -1        # the bin on target, whose multiplier is exactly 1
-    if keys[0] <= target_term <= keys[-1]:
-        i = int(np.searchsorted(keys, keys.dtype.type(target_term)))
-        hit = i if keys[i] == target_term else -1
+    return _condition(state, lambda a, b, scratch: _block_multipliers(
+        keys[a:b], table, q, amag, target_term, scratch), in_place)
 
-    def block(a, b, scratch):
-        z = value_phasors(table, keys[a:b], out=scratch, span=(int(keys[a]), int(keys[b - 1])))
-        z *= q
-        w = eps_squared_batch(amag, z.real, out=scratch.get("w", (b - a,)))
-        if a <= hit < b:
-            w[hit - a] = 1.0
-        return w
 
-    return _condition(state, block, prev_norm, in_place)
+class ProductStream:
+    """A factoring trajectory through fixed steps, with no stored state.
+
+    `steps` holds (t, |alpha|) per iteration.  One pass of the product sieve
+    (the main thread) cuts the rectangle's bins into the global KERNEL_BLOCK
+    blocks that a stored state's conditioning uses, and HOAMP_THREADS
+    workers, with a bounded backlog, take each block from its uniform masses
+    through every step with _block_multipliers.  Per block only the mass sum
+    after each step is kept, and of the on-target bin its count and mass,
+    which its multiplier of exactly 1 never changes.  So total(l), the
+    hit_state(l) that fidelity reads and sample(l, rng) equal those of a
+    stored state after l conditional_update calls, bit for bit; a draw
+    re-sieves and recomputes only the block it falls in.
+    """
+
+    def __init__(self, rect: Rectangle, params: OscillatorParams, target_term: int, steps):
+        self.rect, self.target_term = rect, target_term
+        # the bound a stored state's table gets: its last key, n_hi * m_hi
+        vmax = rect.n_hi * rect.m_hi
+        self._steps = [(phase_table(params, t, vmax), target_phasors(params, t, [target_term])[0],
+                        amag) for t, amag in steps]
+        self._inv = 1.0 / rect.n_pairs
+        # no block holds more bins than the rectangle has pairs
+        self._block_size = min(KERNEL_BLOCK, rect.n_pairs)
+        self._local = threading.local()     # one KernelScratch per thread
+        self.starts = []        # first key of each block
+        self.sums = []          # per block, the mass sum after steps 0..L
+        self._hit = None        # (count, mass) of the on-target bin
+        self._run()
+
+    def _scratch(self) -> KernelScratch:
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = self._local.scratch = KernelScratch(self._block_size)
+        return scratch
+
+    def _blocks(self, start: int):
+        """(keys, counts) of the bins from key `start` on, KERNEL_BLOCK at a time."""
+        r, size = self.rect, self._block_size
+        keys = counts = None
+        fill = size
+        for w0, found, cnt in _sieve(r.n_lo, r.n_hi, r.m_lo, r.m_hi, start):
+            pos = 0
+            while pos < len(found):
+                if fill == size:
+                    if keys is not None:
+                        yield keys, counts
+                    keys = np.empty(size, dtype=found.dtype)
+                    counts = np.empty(size, dtype=np.int32)
+                    fill = 0
+                take = min(size - fill, len(found) - pos)
+                np.add(found[pos : pos + take], w0, out=keys[fill : fill + take])
+                counts[fill : fill + take] = cnt[pos : pos + take]
+                fill += take
+                pos += take
+        if keys is not None:
+            yield keys[:fill], counts[:fill]
+
+    def _block_mass(self, keys, counts, steps, sums=None) -> np.ndarray:
+        """The block's masses after `steps`, as TrialEnsemble.uniform and
+        _condition compute them; sums[l] gets their sum after step l."""
+        scratch = self._scratch()
+        mass = counts.astype(np.float64)
+        mass *= self._inv
+        if sums is not None:
+            sums[0] = np.sum(mass)
+        for l, (table, q, amag) in enumerate(steps, 1):
+            mass *= _block_multipliers(keys, table, q, amag, self.target_term, scratch)
+            if sums is not None:
+                sums[l] = np.sum(mass)
+        return mass
+
+    def _run(self) -> None:
+        def job(b, keys, counts):
+            sums = np.empty(len(self._steps) + 1)
+            mass = self._block_mass(keys, counts, self._steps, sums)
+            self.sums[b] = sums
+            i = _index_of(keys, self.target_term)
+            if i is not None:
+                self._hit = (int(counts[i]), float(mass[i]))
+
+        r = self.rect
+        workers = min(_worker_count(), -(-r.n_pairs // KERNEL_BLOCK))
+        pending = deque()
+        # the pool starts no thread until a job is submitted
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for b, (keys, counts) in enumerate(self._blocks(r.n_lo * r.m_lo)):
+                self.starts.append(int(keys[0]))
+                self.sums.append(None)
+                if workers == 1:
+                    job(b, keys, counts)
+                    continue
+                if len(pending) >= 2 * workers:     # bounds the blocks held at once
+                    pending.popleft().result()
+                pending.append(pool.submit(job, b, keys, counts))
+            for fut in pending:
+                fut.result()
+
+    def total(self, l: int) -> float:
+        """C_l, the total mass after step l: 1 before the first step, as a
+        uniform TrialEnsemble's total."""
+        return math.fsum(float(s[l]) for s in self.sums) if l else 1.0
+
+    def hit_state(self, l: int) -> TrialEnsemble:
+        """The on-target bin alone, with the total after step l: fidelity
+        reads the same share from it as from the whole stored state."""
+        count, mass = self._hit
+        return TrialEnsemble(keys=np.array([self.target_term], dtype=np.int64),
+                             counts=np.array([count]), mass=np.array([mass]),
+                             domain=self.rect, total=self.total(l))
+
+    def sample(self, l: int, rng: SplitMix64) -> tuple:
+        """One pair drawn from the state after step l, as sample() draws it."""
+        keys = None
+
+        def block_mass(b):
+            nonlocal keys
+            keys, counts = next(self._blocks(self.starts[b]))
+            return self._block_mass(keys, counts, self._steps[:l])
+
+        _, i = _draw(rng, [float(s[l]) for s in self.sums], block_mass)
+        return _pick(self.rect.members(keys, i), rng)
 
 
 def fidelity(state: TrialEnsemble, target: TargetState) -> float:
     """Uhlmann fidelity (sum_f sqrt(w_f p_f))^2 against the target members,
-    with p_f the state's mass on member f, an equal share of its bin's mass
-    (members the state does not hold add 0)."""
+    with p_f the state's probability on member f, an equal share of its
+    bin's (members the state does not hold add 0)."""
     acc = 0.0
     for member, w in zip(target.members, target.weights):
         i = state.domain.bin_of(state.keys, member)
         if i is not None:
-            acc += math.sqrt(w * (float(state.mass[i]) / float(state.counts[i])))
+            acc += math.sqrt(w * state.share(i))
     return min(acc * acc, 1.0)
 
 
 def member_masses(state: TrialEnsemble, bins=None) -> list:
-    """(tuple, mass) for every member of the given bins (default: all),
-    ascending by tuple, each member holding an equal share of its bin's mass."""
+    """(tuple, probability) for every member of the given bins (default:
+    all), ascending by tuple, each member holding an equal share of its bin."""
     out = []
     for i in range(len(state.counts)) if bins is None else bins:
         if state.counts[i]:
-            share = float(state.mass[i]) / float(state.counts[i])
+            share = state.share(i)
             out.extend((tuple(m), share) for m in state.members(i).tolist())
     out.sort()
     return out
 
 
-def _locate_quantile(mass: np.ndarray, x: float) -> int:
-    """Index i with cumsum(mass)[i-1] <= x < cumsum(mass)[i], chunk-scanned."""
+def _draw(rng: SplitMix64, sums: list, block_mass) -> tuple:
+    """(block, index in it) of a bin drawn by mass: x uniform in [0, fsum(sums)),
+    the block where the running sum of the block sums passes x, then
+    cumulative-sum inversion inside it; block_mass(b) gives block b's masses."""
+    x = rng.uniform() * math.fsum(sums)
     acc = 0.0
-    for start in range(0, len(mass), _CHUNK):
-        seg = mass[start : start + _CHUNK]
-        s = float(np.sum(seg))
-        if acc + s > x:
-            cum = np.cumsum(seg) + acc
-            return start + int(np.searchsorted(cum, x, side="right"))
+    for b, s in enumerate(sums):
+        if acc + s > x or b == len(sums) - 1:
+            cum = np.cumsum(block_mass(b))
+            cum += acc
+            return b, min(int(np.searchsorted(cum, x, side="right")), len(cum) - 1)
         acc += s
-    return len(mass) - 1
+
+
+def _pick(members: np.ndarray, rng: SplitMix64) -> tuple:
+    """One of a bin's members, uniformly."""
+    j = min(int(rng.uniform() * len(members)), len(members) - 1)
+    return tuple(int(v) for v in members[j])
 
 
 def sample(state: TrialEnsemble, rng_seed) -> tuple:
@@ -397,7 +597,6 @@ def sample(state: TrialEnsemble, rng_seed) -> tuple:
     ascending key order, then one member of the drawn bin, uniformly.
     """
     rng = rng_seed if isinstance(rng_seed, SplitMix64) else SplitMix64(int(rng_seed))
-    x = rng.uniform() * state.total_mass()
-    members = state.members(_locate_quantile(state.mass, x))
-    j = min(int(rng.uniform() * len(members)), len(members) - 1)
-    return tuple(int(v) for v in members[j])
+    m = state.mass
+    b, i = _draw(rng, _block_sums(m), lambda b: m[b * KERNEL_BLOCK : (b + 1) * KERNEL_BLOCK])
+    return _pick(state.members(b * KERNEL_BLOCK + i), rng)

@@ -8,6 +8,13 @@ random times drives the register onto the factor states.
 
 Times are drawn as t_l = (2*pi/g) * r_l with r_l uniform in [0, 1); the unit
 of time throughout is 1/g for the leading coupling g.
+
+Every time is fixed before the run and every multiplier depends on a pair
+only through n*m, so run_factoring computes all L_max steps in one streamed
+pass over the product sieve (ensemble.ProductStream) and keeps no state: its
+memory does not grow with N, while its time grows with L_max, since the stop
+rule only truncates the records afterwards.  The records and the sample are
+bit-identical to a stored-state loop of run_iteration and sample.
 """
 
 from __future__ import annotations
@@ -15,16 +22,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from .dynamics import (MarkerAmplitude, OscillatorParams, alpha_at,
                        normalize_alpha_schedule)
 from .ensemble import (
+    ProductStream,
     TargetState,
     TrialEnsemble,
     conditional_update,
     fidelity,
-    init_uniform_factoring,
-    sample,
+    step_fraction,
+    trial_rectangle,
 )
 from .errors import DomainError
 from .rng import SplitMix64
@@ -155,49 +164,58 @@ def estimate_iterations(pr0: float, lambda_bar: float) -> int:
     return math.ceil(math.log(1.0 / pr0) / math.log(lambda_bar))
 
 
+def _record(config: FactoringConfig, l: int, t_l: float, alpha_mag: float, pr: float,
+            c: float, f_l: float) -> IterationRecord:
+    return IterationRecord(
+        l=l, t_l=t_l, alpha_mag=alpha_mag, pr_E=pr, C_l=c, lambda_l=1.0 / pr,
+        fidelity=f_l, resonant=(pr > 0.999 and f_l < config.stop_fidelity),
+    )
+
+
 def run_iteration(state: TrialEnsemble, config: FactoringConfig, l: int, t_l: float,
-                  prev_norm: float = 1.0, target: TargetState = None,
-                  in_place: bool = False):
-    """One conditioning I_l; returns (post_state, IterationRecord)."""
+                  target: TargetState = None, in_place: bool = False):
+    """One conditioning I_l of a stored state; returns (post_state, IterationRecord)."""
     if target is None:
         target = TargetState.factor_target(config.N)
     alpha = MarkerAmplitude(config.alpha_for(l))
-    out = conditional_update(state, config.params, alpha, config.N, t_l,
-                             prev_norm=prev_norm, in_place=in_place)
-    f_l = fidelity(out.post_state, target)
-    rec = IterationRecord(
-        l=l, t_l=t_l, alpha_mag=alpha.magnitude,
-        pr_E=out.probability, C_l=out.normalization,
-        lambda_l=1.0 / out.probability, fidelity=f_l,
-        resonant=(out.probability > 0.999 and f_l < config.stop_fidelity),
-    )
+    out = conditional_update(state, config.params, alpha, config.N, t_l, in_place=in_place)
+    rec = _record(config, l, t_l, alpha.magnitude, out.probability, out.normalization,
+                  fidelity(out.post_state, target))
     return out.post_state, rec
 
 
 def run_factoring(config: FactoringConfig, progress: bool = False) -> RunReport:
-    """Iterate I_l until stop_fidelity or L_max, then sample the register."""
-    state = init_uniform_factoring(config.N)       # DomainTooLarge before any scan
+    """Iterate I_l until stop_fidelity or L_max (or the end of an explicit
+    list of times), then sample the register.
+
+    All min(L_max, len(times)) steps are computed in one streamed pass; the
+    records stop at the first step that reaches stop_fidelity, and the
+    sample is drawn from the state after it.
+    """
+    rect = trial_rectangle(config.N)                # DomainTooLarge before any scan
     target = TargetState.factor_target(config.N)   # NoFactorInRange if none
     master = SplitMix64(config.seed)
     g = abs(config.params.couplings[0])
-    times = sample_times(config.times, master.derive(STREAM_TIMES), g)
+    times = list(islice(sample_times(config.times, master.derive(STREAM_TIMES), g),
+                        config.L_max))
+    alphas = [MarkerAmplitude(config.alpha_for(l)).magnitude
+              for l in range(1, len(times) + 1)]
+    stream = ProductStream(rect, config.params, config.N, list(zip(times, alphas)))
 
-    f0 = fidelity(state, target)
+    f0 = fidelity(stream.hit_state(0), target)
     records = []
-    c_prev = 1.0
-    for l in range(1, config.L_max + 1):
-        t_l = next(times)
-        state, rec = run_iteration(state, config, l, t_l, prev_norm=c_prev,
-                                   target=target, in_place=True)
+    for l, (t_l, alpha_mag) in enumerate(zip(times, alphas), start=1):
+        c = stream.total(l)
+        rec = _record(config, l, t_l, alpha_mag, step_fraction(c, stream.total(l - 1)), c,
+                      fidelity(stream.hit_state(l), target))
         records.append(rec)
-        c_prev = rec.C_l
         if progress:
             print(f"  l={rec.l:2d} t={rec.t_l:8.4f} pr={rec.pr_E:10.4e} "
                   f"F={rec.fidelity:10.4e}", file=sys.stderr)
         if rec.fidelity >= config.stop_fidelity:
             break
 
-    drawn = sample(state, SplitMix64(master.derive(STREAM_SAMPLE)))
+    drawn = stream.sample(len(records), SplitMix64(master.derive(STREAM_SAMPLE)))
     factors = drawn if drawn[0] * drawn[1] == config.N else None
     return RunReport(
         config=config_echo(config), seed=config.seed, initial_fidelity=f0,
@@ -223,9 +241,9 @@ def config_echo(config: FactoringConfig) -> dict:
 def replay_table1(progress: bool = False) -> RunReport:
     """Re-run the published 15-iteration reference trajectory.
 
-    Needs ~2 GB of memory for the 123 million product bins of the
-    346,833,979 trial pairs; about 6 s with two threads,
-    10 s on one.
+    Streams the 123 million product bins of the 346,833,979 trial pairs
+    through all 15 steps in memory that does not grow with N; about 6 s
+    with two threads, 10 s on one.
     """
     config = FactoringConfig(
         N=TABLE1_N, alpha_schedule=(2.0,), times=TABLE1_TIMES,

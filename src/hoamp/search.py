@@ -170,15 +170,14 @@ def _parity_multipliers(state: TrialEnsemble, config: SearchConfig, alpha_mag: f
 
 
 def solution_mass(state: TrialEnsemble) -> float:
-    return float(math.fsum(state.mass[state.keys % 2 == 0]))
+    return math.fsum(state.mass[state.keys % 2 == 0]) / state.total
 
 
-def search_iteration(state: TrialEnsemble, config: SearchConfig, l: int,
-                     prev_norm: float = 1.0):
+def search_iteration(state: TrialEnsemble, config: SearchConfig, l: int):
     """Evolve t_s, condition on |alpha^(l)>; returns (state', SearchRecord)."""
     alpha_mag = config.alpha_for(l)
     mult, even = _parity_multipliers(state, config, alpha_mag)
-    out = apply_entry_multipliers(state, mult, prev_norm=prev_norm)
+    out = apply_entry_multipliers(state, mult)
     s_mass = solution_mass(out.post_state)
     rec = SearchRecord(l=l, t_l=config.t_s, alpha_mag=alpha_mag,
                        pr_E=out.probability, C_l=out.normalization,
@@ -190,12 +189,10 @@ def run_search(config: SearchConfig, box: BlackBox) -> SearchReport:
     """Amplify until the solution mass reaches stop_mass, then read register 1."""
     state = apply_black_box(initial_search_state(box), box)
     records = []
-    c_prev = 1.0
     try:
         for l in range(1, config.L_max + 1):
-            state, rec = search_iteration(state, config, l, prev_norm=c_prev)
+            state, rec = search_iteration(state, config, l)
             records.append(rec)
-            c_prev = rec.C_l
             if rec.solution_mass >= config.stop_mass:
                 break
     except ConditionedMassVanished as exc:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -166,8 +167,8 @@ def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorPara
 
 
 def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, bank: MarkerBank,
-                     l: int, t_l: float, mode: str = "max", prev_norm: float = 1.0,
-                     accepted_sets=None, in_place: bool = False):
+                     l: int, t_l: float, mode: str = "max", accepted_sets=None,
+                     in_place: bool = False):
     """One joint conditioning over all B markers; returns (state', SolverRecord)."""
     if accepted_sets is None:
         accepted_sets = build_accepted_sets(system, state)
@@ -179,8 +180,8 @@ def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, bank: Marke
                                           bank.alpha_for(k, l), t_l, mode)
         joint = mult if joint is None else joint * mult
         all_ok = ok if all_ok is None else (all_ok & ok)
-    out = apply_entry_multipliers(state, joint, prev_norm=prev_norm, in_place=in_place)
-    sol_mass = float(math.fsum(out.post_state.mass[all_ok]))
+    out = apply_entry_multipliers(state, joint, in_place=in_place)
+    sol_mass = math.fsum(out.post_state.mass[all_ok]) / out.post_state.total
     rec = SolverRecord(l=l, t_l=t_l, pr_E=out.probability, C_l=out.normalization,
                        solution_mass=sol_mass)
     return out.post_state, rec
@@ -257,14 +258,10 @@ def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "m
     master = SplitMix64(seed)
     stream = sample_times(times, master.derive(STREAM_TIMES), 1.0)
     records = []
-    c_prev = 1.0
-    for l in range(1, L_max + 1):
-        t_l = next(stream)
+    for l, t_l in enumerate(islice(stream, L_max), start=1):
         state, rec = solver_iteration(state, system, bank, l, t_l, mode=mode,
-                                      prev_norm=c_prev, accepted_sets=accepted_sets,
-                                      in_place=True)
+                                      accepted_sets=accepted_sets, in_place=True)
         records.append(rec)
-        c_prev = rec.C_l
         if rec.solution_mass >= stop_mass:
             break
 

@@ -332,13 +332,11 @@ def test_solver_factoring_embedding(acceptance):
                            all(fr.t_l == sr.t_l and fr.pr_E == sr.pr_E and fr.C_l == sr.C_l
                                for fr, sr in zip(frep.records, srep.records)))
     bank = MarkerBank.uniform(1, alpha=2.0)
-    c_prev = 1.0
     for rec in frep.records:
         out = conditional_update(f_state, OscillatorParams(), MarkerAmplitude(rec.alpha_mag),
-                                 35, rec.t_l, prev_norm=c_prev)
-        s_state, _ = solver_iteration(s_state, system, bank, rec.l, rec.t_l,
-                                      prev_norm=c_prev)
-        f_state, c_prev = out.post_state, out.normalization
+                                 35, rec.t_l)
+        s_state, _ = solver_iteration(s_state, system, bank, rec.l, rec.t_l)
+        f_state = out.post_state
         bitwise = bitwise and f_state.mass.tobytes() == s_state.mass.tobytes()
 
     feas_ok, masses = True, []

@@ -1,6 +1,9 @@
 """Command line behavior: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +69,27 @@ def test_factor_explicit_times(tmp_path, capsys):
     assert rc == 0
     doc = json.loads((tmp_path / "factor_report.json").read_text())
     assert doc["records"][0]["t_l"] == 1.0
+
+
+@pytest.mark.parametrize("command,l_max,times", [("factor", 5, "1.0,2.0"),
+                                                  ("solve", 3, "1.0")])
+def test_times_shorter_than_l_max(command, l_max, times, tmp_path):
+    # the run stops when the explicit times run out, as a normal exit
+    argv = {"factor": ["factor", "--n", "35", "--stop-fidelity", "1.0"],
+            "solve": ["solve", "--system", str(tmp_path / "grid.json")]}[command]
+    (tmp_path / "grid.json").write_text(json.dumps(GRID_SYSTEM))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hoamp.cli", *argv, "--times", times, "--l-max", str(l_max),
+         "--out-dir", str(tmp_path / "out"), "--format", "json"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(ensemble.__file__)), os.environ.get(
+                "PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    (path,) = (tmp_path / "out").iterdir()
+    records = json.loads(path.read_text())["records"]
+    assert [r["t_l"] for r in records] == [float(t) for t in times.split(",")]
 
 
 def test_search_roundtrip(tmp_path, capsys):

@@ -156,12 +156,12 @@ def test_on_target_bin_keeps_multiplier_exactly_one(monkeypatch):
     blocks = []
     condition = ensemble._condition
 
-    def spy(state, block_multipliers, prev_norm, in_place):
+    def spy(state, block_multipliers, in_place):
         n, scratch = len(state.keys), KernelScratch(KERNEL_BLOCK)
         blocks.append(np.concatenate([
             block_multipliers(lo, min(lo + KERNEL_BLOCK, n), scratch).copy()
             for lo in range(0, n, KERNEL_BLOCK)]))
-        return condition(state, block_multipliers, prev_norm, in_place)
+        return condition(state, block_multipliers, in_place)
 
     monkeypatch.setattr(ensemble, "_condition", spy)
     raw_misses = 0
@@ -202,17 +202,20 @@ def test_conditional_update_oracle_values():
 
 
 def test_conditional_update_preserves_norm():
+    # masses stay unnormalized: the state's total is their sum, and the
+    # member probabilities, relative to it, sum to 1
     st = init_uniform_factoring(143)
     out = conditional_update(st, PARAMS, MarkerAmplitude(1.5), 143, 0.77)
-    assert out.post_state.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert out.post_state.total_mass() == out.post_state.total == out.normalization
+    assert math.fsum(w for _, w in member_masses(out.post_state)) == pytest.approx(
+        1.0, abs=1e-12)
     assert 0.0 < out.probability <= 1.0
 
 
 def test_conditional_update_chains_normalization():
     st = init_uniform_factoring(35)
     o1 = conditional_update(st, PARAMS, MarkerAmplitude(2.0), 35, 1.0)
-    o2 = conditional_update(o1.post_state, PARAMS, MarkerAmplitude(2.0), 35, 0.4,
-                            prev_norm=o1.normalization)
+    o2 = conditional_update(o1.post_state, PARAMS, MarkerAmplitude(2.0), 35, 0.4)
     assert o2.normalization == pytest.approx(o1.normalization * o2.probability,
                                              rel=1e-14)
 
@@ -243,7 +246,7 @@ def test_apply_entry_multipliers_identity():
 
 def test_apply_entry_multipliers_probability_capped():
     st = init_uniform_factoring(35)
-    out = apply_entry_multipliers(st, np.ones(21), prev_norm=1.0)
+    out = apply_entry_multipliers(st, np.ones(21))
     assert out.probability <= 1.0
 
 
@@ -251,6 +254,28 @@ def test_apply_entry_multipliers_vanished_mass():
     st = init_uniform_factoring(35)
     with pytest.raises(ConditionedMassVanished):
         apply_entry_multipliers(st, np.zeros(21))
+
+
+def test_tiny_totals_are_rescaled_by_exact_powers_of_two():
+    # every bin but the one keyed 35 loses 2^-100 of its mass per step, that
+    # one 2^-99: the unnormalized total passes 2^-500 at step 6 and would go
+    # subnormal by step 11, so the masses are scaled back up by a power of
+    # two, while Pr, C and the member probabilities stay exact
+    st = init_uniform_factoring(35)
+    hit = int(np.searchsorted(st.keys, 35))
+    mult = np.full(len(st.keys), 2.0**-100)
+    mult[hit] = 2.0**-99
+    c_hit, c_rest = 1 / 28, 27 / 28
+    for l in range(1, 13):
+        out = apply_entry_multipliers(st, mult)
+        st = out.post_state
+        want = c_hit * 2.0**(-99 * l) + c_rest * 2.0**(-100 * l)
+        assert out.normalization == pytest.approx(want, rel=1e-14)
+        assert st.total >= 2.0**-500 and st.mass.min() >= np.finfo(np.float64).tiny
+        assert st.total_mass() == st.total
+        assert (st.shift > 0) == (l >= 6)
+        p_hit = c_hit * 2.0**l / (c_hit * 2.0**l + c_rest)
+        assert dict(member_masses(st))[(5, 7)] == pytest.approx(p_hit, rel=1e-14)
 
 
 def test_fidelity_initial_uniform():
@@ -320,10 +345,8 @@ def test_sample_binned_returns_valid_pair():
 def test_sample_concentrated_state():
     st = init_uniform_factoring(35)
     out = st
-    norm = 1.0
     for t in (1.0, 0.4, 2.2, 0.9, 1.7):
-        o = conditional_update(out, PARAMS, MarkerAmplitude(2.0), 35, t, prev_norm=norm)
-        out, norm = o.post_state, o.normalization
+        out = conditional_update(out, PARAMS, MarkerAmplitude(2.0), 35, t).post_state
     # essentially all mass on (5, 7) now: every seed should return it
     for seed in range(10):
         assert sample(out, SplitMix64(seed)) == (5, 7)

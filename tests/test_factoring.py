@@ -1,14 +1,21 @@
 """Factoring driver: schedules, iteration records, full runs."""
 
 import math
+import sys
+import tracemalloc
+from itertools import islice
 
 import pytest
 
+from hoamp.dynamics import KERNEL_BLOCK, MarkerAmplitude, OscillatorParams
 from hoamp.errors import DomainError, NoFactorInRange
-from hoamp.factoring import (FactoringConfig, estimate_iterations, replay_table1,
-                             run_factoring, run_iteration, sample_times,
-                             TABLE1_N, TABLE1_ROWS, TABLE1_TIMES)
-from hoamp.ensemble import init_uniform_factoring
+from hoamp.factoring import (STREAM_SAMPLE, STREAM_TIMES, FactoringConfig,
+                             estimate_iterations, replay_table1, run_factoring,
+                             run_iteration, sample_times, TABLE1_N, TABLE1_ROWS,
+                             TABLE1_TIMES)
+from hoamp.ensemble import (ProductStream, TargetState, conditional_update, fidelity,
+                            init_uniform_factoring, sample, trial_rectangle)
+from hoamp.rng import SplitMix64
 
 
 def test_config_defaults_and_validation():
@@ -62,7 +69,7 @@ def test_run_iteration_lambda_is_exact_inverse():
     # lambda is the float inverse of Pr: the product is 1 to within an ulp
     assert abs(rec.lambda_l * rec.pr_E - 1.0) < 1e-15
     assert rec.C_l == rec.pr_E
-    assert post.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert post.total_mass() == post.total == rec.C_l
 
 
 def test_run_factoring_n35():
@@ -117,3 +124,97 @@ def test_table1_constants_are_consistent():
     # fidelity gain per step tracks 1/Pr: F_l / F_{l-1} ~ lambda_l
     for (f_prev, _, _), (f_next, pr, _) in zip(TABLE1_ROWS[:-2], TABLE1_ROWS[1:-1]):
         assert f_next / f_prev == pytest.approx(1.0 / pr, rel=0.05)
+
+
+def _stored_run(config):
+    """The stored-state loop: conditional_update, fidelity and sample on a
+    whole TrialEnsemble.  (t, Pr, C, F, resonant) per step, the initial
+    fidelity and the sampled tuple."""
+    state = init_uniform_factoring(config.N)
+    target = TargetState.factor_target(config.N)
+    master = SplitMix64(config.seed)
+    times = sample_times(config.times, master.derive(STREAM_TIMES),
+                         abs(config.params.couplings[0]))
+    f0 = fidelity(state, target)
+    records = []
+    for l, t in enumerate(islice(times, config.L_max), start=1):
+        out = conditional_update(state, config.params, MarkerAmplitude(config.alpha_for(l)),
+                                 config.N, t, in_place=True)
+        f = fidelity(out.post_state, target)
+        records.append((t, out.probability, out.normalization, f,
+                        out.probability > 0.999 and f < config.stop_fidelity))
+        if f >= config.stop_fidelity:
+            break
+    return records, f0, sample(state, SplitMix64(master.derive(STREAM_SAMPLE)))
+
+
+@pytest.mark.parametrize("threads,kwargs", [
+    (1, dict(N=35, seed=7)),
+    (1, dict(N=899, times=(1.0, 0.4, 2.2, 5.9, 0.9, 1.7, 3.3), stop_fidelity=1.0)),
+    (2, dict(N=899, params=OscillatorParams(couplings=(1.0, 0.5)), seed=2)),
+    (1, dict(N=1_001, alpha_schedule=(1.0, 1.5, 2.0), seed=5, stop_fidelity=0.999)),
+    (1, dict(N=50_000, seed=3)),
+    (2, dict(N=50_000, seed=3)),
+])
+def test_streamed_run_equals_stored_loop_bitwise(threads, kwargs, monkeypatch):
+    # N = 50,000 has 1.41M product bins, more than one conditioning chunk;
+    # N = 1,001 has three factor pairs in its on-target bin
+    monkeypatch.setenv("HOAMP_THREADS", str(threads))
+    config = FactoringConfig(**kwargs)
+    report = run_factoring(config)
+    records, f0, drawn = _stored_run(config)
+    assert [(r.t_l, r.pr_E, r.C_l, r.fidelity, r.resonant) for r in report.records] == records
+    assert report.initial_fidelity == f0
+    assert report.sampled_tuple == drawn
+    if config.stop_fidelity < 1.0:
+        # the stop fired: the records end at the first step past it
+        assert len(records) < config.L_max and records[-1][3] >= config.stop_fidelity
+
+
+def test_streamed_draws_equal_stored_draws_at_every_step():
+    # 1.41M product bins in 22 blocks, barely conditioned: the draws spread
+    # over the blocks, and each must come from the state after its own step
+    rect = trial_rectangle(50_000)
+    steps = [(0.9, 2.0), (4.1, 1.5)]
+    stream = ProductStream(rect, OscillatorParams(), 50_000, steps)
+    state = init_uniform_factoring(50_000)
+    for l in range(len(steps) + 1):
+        if l:
+            t, amag = steps[l - 1]
+            state = conditional_update(state, OscillatorParams(), MarkerAmplitude(amag),
+                                       50_000, t).post_state
+        assert stream.total(l) == state.total
+        draws = [stream.sample(l, SplitMix64(seed)) for seed in range(12)]
+        assert draws == [sample(state, SplitMix64(seed)) for seed in range(12)]
+        assert len({rect.bin_of(state.keys, d) // KERNEL_BLOCK for d in draws}) > 3
+
+
+def test_streamed_run_memory_is_a_fraction_of_the_stored_state():
+    # a stored state at N = 205,193 keeps keys, counts and mass for its
+    # 11,335,082 product bins: 16 B each
+    stored_bytes = 16 * 11_335_082
+    tracemalloc.start()
+    try:
+        report = run_factoring(FactoringConfig(N=205_193, seed=7, L_max=3,
+                                               stop_fidelity=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 3
+    assert peak < stored_bytes / 4
+
+
+def test_streamed_run_under_thread_contention(monkeypatch):
+    # more workers than cores, switching threads every microsecond: a block
+    # sum lost or written to the wrong block would change the records
+    config = FactoringConfig(N=50_000, seed=11, L_max=4, stop_fidelity=1.0)
+    monkeypatch.setenv("HOAMP_THREADS", "1")
+    want = run_factoring(config)
+    monkeypatch.setenv("HOAMP_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_factoring(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.records == want.records and got.sampled_tuple == want.sampled_tuple

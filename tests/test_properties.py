@@ -10,7 +10,7 @@ from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap,
                             phase_delta, phase_delta_batch, reduce_angle)
 from hoamp.ensemble import (TargetState, apply_entry_multipliers,
                             conditional_update, factoring_ranges, fidelity,
-                            init_uniform_factoring, sample)
+                            init_uniform_factoring, member_masses, sample)
 from hoamp.rng import SplitMix64
 
 PI = math.pi
@@ -77,7 +77,9 @@ def test_conditioning_preserves_norm_and_caps_pr(n, t, a):
     state = init_uniform_factoring(n)
     out = conditional_update(state, OscillatorParams(), MarkerAmplitude(a), n, t)
     assert 0.0 < out.probability <= 1.0
-    assert out.post_state.total_mass() == pytest.approx(1.0, abs=1e-11)
+    assert out.post_state.total_mass() == out.normalization
+    assert math.fsum(w for _, w in member_masses(out.post_state)) == pytest.approx(
+        1.0, abs=1e-11)
 
 
 @given(small_semiprimes, times, st.floats(min_value=0.3, max_value=3.0))
@@ -133,5 +135,7 @@ def test_apply_entry_multipliers_renormalizes(mults, seed):
     m = np.ones(21)
     m[: len(mults)] = np.array(mults)
     out = apply_entry_multipliers(state, m)
-    assert out.post_state.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert out.post_state.total_mass() == out.normalization
+    assert math.fsum(w for _, w in member_masses(out.post_state)) == pytest.approx(
+        1.0, abs=1e-12)
     assert 0.0 < out.probability <= 1.0
