@@ -3,7 +3,7 @@
 
     python3 scripts/bench_pair.py --out BENCH_<n>.json
     python3 scripts/bench_pair.py --parent-rev HEAD~1 --workloads factor-bins \\
-        --replay-pairs 0 --out BENCH_<n>.json
+        --out BENCH_<n>.json
 
 For every workload and seed (default 1-10), ``benchmarks/run.py`` runs once
 on the parent and once on the working tree, one right after the other;
@@ -11,10 +11,10 @@ which goes first alternates from pair to pair, so a host that drifts slower
 or faster over the session does not favour either side.  Each tree runs its
 own ``benchmarks/run.py`` against its own ``src/``, for the ``run_seconds``
 that ``BENCHMARK.json`` fixes.  One more ``--trace 1`` pair per workload, on
-the first seed, gives the per-layer metrics.  Then ``--replay-pairs``
-(default 1) alternated pairs of ``hoamp replay-table1`` give the replay's
-wall time and peak RSS, in the ``replay`` section; the replay's exit 1 (rows
-outside tolerance, by design) counts as a completed run.
+the first seed, gives the per-layer metrics.  Then one parent/change pair
+of ``hoamp replay-table1`` gives the replay's wall time and peak RSS, in the
+``replay`` section; the replay's exit 1 (rows outside tolerance, by design)
+counts as a completed run.
 
 The parent is the commit ``--parent-rev`` (default ``HEAD``: the working
 tree against its last commit), exported with ``git archive`` into a
@@ -80,25 +80,24 @@ print(json.dumps({"rc": rc, "wall_s": wall, "peak_rss_mb": peak}))
 """
 
 
-def replay_runs(trees: dict, pairs: int) -> dict:
-    """Alternating parent/change runs of `hoamp replay-table1`: per side, the
+def replay_runs(trees: dict) -> dict:
+    """One parent/change pair of `hoamp replay-table1` runs: per side, the
     wall time and peak RSS of each completed run (exit 0, or 1 for rows
     outside tolerance), and how many failed."""
     out = {side: {"wall_s": [], "peak_rss_mb": [], "failed": 0} for side in trees}
-    for i in range(pairs):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            proc = subprocess.run([sys.executable, "-c", _REPLAY_WRAPPER,
-                                   os.path.join(trees[side], "src")],
-                                  capture_output=True, text=True)
-            res = json.loads(proc.stdout) if proc.returncode == 0 else None
-            if res is None or res["rc"] not in (0, 1):
-                out[side]["failed"] += 1
-                print(f"  replay {side} failed: {proc.stderr[-2000:]}", file=sys.stderr)
-                continue
-            out[side]["wall_s"].append(res["wall_s"])
-            out[side]["peak_rss_mb"].append(res["peak_rss_mb"])
-            print(f"  replay {side}: {res['wall_s']:.2f} s, {res['peak_rss_mb']:.0f} MiB",
-                  flush=True)
+    for side in ("parent", "change"):
+        proc = subprocess.run([sys.executable, "-c", _REPLAY_WRAPPER,
+                               os.path.join(trees[side], "src")],
+                              capture_output=True, text=True)
+        res = json.loads(proc.stdout) if proc.returncode == 0 else None
+        if res is None or res["rc"] not in (0, 1):
+            out[side]["failed"] += 1
+            print(f"  replay {side} failed: {proc.stderr[-2000:]}", file=sys.stderr)
+            continue
+        out[side]["wall_s"].append(res["wall_s"])
+        out[side]["peak_rss_mb"].append(res["peak_rss_mb"])
+        print(f"  replay {side}: {res['wall_s']:.2f} s, {res['peak_rss_mb']:.0f} MiB",
+              flush=True)
     return {side: {**runs, **{f"median_{k}": statistics.median(runs[k])
                               for k in ("wall_s", "peak_rss_mb") if runs[k]}}
             for side, runs in out.items()}
@@ -143,10 +142,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent-rev", default="HEAD",
                         help="commit to export as the parent (default HEAD)")
-    parser.add_argument("--workloads", nargs="*", default=WORKLOADS, choices=WORKLOADS)
+    parser.add_argument("--workloads", nargs="+", default=WORKLOADS, choices=WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
-    parser.add_argument("--replay-pairs", type=int, default=1,
-                        help="alternated parent/change replay-table1 pairs (default 1)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
@@ -164,9 +161,8 @@ def main(argv=None) -> int:
             doc["end_to_end"][workload] = summarize(runs)
             runs = pair_runs(trees, workload, args.seeds[:TRACED_PAIRS], seconds, 1, w)
             doc["per_layer"][workload] = summarize(runs)
-        if args.replay_pairs > 0:
-            print(f"replay-table1: {args.replay_pairs} pair(s)", flush=True)
-            doc["replay"] = replay_runs(trees, args.replay_pairs)
+        print("replay-table1: 1 pair", flush=True)
+        doc["replay"] = replay_runs(trees)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -50,7 +50,8 @@ storing the state: it sieves the products block by block and takes each
 block through every step with that kernel, keeping only the block sums.  Its
 blocks are cut at the same bin indices as a stored state's, so its totals
 and draws equal those of conditional_update, fidelity and sample bit for bit,
-in memory that does not grow with N.
+in memory set by the sieve window and the worker count (each worker holds its
+kernel scratch and up to two blocks of backlog), not by N.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ _RESCALE_BELOW = 2.0**-500
 _SIEVE_WINDOW = 1 << 20
 # rectangles with more trial pairs are refused to bound the run time: sieving
 # and conditioning take time linear in the pairs and bins, while a streamed
-# run's memory does not grow with them
+# run's memory depends on the sieve window and worker count, not on them
 _MAX_BINS = 1 << 30
 
 
@@ -435,9 +436,13 @@ class ProductStream:
     hit_state(l) that fidelity reads and sample(l, rng) equal those of a
     stored state after l conditional_update calls, bit for bit; a draw
     re-sieves and recomputes only the block it falls in.
+
+    `progress`, if given, is called from the sieving thread with the share
+    of the product range sieved so far, each time it passes another tenth.
     """
 
-    def __init__(self, rect: Rectangle, params: OscillatorParams, target_term: int, steps):
+    def __init__(self, rect: Rectangle, params: OscillatorParams, target_term: int, steps,
+                 progress=None):
         self.rect, self.target_term = rect, target_term
         # the bound a stored state's table gets: its last key, n_hi * m_hi
         vmax = rect.n_hi * rect.m_hi
@@ -450,7 +455,7 @@ class ProductStream:
         self.starts = []        # first key of each block
         self.sums = []          # per block, the mass sum after steps 0..L
         self._hit = None        # (count, mass) of the on-target bin
-        self._run()
+        self._run(progress)
 
     def _scratch(self) -> KernelScratch:
         scratch = getattr(self._local, "scratch", None)
@@ -494,7 +499,7 @@ class ProductStream:
                 sums[l] = np.sum(mass)
         return mass
 
-    def _run(self) -> None:
+    def _run(self, progress) -> None:
         def job(b, keys, counts):
             sums = np.empty(len(self._steps) + 1)
             mass = self._block_mass(keys, counts, self._steps, sums)
@@ -506,11 +511,16 @@ class ProductStream:
         r = self.rect
         workers = min(_worker_count(), -(-r.n_pairs // KERNEL_BLOCK))
         pending = deque()
+        vmax, tenths = r.n_hi * r.m_hi, 0
         # the pool starts no thread until a job is submitted
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for b, (keys, counts) in enumerate(self._blocks(r.n_lo * r.m_lo)):
                 self.starts.append(int(keys[0]))
                 self.sums.append(None)
+                last = int(keys[-1])
+                if progress is not None and 10 * last >= (tenths + 1) * vmax:
+                    tenths = 10 * last // vmax
+                    progress(last / vmax)
                 if workers == 1:
                     job(b, keys, counts)
                     continue

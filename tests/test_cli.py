@@ -71,6 +71,16 @@ def test_factor_explicit_times(tmp_path, capsys):
     assert doc["records"][0]["t_l"] == 1.0
 
 
+def test_factor_progress_reports_the_pass_before_the_steps(capsys):
+    assert run(["factor", "--n", "50000", "--l-max", "2", "--stop-fidelity", "1.0",
+                "--progress"]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    sieved = [i for i, line in enumerate(lines) if line.lstrip().startswith("sieved")]
+    steps = [i for i, line in enumerate(lines) if line.lstrip().startswith("l=")]
+    assert len(sieved) >= 2 and lines[sieved[-1]].endswith("100% of the product range")
+    assert len(steps) == 2 and sieved[-1] < steps[0]
+
+
 @pytest.mark.parametrize("command,l_max,times", [("factor", 5, "1.0,2.0"),
                                                   ("solve", 3, "1.0")])
 def test_times_shorter_than_l_max(command, l_max, times, tmp_path):

@@ -189,9 +189,11 @@ def test_streamed_draws_equal_stored_draws_at_every_step():
         assert len({rect.bin_of(state.keys, d) // KERNEL_BLOCK for d in draws}) > 3
 
 
-def test_streamed_run_memory_is_a_fraction_of_the_stored_state():
+def test_streamed_run_memory_is_a_fraction_of_the_stored_state(monkeypatch):
     # a stored state at N = 205,193 keeps keys, counts and mass for its
-    # 11,335,082 product bins: 16 B each
+    # 11,335,082 product bins: 16 B each.  Each worker holds a scratch and
+    # its share of the backlog, so the thread count is fixed here
+    monkeypatch.setenv("HOAMP_THREADS", "2")
     stored_bytes = 16 * 11_335_082
     tracemalloc.start()
     try:
