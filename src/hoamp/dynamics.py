@@ -346,23 +346,25 @@ def target_phasors(params: OscillatorParams, t: float, targets) -> np.ndarray:
 class KernelScratch:
     """Work buffers for value_phasors and eps_squared_batch.
 
-    A loop over blocks of up to `size` elements passes one scratch as out=
-    to each call, so the blocks reuse the same buffers instead of allocating
-    their temporaries afresh.  Buffers are made on first use, one per name
-    and dtype; results returned from a call are views into them, valid until
-    the next call with the same scratch.
+    A loop over blocks passes one scratch as out= to each call, so the
+    blocks reuse the same buffers instead of allocating their temporaries
+    afresh.  Buffers are made on first use, one per name and dtype, as large
+    as that call needs, and made again only when a later call needs more
+    (so a scratch for small states stays small); results returned from a
+    call are views into them, valid until the next call with the same
+    scratch.
     """
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self):
         self._bufs = {}
 
     def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        n = math.prod(shape)
         key = (name, np.dtype(dtype))
         buf = self._bufs.get(key)
-        if buf is None:
-            buf = self._bufs[key] = np.empty(self.size, dtype=dtype)
-        return buf[: math.prod(shape)].reshape(shape)
+        if buf is None or len(buf) < n:
+            buf = self._bufs[key] = np.empty(n, dtype=dtype)
+        return buf[:n].reshape(shape)
 
 
 def _int_array(terms) -> np.ndarray:
@@ -399,7 +401,7 @@ def value_phasors(table: PhaseTable, values, out=None, span=None) -> np.ndarray:
     """
     vals = _int_array(values)
     shape = vals.shape
-    ws = KernelScratch(vals.size) if out is None else out
+    ws = KernelScratch() if out is None else out
     P = ws.get("P", shape, np.complex128)
     if not vals.size:
         return P

@@ -31,10 +31,10 @@ member tuple.
 Masses are never renormalized.  The state carries its current total, and
 fidelity, member masses and sampling divide by it.  Conditioning multiplies
 each bin's mass by its multiplier in one loop (_condition) for every caller,
-summing each KERNEL_BLOCK block of bins right after scaling it, while it is
-still in cache; the total C_l is the math.fsum of those block sums in index
-order, and Pr(E_l) = C_l / C_{l-1}.  So results are bit-identical no matter
-how many worker threads run the blocks (pool size capped by HOAMP_THREADS).
+one job per KERNEL_BLOCK block of bins, which sums the block right after
+scaling it, while it is still in cache; the total C_l is the math.fsum of
+those block sums in index order, and Pr(E_l) = C_l / C_{l-1}.  So results
+are bit-identical no matter how many worker threads run the blocks.
 A state whose total falls below 2^-500 (a search with no marked item, an
 infeasible solver system) has its masses scaled up by an exact power of two,
 kept in `shift`, so nothing goes subnormal.
@@ -42,23 +42,25 @@ kept in `shift`, so nothing goes subnormal.
 Factoring takes |eps|^2 from the value-phasor kernel in dynamics: per step,
 one phase table and the target's phasor Q (one exactly reduced scalar).  Per
 block of bins, _block_multipliers gathers each key's phasor P_v, forms
-cos Delta = Re(Q * P_v) and |eps|^2, and sets the bin on target to exactly 1,
-with one set of kernel buffers per worker reused by every block it runs.
+cos Delta = Re(Q * P_v) and |eps|^2, and sets the bin on target to exactly 1.
 Since the times are fixed before a run and the multipliers depend on the
 product alone, ProductStream computes a whole factoring trajectory without
 storing the state: it sieves the products block by block and takes each
 block through every step with that kernel, keeping only the block sums.  Its
 blocks are cut at the same bin indices as a stored state's, so its totals
 and draws equal those of conditional_update, fidelity and sample bit for bit,
-in memory set by the sieve window and the worker count (each worker holds its
-kernel scratch and up to two blocks of backlog), not by N.
+in memory set by the sieve window and the worker count, not by N.
+
+Both loops run their blocks through one runner, _map_blocks: up to
+HOAMP_THREADS worker threads, each with one set of kernel buffers reused by
+every block it runs, and at most two blocks per worker waiting at once, so
+the sieve runs only as far ahead of the workers as that backlog.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -79,15 +81,17 @@ from .dynamics import (
 from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange, NoFactorInRange
 from .rng import SplitMix64
 
-_CHUNK = 1 << 20
 _VANISH = 1e-300
 # a state total below this is scaled back up by a power of two
 _RESCALE_BELOW = 2.0**-500
 # product slots the bin sieve counts at a time (a 4 MiB int32 window)
 _SIEVE_WINDOW = 1 << 20
 # rectangles with more trial pairs are refused to bound the run time: sieving
-# and conditioning take time linear in the pairs and bins, while a streamed
-# run's memory depends on the sieve window and worker count, not on them
+# and conditioning take time linear in the pairs and bins.  A streamed run's
+# memory depends on the sieve window and the worker count (a kernel scratch
+# and two blocks of backlog each), not on them; a stored state, which only
+# tests and the tracer build, takes 16 B per bin, twice that while
+# init_uniform_factoring joins its blocks
 _MAX_BINS = 1 << 30
 
 
@@ -102,23 +106,35 @@ def _worker_count() -> int:
     return max(1, cap)
 
 
-def _run_chunks(n_items, fn):
-    """Run fn(chunk_index, start, stop) over fixed chunks; deterministic order
-    of the returned list regardless of pool size."""
-    n_chunks = max(1, -(-n_items // _CHUNK))
-    results = [None] * n_chunks
-    workers = min(_worker_count(), n_chunks)
+def _map_blocks(blocks, job, most: int) -> list:
+    """[job(block, scratch) for block in blocks], on up to HOAMP_THREADS
+    worker threads, at most `most`.
 
-    def job(ci):
-        start = ci * _CHUNK
-        results[ci] = fn(ci, start, min(start + _CHUNK, n_items))
+    Each thread makes one KernelScratch and passes it to every job it runs.
+    At most two blocks per worker wait at once, so a generator of blocks is
+    drawn only as fast as the workers take them.  The results come back in
+    block order; with one worker the jobs run in a plain loop on the calling
+    thread.
+    """
+    workers = min(_worker_count(), most)
+    if workers <= 1:
+        scratch = KernelScratch()
+        return [job(block, scratch) for block in blocks]
+    local = threading.local()
 
-    if workers == 1:
-        for ci in range(n_chunks):
-            job(ci)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(job, range(n_chunks)))
+    def run(block):
+        scratch = getattr(local, "scratch", None)
+        if scratch is None:
+            scratch = local.scratch = KernelScratch()
+        return job(block, scratch)
+
+    results, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for block in blocks:
+            if len(pending) >= 2 * workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(run, block))
+        results.extend(fut.result() for fut in pending)
     return results
 
 
@@ -270,7 +286,8 @@ def trial_rectangle(N: int) -> Rectangle:
 def init_uniform_factoring(N: int) -> TrialEnsemble:
     """Uniform mass 1/n_pairs over all trial pairs for factoring N, in product bins."""
     rect = trial_rectangle(N)
-    keys, counts = _product_bins(rect.n_lo, rect.n_hi, rect.m_lo, rect.m_hi)
+    keys, counts = (np.concatenate(parts)
+                    for parts in zip(*_product_blocks(rect, rect.n_lo * rect.m_lo)))
     return TrialEnsemble.uniform(keys, counts, rect)
 
 
@@ -302,26 +319,33 @@ def _sieve(n_lo: int, n_hi: int, m_lo: int, m_hi: int, start: int):
         yield w0, np.compress(nz, offsets[: w1 - w0]), np.compress(nz, win)
 
 
-def _product_bins(n_lo: int, n_hi: int, m_lo: int, m_hi: int):
-    """Distinct products n*m over the rectangle, ascending, with pair counts.
+def _product_blocks(rect: Rectangle, start: int):
+    """(keys, counts) of the rectangle's product bins from key `start` on,
+    KERNEL_BLOCK bins at a time (the last block may be shorter).
 
-    The sieve's windows are appended to keys/counts, which are allocated for
-    one bin per pair, the most there can be, and shrunk to fit at the end;
-    pages never written cost no memory.
+    From the first key, or the first key of one of its blocks, these are the
+    blocks a stored state's conditioning cuts.
     """
-    n_pairs = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
-    keys = np.empty(n_pairs, dtype=_key_dtype(n_hi * m_hi))
-    counts = np.empty(n_pairs, dtype=np.int32)
-    out = 0
-    for w0, found, cnt in _sieve(n_lo, n_hi, m_lo, m_hi, n_lo * m_lo):
-        stop = out + len(found)
-        np.add(found, w0, out=keys[out:stop])
-        counts[out:stop] = cnt
-        out = stop
-    # no view of either array is alive, so both shrink in place
-    keys.resize(out, refcheck=False)
-    counts.resize(out, refcheck=False)
-    return keys, counts
+    # no block holds more bins than the rectangle has pairs
+    size = min(KERNEL_BLOCK, rect.n_pairs)
+    keys = counts = None
+    fill = size
+    for w0, found, cnt in _sieve(rect.n_lo, rect.n_hi, rect.m_lo, rect.m_hi, start):
+        pos = 0
+        while pos < len(found):
+            if fill == size:
+                if keys is not None:
+                    yield keys, counts
+                keys = np.empty(size, dtype=found.dtype)
+                counts = np.empty(size, dtype=np.int32)
+                fill = 0
+            take = min(size - fill, len(found) - pos)
+            np.add(found[pos : pos + take], w0, out=keys[fill : fill + take])
+            counts[fill : fill + take] = cnt[pos : pos + take]
+            fill += take
+            pos += take
+    if keys is not None:
+        yield keys[:fill], counts[:fill]
 
 
 def step_fraction(c: float, prev: float) -> float:
@@ -337,36 +361,27 @@ def _condition(state: TrialEnsemble, block_multipliers, in_place: bool) -> Measu
     """The conditioning loop: scale each bin's mass, total it, report Pr.
 
     block_multipliers(lo, hi, scratch) gives the real multipliers of bins
-    [lo, hi), called per KERNEL_BLOCK inside each chunk so kernel temporaries
-    stay in cache; scratch is a KernelScratch for one block, made once per
-    worker and reused by every block it runs.  Each block is summed right
-    after it is scaled, while it is still in cache, and the block sums are
-    combined with math.fsum in index order.
+    [lo, hi), one KERNEL_BLOCK block at a time, so kernel temporaries stay in
+    cache; scratch is the KernelScratch of the _map_blocks worker running the
+    block.  Each block is summed right after it is scaled, while it is still
+    in cache, and the block sums are combined with math.fsum in index order.
     """
     post = state if in_place else state.copy()
     prev, shift = state.total, state.shift
     arr = post.mass
-    spare = queue.SimpleQueue()     # scratches not in use by a running chunk
 
-    def job(ci, a, b):
-        try:
-            scratch = spare.get_nowait()
-        except queue.Empty:
-            scratch = KernelScratch(min(KERNEL_BLOCK, len(arr)))
-        sums = []
-        for lo in range(a, b, KERNEL_BLOCK):
-            seg = arr[lo : min(lo + KERNEL_BLOCK, b)]
-            seg *= block_multipliers(lo, lo + len(seg), scratch)
-            sums.append(float(np.sum(seg)))    # while the block is in cache
-        spare.put(scratch)
-        return sums
+    def job(lo, scratch):
+        seg = arr[lo : lo + KERNEL_BLOCK]
+        seg *= block_multipliers(lo, lo + len(seg), scratch)
+        return float(np.sum(seg))       # while the block is in cache
 
-    c = math.fsum(s for sums in _run_chunks(len(arr), job) for s in sums)
+    c = math.fsum(_map_blocks(range(0, len(arr), KERNEL_BLOCK), job,
+                              -(-len(arr) // KERNEL_BLOCK)))
     pr = step_fraction(c, prev)
     post.total = c
     if c < _RESCALE_BELOW:
         k = -math.frexp(c)[1]       # c * 2**k in [0.5, 1): exact, and no subnormals
-        _run_chunks(len(arr), lambda ci, a, b: np.ldexp(arr[a:b], k, out=arr[a:b]))
+        np.ldexp(arr, k, out=arr)
         post.total, post.shift = math.ldexp(c, k), shift + k
     return MeasurementOutcome(probability=pr, post_state=post,
                               normalization=math.ldexp(c, -shift))
@@ -427,9 +442,9 @@ class ProductStream:
     """A factoring trajectory through fixed steps, with no stored state.
 
     `steps` holds (t, |alpha|) per iteration.  One pass of the product sieve
-    (the main thread) cuts the rectangle's bins into the global KERNEL_BLOCK
-    blocks that a stored state's conditioning uses, and HOAMP_THREADS
-    workers, with a bounded backlog, take each block from its uniform masses
+    (_product_blocks, on the calling thread) cuts the rectangle's bins into
+    the global KERNEL_BLOCK blocks that a stored state's conditioning uses,
+    and the _map_blocks workers take each block from its uniform masses
     through every step with _block_multipliers.  Per block only the mass sum
     after each step is kept, and of the on-target bin its count and mass,
     which its multiplier of exactly 1 never changes.  So total(l), the
@@ -437,7 +452,7 @@ class ProductStream:
     stored state after l conditional_update calls, bit for bit; a draw
     re-sieves and recomputes only the block it falls in.
 
-    `progress`, if given, is called from the sieving thread with the share
+    `progress`, if given, is called from the calling thread with the share
     of the product range sieved so far, each time it passes another tenth.
     """
 
@@ -449,86 +464,45 @@ class ProductStream:
         self._steps = [(phase_table(params, t, vmax), target_phasors(params, t, [target_term])[0],
                         amag) for t, amag in steps]
         self._inv = 1.0 / rect.n_pairs
-        # no block holds more bins than the rectangle has pairs
-        self._block_size = min(KERNEL_BLOCK, rect.n_pairs)
-        self._local = threading.local()     # one KernelScratch per thread
         self.starts = []        # first key of each block
-        self.sums = []          # per block, the mass sum after steps 0..L
         self._hit = None        # (count, mass) of the on-target bin
-        self._run(progress)
+        self.sums = self._run(progress)     # per block, the mass sum after steps 0..L
 
-    def _scratch(self) -> KernelScratch:
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            scratch = self._local.scratch = KernelScratch(self._block_size)
-        return scratch
-
-    def _blocks(self, start: int):
-        """(keys, counts) of the bins from key `start` on, KERNEL_BLOCK at a time."""
-        r, size = self.rect, self._block_size
-        keys = counts = None
-        fill = size
-        for w0, found, cnt in _sieve(r.n_lo, r.n_hi, r.m_lo, r.m_hi, start):
-            pos = 0
-            while pos < len(found):
-                if fill == size:
-                    if keys is not None:
-                        yield keys, counts
-                    keys = np.empty(size, dtype=found.dtype)
-                    counts = np.empty(size, dtype=np.int32)
-                    fill = 0
-                take = min(size - fill, len(found) - pos)
-                np.add(found[pos : pos + take], w0, out=keys[fill : fill + take])
-                counts[fill : fill + take] = cnt[pos : pos + take]
-                fill += take
-                pos += take
-        if keys is not None:
-            yield keys[:fill], counts[:fill]
-
-    def _block_mass(self, keys, counts, steps, sums=None) -> np.ndarray:
+    def _block_mass(self, keys, counts, steps, sums, scratch) -> np.ndarray:
         """The block's masses after `steps`, as TrialEnsemble.uniform and
         _condition compute them; sums[l] gets their sum after step l."""
-        scratch = self._scratch()
         mass = counts.astype(np.float64)
         mass *= self._inv
-        if sums is not None:
-            sums[0] = np.sum(mass)
+        sums[0] = np.sum(mass)
         for l, (table, q, amag) in enumerate(steps, 1):
             mass *= _block_multipliers(keys, table, q, amag, self.target_term, scratch)
-            if sums is not None:
-                sums[l] = np.sum(mass)
+            sums[l] = np.sum(mass)
         return mass
 
-    def _run(self, progress) -> None:
-        def job(b, keys, counts):
-            sums = np.empty(len(self._steps) + 1)
-            mass = self._block_mass(keys, counts, self._steps, sums)
-            self.sums[b] = sums
-            i = _index_of(keys, self.target_term)
-            if i is not None:
-                self._hit = (int(counts[i]), float(mass[i]))
-
+    def _run(self, progress) -> list:
         r = self.rect
-        workers = min(_worker_count(), -(-r.n_pairs // KERNEL_BLOCK))
-        pending = deque()
         vmax, tenths = r.n_hi * r.m_hi, 0
-        # the pool starts no thread until a job is submitted
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for b, (keys, counts) in enumerate(self._blocks(r.n_lo * r.m_lo)):
+
+        def blocks():
+            nonlocal tenths
+            for keys, counts in _product_blocks(r, r.n_lo * r.m_lo):
                 self.starts.append(int(keys[0]))
-                self.sums.append(None)
                 last = int(keys[-1])
                 if progress is not None and 10 * last >= (tenths + 1) * vmax:
                     tenths = 10 * last // vmax
                     progress(last / vmax)
-                if workers == 1:
-                    job(b, keys, counts)
-                    continue
-                if len(pending) >= 2 * workers:     # bounds the blocks held at once
-                    pending.popleft().result()
-                pending.append(pool.submit(job, b, keys, counts))
-            for fut in pending:
-                fut.result()
+                yield keys, counts
+
+        def job(block, scratch):
+            keys, counts = block
+            sums = np.empty(len(self._steps) + 1)
+            mass = self._block_mass(keys, counts, self._steps, sums, scratch)
+            i = _index_of(keys, self.target_term)
+            if i is not None:
+                self._hit = (int(counts[i]), float(mass[i]))
+            return sums
+
+        return _map_blocks(blocks(), job, -(-r.n_pairs // KERNEL_BLOCK))
 
     def total(self, l: int) -> float:
         """C_l, the total mass after step l: 1 before the first step, as a
@@ -549,8 +523,8 @@ class ProductStream:
 
         def block_mass(b):
             nonlocal keys
-            keys, counts = next(self._blocks(self.starts[b]))
-            return self._block_mass(keys, counts, self._steps[:l])
+            keys, counts = next(_product_blocks(self.rect, self.starts[b]))
+            return self._block_mass(keys, counts, self._steps[:l], np.empty(l + 1), KernelScratch())
 
         _, i = _draw(rng, [float(s[l]) for s in self.sums], block_mass)
         return _pick(self.rect.members(keys, i), rng)

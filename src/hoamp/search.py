@@ -109,6 +109,8 @@ class SearchConfig:
             raise ValueError("omega_3 must be an even multiple of g_tilde")
         object.__setattr__(self, "alpha_schedule",
                            normalize_alpha_schedule(self.alpha_schedule))
+        if self.L_max < 1:
+            raise ValueError("L_max must be >= 1")
         if not 0.0 < self.stop_mass <= 1.0:
             raise ValueError("stop_mass must be in (0, 1]")
 

@@ -245,6 +245,10 @@ def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "m
 
     `domain` holds the trial tuples, one per row; default the bounded box.
     """
+    if L_max < 1:
+        raise ValueError("L_max must be >= 1")
+    if not 0.0 < stop_mass <= 1.0:
+        raise ValueError("stop_mass must be in (0, 1]")
     if bank is None:
         bank = MarkerBank.uniform(len(system.constraints))
     size = system.domain_size() if domain is None else len(domain)

@@ -11,6 +11,7 @@ import pytest
 from hoamp import ensemble
 from hoamp.cli import main
 from hoamp.constraints import ConstraintSystem
+from hoamp.dynamics import KERNEL_BLOCK
 from hoamp.search import BlackBox, apply_black_box, initial_search_state
 from hoamp.solver import uniform_state
 
@@ -223,6 +224,27 @@ def test_solve_bad_alpha_schedule_usage(schedule, tmp_path, capsys):
     assert "usage error: alpha schedule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("search", ["--l-max", "0"], "L_max must be >= 1"),
+    ("search", ["--l-max", "-2", "--format", "csv"], "L_max must be >= 1"),
+    ("search", ["--stop-mass", "0"], "stop_mass must be in (0, 1]"),
+    ("solve", ["--l-max", "0"], "L_max must be >= 1"),
+    ("solve", ["--l-max", "-2"], "L_max must be >= 1"),
+    ("solve", ["--stop-mass", "0"], "stop_mass must be in (0, 1]"),
+    ("solve", ["--stop-mass", "2"], "stop_mass must be in (0, 1]"),
+])
+def test_run_limits_out_of_range_are_usage_errors(command, flags, message, tmp_path, capsys):
+    # refused before any work: no report is written
+    system = tmp_path / "grid.json"
+    system.write_text(json.dumps(GRID_SYSTEM))
+    argv = {"search": ["search", "--n", "5000", "--solutions", "17"],
+            "solve": ["solve", "--system", str(system)]}[command]
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out), "--format", "json"] + flags) == 3
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 def test_solve_missing_file(capsys):
     assert run(["solve", "--system", "/nonexistent/x.json"]) == 2
 
@@ -269,7 +291,7 @@ GRID_SYSTEM = {
 
 @pytest.mark.parametrize("command", ["factor", "search", "solve"])
 def test_reports_identical_across_thread_counts(command, tmp_path, monkeypatch, capsys):
-    # factor --n 50000 has 1.41M product bins: two conditioning chunks
+    # factor --n 50000 has 1.41M product bins: 22 conditioning blocks
     system = tmp_path / "grid.json"
     system.write_text(json.dumps(GRID_SYSTEM))
     argv = {
@@ -286,7 +308,7 @@ def test_reports_identical_across_thread_counts(command, tmp_path, monkeypatch, 
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
     if command == "factor":
-        assert len(ensemble.init_uniform_factoring(50_000).keys) > ensemble._CHUNK
+        assert len(ensemble.init_uniform_factoring(50_000).keys) > 2 * KERNEL_BLOCK
     elif command == "search":
         box = BlackBox.from_solution_indices(5000, [17, 4093])
         st = apply_black_box(initial_search_state(box), box)

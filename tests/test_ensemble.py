@@ -1,6 +1,9 @@
 """Trial ensembles, conditional measurements, fidelity, sampling."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,8 @@ from hoamp.ensemble import (TargetState, TrialEnsemble, apply_entry_multipliers,
                             init_uniform_factoring, member_masses, sample)
 from hoamp.errors import (ConditionedMassVanished, DomainTooLarge, EmptyRange,
                           NoFactorInRange)
+from hoamp.factoring import FactoringConfig, run_factoring
+from hoamp.reporting import report_to_dict, to_json_text
 from hoamp.rng import SplitMix64
 
 from conftest import factoring_rectangle
@@ -110,7 +115,11 @@ def test_binned_build_matches_brute_force(N):
 ])
 def test_product_bins_across_windows(monkeypatch, rect, window, key_dtype):
     monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
-    keys, counts = ensemble._product_bins(*rect)
+    r = ensemble.Rectangle(*rect)
+    blocks = list(ensemble._product_blocks(r, r.n_lo * r.m_lo))
+    # every block but the last is full: the cuts conditioning makes
+    assert {len(k) for k, _ in blocks[:-1]} <= {KERNEL_BLOCK}
+    keys, counts = (np.concatenate(parts) for parts in zip(*blocks))
     want_keys, want_counts = _brute_force_bins(*rect)
     assert keys.dtype == key_dtype and np.array_equal(keys, want_keys)
     assert counts.dtype == np.int32 and np.array_equal(counts, want_counts)
@@ -130,24 +139,65 @@ def test_bin_cap_raises_before_allocating(N):
     assert peak < 1 << 16
 
 
-def test_conditioning_reuses_one_scratch_per_worker(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_map_blocks_keeps_order_and_bounds_the_backlog(monkeypatch, threads):
+    monkeypatch.setenv("HOAMP_THREADS", str(threads))
+    lock = threading.Lock()
+    done, ahead, scratches = [], [], {}
+
+    def blocks():
+        for i in range(50):
+            with lock:
+                ahead.append(i - len(done))     # jobs not finished when block i is drawn
+            yield i
+
+    def job(i, scratch):
+        time.sleep(0.001 * (i % 3))             # uneven jobs finish out of order
+        with lock:
+            scratches.setdefault(threading.get_ident(), set()).add(id(scratch))
+            done.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # threads interleave as often as they can
+    try:
+        results = ensemble._map_blocks(blocks(), job, 50)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(50)]
+    assert sorted(done) == list(range(50))
+    assert max(ahead) <= 2 * threads
+    # one scratch per worker thread, reused by every block it runs
+    assert len(scratches) <= threads and all(len(s) == 1 for s in scratches.values())
+
+
+@pytest.mark.parametrize("path", ["stored", "streamed"])
+def test_conditioning_reuses_one_scratch_per_worker(monkeypatch, path):
     made = []
 
     class CountedScratch(KernelScratch):
-        def __init__(self, size):
-            super().__init__(size)
-            made.append(size)
+        def __init__(self):
+            super().__init__()
+            made.append(self)
 
     monkeypatch.setattr(ensemble, "KernelScratch", CountedScratch)
     st = init_uniform_factoring(50_000)
-    assert len(st.keys) > ensemble._CHUNK           # two chunks, 22 blocks
+    assert len(st.keys) > 2 * KERNEL_BLOCK          # 22 blocks
     outs = []
     for threads in (1, 2):
         monkeypatch.setenv("HOAMP_THREADS", str(threads))
         made.clear()
-        outs.append(conditional_update(st, PARAMS, MarkerAmplitude(2.0), 50_000, 0.9))
-        assert 1 <= len(made) <= threads and set(made) == {KERNEL_BLOCK}
-    assert outs[0].post_state.mass.tobytes() == outs[1].post_state.mass.tobytes()
+        if path == "stored":
+            out = conditional_update(st, PARAMS, MarkerAmplitude(2.0), 50_000, 0.9)
+            outs.append(out.post_state.mass.tobytes())
+            assert 1 <= len(made) <= threads
+        else:
+            report = run_factoring(FactoringConfig(N=50_000, seed=3, L_max=3))
+            outs.append(to_json_text(report_to_dict(report)))
+            assert 2 <= len(made) <= threads + 1   # the pass, plus one for the draw
+        # no buffer outgrows one block
+        assert max(len(b) for s in made for b in s._bufs.values()) <= KERNEL_BLOCK
+    assert outs[0] == outs[1]
 
 
 def test_on_target_bin_keeps_multiplier_exactly_one(monkeypatch):
@@ -157,7 +207,7 @@ def test_on_target_bin_keeps_multiplier_exactly_one(monkeypatch):
     condition = ensemble._condition
 
     def spy(state, block_multipliers, in_place):
-        n, scratch = len(state.keys), KernelScratch(KERNEL_BLOCK)
+        n, scratch = len(state.keys), KernelScratch()
         blocks.append(np.concatenate([
             block_multipliers(lo, min(lo + KERNEL_BLOCK, n), scratch).copy()
             for lo in range(0, n, KERNEL_BLOCK)]))
