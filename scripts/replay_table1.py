@@ -2,8 +2,9 @@
 """Re-run the published 15-step factoring trajectory for N = 1,030,189.
 
 Streams per-iteration progress to stderr (the full run takes about 10 s
-with two threads and ~2 GB), writes replay_table1.csv next to this script, and prints
-the row-by-row comparison against the reference values.
+with two threads and ~75 MiB: it is streamed, with no stored state), writes
+replay_table1.csv next to this script, and prints the row-by-row comparison
+against the reference values.
 
 Expect rows 1-4 (and the row-15 probability) to match and rows 5-14 to
 diverge: the reference times are printed with three decimals, and on that

@@ -17,7 +17,6 @@ import os
 import sys
 
 from hoamp import ConstraintSystem, feasible_set, run_solver
-from hoamp.solver import MarkerBank
 
 INEQ = {
     "variables": [{"name": "x", "bound": 7}, {"name": "y", "bound": 7}],
@@ -39,8 +38,7 @@ EQ = {
 def run_one(label, doc, mode, alpha, l_max):
     system = ConstraintSystem.from_json(doc)
     expected = feasible_set(system)
-    bank = MarkerBank.uniform(len(system.constraints), alpha=alpha)
-    report = run_solver(system, bank=bank, mode=mode, seed=3, L_max=l_max,
+    report = run_solver(system, alpha_schedule=(alpha,), mode=mode, seed=3, L_max=l_max,
                         stop_mass=0.999)
     found = {t for t, _ in report.solutions}
     mass = report.records[-1].solution_mass

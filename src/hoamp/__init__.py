@@ -26,7 +26,7 @@ from .fockoracle import brute_force_step, coherent_vector, required_cutoff
 from .rng import SplitMix64
 from .search import (BlackBox, SearchConfig, SearchReport, required_iterations,
                      run_search)
-from .solver import AcceptedSet, MarkerBank, SolverReport, run_solver
+from .solver import AcceptedSet, SolverReport, run_solver
 
 __version__ = "0.1.0"
 
@@ -34,8 +34,8 @@ __all__ = [
     "AcceptedSet", "BlackBox", "ConditionedMassVanished", "ConstraintExpr",
     "ConstraintSystem", "CutoffTooSmall", "DimensionTooLarge", "DomainError",
     "DomainTooLarge", "EmptyRange", "FactoringConfig", "HoampError",
-    "InfeasibleSystem", "IterationRecord", "MarkerAmplitude", "MarkerBank",
-    "MeasurementOutcome", "NoFactorInRange", "NoSolutionFound", "OscillatorParams",
+    "InfeasibleSystem", "IterationRecord", "MarkerAmplitude", "MeasurementOutcome",
+    "NoFactorInRange", "NoSolutionFound", "OscillatorParams",
     "ParseError", "PhaseDelta", "RotationFrequency", "RunReport", "SearchConfig",
     "SearchReport", "SolverReport", "SplitMix64", "TargetState", "TrialEnsemble",
     "brute_force_step", "coherent_vector", "conditional_update", "epsilon_overlap",

@@ -26,7 +26,7 @@ from .reporting import (fmt_float, report_to_dict, summarize_trajectories,
                         write_stats_summary_csv)
 from .rng import SplitMix64
 from .search import BlackBox, SearchConfig, run_search
-from .solver import MarkerBank, run_solver
+from .solver import run_solver
 
 
 class _UsageError(Exception):
@@ -162,15 +162,9 @@ def cmd_solve(args) -> int:
         return 2
     except (KeyError, ValueError, TypeError) as exc:
         raise _UsageError(f"bad system file {args.system}: {exc}")
-    if args.alpha_schedule:
-        bank = MarkerBank(
-            omegas=(0.0,) * len(system.constraints),
-            alpha_schedules=(_parse_floats(args.alpha_schedule, "--alpha-schedule"),)
-            * len(system.constraints))
-    else:
-        bank = MarkerBank.uniform(len(system.constraints), alpha=args.alpha)
-    report = run_solver(system, bank=bank, mode=args.mode, times=_times(args),
-                        seed=args.seed, L_max=args.l_max, stop_mass=args.stop_mass)
+    report = run_solver(system, alpha_schedule=_alpha_schedule(args), mode=args.mode,
+                        times=_times(args), seed=args.seed, L_max=args.l_max,
+                        stop_mass=args.stop_mass)
     args.basename = "solve_report"
     meta = {"command": "solve", "system": args.system, "mode": args.mode,
             "seed": args.seed}

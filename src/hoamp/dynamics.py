@@ -151,6 +151,8 @@ class MarkerAmplitude:
     phase: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.magnitude) and math.isfinite(self.phase)):
+            raise ValueError("marker amplitude must be finite")
         if self.magnitude < 0:
             raise ValueError("magnitude must be >= 0")
 
@@ -163,7 +165,8 @@ def normalize_alpha_schedule(sched) -> tuple:
     """Validated marker-amplitude schedule: |alpha| per iteration, as floats.
 
     A scalar means a constant schedule.  The schedule must be non-empty,
-    non-negative and non-decreasing; its last entry repeats once exhausted.
+    finite, non-negative and non-decreasing; its last entry repeats once
+    exhausted.
     """
     if isinstance(sched, (int, float)):
         sched = (float(sched),)
@@ -171,6 +174,8 @@ def normalize_alpha_schedule(sched) -> tuple:
         sched = tuple(float(a) for a in sched)
     if not sched or any(a < 0 for a in sched):
         raise ValueError("alpha schedule must be non-empty and non-negative")
+    if not all(math.isfinite(a) for a in sched):
+        raise ValueError("alpha schedule must be finite")
     if any(b < a for a, b in zip(sched, sched[1:])):
         raise ValueError("alpha schedule must be non-decreasing")
     return sched
@@ -179,6 +184,15 @@ def normalize_alpha_schedule(sched) -> tuple:
 def alpha_at(sched: tuple, l: int) -> float:
     """|alpha| for iteration l >= 1 of a schedule from normalize_alpha_schedule."""
     return sched[min(l - 1, len(sched) - 1)]
+
+
+def check_run_limits(L_max: int, stop: float, stop_name: str) -> None:
+    """ValueError unless the iteration cap is >= 1 and the stop threshold,
+    named stop_name in the message, lies in (0, 1]."""
+    if L_max < 1:
+        raise ValueError("L_max must be >= 1")
+    if not 0.0 < stop <= 1.0:
+        raise ValueError(f"{stop_name} must be in (0, 1]")
 
 
 def _int_pow_checked(base: int, k: int) -> int:

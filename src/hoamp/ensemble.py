@@ -39,6 +39,10 @@ A state whose total falls below 2^-500 (a search with no marked item, an
 infeasible solver system) has its masses scaled up by an exact power of two,
 kept in `shift`, so nothing goes subnormal.
 
+Search and the solver share one step and one loop: condition_step conditions
+and returns a StepRecord with the solution bins' share of the mass, and
+amplify repeats a step until that share reaches the stop mass.
+
 Factoring takes |eps|^2 from the value-phasor kernel in dynamics: per step,
 one phase table and the target's phasor Q (one exactly reduced scalar).  Per
 block of bins, _block_multipliers gathers each key's phasor P_v, forms
@@ -396,6 +400,41 @@ def apply_entry_multipliers(state: TrialEnsemble, multipliers,
     same loop, so identical inputs give bit-identical outcomes across modules.
     """
     return _condition(state, lambda lo, hi, _: multipliers[lo:hi], in_place)
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """One conditioning step of search or the solver."""
+
+    l: int
+    t_l: float
+    alpha_mag: float
+    pr_E: float                    # joint over the markers
+    C_l: float
+    solution_mass: float           # share of the total in the solution bins
+
+
+def condition_step(state: TrialEnsemble, multipliers, solved: np.ndarray, l: int,
+                   t_l: float, alpha_mag: float, in_place: bool = False):
+    """Condition on one multiplier per bin; returns (post_state, StepRecord),
+    whose solution mass is the share of the post-state in the `solved` bins."""
+    out = apply_entry_multipliers(state, multipliers, in_place=in_place)
+    post = out.post_state
+    return post, StepRecord(l=l, t_l=t_l, alpha_mag=alpha_mag, pr_E=out.probability,
+                            C_l=out.normalization,
+                            solution_mass=math.fsum(post.mass[solved]) / post.total)
+
+
+def amplify(state: TrialEnsemble, step, times, stop_mass: float):
+    """state, rec = step(state, l, t) for l = 1, 2, ... and t from `times`, until
+    a record's solution mass reaches stop_mass; returns (state, records)."""
+    records = []
+    for l, t in enumerate(times, start=1):
+        state, rec = step(state, l, t)
+        records.append(rec)
+        if rec.solution_mass >= stop_mass:
+            break
+    return state, records
 
 
 def _index_of(keys: np.ndarray, v: int):

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 
-from .dynamics import (MarkerAmplitude, OscillatorParams, alpha_at,
+from .dynamics import (MarkerAmplitude, OscillatorParams, alpha_at, check_run_limits,
                        normalize_alpha_schedule)
 from .ensemble import (
     ProductStream,
@@ -107,10 +107,7 @@ class FactoringConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha_schedule",
                            normalize_alpha_schedule(self.alpha_schedule))
-        if self.L_max < 1:
-            raise ValueError("L_max must be >= 1")
-        if not 0.0 < self.stop_fidelity <= 1.0:
-            raise ValueError("stop_fidelity must be in (0, 1]")
+        check_run_limits(self.L_max, self.stop_fidelity, "stop_fidelity")
         if self.N < 2:
             raise ValueError("N must be >= 2")
 

@@ -103,8 +103,10 @@ def to_json_text(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    """Serialize first, so a report that cannot be written leaves no file."""
+    text = to_json_text(obj)
     with open(path, "w") as fh:
-        fh.write(to_json_text(obj))
+        fh.write(text)
 
 
 def report_to_dict(report) -> dict:

@@ -16,18 +16,20 @@ rounding in between.
 Since the multiplier depends on an item only through the parity of h(n), the
 state is two bins: the items with even h(n), kept as their sorted indices,
 and the rest.  One chunked pass over the domain fills them, so an iteration
-costs O(1) and the state O(marked) memory.
+costs O(1) and the state O(marked) memory.  The iterations run through the
+solver's loop, ensemble.amplify.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .dynamics import alpha_at, normalize_alpha_schedule
-from .ensemble import TrialEnsemble, apply_entry_multipliers, member_masses
+from .dynamics import alpha_at, check_run_limits, normalize_alpha_schedule
+from .ensemble import TrialEnsemble, amplify, condition_step, member_masses
 from .errors import ConditionedMassVanished, DomainError, EmptyRange, NoSolutionFound
 
 # items the black box sees per call of h_batch, which bounds the marking
@@ -109,10 +111,7 @@ class SearchConfig:
             raise ValueError("omega_3 must be an even multiple of g_tilde")
         object.__setattr__(self, "alpha_schedule",
                            normalize_alpha_schedule(self.alpha_schedule))
-        if self.L_max < 1:
-            raise ValueError("L_max must be >= 1")
-        if not 0.0 < self.stop_mass <= 1.0:
-            raise ValueError("stop_mass must be in (0, 1]")
+        check_run_limits(self.L_max, self.stop_mass, "stop_mass")
 
     @property
     def t_s(self) -> float:
@@ -120,16 +119,6 @@ class SearchConfig:
 
     def alpha_for(self, l: int) -> float:
         return alpha_at(self.alpha_schedule, l)
-
-
-@dataclass(frozen=True)
-class SearchRecord:
-    l: int
-    t_l: float
-    alpha_mag: float
-    pr_E: float
-    C_l: float
-    solution_mass: float
 
 
 @dataclass
@@ -171,32 +160,20 @@ def _parity_multipliers(state: TrialEnsemble, config: SearchConfig, alpha_mag: f
     return mult, even
 
 
-def solution_mass(state: TrialEnsemble) -> float:
-    return math.fsum(state.mass[state.keys % 2 == 0]) / state.total
-
-
 def search_iteration(state: TrialEnsemble, config: SearchConfig, l: int):
-    """Evolve t_s, condition on |alpha^(l)>; returns (state', SearchRecord)."""
+    """Evolve t_s, condition on |alpha^(l)>; returns (state', StepRecord)."""
     alpha_mag = config.alpha_for(l)
     mult, even = _parity_multipliers(state, config, alpha_mag)
-    out = apply_entry_multipliers(state, mult)
-    s_mass = solution_mass(out.post_state)
-    rec = SearchRecord(l=l, t_l=config.t_s, alpha_mag=alpha_mag,
-                       pr_E=out.probability, C_l=out.normalization,
-                       solution_mass=s_mass)
-    return out.post_state, rec
+    return condition_step(state, mult, even, l, config.t_s, alpha_mag)
 
 
 def run_search(config: SearchConfig, box: BlackBox) -> SearchReport:
     """Amplify until the solution mass reaches stop_mass, then read register 1."""
     state = apply_black_box(initial_search_state(box), box)
-    records = []
     try:
-        for l in range(1, config.L_max + 1):
-            state, rec = search_iteration(state, config, l)
-            records.append(rec)
-            if rec.solution_mass >= config.stop_mass:
-                break
+        # looked up per step, so a wrapper set on the module sees every call
+        state, records = amplify(state, lambda s, l, _: search_iteration(s, config, l),
+                                 repeat(config.t_s, config.L_max), config.stop_mass)
     except ConditionedMassVanished as exc:
         raise NoSolutionFound(f"conditioning extinguished the register: {exc}") from exc
 

@@ -1,10 +1,12 @@
 """Generalized amplitude amplification under B integer constraints.
 
 A register of A oscillators holds candidate tuples; each constraint f_k gets
-its own marker oscillator rotating at omega_k + f_k(tuple).  Conditioning
+its own marker oscillator rotating at f_k(tuple) (a marker's own frequency
+cancels in every phase difference, so it is taken as 0).  Conditioning
 compares every tuple's marker against the markers of the accepted values of
 f_k (those satisfying the relation), so tuples that satisfy a constraint keep
-their mass exactly while violators shrink.
+their mass exactly while violators shrink.  One |alpha| schedule drives every
+marker, and the iterations run through search's loop, ensemble.amplify.
 
 The product of coherent projectors over all accepted values, taken literally,
 is not a valid measurement element, so the per-constraint multiplier is
@@ -42,38 +44,17 @@ from itertools import islice
 import numpy as np
 
 from .constraints import ConstraintSystem, relation_accepts
-from .dynamics import (OscillatorParams, alpha_at, eps_squared_batch, normalize_alpha_schedule,
-                       phase_table, target_phasors, value_phasors)
-from .ensemble import TrialEnsemble, apply_entry_multipliers, member_masses, sample
+from .dynamics import (OscillatorParams, alpha_at, check_run_limits, eps_squared_batch,
+                       normalize_alpha_schedule, phase_table, target_phasors, value_phasors)
+from .ensemble import TrialEnsemble, amplify, condition_step, member_masses, sample
 from .errors import DomainTooLarge, EmptyRange, InfeasibleSystem
 from .factoring import STREAM_SAMPLE, STREAM_TIMES, sample_times
 from .rng import SplitMix64
 
 _SUM_CLIPPED_CAP = 1_000_000
 _STATE_CAP = 4_000_000
-
-
-@dataclass(frozen=True)
-class MarkerBank:
-    """Per-constraint marker parameters: frequency and amplitude schedule."""
-
-    omegas: tuple
-    alpha_schedules: tuple             # one non-decreasing tuple per constraint
-
-    def __post_init__(self):
-        object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
-        scheds = tuple(normalize_alpha_schedule(s) for s in self.alpha_schedules)
-        object.__setattr__(self, "alpha_schedules", scheds)
-        if len(self.omegas) != len(scheds):
-            raise ValueError("need one omega and one alpha schedule per constraint")
-
-    @classmethod
-    def uniform(cls, n_constraints: int, alpha: float = 2.0, omega: float = 0.0):
-        return cls(omegas=(omega,) * n_constraints,
-                   alpha_schedules=((float(alpha),),) * n_constraints)
-
-    def alpha_for(self, k: int, l: int) -> float:
-        return alpha_at(self.alpha_schedules[k], l)
+# every constraint's marker: identity linear coupling, Omega(v) = v
+_MARKER = OscillatorParams(couplings=(1.0,))
 
 
 @dataclass(frozen=True)
@@ -106,15 +87,6 @@ def build_accepted_sets(system: ConstraintSystem, state: TrialEnsemble) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SolverRecord:
-    l: int
-    t_l: float
-    pr_E: float                        # joint over the B markers
-    C_l: float
-    solution_mass: float
-
-
 @dataclass
 class SolverReport:
     config: dict
@@ -124,11 +96,6 @@ class SolverReport:
     sampled_tuple: tuple
     solution_count: int
     estimated_iterations: int          # A*ln(max range)/ln(measured lambda)
-
-
-def _constraint_params(bank: MarkerBank, k: int) -> OscillatorParams:
-    # identity linear coupling: Omega_k(v) = omega_k + v
-    return OscillatorParams(omega=(bank.omegas[k],), couplings=(1.0,))
 
 
 def _best_cos(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -166,25 +133,21 @@ def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorPara
     return mult, ok
 
 
-def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, bank: MarkerBank,
+def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, alpha_schedule: tuple,
                      l: int, t_l: float, mode: str = "max", accepted_sets=None,
                      in_place: bool = False):
-    """One joint conditioning over all B markers; returns (state', SolverRecord)."""
+    """One joint conditioning over all B markers at |alpha| =
+    alpha_at(alpha_schedule, l); returns (state', StepRecord)."""
     if accepted_sets is None:
         accepted_sets = build_accepted_sets(system, state)
+    alpha_mag = alpha_at(alpha_schedule, l)
     joint = None
     all_ok = None
     for k, acc in enumerate(accepted_sets):
-        params = _constraint_params(bank, k)
-        mult, ok = constraint_multipliers(state.keys[:, k], acc, params,
-                                          bank.alpha_for(k, l), t_l, mode)
+        mult, ok = constraint_multipliers(state.keys[:, k], acc, _MARKER, alpha_mag, t_l, mode)
         joint = mult if joint is None else joint * mult
         all_ok = ok if all_ok is None else (all_ok & ok)
-    out = apply_entry_multipliers(state, joint, in_place=in_place)
-    sol_mass = math.fsum(out.post_state.mass[all_ok]) / out.post_state.total
-    rec = SolverRecord(l=l, t_l=t_l, pr_E=out.probability, C_l=out.normalization,
-                       solution_mass=sol_mass)
-    return out.post_state, rec
+    return condition_step(state, joint, all_ok, l, t_l, alpha_mag, in_place=in_place)
 
 
 @dataclass(frozen=True)
@@ -238,19 +201,17 @@ def uniform_state(system: ConstraintSystem, tuples: np.ndarray = None) -> TrialE
                                  _TupleBins(tuples[order], starts))
 
 
-def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "max",
+def run_solver(system: ConstraintSystem, alpha_schedule=(2.0,), mode: str = "max",
                times="seeded", seed: int = 0, L_max: int = 40,
                stop_mass: float = 0.999999, domain: np.ndarray = None) -> SolverReport:
     """Amplify the feasible tuples of the system and report them.
 
-    `domain` holds the trial tuples, one per row; default the bounded box.
+    `alpha_schedule` gives |alpha| per iteration for every marker (see
+    normalize_alpha_schedule); `domain` holds the trial tuples, one per row,
+    default the bounded box.
     """
-    if L_max < 1:
-        raise ValueError("L_max must be >= 1")
-    if not 0.0 < stop_mass <= 1.0:
-        raise ValueError("stop_mass must be in (0, 1]")
-    if bank is None:
-        bank = MarkerBank.uniform(len(system.constraints))
+    alpha_schedule = normalize_alpha_schedule(alpha_schedule)
+    check_run_limits(L_max, stop_mass, "stop_mass")
     size = system.domain_size() if domain is None else len(domain)
     if mode == "sum-clipped" and size > _SUM_CLIPPED_CAP:
         # its loop over accepted values costs violators x accepted per step
@@ -261,13 +222,11 @@ def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "m
 
     master = SplitMix64(seed)
     stream = sample_times(times, master.derive(STREAM_TIMES), 1.0)
-    records = []
-    for l, t_l in enumerate(islice(stream, L_max), start=1):
-        state, rec = solver_iteration(state, system, bank, l, t_l, mode=mode,
-                                      accepted_sets=accepted_sets, in_place=True)
-        records.append(rec)
-        if rec.solution_mass >= stop_mass:
-            break
+    # looked up per step, so a wrapper set on the module sees every call
+    state, records = amplify(
+        state, lambda s, l, t: solver_iteration(s, system, alpha_schedule, l, t, mode=mode,
+                                                accepted_sets=accepted_sets, in_place=True),
+        islice(stream, L_max), stop_mass)
 
     ok = np.ones(len(state.keys), dtype=bool)
     for k, (_, relation, bound) in enumerate(system.constraints):
@@ -286,8 +245,7 @@ def run_solver(system: ConstraintSystem, bank: MarkerBank = None, mode: str = "m
     return SolverReport(
         config={"system": system.to_json(), "mode": mode, "seed": seed,
                 "L_max": L_max, "stop_mass": stop_mass,
-                "bank": {"omegas": list(bank.omegas),
-                         "alpha_schedules": [list(s) for s in bank.alpha_schedules]}},
+                "alpha_schedule": list(alpha_schedule)},
         seed=seed, records=records, solutions=solutions,
         sampled_tuple=sample(state, SplitMix64(master.derive(STREAM_SAMPLE))),
         solution_count=len(solutions), estimated_iterations=est,

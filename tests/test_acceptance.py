@@ -4,8 +4,8 @@ Each test funnels its verdict through the `acceptance` fixture, which prints
 a single ``ACCEPTANCE: <name> ... PASS/FAIL`` line and re-prints all of them
 in a terminal section at the end of the run.
 
-The slow part is the N = 1,030,189 trajectory of Table 1 (~9 s and ~2 GB per
-run on 2 cores), run three times.  The verbatim replay takes the printed times
+The slow part is the N = 1,030,189 trajectory of Table 1 (~9 s and ~75 MiB
+per run on 2 cores, streamed), run three times.  The verbatim replay takes the printed times
 as exact values; it is shared by the tests that need it and is checked for its
 documented resonance-comb stall.  A rounding-interval run draws each time
 from the interval its three printed decimals stand for, and is checked
@@ -35,7 +35,7 @@ from hoamp.fockoracle import brute_force_step, dense_marker_overlaps
 from hoamp.rng import SplitMix64
 from hoamp.search import (BlackBox, SearchConfig, apply_black_box,
                           initial_search_state, run_search, search_iteration)
-from hoamp.solver import MarkerBank, build_accepted_sets, run_solver, solver_iteration, uniform_state
+from hoamp.solver import build_accepted_sets, run_solver, solver_iteration, uniform_state
 
 from conftest import factoring_rectangle, per_member
 
@@ -247,9 +247,8 @@ def _solver_instance(rng):
 
     alpha_mag = rng.uniform(0.5, 1.5)
     t = rng.uniform(0.1, 3.0)
-    bank = MarkerBank.uniform(len(picked), alpha=alpha_mag)
     state = uniform_state(system)
-    post_f, rec = solver_iteration(state, system, bank, 1, t)
+    post_f, rec = solver_iteration(state, system, (alpha_mag,), 1, t)
 
     tuples, masses = per_member(state)
     cols = {name: tuples[:, j] for j, name in enumerate(system.names)}
@@ -331,19 +330,17 @@ def test_solver_factoring_embedding(acceptance):
     bitwise = bitwise and (len(frep.records) == len(srep.records) and
                            all(fr.t_l == sr.t_l and fr.pr_E == sr.pr_E and fr.C_l == sr.C_l
                                for fr, sr in zip(frep.records, srep.records)))
-    bank = MarkerBank.uniform(1, alpha=2.0)
     for rec in frep.records:
         out = conditional_update(f_state, OscillatorParams(), MarkerAmplitude(rec.alpha_mag),
                                  35, rec.t_l)
-        s_state, _ = solver_iteration(s_state, system, bank, rec.l, rec.t_l)
+        s_state, _ = solver_iteration(s_state, system, (2.0,), rec.l, rec.t_l)
         f_state = out.post_state
         bitwise = bitwise and f_state.mass.tobytes() == s_state.mass.tobytes()
 
     feas_ok, masses = True, []
     for doc in INEQ_SYSTEMS:
         system = ConstraintSystem.from_json(doc)
-        rep = run_solver(system, bank=MarkerBank.uniform(len(system.constraints), alpha=3.0),
-                         seed=11, L_max=120)
+        rep = run_solver(system, alpha_schedule=(3.0,), seed=11, L_max=120)
         found = {tup for tup, _ in rep.solutions}
         mass = math.fsum(m for _, m in rep.solutions)
         masses.append(mass)

@@ -245,6 +245,37 @@ def test_run_limits_out_of_range_are_usage_errors(command, flags, message, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--alpha", "nan"], "alpha schedule must be finite"),
+    (["--alpha", "inf"], "alpha schedule must be finite"),
+    (["--alpha-schedule", "2,nan"], "alpha schedule must be finite"),
+])
+@pytest.mark.parametrize("command", ["factor", "search", "solve"])
+def test_non_finite_alpha_is_a_usage_error(command, flags, message, tmp_path, capsys):
+    # refused before any work: no report is written
+    system = tmp_path / "grid.json"
+    system.write_text(json.dumps(GRID_SYSTEM))
+    argv = {"factor": ["factor", "--n", "35"],
+            "search": ["search", "--n", "5000", "--solutions", "17"],
+            "solve": ["solve", "--system", str(system)]}[command]
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out), "--format", "json"] + flags) == 3
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("script", ["search_demo.py", "solve_demo.py"])
+def test_demo_scripts_recover_their_answers(script):
+    # each demo exits 0 only when it recovers the expected solutions
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", script)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_solve_missing_file(capsys):
     assert run(["solve", "--system", "/nonexistent/x.json"]) == 2
 

@@ -79,6 +79,18 @@ def test_params_validation():
     assert p.order == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_marker_amplitude_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MarkerAmplitude(bad)
+    with pytest.raises(ValueError, match="finite"):
+        MarkerAmplitude(2.0, phase=bad)
+    with pytest.raises(ValueError, match="alpha schedule must be finite"):
+        dynamics.normalize_alpha_schedule((1.0, bad))
+    with pytest.raises(ValueError, match="alpha schedule must be finite"):
+        dynamics.normalize_alpha_schedule(bad)
+
+
 def test_rotation_frequency_linear():
     p = OscillatorParams(omega=(0.0, 0.0, 1.5), couplings=(2.0,))
     assert rotation_frequency(p, 10).value == pytest.approx(1.5 + 20.0, rel=0, abs=0)

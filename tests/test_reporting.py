@@ -34,6 +34,13 @@ def test_write_csv_layout(tmp_path):
     assert lines[3] == '2,"x,""y"""'
 
 
+def test_write_json_leaves_no_file_when_serializing_fails(tmp_path):
+    p = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(p, {"x": float("nan")})
+    assert not p.exists()
+
+
 def test_json_writer_valid_and_pinned_floats(tmp_path):
     doc = {"x": 0.1, "items": [1, 2.5, "s"], "flag": True, "none": None}
     text = to_json_text(doc)

@@ -9,7 +9,7 @@ from hoamp.ensemble import member_masses
 from hoamp.errors import DomainError, EmptyRange, NoSolutionFound
 from hoamp.search import (BlackBox, SearchConfig, apply_black_box,
                           initial_search_state, required_iterations, run_search,
-                          search_iteration, solution_mass)
+                          search_iteration)
 
 
 def test_black_box_from_indices():
@@ -94,10 +94,9 @@ def test_one_in_eight_oracle_values():
     box = BlackBox.from_solution_indices(8, [5])
     st = apply_black_box(initial_search_state(box), box)
     config = SearchConfig()
-    post, rec = search_iteration(st, config, 1)
+    _, rec = search_iteration(st, config, 1)
     assert rec.pr_E == pytest.approx(0.1250000984682779, rel=1e-12)
     assert rec.solution_mass == pytest.approx(0.9999992122543974, rel=1e-12)
-    assert solution_mass(post) == pytest.approx(rec.solution_mass, rel=1e-12)
 
 
 def test_one_in_1024_two_rounds():

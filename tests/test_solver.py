@@ -1,5 +1,7 @@
 """Constraint solver: accepted sets, conditioning modes, factoring embedding."""
 
+import dataclasses
+import io
 import math
 
 import numpy as np
@@ -9,12 +11,14 @@ from hoamp import solver
 from hoamp.constraints import ConstraintSystem, feasible_set
 from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap, phase_delta,
                             phase_table, target_phasors, value_phasors)
-from hoamp.ensemble import init_uniform_factoring, member_masses
+from hoamp import ensemble
+from hoamp.ensemble import StepRecord, init_uniform_factoring, member_masses
 from hoamp.errors import DomainTooLarge, EmptyRange, InfeasibleSystem
 from hoamp.factoring import FactoringConfig, run_factoring
-from hoamp.solver import (AcceptedSet, MarkerBank, build_accepted_sets,
-                          constraint_multipliers, run_solver, solver_iteration,
-                          uniform_state)
+from hoamp.reporting import write_iteration_csv
+from hoamp.search import BlackBox, SearchConfig, run_search
+from hoamp.solver import (AcceptedSet, build_accepted_sets, constraint_multipliers,
+                          run_solver, solver_iteration, uniform_state)
 
 from conftest import factoring_rectangle
 
@@ -58,16 +62,49 @@ GRID_40 = {
 }
 
 
-def test_marker_bank_validation():
-    bank = MarkerBank.uniform(3, alpha=2.5)
-    assert bank.omegas == (0.0, 0.0, 0.0)
-    assert bank.alpha_for(1, 5) == 2.5
-    with pytest.raises(ValueError):
-        MarkerBank(omegas=(0.0,), alpha_schedules=((2.0,), (2.0,)))
-    with pytest.raises(ValueError):
-        MarkerBank(omegas=(0.0,), alpha_schedules=((2.0, 1.0),))
-    b2 = MarkerBank(omegas=(0.0,), alpha_schedules=(1.5,))   # scalar coerced
-    assert b2.alpha_schedules == ((1.5,),)
+def test_search_and_solve_records_are_one_step_record():
+    solve = run_solver(make_system(INEQ_SMALL), seed=1, L_max=3, stop_mass=1.0)
+    search = run_search(SearchConfig(L_max=2, stop_mass=1.0),
+                        BlackBox.from_solution_indices(64, [7]))
+    for report in (solve, search):
+        assert report.records and all(type(r) is StepRecord for r in report.records)
+    assert [f.name for f in dataclasses.fields(StepRecord)] == \
+        ["l", "t_l", "alpha_mag", "pr_E", "C_l", "solution_mass"]
+    headers = []
+    for report in (solve, search):
+        buf = io.StringIO()
+        write_iteration_csv(buf, report)
+        headers.append(buf.getvalue().splitlines()[1])
+    assert headers == ["l,t_l,alpha_mag,pr_E,C_l,solution_mass"] * 2
+
+
+def test_solve_alpha_mag_follows_the_schedule():
+    # every marker takes |alpha| per step from the one schedule, the last
+    # entry repeating once it runs out
+    sched = (1.5, 2.0, 2.5)
+    system = make_system(THREE_CONSTRAINTS)
+    report = run_solver(system, alpha_schedule=sched, seed=3, L_max=6, stop_mass=1.0)
+    assert [r.alpha_mag for r in report.records] == [1.5, 2.0, 2.5, 2.5, 2.5, 2.5]
+    assert report.config["alpha_schedule"] == list(sched)
+    # step by step, the same as conditioning at that |alpha| alone
+    state = uniform_state(system)
+    for rec in report.records:
+        state, ref = solver_iteration(state, system, (rec.alpha_mag,), 1, rec.t_l)
+        assert (ref.pr_E, ref.C_l, ref.solution_mass) == (rec.pr_E, rec.C_l,
+                                                          rec.solution_mass)
+
+
+def test_run_solver_rejects_a_decreasing_schedule():
+    with pytest.raises(ValueError, match="non-decreasing"):
+        run_solver(make_system(INEQ_SMALL), alpha_schedule=(2.0, 1.0))
+
+
+def test_run_solver_echoes_alpha_schedule():
+    report = run_solver(make_system(INEQ_SMALL), seed=1, L_max=2)
+    assert report.config["alpha_schedule"] == [2.0]
+    assert "bank" not in report.config
+    report = run_solver(make_system(INEQ_SMALL), alpha_schedule=3, seed=1, L_max=2)
+    assert report.config["alpha_schedule"] == [3.0]
 
 
 def accepted_sets(doc):
@@ -158,17 +195,17 @@ def test_max_mode_exact_past_a_million_tuples(monkeypatch):
         "constraints": [{"expr": "x", "relation": "<=", "bound": 10}],
     })
     seen = []
-    apply = solver.apply_entry_multipliers
+    apply = ensemble.apply_entry_multipliers
 
     def spy(state, joint, **kw):
         seen.append(joint.copy())
         return apply(state, joint, **kw)
 
-    monkeypatch.setattr(solver, "apply_entry_multipliers", spy)
+    monkeypatch.setattr(ensemble, "apply_entry_multipliers", spy)
     t, alpha = 2.71, 2.0
     state = uniform_state(system)
     v = state.keys[:, 0].astype(np.int64)
-    solver_iteration(state, system, MarkerBank.uniform(1, alpha=alpha), 1, t)
+    solver_iteration(state, system, (alpha,), 1, t)
     (mult,) = seen
     assert np.all(mult[v <= 10] == 1.0)
     # every violator against the pairwise max over the eleven accepted values
@@ -277,14 +314,13 @@ def test_equality_mode_post_state_identical():
     from hoamp.ensemble import conditional_update
     # over the factoring rectangle the solver's bins are factoring's bins
     system = make_system(EQ_FACTORING_35)
-    bank = MarkerBank.uniform(1, alpha=2.0)
     st_f = init_uniform_factoring(35)
     st_s = uniform_state(system, factoring_rectangle(35))
     for a in ("keys", "counts", "mass"):
         assert getattr(st_s, a).tobytes() == getattr(st_f, a).tobytes()
     out_f = conditional_update(st_f, OscillatorParams(), MarkerAmplitude(2.0),
                                35, 1.37)
-    post_s, rec = solver_iteration(st_s, system, bank, 1, 1.37)
+    post_s, rec = solver_iteration(st_s, system, (2.0,), 1, 1.37)
     assert rec.pr_E == out_f.probability
     assert post_s.mass.tobytes() == out_f.post_state.mass.tobytes()
 
@@ -300,8 +336,7 @@ def test_inequality_solutions_match_feasible_set():
 
 def test_three_constraint_system_converges():
     system = make_system(THREE_CONSTRAINTS)
-    bank = MarkerBank.uniform(3, alpha=3.0)
-    report = run_solver(system, bank=bank, seed=3, L_max=120, stop_mass=0.999)
+    report = run_solver(system, alpha_schedule=(3.0,), seed=3, L_max=120, stop_mass=0.999)
     assert {t for t, _ in report.solutions} == feasible_set(system)
     assert report.records[-1].solution_mass >= 0.999
     masses = [r.solution_mass for r in report.records]
