@@ -3,7 +3,8 @@
 
 Two small systems over x, y:
 
-* inequalities  x + y <= 6,  x*y >= 5,  x^2 + y >= 7   (bounds 7)
+* inequalities  x + y <= 6,  x*y >= 5,  x^2 + y >= 7   (bounds 7), read from
+  example_system.json beside this script
 * equality      x*y = 12,    x + y <= 8                (bounds 12)
 
 The first runs in max mode (per-constraint best overlap with any accepted
@@ -18,14 +19,8 @@ import sys
 
 from hoamp import ConstraintSystem, feasible_set, run_solver
 
-INEQ = {
-    "variables": [{"name": "x", "bound": 7}, {"name": "y", "bound": 7}],
-    "constraints": [
-        {"expr": "x + y", "relation": "<=", "bound": 6},
-        {"expr": "x*y", "relation": ">=", "bound": 5},
-        {"expr": "x^2 + y", "relation": ">=", "bound": 7},
-    ],
-}
+INEQ_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "example_system.json")
 EQ = {
     "variables": [{"name": "x", "bound": 12}, {"name": "y", "bound": 12}],
     "constraints": [
@@ -51,14 +46,11 @@ def run_one(label, doc, mode, alpha, l_max):
 
 
 def main() -> int:
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.path.join(here, "example_system.json")
-    with open(path, "w") as fh:
-        json.dump(INEQ, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {path} (usable with: hoamp solve --system {path})\n")
+    with open(INEQ_PATH) as fh:
+        ineq = json.load(fh)
+    print(f"inequality system: {INEQ_PATH} (also: hoamp solve --system {INEQ_PATH})\n")
 
-    ok = run_one("inequality", INEQ, "max", 3.0, 120)
+    ok = run_one("inequality", ineq, "max", 3.0, 120)
     ok &= run_one("equality", EQ, "max", 2.0, 40)
     ok &= run_one("equality", EQ, "sum-clipped", 2.0, 40)
     return 0 if ok else 1

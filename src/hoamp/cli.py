@@ -75,9 +75,7 @@ def _oscillator_params(args) -> OscillatorParams:
 
 
 def _alpha_schedule(args) -> tuple:
-    if getattr(args, "alpha_schedule", None):
-        return _parse_floats(args.alpha_schedule, "--alpha-schedule")
-    return (args.alpha,)
+    return _parse_floats(args.alpha, "--alpha")
 
 
 def _times(args):
@@ -227,10 +225,9 @@ def cmd_stats(args) -> int:
 
 def _add_common(p, with_stop_fidelity=False, with_stop_mass=False):
     p.add_argument("--seed", type=int, default=0, help="deterministic run seed")
-    p.add_argument("--alpha", type=float, default=2.0,
-                   help="marker amplitude |alpha| (constant schedule)")
-    p.add_argument("--alpha-schedule", default=None,
-                   help="comma-separated |alpha| per iteration, non-decreasing")
+    p.add_argument("--alpha", default="2.0",
+                   help="marker amplitude |alpha|: one value, or a comma-separated "
+                        "non-decreasing schedule, one per iteration")
     p.add_argument("--l-max", type=int, default=30, help="iteration cap")
     if with_stop_fidelity:
         p.add_argument("--stop-fidelity", type=float, default=0.99)

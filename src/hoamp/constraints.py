@@ -9,8 +9,15 @@ Grammar (ASCII, infix):
     atom     := INT | IDENT | '(' expr ')'
 
 No division, no variable exponents: every expression is a polynomial with
-integer coefficients, evaluable exactly in checked 128-bit arithmetic.  Parse
-errors carry the 0-based source position.
+integer coefficients.  Parse errors carry the 0-based source position.
+
+Each node has one `ev`, a ring operation that runs unchanged on Python ints
+and on numpy arrays.  `evaluate` walks the tree over Python ints, exactly;
+`evaluate_batch` walks it once over whole columns, as int64 when the value
+interval of the expression fits int64 (int64 arithmetic wraps exactly mod
+2^64, so a result in that range is exact even where an intermediate wrapped),
+and as object arrays of Python ints otherwise.  Both raise OverflowError when
+a final value leaves the signed 128-bit range; intermediates may pass it.
 
 A ConstraintSystem binds variables m_1..m_A with inclusive bounds [0, N_j] and
 a list of (expression, relation, bound) rows, relation one of <=, =, >=.  The
@@ -30,6 +37,7 @@ import numpy as np
 from .errors import DomainTooLarge, ParseError
 
 _INT128_MAX = (1 << 127) - 1
+_INT64 = np.iinfo(np.int64)
 _FEASIBLE_CAP = 100_000_000
 RELATIONS = ("<=", "=", ">=")
 
@@ -50,9 +58,6 @@ class Const:
     def bounds(self, env):
         return (self.value, self.value)
 
-    def ev_batch(self, cols):
-        return self.value
-
 
 @dataclass(frozen=True)
 class Var:
@@ -63,9 +68,6 @@ class Var:
 
     def bounds(self, env):
         return env[self.name]
-
-    def ev_batch(self, cols):
-        return cols[self.name]
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,6 @@ class Neg:
         lo, hi = self.x.bounds(env)
         return (-hi, -lo)
 
-    def ev_batch(self, cols):
-        return -self.x.ev_batch(cols)
-
 
 @dataclass(frozen=True)
 class Add:
@@ -89,14 +88,11 @@ class Add:
     b: object
 
     def ev(self, env):
-        return _check128(self.a.ev(env) + self.b.ev(env))
+        return self.a.ev(env) + self.b.ev(env)
 
     def bounds(self, env):
         (al, ah), (bl, bh) = self.a.bounds(env), self.b.bounds(env)
         return (al + bl, ah + bh)
-
-    def ev_batch(self, cols):
-        return self.a.ev_batch(cols) + self.b.ev_batch(cols)
 
 
 @dataclass(frozen=True)
@@ -105,14 +101,11 @@ class Sub:
     b: object
 
     def ev(self, env):
-        return _check128(self.a.ev(env) - self.b.ev(env))
+        return self.a.ev(env) - self.b.ev(env)
 
     def bounds(self, env):
         (al, ah), (bl, bh) = self.a.bounds(env), self.b.bounds(env)
         return (al - bh, ah - bl)
-
-    def ev_batch(self, cols):
-        return self.a.ev_batch(cols) - self.b.ev_batch(cols)
 
 
 @dataclass(frozen=True)
@@ -121,15 +114,12 @@ class Mul:
     b: object
 
     def ev(self, env):
-        return _check128(self.a.ev(env) * self.b.ev(env))
+        return self.a.ev(env) * self.b.ev(env)
 
     def bounds(self, env):
         (al, ah), (bl, bh) = self.a.bounds(env), self.b.bounds(env)
         c = (al * bl, al * bh, ah * bl, ah * bh)
         return (min(c), max(c))
-
-    def ev_batch(self, cols):
-        return self.a.ev_batch(cols) * self.b.ev_batch(cols)
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ class Pow:
     exponent: int
 
     def ev(self, env):
-        return _check128(self.base.ev(env) ** self.exponent)
+        return self.base.ev(env) ** self.exponent
 
     def bounds(self, env):
         if self.exponent == 0:
@@ -148,13 +138,6 @@ class Pow:
         if self.exponent % 2 == 0 and lo < 0 < hi:
             return (0, max(c))
         return (min(c), max(c))
-
-    def ev_batch(self, cols):
-        out = self.base.ev_batch(cols)
-        acc = out
-        for _ in range(self.exponent - 1):
-            acc = acc * out
-        return acc if self.exponent > 0 else np.ones_like(out)
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\*\*|\^|[-+*()]))")
@@ -256,18 +239,8 @@ class ConstraintExpr:
         return cls(source=source, root=root)
 
     def variables(self) -> set:
-        out = set()
-
-        def walk(node):
-            if isinstance(node, Var):
-                out.add(node.name)
-            for attr in ("x", "a", "b", "base"):
-                child = getattr(node, attr, None)
-                if child is not None and not isinstance(child, int):
-                    walk(child)
-
-        walk(self.root)
-        return out
+        # every identifier in the grammar is a variable
+        return {val for kind, val, _ in _tokenize(self.source) if kind == "IDENT"}
 
     def evaluate(self, env: dict) -> int:
         """Exact integer value; raises OverflowError beyond 128 bits."""
@@ -278,36 +251,36 @@ class ConstraintExpr:
         return self.root.bounds(var_bounds)
 
     def evaluate_batch(self, cols: dict) -> np.ndarray:
-        """Vectorized int64 evaluation; falls back to exact per-row loops when
-        interval bounds stray beyond int64."""
-        names = sorted(cols)
-        n = len(cols[names[0]])
-        var_bounds = {
-            k: (int(v.min()) if n else 0, int(v.max()) if n else 0)
-            for k, v in cols.items()
-        }
-        lo, hi = self.interval(var_bounds)
-        if -(2**62) < lo and hi < 2**62:
-            out = self.root.ev_batch({k: v.astype(np.int64) for k, v in cols.items()})
-            if isinstance(out, (int, np.integer)):
-                out = np.full(n, int(out), dtype=np.int64)
-            return out.astype(np.int64)
-        res = np.empty(n, dtype=object)
-        for i in range(n):
-            res[i] = self.evaluate({k: int(v[i]) for k, v in cols.items()})
-        return res
+        """Values over equal-length integer columns: int64 when the interval
+        over the columns' ranges fits int64, exact Python-int objects
+        otherwise; raises OverflowError beyond 128 bits."""
+        n = len(next(iter(cols.values())))
+        lo, hi = self.interval({k: (int(v.min()), int(v.max())) if n else (0, 0)
+                                for k, v in cols.items()})
+        dtype = np.int64 if _INT64.min <= lo and hi <= _INT64.max else object
+        try:
+            out = self.root.ev({k: v.astype(dtype) for k, v in cols.items()})
+        except OverflowError:
+            # a constant subterm beyond int64 met an int64 column
+            dtype = object
+            out = self.root.ev({k: v.astype(dtype) for k, v in cols.items()})
+        out = np.full(n, out, dtype=dtype) if np.ndim(out) == 0 else out
+        if dtype is object and n:
+            _check128(out.min())
+            _check128(out.max())
+        return out
 
 
 def relation_accepts(value, relation: str, bound):
     """Exact integer-vs-real comparison for one constraint row, or elementwise
-    over an integer array."""
+    over an integer array (int64 or Python-int objects)."""
     if relation == "<=":
         return value <= math.floor(bound)
     if relation == ">=":
         return value >= math.ceil(bound)
     if relation == "=":
-        if float(bound).is_integer():
-            return value == int(bound)
+        if bound == math.floor(bound):
+            return value == math.floor(bound)
         return np.zeros_like(value, dtype=bool)
     raise ValueError(f"unknown relation {relation!r}")
 
@@ -329,9 +302,13 @@ class ConstraintSystem:
             if bound < 0:
                 raise ValueError("variable bounds must be >= 0")
         declared = set(names)
-        for expr, relation, _ in self.constraints:
+        for expr, relation, bound in self.constraints:
             if relation not in RELATIONS:
                 raise ValueError(f"relation must be one of {RELATIONS}")
+            # bool is an int subclass; an infinite bound has no floor
+            if not (type(bound) is int or isinstance(bound, float) and math.isfinite(bound)):
+                raise ValueError(f"bound of {expr.source!r} must be a finite number, "
+                                 f"got {bound!r}")
             missing = expr.variables() - declared
             if missing:
                 raise ValueError(f"undeclared variables {sorted(missing)} in {expr.source!r}")
@@ -390,18 +367,5 @@ def feasible_set(system: ConstraintSystem) -> set:
     cols = {name: g.ravel() for (name, _), g in zip(system.variables, grids)}
     keep = np.ones(size, dtype=bool)
     for expr, relation, bound in system.constraints:
-        vals = expr.evaluate_batch(cols)
-        if vals.dtype == object:
-            mask = np.fromiter(
-                (relation_accepts(int(v), relation, bound) for v in vals),
-                dtype=bool, count=size)
-        elif relation == "<=":
-            mask = vals <= math.floor(bound)
-        elif relation == ">=":
-            mask = vals >= math.ceil(bound)
-        else:
-            mask = (vals == int(bound)) if float(bound).is_integer() else np.zeros(size, bool)
-        keep &= mask
-    names = system.names
-    sel = np.flatnonzero(keep)
-    return {tuple(int(cols[n][i]) for n in names) for i in sel}
+        keep &= relation_accepts(expr.evaluate_batch(cols), relation, bound)
+    return {tuple(int(cols[n][i]) for n in system.names) for i in np.flatnonzero(keep)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import math
 from dataclasses import dataclass
 
@@ -66,7 +67,7 @@ def _json_value(v, out: io.StringIO, indent: int) -> None:
             raise ValueError("non-finite value in report")
         out.write(fmt_float(f))
     elif isinstance(v, str):
-        out.write('"' + v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"')
+        out.write(json.dumps(v, ensure_ascii=False))
     elif isinstance(v, dict):
         if not v:
             out.write("{}")
@@ -74,7 +75,7 @@ def _json_value(v, out: io.StringIO, indent: int) -> None:
         out.write("{\n")
         items = list(v.items())
         for i, (k, val) in enumerate(items):
-            out.write(pad + '  "' + str(k) + '": ')
+            out.write(pad + "  " + json.dumps(str(k), ensure_ascii=False) + ": ")
             _json_value(val, out, indent + 1)
             out.write(",\n" if i < len(items) - 1 else "\n")
         out.write(pad + "}")

@@ -163,10 +163,10 @@ class _TupleBins:
 
 
 def _int64_values(expr, cols: dict) -> np.ndarray:
-    """f_k over the domain columns as int64 (the keys' widest dtype)."""
-    vals = expr.evaluate_batch(cols)
+    """f_k over the domain columns as int64 (the keys' widest dtype); values
+    past 128 bits overflow in evaluation, past int64 in the cast."""
     try:
-        return vals.astype(np.int64, copy=False)
+        return expr.evaluate_batch(cols).astype(np.int64, copy=False)
     except OverflowError:
         raise DomainTooLarge(f"{expr.source!r} takes values beyond int64 "
                              f"on the trial domain") from None

@@ -48,8 +48,8 @@ def test_factor_prime_exit_code(capsys):
 
 def test_factor_bad_flags(capsys):
     assert run(["factor"]) == 3                        # --n required
-    assert run(["factor", "--n", "35", "--alpha-schedule", "3,2"]) == 3
-    assert run(["factor", "--n", "35", "--alpha-schedule", ","]) == 3
+    assert run(["factor", "--n", "35", "--alpha", "3,2"]) == 3
+    assert run(["factor", "--n", "35", "--alpha", ","]) == 3
     assert run(["factor", "--n", "35", "--couplings", "abc"]) == 3
     assert run(["factor", "--n", "35", "--times", "x"]) == 3
 
@@ -140,7 +140,7 @@ def test_search_missing_solutions_usage(capsys):
 @pytest.mark.parametrize("schedule", [",", "-1", "3,2"])
 def test_search_bad_alpha_schedule_usage(schedule, capsys):
     assert run(["search", "--n", "16", "--solutions", "3",
-                "--alpha-schedule", schedule]) == 3
+                "--alpha", schedule]) == 3
     assert "usage error: alpha schedule" in capsys.readouterr().err
 
 
@@ -203,6 +203,51 @@ def test_solve_values_beyond_int64_exit_code(tmp_path, capsys):
     assert err.startswith("runtime error:") and "'x^4'" in err and "int64" in err
 
 
+def test_solve_values_beyond_128_bits_exit_code(tmp_path, capsys):
+    # 100000^9 = 1e45 overflows evaluation itself, not only the int64 cast
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({
+        "variables": [{"name": "x", "bound": 100_000}],
+        "constraints": [{"expr": "x^9", "relation": ">=", "bound": 5}],
+    }))
+    assert run(["solve", "--system", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "'x^9'" in err
+
+
+@pytest.mark.parametrize("bound", ['"3"', "Infinity", "-Infinity", "NaN", "true"])
+def test_solve_bound_not_a_finite_number_is_a_usage_error(bound, tmp_path, capsys):
+    f = tmp_path / "sys.json"
+    f.write_text('{"variables": [{"name": "x", "bound": 3}], "constraints": '
+                 '[{"expr": "x", "relation": "<=", "bound": %s}]}' % bound)
+    assert run(["solve", "--system", str(f)]) == 3
+    assert "finite number" in capsys.readouterr().err
+
+
+def test_solve_json_report_escapes_control_characters(tmp_path, capsys):
+    # the parser takes a tab as whitespace; the report must still be JSON
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps({
+        "variables": [{"name": "x", "bound": 3}, {"name": "y", "bound": 3}],
+        "constraints": [{"expr": "x +\ty", "relation": "=", "bound": 3}],
+    }))
+    assert run(["solve", "--system", str(f), "--out-dir", str(tmp_path),
+                "--format", "json"]) == 0
+    doc = json.loads((tmp_path / "solve_report.json").read_text())
+    assert doc["config"]["system"]["constraints"][0]["expr"] == "x +\ty"
+
+
+def test_alpha_takes_one_value_or_a_schedule(capsys):
+    argv = ["search", "--n", "64", "--solutions", "3", "--format", "json"]
+    assert run(argv + ["--alpha", "1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["alpha_schedule"] == [1, 2]
+    assert run(argv + ["--alpha", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["alpha_schedule"] == [5]
+    # one flag: the second one, which silently overrode --alpha, is gone
+    assert run(argv + ["--alpha", "5", "--alpha-schedule", "1"]) == 3
+    assert "unrecognized arguments: --alpha-schedule" in capsys.readouterr().err
+
+
 def test_solve_sum_clipped_refuses_large_domains(tmp_path, capsys):
     f = tmp_path / "wide.json"
     f.write_text(json.dumps({
@@ -220,7 +265,7 @@ def test_solve_bad_alpha_schedule_usage(schedule, tmp_path, capsys):
         "variables": [{"name": "x", "bound": 3}],
         "constraints": [{"expr": "x", "relation": "=", "bound": 2}],
     }))
-    assert run(["solve", "--system", str(f), "--alpha-schedule", schedule]) == 3
+    assert run(["solve", "--system", str(f), "--alpha", schedule]) == 3
     assert "usage error: alpha schedule" in capsys.readouterr().err
 
 
@@ -248,7 +293,7 @@ def test_run_limits_out_of_range_are_usage_errors(command, flags, message, tmp_p
 @pytest.mark.parametrize("flags,message", [
     (["--alpha", "nan"], "alpha schedule must be finite"),
     (["--alpha", "inf"], "alpha schedule must be finite"),
-    (["--alpha-schedule", "2,nan"], "alpha schedule must be finite"),
+    (["--alpha", "2,nan"], "alpha schedule must be finite"),
 ])
 @pytest.mark.parametrize("command", ["factor", "search", "solve"])
 def test_non_finite_alpha_is_a_usage_error(command, flags, message, tmp_path, capsys):
@@ -266,14 +311,23 @@ def test_non_finite_alpha_is_a_usage_error(command, flags, message, tmp_path, ca
 
 @pytest.mark.parametrize("script", ["search_demo.py", "solve_demo.py"])
 def test_demo_scripts_recover_their_answers(script):
-    # each demo exits 0 only when it recovers the expected solutions
+    # each demo exits 0 only when it recovers the expected solutions, and it
+    # only reads the tracked example system
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    example = os.path.join(root, "scripts", "example_system.json")
+
+    def snapshot():
+        with open(example, "rb") as fh:
+            return fh.read(), os.stat(example).st_mtime_ns
+
+    before = snapshot()
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "scripts", script)],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])})
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert snapshot() == before
 
 
 def test_solve_missing_file(capsys):

@@ -70,6 +70,44 @@ def test_evaluate_batch_object_fallback():
     out = e.evaluate_batch({"x": xs})
     assert list(out) == [27_000_000_000_000_000_000_000_000_000,
                          64_000_000_000_000_000_000_000_000_000]
+    # whole columns either way: int64 while the interval fits int64 (here up
+    # to 8e18), exact Python-int objects past it
+    xs = np.arange(0, 2_000_001, dtype=np.int64)
+    for src, dtype in (("x^3", np.int64), ("x^4 + x", object)):
+        e = ConstraintExpr.parse(src)
+        out = e.evaluate_batch({"x": xs})
+        assert out.dtype == dtype and len(out) == len(xs)
+        for i in (*range(0, len(xs), 99_991), len(xs) - 1):
+            assert int(out[i]) == e.evaluate({"x": int(xs[i])})
+        if dtype is object:
+            assert type(out[-1]) is int
+
+
+def test_evaluate_batch_wraps_exactly_in_int64():
+    # x^5 wraps mod 2^64, yet the interval of the whole, and its value, fit
+    xs = np.array([0, 1, 2_000_000, 3_037_000_499], dtype=np.int64)
+    e = ConstraintExpr.parse("x^5*0 + x*x")
+    out = e.evaluate_batch({"x": xs})
+    assert out.dtype == np.int64 and out.tolist() == [int(x) ** 2 for x in xs]
+    # a constant subterm past int64 cannot meet an int64 column: exact objects
+    e = ConstraintExpr.parse("x + 2^70 - 2^70")
+    assert e.evaluate_batch({"x": xs}).tolist() == xs.tolist()
+    # an expression without variables still gives one value per row
+    out = ConstraintExpr.parse("2^3 - 1").evaluate_batch({"x": xs})
+    assert out.dtype == np.int64 and out.tolist() == [7] * 4
+
+
+def test_values_past_128_bits_overflow():
+    e = ConstraintExpr.parse("x^9")              # 100000^9 = 1e45 > 2^127
+    with pytest.raises(OverflowError):
+        e.evaluate({"x": 100_000})
+    with pytest.raises(OverflowError):
+        e.evaluate_batch({"x": np.arange(100_001, dtype=np.int64)})
+    assert e.evaluate({"x": 10}) == 10**9
+    # only the final value is checked: Python ints stay exact throughout
+    e = ConstraintExpr.parse("x^9 - x^9 + 1")
+    assert e.evaluate({"x": 100_000}) == 1
+    assert e.evaluate_batch({"x": np.array([100_000])}).tolist() == [1]
 
 
 def test_interval_bounds():
@@ -111,6 +149,10 @@ def test_system_validation():
     with pytest.raises(ValueError):
         ConstraintSystem(variables=(("x", 3),),
                          constraints=((ConstraintExpr.parse("x"), "<", 1),))
+    for bad in ("3", None, True, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite number"):
+            ConstraintSystem(variables=(("x", 3),),
+                             constraints=((ConstraintExpr.parse("x"), "<=", bad),))
 
 
 def test_system_json_round_trip():
@@ -155,6 +197,25 @@ def test_feasible_set_brute_force_agreement():
         for x in range(7) for y in range(7)
         if x * y >= 6 and x + y <= 7
     }
+    assert feasible_set(system) == want
+
+
+def test_feasible_set_object_valued_constraint():
+    # x^4 reaches 1e20 over the box, past int64: decided on exact objects
+    system = ConstraintSystem.from_json({
+        "variables": [{"name": "x", "bound": 100_000}, {"name": "y", "bound": 2}],
+        "constraints": [
+            {"expr": "x^4 + y", "relation": ">=", "bound": 10**19 + 1.5},
+            {"expr": "x^4 - 10^19*y", "relation": "<=", "bound": 3 * 10**19},
+        ],
+    })
+    e1, e2 = (ConstraintExpr.parse(c) for c in ("x^4 + y", "x^4 - 10^19*y"))
+    want = {
+        (x, y) for x in range(100_001) for y in range(3)
+        if e1.evaluate({"x": x, "y": y}) >= 10**19 + 2
+        and e2.evaluate({"x": x, "y": y}) <= 3 * 10**19
+    }
+    assert 0 < len(want) < 3 * 100_001
     assert feasible_set(system) == want
 
 

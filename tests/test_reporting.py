@@ -51,6 +51,13 @@ def test_json_writer_valid_and_pinned_floats(tmp_path):
     assert p.read_text() == text
 
 
+def test_json_writer_escapes_control_characters():
+    doc = {"x +\ty": "a\tb\r\x01\"\\\n", "plain": "é/ü"}
+    text = to_json_text(doc)
+    assert json.loads(text) == doc
+    assert "\t" not in text and '"é/ü"' in text     # non-ASCII stays as it is
+
+
 def test_json_writer_rejects_non_finite():
     with pytest.raises(ValueError):
         to_json_text({"x": float("inf")})
