@@ -298,7 +298,11 @@ class ConstraintSystem:
         names = [n for n, _ in self.variables]
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        for _, bound in self.variables:
+        for name, bound in self.variables:
+            # bool is an int subclass; a float or string bound has no range
+            if type(bound) is not int:
+                raise ValueError(f"bound of variable {name!r} must be an integer, "
+                                 f"got {bound!r}")
             if bound < 0:
                 raise ValueError("variable bounds must be >= 0")
         declared = set(names)
@@ -331,7 +335,7 @@ class ConstraintSystem:
     def from_json(cls, doc) -> "ConstraintSystem":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        variables = tuple((v["name"], int(v["bound"])) for v in doc["variables"])
+        variables = tuple((v["name"], v["bound"]) for v in doc["variables"])
         constraints = tuple(
             (ConstraintExpr.parse(c["expr"]), c["relation"], c["bound"])
             for c in doc["constraints"]

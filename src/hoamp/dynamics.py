@@ -40,10 +40,14 @@ digit count is the least that 13-bit digits allow.  Each B_k^j*g_k*t is
 reduced exactly in Fraction arithmetic and kept as a double-double, and its
 B_k multiples are filled by an exact two-product and a Cody-Waite split, so
 every entry is within an ulp or two of the exact angle.  value_phasors
-gathers one complex entry per digit and multiplies them, so the hot loop is
-gathers and multiplies with no trig call and no width limit: powers beyond
-int64 (K >= 2 with large values) have their digits taken from Python ints in
-an object array, and non-negative values skip the abs and sign passes.
+works in two steps.  value_digits cuts each |v^k| into table indices (intp
+arrays, with the sign masks); they depend on the table's digit layout but
+not on t, so a caller that conditions the same values at several times cuts
+them once.  gather_phasors then gathers one complex entry per digit and
+multiplies them, so the hot loop is gathers and multiplies with no trig
+call and no width limit: powers beyond int64 (K >= 2 with large values)
+have their digits taken from Python ints in an object array, and
+non-negative values skip the abs and sign passes.
 Callers that loop over blocks pass a KernelScratch (out=) so the blocks
 reuse one set of buffers; cos Delta is Re(Q_a * P_v), and |eps|^2 follows
 from it in eps_squared_batch.  Re(Q_a * P_a) rounds to 1 +- an ulp, so
@@ -80,7 +84,7 @@ _MAX_ORDER = 4
 
 # phase tables index |v^k| by digits of at most 13 bits
 _DIGIT_BITS = 13
-# callers hand value_phasors at most this many elements at a time, so its
+# callers hand the phasor kernel at most this many elements at a time, so its
 # temporaries stay in cache; values are element-wise, so the size changes none
 KERNEL_BLOCK = 1 << 16
 
@@ -358,7 +362,7 @@ def target_phasors(params: OscillatorParams, t: float, targets) -> np.ndarray:
 
 
 class KernelScratch:
-    """Work buffers for value_phasors and eps_squared_batch.
+    """Work buffers for value_digits, gather_phasors and eps_squared_batch.
 
     A loop over blocks passes one scratch as out= to each call, so the
     blocks reuse the same buffers instead of allocating their temporaries
@@ -387,55 +391,75 @@ def _int_array(terms) -> np.ndarray:
 
 
 def _digit(mag, shift: int, mask, out):
-    """The digit of |v^k| at bit `shift`, masked unless it is the top digit."""
+    """The digit of |v^k| at bit `shift` into the intp array `out`, masked
+    unless it is the top digit."""
     if mag.dtype == object:
         d = mag >> shift
         np.copyto(out, d if mask is None else d & mask, casting="unsafe")
-        return out
-    if not shift and mask is None:
-        return mag
-    src = np.right_shift(mag, shift, out=out) if shift else mag
-    return src if mask is None else np.bitwise_and(src, mask, out=out)
+    elif mask is None:
+        np.right_shift(mag, shift, out=out)
+    else:
+        np.bitwise_and(np.right_shift(mag, shift, out=out) if shift else mag, mask, out=out)
+    return out
 
 
-def value_phasors(table: PhaseTable, values, out=None, span=None) -> np.ndarray:
-    """P_v = exp(-i * sum_k g_k t v^k) per integer value v, complex128.
+def _check_covered(table: PhaseTable, k: int, bits: int, top: int) -> int:
+    """The number of bits-wide digits of top = max |v^k|; IndexError unless
+    the table's order-k rows are that wide and hold every such digit."""
+    rows, n_digits = table.rows[k - 1], -(-top.bit_length() // bits)
+    if (table.bits[k - 1] != bits or n_digits > len(rows)
+            or top >> (bits * (n_digits - 1)) >= len(rows[n_digits - 1])):
+        raise IndexError(f"|v^{k}| = {top} is beyond the phase table")
+    return n_digits
 
-    One table entry is gathered per digit of |v^k| (table.bits[k-1] bits
-    wide) and the entries are multiplied in digit order; a negative v^k
-    conjugates its order's factor.  Powers beyond int64 (K >= 2 with large
+
+@dataclass(frozen=True)
+class ValueDigits:
+    """The table indices of an array of values, from value_digits.
+
+    orders holds, per order k whose powers are not all zero, (k, bits, top,
+    digits, negative): the digit width, the largest |v^k|, one intp array
+    per digit position of |v^k| (least significant first) and the mask of
+    v^k < 0, or None when no power is negative.
+    """
+
+    shape: tuple
+    orders: tuple
+
+
+def value_digits(table: PhaseTable, values, span=None, out=None) -> ValueDigits:
+    """The digits of |v^k| per order k and digit position, as intp arrays,
+    with the sign masks, for the phase table's layout.
+
+    They depend on the table only through its digit widths and row lengths
+    (the order K and the max_term it was built for), not on t, so a caller
+    that conditions the same values at several times cuts them once and
+    calls gather_phasors per time.  Powers beyond int64 (K >= 2 with large
     values) have their digits taken from Python ints in an object array.
     `span` is (min, max) of the values when the caller knows it (ascending
     keys give it in O(1)); non-negative values skip the abs and sign passes.
-    Each element's arithmetic is independent of the others, so a value
-    comes out bit-identical in any call that contains it, given tables of
-    the same digit widths.  The result is a view into `out` (a KernelScratch)
-    when given.  A value beyond the range the table was built for raises
-    IndexError.
+    The arrays are views into `out` (a KernelScratch) when given.  A value
+    beyond the range the table was built for raises IndexError.
     """
     vals = _int_array(values)
     shape = vals.shape
-    ws = KernelScratch() if out is None else out
-    P = ws.get("P", shape, np.complex128)
     if not vals.size:
-        return P
+        return ValueDigits(shape, ())
+    ws = KernelScratch() if out is None else out
     lo, hi = (int(vals.min()), int(vals.max())) if span is None else span
     big, order = max(-lo, hi), len(table.bits)
     if _int_pow_checked(big, order) > _INT64_MAX:
         vals = vals.astype(object)
-    first, power = True, vals
+    orders, power = [], vals
     for k in range(1, order + 1):
         if k > 1:
             power = (power * vals if vals.dtype == object else
                      np.multiply(power, vals, out=ws.get("pow", shape, np.int64),
                                  dtype=np.int64))
-        top = big**k
-        w, rows = table.bits[k - 1], table.rows[k - 1]
-        n_digits = -(-top.bit_length() // w)
-        if not n_digits:    # every v^k is zero: a factor of 1
+        top, w = big**k, table.bits[k - 1]
+        if not top:         # every v^k is zero: a factor of 1
             continue
-        if n_digits > len(rows) or top >> (w * (n_digits - 1)) >= len(rows[n_digits - 1]):
-            raise IndexError(f"|v^{k}| = {top} is beyond the phase table")
+        n_digits = _check_covered(table, k, w, top)
         signed = lo < 0 and k % 2 == 1
         if not signed:
             mag = power
@@ -443,23 +467,56 @@ def value_phasors(table: PhaseTable, values, out=None, span=None) -> np.ndarray:
             mag = np.abs(power)
         else:
             mag = np.abs(power, out=ws.get("mag", shape, np.int64), dtype=np.int64)
-        digit = ws.get("digit", shape, np.intp if mag.dtype == object else mag.dtype)
+        digits = tuple(_digit(mag, w * j, (1 << w) - 1 if j < n_digits - 1 else None,
+                              ws.get(f"digit{k}.{j}", shape, np.intp))
+                       for j in range(n_digits))
+        negative = np.less(power, 0, out=ws.get(f"negative{k}", shape, bool)) if signed else None
+        orders.append((k, w, top, digits, negative))
+    return ValueDigits(shape, tuple(orders))
+
+
+def gather_phasors(table: PhaseTable, digits: ValueDigits, out=None) -> np.ndarray:
+    """P_v = exp(-i * sum_k g_k t v^k) per value, complex128, from the
+    values' digits (value_digits) and a phase table of the same layout.
+
+    One table entry is gathered per digit of |v^k| and the entries are
+    multiplied in digit order; a negative v^k conjugates its order's factor.
+    Each element's arithmetic is independent of the others, so a value
+    comes out bit-identical in any call that contains it, given tables of
+    the same digit widths.  The result is a view into `out` (a KernelScratch)
+    when given.  A table whose layout does not hold the digits raises
+    IndexError.
+    """
+    ws = KernelScratch() if out is None else out
+    shape = digits.shape
+    P = ws.get("P", shape, np.complex128)
+    first = True
+    for k, w, top, idx, negative in digits.orders:
+        _check_covered(table, k, w, top)
+        rows = table.rows[k - 1]
         # the first order gathers straight into the result
         f = P if first else ws.get("f", shape, np.complex128)
-        for j in range(n_digits):
-            idx = _digit(mag, w * j, (1 << w) - 1 if j < n_digits - 1 else None, digit)
-            if j == 0:
-                rows[j].take(idx, out=f, mode="wrap")       # range checked above
-            else:
-                f *= rows[j].take(idx, out=ws.get("g", shape, np.complex128), mode="wrap")
-        if signed:
-            np.negative(f.imag, out=f.imag, where=power < 0)
+        rows[0].take(idx[0], out=f, mode="wrap")        # range checked above
+        for row, d in zip(rows[1:], idx[1:]):
+            f *= row.take(d, out=ws.get("g", shape, np.complex128), mode="wrap")
+        if negative is not None:
+            np.negative(f.imag, out=f.imag, where=negative)
         if not first:
             P *= f
         first = False
     if first:
         P.fill(1.0)
     return P
+
+
+def value_phasors(table: PhaseTable, values, out=None, span=None) -> np.ndarray:
+    """P_v = exp(-i * sum_k g_k t v^k) per integer value v, complex128:
+    gather_phasors over value_digits (see both).  The result is a view into
+    `out` (a KernelScratch) when given.  A value beyond the range the table
+    was built for raises IndexError.
+    """
+    ws = KernelScratch() if out is None else out
+    return gather_phasors(table, value_digits(table, values, span, out=ws), out=ws)
 
 
 def phasor_batch(params: OscillatorParams, target_term: int, trial_terms,

@@ -45,20 +45,24 @@ amplify repeats a step until that share reaches the stop mass.
 
 Factoring takes |eps|^2 from the value-phasor kernel in dynamics: per step,
 one phase table and the target's phasor Q (one exactly reduced scalar).  Per
-block of bins, _block_multipliers gathers each key's phasor P_v, forms
+block of bins, the keys' table digits are cut (value_digits) and
+_block_multipliers gathers each key's phasor P_v from them, forms
 cos Delta = Re(Q * P_v) and |eps|^2, and sets the bin on target to exactly 1.
 Since the times are fixed before a run and the multipliers depend on the
 product alone, ProductStream computes a whole factoring trajectory without
 storing the state: it sieves the products block by block and takes each
-block through every step with that kernel, keeping only the block sums.  Its
-blocks are cut at the same bin indices as a stored state's, so its totals
-and draws equal those of conditional_update, fidelity and sample bit for bit,
-in memory set by the sieve window and the worker count, not by N.
+block through every step with that kernel, cutting its digits once for all
+steps, and keeps only the block sums.  Its blocks are cut at the same bin
+indices as a stored state's, so its totals and draws equal those of
+conditional_update, fidelity and sample bit for bit, in memory set by the
+sieve window and the worker count, not by N.
 
 Both loops run their blocks through one runner, _map_blocks: up to
 HOAMP_THREADS worker threads, each with one set of kernel buffers reused by
 every block it runs, and at most two blocks per worker waiting at once, so
-the sieve runs only as far ahead of the workers as that backlog.
+the sieve runs only as far ahead of the workers as that backlog.  The
+stream's sieve counts each window on those workers too, one window ahead of
+the calling thread, which gathers the window's products and cuts the blocks.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -78,9 +84,10 @@ from .dynamics import (
     MarkerAmplitude,
     OscillatorParams,
     eps_squared_batch,
+    gather_phasors,
     phase_table,
     target_phasors,
-    value_phasors,
+    value_digits,
 )
 from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange, NoFactorInRange
 from .rng import SplitMix64
@@ -88,14 +95,14 @@ from .rng import SplitMix64
 _VANISH = 1e-300
 # a state total below this is scaled back up by a power of two
 _RESCALE_BELOW = 2.0**-500
-# product slots the bin sieve counts at a time (a 4 MiB int32 window)
+# product slots the bin sieve counts at a time (a 2 MiB uint16 window)
 _SIEVE_WINDOW = 1 << 20
 # rectangles with more trial pairs are refused to bound the run time: sieving
 # and conditioning take time linear in the pairs and bins.  A streamed run's
-# memory depends on the sieve window and the worker count (a kernel scratch
-# and two blocks of backlog each), not on them; a stored state, which only
-# tests and the tracer build, takes 16 B per bin, twice that while
-# init_uniform_factoring joins its blocks
+# memory depends on the sieve window (two slots of counts and a mask) and the
+# worker count (a kernel scratch and two blocks of backlog each), not on
+# them; a stored state, which only tests and the tracer build, takes 16 B per
+# bin, twice that while init_uniform_factoring joins its blocks
 _MAX_BINS = 1 << 30
 
 
@@ -111,9 +118,13 @@ def _worker_count() -> int:
 
 
 def _map_blocks(blocks, job, most: int) -> list:
-    """[job(block, scratch) for block in blocks], on up to HOAMP_THREADS
-    worker threads, at most `most`.
+    """[job(block, scratch) for block in blocks(submit)], on up to
+    HOAMP_THREADS worker threads, at most `most`.
 
+    blocks(submit) gives the blocks; submit(fn, *args) hands fn to the same
+    workers and returns a call that waits for fn(*args) and gives its result,
+    so the code that makes the blocks can run its own work ahead on the pool
+    (with one worker, that work runs when its result is asked for).
     Each thread makes one KernelScratch and passes it to every job it runs.
     At most two blocks per worker wait at once, so a generator of blocks is
     drawn only as fast as the workers take them.  The results come back in
@@ -123,7 +134,7 @@ def _map_blocks(blocks, job, most: int) -> list:
     workers = min(_worker_count(), most)
     if workers <= 1:
         scratch = KernelScratch()
-        return [job(block, scratch) for block in blocks]
+        return [job(block, scratch) for block in blocks(partial)]
     local = threading.local()
 
     def run(block):
@@ -134,7 +145,7 @@ def _map_blocks(blocks, job, most: int) -> list:
 
     results, pending = [], deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for block in blocks:
+        for block in blocks(lambda fn, *args: pool.submit(fn, *args).result):
             if len(pending) >= 2 * workers:
                 results.append(pending.popleft().result())
             pending.append(pool.submit(run, block))
@@ -299,48 +310,61 @@ def _key_dtype(vmax: int):
     return np.int32 if vmax < 2**31 else np.int64
 
 
-def _sieve(n_lo: int, n_hi: int, m_lo: int, m_hi: int, start: int):
+def _sieve(n_lo: int, n_hi: int, m_lo: int, m_hi: int, start: int, submit=partial):
     """The distinct products n*m over the rectangle from `start` on, ascending.
 
     A segmented sieve: one window of _SIEVE_WINDOW product slots at a time,
     each n adding 1 at its multiples n*m that fall in the window.  Yields
     (w0, offsets, counts) per window: its products are w0 + offsets, with
-    counts pairs each.
+    counts pairs each.  Each window is counted by a job handed to `submit`
+    (see _map_blocks) while the window before it is yielded, into one of two
+    slots allocated here; the calling thread gathers the products.  A count
+    is at most n_hi - n_lo + 1, under 1,500 within _MAX_BINS, so uint16 holds it.
     """
     vmin, vmax = n_lo * m_lo, n_hi * m_hi
     width = min(_SIEVE_WINDOW, vmax - vmin + 1)
-    window = np.empty(width, dtype=np.int32)
-    offsets = np.arange(width, dtype=_key_dtype(vmax))
-    for w0 in range(start, vmax + 1, width):
-        w1 = min(w0 + width, vmax + 1)
-        win = window[: w1 - w0]
+    slots = [(np.empty(width, dtype=np.uint16), np.empty(width, dtype=bool)) for _ in range(2)]
+
+    def count(w0, slot):
+        win, nz = (a[: min(width, vmax + 1 - w0)] for a in slot)
+        w1 = w0 + len(win)
         win.fill(0)
         # n with a multiple n*m, m_lo <= m <= m_hi, inside [w0, w1)
         for n in range(max(n_lo, -(-w0 // m_hi)), min(n_hi, (w1 - 1) // m_lo) + 1):
             first = max(n * m_lo, -(-w0 // n) * n)
             win[first - w0 : min(n * m_hi, w1 - 1) - w0 + 1 : n] += 1
-        nz = win != 0
-        yield w0, np.compress(nz, offsets[: w1 - w0]), np.compress(nz, win)
+        return win, np.not_equal(win, 0, out=nz)
+
+    starts = range(start, vmax + 1, width)
+    counted = submit(count, starts[0], slots[0])
+    for i, w0 in enumerate(starts):
+        win, nz = counted()
+        if i + 1 < len(starts):
+            counted = submit(count, starts[i + 1], slots[(i + 1) % 2])
+        found = np.flatnonzero(nz)
+        yield w0, found, win.take(found)
 
 
-def _product_blocks(rect: Rectangle, start: int):
+def _product_blocks(rect: Rectangle, start: int, submit=partial):
     """(keys, counts) of the rectangle's product bins from key `start` on,
-    KERNEL_BLOCK bins at a time (the last block may be shorter).
+    KERNEL_BLOCK bins at a time (the last block may be shorter), cut on the
+    calling thread; `submit` runs the sieve's window counts (see _sieve).
 
     From the first key, or the first key of one of its blocks, these are the
     blocks a stored state's conditioning cuts.
     """
     # no block holds more bins than the rectangle has pairs
     size = min(KERNEL_BLOCK, rect.n_pairs)
+    key_dtype = _key_dtype(rect.n_hi * rect.m_hi)
     keys = counts = None
     fill = size
-    for w0, found, cnt in _sieve(rect.n_lo, rect.n_hi, rect.m_lo, rect.m_hi, start):
+    for w0, found, cnt in _sieve(rect.n_lo, rect.n_hi, rect.m_lo, rect.m_hi, start, submit):
         pos = 0
         while pos < len(found):
             if fill == size:
                 if keys is not None:
                     yield keys, counts
-                keys = np.empty(size, dtype=found.dtype)
+                keys = np.empty(size, dtype=key_dtype)
                 counts = np.empty(size, dtype=np.int32)
                 fill = 0
             take = min(size - fill, len(found) - pos)
@@ -379,7 +403,7 @@ def _condition(state: TrialEnsemble, block_multipliers, in_place: bool) -> Measu
         seg *= block_multipliers(lo, lo + len(seg), scratch)
         return float(np.sum(seg))       # while the block is in cache
 
-    c = math.fsum(_map_blocks(range(0, len(arr), KERNEL_BLOCK), job,
+    c = math.fsum(_map_blocks(lambda submit: range(0, len(arr), KERNEL_BLOCK), job,
                               -(-len(arr) // KERNEL_BLOCK)))
     pr = step_fraction(c, prev)
     post.total = c
@@ -446,16 +470,21 @@ def _index_of(keys: np.ndarray, v: int):
     return None
 
 
-def _block_multipliers(keys: np.ndarray, table, q: complex, amag: float, target_term: int,
+def _key_digits(table, keys: np.ndarray, scratch: KernelScratch):
+    """value_digits of one block of ascending product keys."""
+    return value_digits(table, keys, (int(keys[0]), int(keys[-1])), out=scratch)
+
+
+def _block_multipliers(table, digits, q: complex, amag: float, hit,
                        scratch: KernelScratch) -> np.ndarray:
-    """|eps|^2 for one block of ascending product keys against the target
-    phasor q, exactly 1 on the bin whose key is the target term."""
-    z = value_phasors(table, keys, out=scratch, span=(int(keys[0]), int(keys[-1])))
+    """|eps|^2 for one block of product keys, given as their digits, against
+    the target phasor q; exactly 1 at index `hit`, the bin whose key is the
+    target term, if the block holds it."""
+    z = gather_phasors(table, digits, out=scratch)
     z *= q
-    w = eps_squared_batch(amag, z.real, out=scratch.get("w", (len(keys),)))
-    i = _index_of(keys, target_term)
-    if i is not None:
-        w[i] = 1.0
+    w = eps_squared_batch(amag, z.real, out=scratch.get("w", digits.shape))
+    if hit is not None:
+        w[hit] = 1.0
     return w
 
 
@@ -474,22 +503,26 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
     table = phase_table(params, t, max(abs(int(keys[0])), abs(int(keys[-1]))))
     q = target_phasors(params, t, [target_term])[0]
     return _condition(state, lambda a, b, scratch: _block_multipliers(
-        keys[a:b], table, q, amag, target_term, scratch), in_place)
+        table, _key_digits(table, keys[a:b], scratch), q, amag,
+        _index_of(keys[a:b], target_term), scratch), in_place)
 
 
 class ProductStream:
     """A factoring trajectory through fixed steps, with no stored state.
 
     `steps` holds (t, |alpha|) per iteration.  One pass of the product sieve
-    (_product_blocks, on the calling thread) cuts the rectangle's bins into
-    the global KERNEL_BLOCK blocks that a stored state's conditioning uses,
-    and the _map_blocks workers take each block from its uniform masses
-    through every step with _block_multipliers.  Per block only the mass sum
-    after each step is kept, and of the on-target bin its count and mass,
-    which its multiplier of exactly 1 never changes.  So total(l), the
-    hit_state(l) that fidelity reads and sample(l, rng) equal those of a
-    stored state after l conditional_update calls, bit for bit; a draw
-    re-sieves and recomputes only the block it falls in.
+    (_product_blocks, its windows counted on the _map_blocks workers one
+    window ahead, its blocks cut on the calling thread) cuts the rectangle's
+    bins into the global KERNEL_BLOCK blocks that a stored state's
+    conditioning uses, and the workers take each block from its uniform
+    masses through every step: its keys' digits and on-target index are
+    found once, then each step gathers phasors, forms |eps|^2 and scales
+    the masses.  Per block only the mass sum after each step is kept, and of
+    the on-target bin its count and mass, which its multiplier of exactly 1
+    never changes.  So total(l), the hit_state(l) that fidelity reads and
+    sample(l, rng) equal those of a stored state after l conditional_update
+    calls, bit for bit; a draw re-sieves and recomputes only the block it
+    falls in.
 
     `progress`, if given, is called from the calling thread with the share
     of the product range sieved so far, each time it passes another tenth.
@@ -498,33 +531,39 @@ class ProductStream:
     def __init__(self, rect: Rectangle, params: OscillatorParams, target_term: int, steps,
                  progress=None):
         self.rect, self.target_term = rect, target_term
-        # the bound a stored state's table gets: its last key, n_hi * m_hi
+        # the bound a stored state's table gets: its last key, n_hi * m_hi;
+        # so every step's table has the same layout, and one block's digits
+        # serve every step (gather_phasors checks it)
         vmax = rect.n_hi * rect.m_hi
         self._steps = [(phase_table(params, t, vmax), target_phasors(params, t, [target_term])[0],
                         amag) for t, amag in steps]
         self._inv = 1.0 / rect.n_pairs
+        self._scratch = KernelScratch()     # the draws'
         self.starts = []        # first key of each block
         self._hit = None        # (count, mass) of the on-target bin
         self.sums = self._run(progress)     # per block, the mass sum after steps 0..L
 
-    def _block_mass(self, keys, counts, steps, sums, scratch) -> np.ndarray:
-        """The block's masses after `steps`, as TrialEnsemble.uniform and
-        _condition compute them; sums[l] gets their sum after step l."""
-        mass = counts.astype(np.float64)
-        mass *= self._inv
-        sums[0] = np.sum(mass)
-        for l, (table, q, amag) in enumerate(steps, 1):
-            mass *= _block_multipliers(keys, table, q, amag, self.target_term, scratch)
-            sums[l] = np.sum(mass)
-        return mass
+    def _trajectory(self, keys, counts, hit, scratch):
+        """A block's masses before and after each step, as TrialEnsemble.uniform
+        and _condition compute them: one array in `scratch`, yielded first
+        with the uniform masses and then after each step scales it in place.
+        `hit` is the index of the on-target bin, or None; the keys' digits
+        are cut once, for every step."""
+        mass = np.multiply(counts, self._inv, out=scratch.get("mass", counts.shape))
+        yield mass
+        if self._steps:
+            digits = _key_digits(self._steps[0][0], keys, scratch)
+        for table, q, amag in self._steps:
+            mass *= _block_multipliers(table, digits, q, amag, hit, scratch)
+            yield mass
 
     def _run(self, progress) -> list:
         r = self.rect
         vmax, tenths = r.n_hi * r.m_hi, 0
 
-        def blocks():
+        def blocks(submit):
             nonlocal tenths
-            for keys, counts in _product_blocks(r, r.n_lo * r.m_lo):
+            for keys, counts in _product_blocks(r, r.n_lo * r.m_lo, submit):
                 self.starts.append(int(keys[0]))
                 last = int(keys[-1])
                 if progress is not None and 10 * last >= (tenths + 1) * vmax:
@@ -534,14 +573,14 @@ class ProductStream:
 
         def job(block, scratch):
             keys, counts = block
-            sums = np.empty(len(self._steps) + 1)
-            mass = self._block_mass(keys, counts, self._steps, sums, scratch)
-            i = _index_of(keys, self.target_term)
-            if i is not None:
-                self._hit = (int(counts[i]), float(mass[i]))
+            hit, sums = _index_of(keys, self.target_term), []
+            for mass in self._trajectory(keys, counts, hit, scratch):
+                sums.append(np.sum(mass))
+            if hit is not None:
+                self._hit = (int(counts[hit]), float(mass[hit]))
             return sums
 
-        return _map_blocks(blocks(), job, -(-r.n_pairs // KERNEL_BLOCK))
+        return _map_blocks(blocks, job, -(-r.n_pairs // KERNEL_BLOCK))
 
     def total(self, l: int) -> float:
         """C_l, the total mass after step l: 1 before the first step, as a
@@ -563,7 +602,8 @@ class ProductStream:
         def block_mass(b):
             nonlocal keys
             keys, counts = next(_product_blocks(self.rect, self.starts[b]))
-            return self._block_mass(keys, counts, self._steps[:l], np.empty(l + 1), KernelScratch())
+            hit = _index_of(keys, self.target_term)
+            return next(islice(self._trajectory(keys, counts, hit, self._scratch), l, None))
 
         _, i = _draw(rng, [float(s[l]) for s in self.sums], block_mass)
         return _pick(self.rect.members(keys, i), rng)

@@ -11,11 +11,14 @@ of time throughout is 1/g for the leading coupling g.
 
 Every time is fixed before the run and every multiplier depends on a pair
 only through n*m, so run_factoring computes all L_max steps in one streamed
-pass over the product sieve (ensemble.ProductStream) and keeps no state: its
-memory is set by the sieve window and the worker count, not by N, while its
-time grows with L_max, since the stop rule only truncates the records
-afterwards.  The records and the sample are
-bit-identical to a stored-state loop of run_iteration and sample.
+pass over the product sieve (ensemble.ProductStream) and keeps no state.
+The worker threads count the sieve's windows and take each block of product
+bins through every step, with the block's table digits cut once for all
+steps; the calling thread cuts the blocks.  Its memory is set by the sieve
+window and the worker count, not by N, while its time grows with L_max,
+since the stop rule only truncates the records afterwards.  The records and
+the sample are bit-identical to a stored-state loop of run_iteration and
+sample.
 """
 
 from __future__ import annotations
@@ -246,8 +249,8 @@ def replay_table1(progress: bool = False) -> RunReport:
     """Re-run the published 15-iteration reference trajectory.
 
     Streams the 123 million product bins of the 346,833,979 trial pairs
-    through all 15 steps in ~75 MiB on two threads; about 6 s
-    with two threads, 10 s on one.
+    through all 15 steps in ~66 MiB on two threads (18-19 s on two shared
+    vCPUs).
     """
     config = FactoringConfig(
         N=TABLE1_N, alpha_schedule=(2.0,), times=TABLE1_TIMES,

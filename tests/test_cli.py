@@ -224,6 +224,16 @@ def test_solve_bound_not_a_finite_number_is_a_usage_error(bound, tmp_path, capsy
     assert "finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["3.7", '"3"', "true"])
+def test_solve_variable_bound_not_an_integer_is_a_usage_error(bound, tmp_path, capsys):
+    f = tmp_path / "sys.json"
+    f.write_text('{"variables": [{"name": "x", "bound": %s}], "constraints": '
+                 '[{"expr": "x", "relation": "<=", "bound": 2}]}' % bound)
+    assert run(["solve", "--system", str(f), "--out-dir", str(tmp_path)]) == 3
+    assert "must be an integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("solve_report*"))
+
+
 def test_solve_json_report_escapes_control_characters(tmp_path, capsys):
     # the parser takes a tab as whitespace; the report must still be JSON
     f = tmp_path / "sys.json"

@@ -155,6 +155,16 @@ def test_system_validation():
                              constraints=((ConstraintExpr.parse("x"), "<=", bad),))
 
 
+@pytest.mark.parametrize("bad", [3.7, 3.0, "3", True, None, -1])
+def test_variable_bounds_must_be_integers(bad):
+    doc = {"variables": [{"name": "x", "bound": bad}],
+           "constraints": [{"expr": "x", "relation": "<=", "bound": 2}]}
+    with pytest.raises(ValueError, match="'x' must be an integer" if bad != -1 else ">= 0"):
+        ConstraintSystem.from_json(doc)
+    with pytest.raises(ValueError):
+        ConstraintSystem(variables=(("x", bad),), constraints=((ConstraintExpr.parse("x"), "<=", 2),))
+
+
 def test_system_json_round_trip():
     doc = {
         "variables": [{"name": "x", "bound": 7}, {"name": "y", "bound": 3}],

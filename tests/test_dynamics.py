@@ -9,8 +9,8 @@ from hoamp import dynamics
 from hoamp.dynamics import (KernelScratch, MarkerAmplitude, OscillatorParams, PhaseDelta,
                             epsilon_batch, epsilon_overlap, eps_squared_batch,
                             phase_delta, phase_delta_batch, phase_table, phasor_batch,
-                            reduce_angle, rotation_frequency, target_phasors,
-                            value_phasors)
+                            gather_phasors, reduce_angle, rotation_frequency,
+                            target_phasors, value_digits, value_phasors)
 
 PI = math.pi
 
@@ -417,6 +417,33 @@ def test_kernel_scratch_reuse_is_bitwise():
             assert np.array_equal(z, want)
             w = eps_squared_batch(1.5, z.real, out=scratch.get("w", block.shape))
             assert np.array_equal(w, eps_squared_batch(1.5, want.real))
+
+
+@pytest.mark.parametrize("p,values", [
+    (p, trials + [-x for x in trials]) for p, _, trials in WIDE_CASES] + [
+    (OscillatorParams(), [3, -1_030_188, 348_547_955, -((1 << 40) + 3), 0]),
+    (OscillatorParams(), list(range(-9_000, 9_001, 37))),                   # two 7-bit digits
+    (OscillatorParams(couplings=(0.7, 0.3)), list(range(-1_000, 1_001, 3))),  # 10-bit rows
+])
+def test_digits_cut_once_serve_every_time(p, values):
+    # value_digits depends on the table's layout, not on t: digits cut
+    # against the table for one time, gathered against the table for
+    # another, give value_phasors there bit for bit (K = 1..4, both signs,
+    # int64 and object-dtype powers, narrow digits), also when the digits
+    # and the phasors share one scratch
+    values = np.array(values, dtype=np.int64)
+    bound = max(abs(int(values.min())), abs(int(values.max())))
+    digits = value_digits(phase_table(p, 0.5, bound), values)
+    scratch = KernelScratch()
+    shared = value_digits(phase_table(p, 0.5, bound), values, out=scratch)
+    for t in (0.013, 1.704, 6.046, 97.31):
+        table = phase_table(p, t, bound)
+        want = value_phasors(table, values).tobytes()
+        assert gather_phasors(table, digits).tobytes() == want
+        assert gather_phasors(table, shared, out=scratch).tobytes() == want
+    # a table built for a smaller bound does not hold the largest value
+    with pytest.raises(IndexError):
+        gather_phasors(phase_table(p, 0.5, bound // 2), digits)
 
 
 @pytest.mark.parametrize("p,target,trials", WIDE_CASES)

@@ -145,7 +145,7 @@ def test_map_blocks_keeps_order_and_bounds_the_backlog(monkeypatch, threads):
     lock = threading.Lock()
     done, ahead, scratches = [], [], {}
 
-    def blocks():
+    def blocks(submit):
         for i in range(50):
             with lock:
                 ahead.append(i - len(done))     # jobs not finished when block i is drawn
@@ -161,7 +161,7 @@ def test_map_blocks_keeps_order_and_bounds_the_backlog(monkeypatch, threads):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)         # threads interleave as often as they can
     try:
-        results = ensemble._map_blocks(blocks(), job, 50)
+        results = ensemble._map_blocks(blocks, job, 50)
     finally:
         sys.setswitchinterval(interval)
     assert results == [i * i for i in range(50)]

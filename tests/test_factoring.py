@@ -13,6 +13,7 @@ from hoamp.factoring import (STREAM_SAMPLE, STREAM_TIMES, FactoringConfig,
                              estimate_iterations, replay_table1, run_factoring,
                              run_iteration, sample_times, TABLE1_N, TABLE1_ROWS,
                              TABLE1_TIMES)
+from hoamp import ensemble
 from hoamp.ensemble import (ProductStream, TargetState, conditional_update, fidelity,
                             init_uniform_factoring, sample, trial_rectangle)
 from hoamp.rng import SplitMix64
@@ -169,6 +170,42 @@ def test_streamed_run_equals_stored_loop_bitwise(threads, kwargs, monkeypatch):
     if config.stop_fidelity < 1.0:
         # the stop fired: the records end at the first step past it
         assert len(records) < config.L_max and records[-1][3] >= config.stop_fidelity
+
+
+def test_streamed_run_equals_stored_loop_past_int64(monkeypatch):
+    # K = 3: the cubes of the last block's keys pass int64, so that block's
+    # digits come from Python ints, cut once for every step of the pass
+    monkeypatch.setenv("HOAMP_THREADS", "2")
+    rect = trial_rectangle(35_000)
+    assert (rect.n_hi * rect.m_hi) ** 3 > 2**63
+    config = FactoringConfig(N=35_000, params=OscillatorParams(couplings=(1.0, 0.5, 0.25)),
+                             seed=2, L_max=4, stop_fidelity=1.0)
+    report = run_factoring(config)
+    records, f0, drawn = _stored_run(config)
+    assert [(r.t_l, r.pr_E, r.C_l, r.fidelity, r.resonant) for r in report.records] == records
+    assert report.initial_fidelity == f0 and report.sampled_tuple == drawn
+
+
+def test_streamed_pass_cuts_digits_once_per_block(monkeypatch):
+    # the digits of a block's keys do not depend on t: the pass cuts them
+    # once per block and gathers phasors once per block and step; a draw
+    # cuts its block's digits once
+    calls = {"value_digits": [], "gather_phasors": []}
+    for name, log in calls.items():
+        def counted(*args, _fn=getattr(ensemble, name), _log=log, **kwargs):
+            _log.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ensemble, name, counted)
+    monkeypatch.setenv("HOAMP_THREADS", "2")
+    steps = [(0.9, 2.0), (4.1, 1.5), (2.2, 2.0)]
+    stream = ProductStream(trial_rectangle(50_000), OscillatorParams(), 50_000, steps)
+    blocks = len(stream.starts)
+    assert blocks == 22
+    assert len(calls["value_digits"]) == blocks
+    assert len(calls["gather_phasors"]) == blocks * len(steps)
+    stream.sample(2, SplitMix64(5))
+    assert len(calls["value_digits"]) == blocks + 1
+    assert len(calls["gather_phasors"]) == blocks * len(steps) + 2
 
 
 def test_streamed_draws_equal_stored_draws_at_every_step():
