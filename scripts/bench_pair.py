@@ -20,7 +20,8 @@ The parent is the commit ``--parent-rev`` (default ``HEAD``: the working
 tree against its last commit), exported with ``git archive`` into a
 temporary directory.  The output holds, per workload and metric, the median
 parent value, the median change value and the pair count, with every pair's
-values; runs that failed or were not correct are counted per side.
+values, the median per-pair change/parent ratio and the number of pairs the
+change won; runs that failed or were not correct are counted per side.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
     BENCHMARK = json.load(_fh)
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+# "lower" or "higher" per metric name
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
 TRACED_PAIRS = 1        # --trace 1 pairs per workload, on the first seeds
 
 
@@ -121,9 +124,25 @@ def pair_runs(trees: dict, workload: str, seeds: list, seconds: float, trace: in
     return out
 
 
+def _paired(parent: list, change: list, better: str) -> dict:
+    """Per-pair statistics of one metric: the median change/parent ratio over
+    the pairs whose parent value is not 0 (None if there is none), and, for a
+    metric with a known direction, how many pairs the change won (a tie
+    counts for neither side)."""
+    ratios = [c / p for p, c in zip(parent, change) if p != 0]
+    out = {"pair_ratio_median": statistics.median(ratios) if ratios else None}
+    if better is not None:
+        sign = 1 if better == "higher" else -1
+        out["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    return out
+
+
 def summarize(runs: dict) -> dict:
     """Per metric: unit, median parent and change values over the seeds both
-    sides measured, the pair count and each pair's values."""
+    sides measured, the pair count, each pair's values and the per-pair
+    statistics of _paired.  Within a pair the two runs are minutes apart at
+    most, so the pair ratio does not carry the host's drift over the whole run
+    the way the spread of either side's runs does."""
     by_seed = {side: dict(runs[side]["results"]) for side in runs}
     seeds = [s for s in by_seed["parent"] if s in by_seed["change"]]
     metrics = {}
@@ -133,7 +152,8 @@ def summarize(runs: dict) -> dict:
             change = [by_seed["change"][s][name]["value"] for s in seeds]
             metrics[name] = {"unit": m["unit"], "parent": statistics.median(parent),
                              "change": statistics.median(change), "pairs": len(seeds),
-                             "parent_runs": parent, "change_runs": change}
+                             "parent_runs": parent, "change_runs": change,
+                             **_paired(parent, change, BETTER.get(name))}
     return {"seeds": seeds, "failed": {side: runs[side]["failed"] for side in runs},
             "metrics": metrics}
 

@@ -175,6 +175,7 @@ class TrialEnsemble:
     counts: np.ndarray     # tuples per bin
     mass: np.ndarray       # unnormalized probability mass per bin
     domain: object         # member enumerator: members(keys, i) [, bin_of(keys, member)]
+                           # [, member_rows(keys, bins)]
     total: float = 1.0     # the mass the probabilities are relative to
     shift: int = 0         # mass and total are scaled by 2**shift
 
@@ -623,7 +624,21 @@ def fidelity(state: TrialEnsemble, target: TargetState) -> float:
 
 def member_masses(state: TrialEnsemble, bins=None) -> list:
     """(tuple, probability) for every member of the given bins (default:
-    all), ascending by tuple, each member holding an equal share of its bin."""
+    all), ascending by tuple, each member holding an equal share of its bin.
+
+    A domain with member_rows(keys, bins) hands out every member at once,
+    and the list comes from one gather, one repeat of the shares and one
+    lexsort; otherwise the bins' members are listed bin by bin."""
+    member_rows = getattr(state.domain, "member_rows", None)
+    if member_rows is not None:
+        bins = np.arange(len(state.counts)) if bins is None else np.asarray(bins, dtype=np.intp)
+        bins = bins[state.counts[bins] > 0]
+        rows = member_rows(state.keys, bins)
+        counts = state.counts[bins]
+        shares = np.repeat(state.mass[bins] / state.total / counts, counts)
+        # by tuple, then by share, as the sort of (tuple, share) pairs orders them
+        order = np.lexsort((shares, *rows.T[::-1]))
+        return list(zip(map(tuple, rows[order].tolist()), shares[order].tolist()))
     out = []
     for i in range(len(state.counts)) if bins is None else bins:
         if state.counts[i]:

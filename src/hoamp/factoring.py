@@ -249,8 +249,8 @@ def replay_table1(progress: bool = False) -> RunReport:
     """Re-run the published 15-iteration reference trajectory.
 
     Streams the 123 million product bins of the 346,833,979 trial pairs
-    through all 15 steps in ~66 MiB on two threads (18-19 s on two shared
-    vCPUs).
+    through all 15 steps in ~66 MiB on two threads (15-21 s on two shared
+    vCPUs, 32 s at 60 MiB on one).
     """
     config = FactoringConfig(
         N=TABLE1_N, alpha_schedule=(2.0,), times=TABLE1_TIMES,

@@ -23,16 +23,28 @@ Every multiplier depends on a tuple only through its row of constraint values
 distinct row.  The accepted values of f_k are read from those rows: the
 values f_k takes over the domain that satisfy its relation.  The multipliers
 come from factoring's value-phasor kernel: per constraint and iteration, one
-phasor P_v per violating row and one exactly reduced Q_x per accepted value,
-so cos Delta(x, v) = Re(Q_x * P_v).  Max mode is exact at every domain size:
-the largest Re(Q_x * P_v) is taken at the Q_x nearest to conj(P_v) on the
-circle, found by one binary search among the sorted angles of the Q_x, so a
-step costs O((V + A) log A) for V violating rows and A accepted values.
-Sum-clipped mode loops over the accepted values and is refused above 10^6
-domain tuples.  With a single accepted value (equality constraints) the two
-modes coincide and the max is factoring's own Re(Q * P_v): over the factoring
-rectangle, the embedding f = m1*m2, a = N has factoring's product bins as its
-bins and reproduces that module's arithmetic bit for bit.
+phasor P_v per violating value and one phasor Q_x per accepted value, so
+cos Delta(x, v) = Re(Q_x * P_v).  Only t changes from step to step, so the
+work splits in two.  Once per run, plan_steps cuts, per constraint, the
+satisfied mask, the violating rows, the distinct values among them and the
+table digits of those values and of the accepted values, all against the
+layout of one table bound: the largest |value| over every constraint
+column.  Once per step, one phase table serves every constraint; P_v is
+gathered from it, and so is Q_x = conj(P_x), within an ulp or two of the
+exact phase, when a constraint accepts more than one value.  A single
+accepted value (equality constraints) keeps its exactly reduced target
+phasor.  Max mode is exact at every domain size: the largest
+Re(Q_x * P_v) is taken at the Q_x nearest to conj(P_v) on the circle, found
+by one binary search among the sorted angles of the Q_x, so a step costs
+O((V + A) log A) for V distinct violating values and A accepted values,
+plus one gather per violating row.  At b = 1,100 (x+y <= b, x*y >= b^2/8:
+1.21M tuples, 10 steps) a run takes 1.3 s on two shared vCPUs, against
+4.3-4.5 s when every step recut its digits and reduced every accepted value
+exactly.  Sum-clipped mode loops over the accepted values and is refused
+above 10^6 domain tuples.  With a single accepted value the two modes
+coincide and the max is factoring's own Re(Q * P_v): over the factoring
+rectangle, the embedding f = m1*m2, a = N has factoring's product bins as
+its bins and reproduces that module's arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -44,8 +56,9 @@ from itertools import islice
 import numpy as np
 
 from .constraints import ConstraintSystem, relation_accepts
-from .dynamics import (OscillatorParams, alpha_at, check_run_limits, eps_squared_batch,
-                       normalize_alpha_schedule, phase_table, target_phasors, value_phasors)
+from .dynamics import (OscillatorParams, TableLayout, ValueDigits, alpha_at, check_run_limits,
+                       eps_squared_batch, gather_phasors, normalize_alpha_schedule,
+                       phase_table, table_layout, target_phasors, value_digits)
 from .ensemble import TrialEnsemble, amplify, condition_step, member_masses, sample
 from .errors import DomainTooLarge, EmptyRange, InfeasibleSystem
 from .factoring import STREAM_SAMPLE, STREAM_TIMES, sample_times
@@ -98,56 +111,127 @@ class SolverReport:
     estimated_iterations: int          # A*ln(max range)/ln(measured lambda)
 
 
+@dataclass(frozen=True)
+class _Cut:
+    """The part of one constraint's multipliers over a column of values that
+    does not depend on t: the satisfied mask, the violating entries, each
+    one's index among the distinct violating values, those values' table
+    digits, and the accepted values' digits (None for a single accepted
+    value, whose phasor is reduced exactly per step)."""
+
+    ok: np.ndarray
+    bad: np.ndarray
+    bad_value: np.ndarray
+    bad_digits: ValueDigits
+    accepted_digits: ValueDigits
+
+
+def _cut(values: np.ndarray, accepted: AcceptedSet, layout: TableLayout) -> _Cut:
+    # a multiplier depends on an entry only through its value: the phasor
+    # work runs once per distinct violating value
+    distinct, inverse = np.unique(values, return_inverse=True)
+    violates = ~accepted.contains(distinct)
+    ok = ~violates[inverse]
+    bad = np.flatnonzero(~ok)
+    if not len(bad):
+        return _Cut(ok, bad, bad, None, None)
+    return _Cut(ok, bad, (np.cumsum(violates) - 1)[inverse[bad]],
+                value_digits(layout, distinct[violates]),
+                value_digits(layout, accepted.values) if len(accepted.values) > 1 else None)
+
+
+def _bound(*arrays) -> int:
+    """The largest |v| over the integer arrays (0 if all are empty)."""
+    return max((max(-int(a.min()), int(a.max())) for a in arrays if a.size), default=0)
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """What every solver step over one state's bins needs that does not
+    depend on t, from plan_steps: the accepted sets, the bound every step's
+    phase table covers, one _Cut per constraint and the mask of the bins
+    that satisfy every constraint."""
+
+    accepted: tuple
+    bound: int
+    cuts: tuple
+    solved: np.ndarray
+
+
+def plan_steps(state: TrialEnsemble, accepted_sets) -> StepPlan:
+    """Cut each constraint's column of the state's keys once for every step,
+    against the layout of one table bound: the largest |value| over all
+    constraint columns, which covers the accepted values too."""
+    bound = _bound(state.keys)
+    layout = table_layout(_MARKER, bound)
+    cuts = tuple(_cut(state.keys[:, k], acc, layout) for k, acc in enumerate(accepted_sets))
+    return StepPlan(accepted=tuple(accepted_sets), bound=bound, cuts=cuts,
+                    solved=np.logical_and.reduce([c.ok for c in cuts]))
+
+
 def _best_cos(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per value phasor p_v, the largest cos(Delta) = Re(q_x p_v) over the
     accepted-value phasors q_x.  That is taken at the q_x nearest to
     conj(p_v) on the circle, one of the two neighbours of -angle(p_v) among
     the sorted angles of q (with wrap-around): O((V + A) log A)."""
-    q = q[np.argsort(np.angle(q))]
-    i = np.searchsorted(np.angle(q), -np.angle(p))
+    angle = np.angle(q)
+    order = np.argsort(angle)
+    q = q[order]
+    i = np.searchsorted(angle[order], -np.angle(p))
     return np.maximum((q[i - 1] * p).real, (q[i % len(q)] * p).real)
 
 
 def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorParams,
-                           alpha_mag: float, t: float, mode: str):
-    """Per-entry mass multiplier for one constraint, and the satisfied mask."""
-    vals = np.asarray(values)
-    ok = accepted.contains(vals)
-    mult = np.ones(len(vals), dtype=np.float64)
-    idx = np.flatnonzero(~ok)
-    if len(idx) == 0:
-        return mult, ok
+                           alpha_mag: float, t: float, mode: str, cut: _Cut = None,
+                           table=None):
+    """Per-entry mass multiplier for one constraint, and the satisfied mask.
+
+    A solver step passes the constraint's cut of `values` from its StepPlan
+    and the step's phase table; without them the call cuts the values and
+    builds a table for them and the accepted values itself."""
+    if cut is None:
+        vals = np.asarray(values)
+        bound = _bound(vals, accepted.values)
+        cut = _cut(vals, accepted, table_layout(params, bound))
+        table = phase_table(params, t, bound) if len(cut.bad) else None
+    mult = np.ones(len(cut.ok), dtype=np.float64)
+    if not len(cut.bad):
+        return mult, cut.ok
     if mode not in ("max", "sum-clipped"):
         raise ValueError(f"unknown mode {mode!r}")
-    bad = vals[idx]
-    table = phase_table(params, t, max(abs(int(bad.min())), abs(int(bad.max()))))
-    p = value_phasors(table, bad)
-    q = target_phasors(params, t, accepted.values)
-    if mode == "max":
-        mult[idx] = eps_squared_batch(alpha_mag, _best_cos(p, q))
+    p = gather_phasors(table, cut.bad_digits)
+    if cut.accepted_digits is None:
+        q = target_phasors(params, t, accepted.values)
     else:
-        total = np.zeros(len(bad), dtype=np.float64)
+        q = np.conjugate(gather_phasors(table, cut.accepted_digits))
+    if mode == "max":
+        cos = _best_cos(p, q)[cut.bad_value]
+        mult[cut.bad] = eps_squared_batch(alpha_mag, cos, out=cos)
+    else:
+        total = np.zeros(len(p), dtype=np.float64)
         for q_x in q:
             total += eps_squared_batch(alpha_mag, (p * q_x).real)
-        mult[idx] = np.minimum(1.0, total)
-    return mult, ok
+        mult[cut.bad] = np.minimum(1.0, total)[cut.bad_value]
+    return mult, cut.ok
 
 
 def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, alpha_schedule: tuple,
-                     l: int, t_l: float, mode: str = "max", accepted_sets=None,
+                     l: int, t_l: float, mode: str = "max", plan: StepPlan = None,
                      in_place: bool = False):
     """One joint conditioning over all B markers at |alpha| =
-    alpha_at(alpha_schedule, l); returns (state', StepRecord)."""
-    if accepted_sets is None:
-        accepted_sets = build_accepted_sets(system, state)
+    alpha_at(alpha_schedule, l), with one phase table for every marker;
+    returns (state', StepRecord).  `plan` is plan_steps over the state's
+    bins, built here when not given."""
+    if plan is None:
+        plan = plan_steps(state, build_accepted_sets(system, state))
     alpha_mag = alpha_at(alpha_schedule, l)
+    table = phase_table(_MARKER, t_l, plan.bound)
     joint = None
-    all_ok = None
-    for k, acc in enumerate(accepted_sets):
-        mult, ok = constraint_multipliers(state.keys[:, k], acc, _MARKER, alpha_mag, t_l, mode)
+    for k, (acc, cut) in enumerate(zip(plan.accepted, plan.cuts)):
+        mult, _ = constraint_multipliers(state.keys[:, k], acc, _MARKER, alpha_mag, t_l, mode,
+                                         cut=cut, table=table)
         joint = mult if joint is None else joint * mult
-        all_ok = ok if all_ok is None else (all_ok & ok)
-    return condition_step(state, joint, all_ok, l, t_l, alpha_mag, in_place=in_place)
+    return condition_step(state, joint, plan.solved, l, t_l, alpha_mag, in_place=in_place)
 
 
 @dataclass(frozen=True)
@@ -160,6 +244,12 @@ class _TupleBins:
 
     def members(self, keys, i: int) -> np.ndarray:
         return self.tuples[self.starts[i] : self.starts[i + 1]]
+
+    def member_rows(self, keys, bins: np.ndarray) -> np.ndarray:
+        """The members of the given bins, bin after bin, by one gather."""
+        lens = self.starts[bins + 1] - self.starts[bins]
+        shift = np.repeat(self.starts[bins] - (np.cumsum(lens) - lens), lens)
+        return self.tuples[np.arange(len(shift)) + shift]
 
 
 def _int64_values(expr, cols: dict) -> np.ndarray:
@@ -218,20 +308,16 @@ def run_solver(system: ConstraintSystem, alpha_schedule=(2.0,), mode: str = "max
         raise DomainTooLarge(f"sum-clipped mode takes at most {_SUM_CLIPPED_CAP} "
                              f"tuples, got {size}")
     state = uniform_state(system, domain)
-    accepted_sets = build_accepted_sets(system, state)
+    plan = plan_steps(state, build_accepted_sets(system, state))
 
     master = SplitMix64(seed)
     stream = sample_times(times, master.derive(STREAM_TIMES), 1.0)
     # looked up per step, so a wrapper set on the module sees every call
     state, records = amplify(
         state, lambda s, l, t: solver_iteration(s, system, alpha_schedule, l, t, mode=mode,
-                                                accepted_sets=accepted_sets, in_place=True),
+                                                plan=plan, in_place=True),
         islice(stream, L_max), stop_mass)
-
-    ok = np.ones(len(state.keys), dtype=bool)
-    for k, (_, relation, bound) in enumerate(system.constraints):
-        ok &= relation_accepts(state.keys[:, k], relation, bound)
-    solutions = member_masses(state, np.flatnonzero(ok))
+    solutions = member_masses(state, np.flatnonzero(plan.solved))
 
     lambdas = [1.0 / r.pr_E for r in records if r.pr_E < 1.0]
     if lambdas:

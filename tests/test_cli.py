@@ -413,3 +413,29 @@ def test_reports_identical_across_thread_counts(command, tmp_path, monkeypatch, 
         st = uniform_state(ConstraintSystem.from_json(GRID_SYSTEM))
         x, y = np.divmod(np.arange(21 * 21), 21)
         assert np.array_equal(st.keys, np.unique(np.stack([x + y, x * y], axis=1), axis=0))
+
+
+LINE_SYSTEM = {
+    "variables": [{"name": "x", "bound": 200_000}],
+    "constraints": [{"expr": "x", "relation": "<=", "bound": 10}],
+}
+
+
+def test_solve_report_identical_across_thread_counts_past_one_block(tmp_path, monkeypatch,
+                                                                    capsys):
+    # 200,001 one-tuple bins: each conditioning step runs 4 blocks on the pool
+    system = tmp_path / "line.json"
+    system.write_text(json.dumps(LINE_SYSTEM))
+    argv = ["solve", "--system", str(system), "--l-max", "4", "--seed", "5",
+            "--format", "json"]
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HOAMP_THREADS", threads)
+        out = tmp_path / threads
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        (path,) = out.iterdir()
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["records"]) == 4
+    n_bins = len(uniform_state(ConstraintSystem.from_json(LINE_SYSTEM)).keys)
+    assert n_bins == 200_001 and -(-n_bins // KERNEL_BLOCK) == 4

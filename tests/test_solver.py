@@ -256,6 +256,67 @@ def test_max_mode_matches_pairwise_reference(doc, monkeypatch):
             assert np.array_equal(mult[~ok], eps_squared(2.0, cos))
 
 
+def test_run_solver_cuts_once_and_builds_one_table_per_step(monkeypatch):
+    # only t changes between steps: one phase table per step serves both
+    # constraints, the satisfied masks and the table digits are cut before
+    # step 1, and only x*y = 12, the constraint with a single accepted
+    # value, reduces its target phasor exactly
+    system = make_system(EQ_AND_SUM)       # x*y = 12 (one value), x+y <= 8 (nine)
+    steps, seen = [], {"phase_table": [], "value_digits": [], "target_phasors": [],
+                       "contains": []}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name].append((len(steps), args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("phase_table", "value_digits", "target_phasors"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    monkeypatch.setattr(AcceptedSet, "contains", counted("contains", AcceptedSet.contains))
+    iteration = solver.solver_iteration
+
+    def step(*args, **kwargs):
+        steps.append(args[3])
+        return iteration(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solver_iteration", step)
+    L = 5
+    report = run_solver(system, seed=3, L_max=L, stop_mass=1.0)
+    assert steps == [1, 2, 3, 4, 5] and len(report.records) == L
+    assert [l for l, _ in seen["phase_table"]] == [1, 2, 3, 4, 5]
+    # both constraints' violators, and the nine accepted values of x+y <= 8
+    assert [l for l, _ in seen["value_digits"]] == [0, 0, 0]
+    assert [l for l, _ in seen["contains"]] == [0, 0]
+    assert [l for l, _ in seen["target_phasors"]] == [1, 2, 3, 4, 5]
+    assert all(list(args[2]) == [12] for _, args in seen["target_phasors"])
+
+
+@pytest.mark.parametrize("domain", [None, np.array([[3, 4], [1, 2], [2, 6], [4, 3], [1, 2],
+                                                    [0, 0], [6, 2], [12, 1], [5, 0]])])
+def test_member_masses_one_gather_equals_the_per_bin_loop(domain):
+    # the solver's members come from one gather; the list is the per-bin
+    # loop's, over the box and over a custom domain with a repeated tuple
+    system = make_system(EQ_AND_SUM)
+    state = uniform_state(system, domain)
+    for l, t in enumerate((0.4, 1.3, 2.9), start=1):
+        state, _ = solver_iteration(state, system, (2.0,), l, t)
+    assert len(np.unique(state.mass / state.counts)) > 2
+
+    def per_bin(bins):
+        out = []
+        for i in bins:
+            out.extend((tuple(m), state.share(i)) for m in state.members(i).tolist())
+        return sorted(out)
+
+    everything = member_masses(state)
+    assert everything == per_bin(range(len(state.counts)))
+    assert len(everything) == (13 * 13 if domain is None else len(domain))
+    bins = np.flatnonzero(state.keys[:, 1] <= 8)[::-1]
+    assert member_masses(state, bins) == per_bin(bins)
+    assert member_masses(state, bins[:0]) == []
+
+
 def test_best_cos_columns_are_the_factoring_product():
     # with one accepted value the outer product is factoring's Re(q * P_v),
     # bit for bit, and every column of a wider one is too
