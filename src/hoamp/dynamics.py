@@ -43,11 +43,10 @@ every entry is within an ulp or two of the exact angle.  value_phasors
 works in two steps.  value_digits cuts each |v^k| into table indices (intp
 arrays, with the sign masks); they depend on the table's digit layout but
 not on t, so a caller that conditions the same values at several times cuts
-them once, against a table or against table_layout(params, max_term),
-which builds no rows.  gather_phasors then gathers one complex entry per
-digit and multiplies them, so the hot loop is gathers and multiplies with
-no trig call and no width limit: powers beyond int64 (K >= 2 with large
-values) have their digits taken from Python ints in an object array, and
+them once.  gather_phasors then gathers one complex entry per digit and
+multiplies them, so the hot loop is gathers and multiplies with no trig
+call and no width limit: powers beyond int64 (K >= 2 with large values)
+have their digits taken from Python ints in an object array, and
 non-negative values skip the abs and sign passes.
 Callers that loop over blocks pass a KernelScratch (out=) so the blocks
 reuse one set of buffers; cos Delta is Re(Q_a * P_v), and |eps|^2 follows
@@ -290,45 +289,17 @@ def _theta(g: float, t: float) -> Fraction:
 
 
 @dataclass(frozen=True)
-class TableLayout:
-    """The digit layout of the phase tables for values with |v| <= max_term:
-    bits[k-1] is the digit width of order k, and lengths[k-1][j] the number
-    of digit values a |v^k| can take at digit position j.  It does not
-    depend on t, so value digits cut against a layout serve every table of
-    that layout."""
-
-    bits: tuple
-    lengths: tuple
-
-
-def table_layout(params: OscillatorParams, max_term: int) -> TableLayout:
-    """The layout of phase_table(params, t, max_term), for any t.
-
-    Raises OverflowError where phase_delta would: max_term**K past 128 bits.
-    """
-    bits, lengths = [], []
-    for k in range(1, params.order + 1):
-        bound = _int_pow_checked(max_term, k)           # >= |v^k|
-        n_digits = max(1, -(-bound.bit_length() // _DIGIT_BITS))
-        w = max(1, -(-bound.bit_length() // n_digits))
-        bits.append(w)
-        # digit values reachable at position j: the top row is short
-        lengths.append(tuple(min((1 << w) - 1, bound >> (w * j)) + 1
-                             for j in range(n_digits)))
-    return TableLayout(bits=tuple(bits), lengths=tuple(lengths))
-
-
-@dataclass(frozen=True)
-class PhaseTable(TableLayout):
+class PhaseTable:
     """exp(-i * (r * B^j * g_k * t mod 2*pi)) for digits r < B = 2^bits[k-1].
 
     rows[k-1][j] is the complex128 row for order k and digit position j,
     holding every digit value a |v^k| can take with |v| up to the max_term
-    the table was built for; the inherited layout gives the digit widths
-    and row lengths.  Read-only once built, so worker threads share it.
+    the table was built for; bits[k-1] is the digit width of order k.
+    Read-only once built, so worker threads share it.
     """
 
     rows: tuple
+    bits: tuple
 
 
 def phase_table(params: OscillatorParams, t: float, max_term: int) -> PhaseTable:
@@ -338,13 +309,16 @@ def phase_table(params: OscillatorParams, t: float, max_term: int) -> PhaseTable
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    layout = table_layout(params, max_term)
-    rows_k = []
-    for g, w, lengths in zip(params.couplings, layout.bits, layout.lengths):
+    rows_k, bits_k = [], []
+    for k, g in enumerate(params.couplings, start=1):
         theta = _theta(g, t)
+        bound = _int_pow_checked(max_term, k)           # >= |v^k|
+        n_digits = max(1, -(-bound.bit_length() // _DIGIT_BITS))
+        w = max(1, -(-bound.bit_length() // n_digits))
         rows = []
-        for j, n in enumerate(lengths):
-            r = np.arange(n, dtype=np.float64)
+        for j in range(n_digits):
+            # digit values reachable at position j: the top row is short
+            r = np.arange(min((1 << w) - 1, bound >> (w * j)) + 1, dtype=np.float64)
             phi = _mod_twopi(theta * (1 << (w * j)))
             phi_hi = float(phi)
             phi_lo = float(phi - Fraction(phi_hi))
@@ -356,7 +330,8 @@ def phase_table(params: OscillatorParams, t: float, max_term: int) -> PhaseTable
             np.subtract(0.0, row.imag, out=row.imag)    # r = 0 gives exactly (1, +0)
             rows.append(row)
         rows_k.append(tuple(rows))
-    return PhaseTable(bits=layout.bits, lengths=layout.lengths, rows=tuple(rows_k))
+        bits_k.append(w)
+    return PhaseTable(rows=tuple(rows_k), bits=tuple(bits_k))
 
 
 def target_phasors(params: OscillatorParams, t: float, targets) -> np.ndarray:
@@ -428,12 +403,12 @@ def _digit(mag, shift: int, mask, out):
     return out
 
 
-def _check_covered(layout: TableLayout, k: int, bits: int, top: int) -> int:
+def _check_covered(table: PhaseTable, k: int, bits: int, top: int) -> int:
     """The number of bits-wide digits of top = max |v^k|; IndexError unless
-    the layout's order-k rows are that wide and hold every such digit."""
-    lengths, n_digits = layout.lengths[k - 1], -(-top.bit_length() // bits)
-    if (layout.bits[k - 1] != bits or n_digits > len(lengths)
-            or top >> (bits * (n_digits - 1)) >= lengths[n_digits - 1]):
+    the table's order-k rows are that wide and hold every such digit."""
+    rows, n_digits = table.rows[k - 1], -(-top.bit_length() // bits)
+    if (table.bits[k - 1] != bits or n_digits > len(rows)
+            or top >> (bits * (n_digits - 1)) >= len(rows[n_digits - 1])):
         raise IndexError(f"|v^{k}| = {top} is beyond the phase table")
     return n_digits
 
@@ -452,9 +427,9 @@ class ValueDigits:
     orders: tuple
 
 
-def value_digits(table: TableLayout, values, span=None, out=None) -> ValueDigits:
+def value_digits(table: PhaseTable, values, span=None, out=None) -> ValueDigits:
     """The digits of |v^k| per order k and digit position, as intp arrays,
-    with the sign masks, for a phase table or its layout (table_layout).
+    with the sign masks, for the phase table's layout.
 
     They depend on the table only through its digit widths and row lengths
     (the order K and the max_term it was built for), not on t, so a caller

@@ -10,7 +10,7 @@ from hoamp.dynamics import (KernelScratch, MarkerAmplitude, OscillatorParams, Ph
                             epsilon_batch, epsilon_overlap, eps_squared_batch,
                             phase_delta, phase_delta_batch, phase_table, phasor_batch,
                             gather_phasors, reduce_angle, rotation_frequency,
-                            table_layout, target_phasors, value_digits, value_phasors)
+                            target_phasors, value_digits, value_phasors)
 
 PI = math.pi
 
@@ -419,14 +419,12 @@ def test_kernel_scratch_reuse_is_bitwise():
             assert np.array_equal(w, eps_squared_batch(1.5, want.real))
 
 
-DIGIT_CASES = [(p, trials + [-x for x in trials]) for p, _, trials in WIDE_CASES] + [
+@pytest.mark.parametrize("p,values", [
+    (p, trials + [-x for x in trials]) for p, _, trials in WIDE_CASES] + [
     (OscillatorParams(), [3, -1_030_188, 348_547_955, -((1 << 40) + 3), 0]),
     (OscillatorParams(), list(range(-9_000, 9_001, 37))),                   # two 7-bit digits
     (OscillatorParams(couplings=(0.7, 0.3)), list(range(-1_000, 1_001, 3))),  # 10-bit rows
-]
-
-
-@pytest.mark.parametrize("p,values", DIGIT_CASES)
+])
 def test_digits_cut_once_serve_every_time(p, values):
     # value_digits depends on the table's layout, not on t: digits cut
     # against the table for one time, gathered against the table for
@@ -446,23 +444,6 @@ def test_digits_cut_once_serve_every_time(p, values):
     # a table built for a smaller bound does not hold the largest value
     with pytest.raises(IndexError):
         gather_phasors(phase_table(p, 0.5, bound // 2), digits)
-
-
-@pytest.mark.parametrize("p,values", DIGIT_CASES)
-def test_digits_cut_against_the_layout_serve_every_table(p, values):
-    # table_layout is phase_table's layout without its rows: digits cut
-    # against it give value_phasors at any t bit for bit
-    values = np.array(values, dtype=np.int64)
-    bound = max(abs(int(values.min())), abs(int(values.max())))
-    layout = table_layout(p, bound)
-    digits = value_digits(layout, values)
-    for t in (0.013, 1.704, 97.31):
-        table = phase_table(p, t, bound)
-        assert (table.bits, table.lengths) == (layout.bits, layout.lengths)
-        assert layout.lengths == tuple(tuple(len(r) for r in rows) for rows in table.rows)
-        assert gather_phasors(table, digits).tobytes() == value_phasors(table, values).tobytes()
-    with pytest.raises(IndexError):
-        value_digits(table_layout(p, bound // 2), values)
 
 
 @pytest.mark.parametrize("p,target,trials", WIDE_CASES)

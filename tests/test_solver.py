@@ -18,7 +18,7 @@ from hoamp.factoring import FactoringConfig, run_factoring
 from hoamp.reporting import write_iteration_csv
 from hoamp.search import BlackBox, SearchConfig, run_search
 from hoamp.solver import (AcceptedSet, build_accepted_sets, constraint_multipliers,
-                          run_solver, solver_iteration, uniform_state)
+                          plan_steps, run_solver, solver_iteration, uniform_state)
 
 from conftest import factoring_rectangle
 
@@ -142,11 +142,19 @@ def test_accepted_sets_infeasible():
         })
 
 
+def column_multipliers(vals, acc, params, alpha_mag, t, mode):
+    # one column as a solver step sees it: its cut from plan_steps and the
+    # step's phase table for the plan's bound
+    plan = plan_steps(vals[:, None], [acc])
+    return constraint_multipliers(vals, acc, params, alpha_mag, t, mode, plan.cuts[0],
+                                  phase_table(params, t, plan.bound))
+
+
 def test_constraint_multipliers_satisfying_exactly_one():
     acc = accepted_sets(INEQ_SMALL)
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
     vals = np.array([0, 1, 2, 3, 4, 6], dtype=np.int64)    # x+y values
-    mult, ok = constraint_multipliers(vals, acc[0], params, 2.0, 1.234, "max")
+    mult, ok = column_multipliers(vals, acc[0], params, 2.0, 1.234, "max")
     assert ok.tolist() == [True, True, True, True, False, False]
     assert all(mult[i] == 1.0 for i in range(4))            # exact
     assert all(mult[i] < 1.0 for i in (4, 5))
@@ -156,7 +164,7 @@ def test_constraint_multipliers_sum_clipped_bounded():
     acc = accepted_sets(INEQ_SMALL)
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
     vals = np.array([0, 1, 5, 8], dtype=np.int64)
-    mult, ok = constraint_multipliers(vals, acc[1], params, 2.0, 0.9, "sum-clipped")
+    mult, ok = column_multipliers(vals, acc[1], params, 2.0, 0.9, "sum-clipped")
     assert ok.tolist() == [False, False, False, False]
     assert np.all(mult <= 1.0) and np.all(mult > 0.0)
 
@@ -172,7 +180,7 @@ def test_constraint_multipliers_int64_scale_match_scalar():
                      -3_000_000_001, -3_000_000_000 - (1 << 40), 7, 6_000_000_000],
                     dtype=np.int64)
     for t in (0.3, 2.71, 6.1):
-        mult, ok = constraint_multipliers(vals, acc, params, 1.7, t, "max")
+        mult, ok = column_multipliers(vals, acc, params, 1.7, t, "max")
         assert ok.tolist() == [True, True, False, False, False,
                                False, False, True, False]
         for v, m, inside in zip(vals, mult, ok):
@@ -238,10 +246,13 @@ def test_max_mode_matches_pairwise_reference(doc, monkeypatch):
     system = make_system(doc)
     state = uniform_state(system)
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
-    for k, acc in enumerate(build_accepted_sets(system, state)):
+    # the plan and tables a solver step builds: one bound for every column
+    plan = plan_steps(state.keys, build_accepted_sets(system, state))
+    for k, (acc, cut) in enumerate(zip(plan.accepted, plan.cuts)):
         vals = state.keys[:, k].astype(np.int64)
         for t in (0.3, 2.71, 6.1):
-            mult, ok = constraint_multipliers(vals, acc, params, 2.0, t, "max")
+            mult, ok = constraint_multipliers(vals, acc, params, 2.0, t, "max", cut,
+                                              phase_table(params, t, plan.bound))
             bad = vals[~ok]
             if not len(bad):
                 continue
@@ -259,8 +270,9 @@ def test_max_mode_matches_pairwise_reference(doc, monkeypatch):
 def test_run_solver_cuts_once_and_builds_one_table_per_step(monkeypatch):
     # only t changes between steps: one phase table per step serves both
     # constraints, the satisfied masks and the table digits are cut before
-    # step 1, and only x*y = 12, the constraint with a single accepted
-    # value, reduces its target phasor exactly
+    # step 1 (against one table at t = 0), and only x*y = 12, the
+    # constraint with a single accepted value, reduces its target phasor
+    # exactly
     system = make_system(EQ_AND_SUM)       # x*y = 12 (one value), x+y <= 8 (nine)
     steps, seen = [], {"phase_table": [], "value_digits": [], "target_phasors": [],
                        "contains": []}
@@ -284,7 +296,8 @@ def test_run_solver_cuts_once_and_builds_one_table_per_step(monkeypatch):
     L = 5
     report = run_solver(system, seed=3, L_max=L, stop_mass=1.0)
     assert steps == [1, 2, 3, 4, 5] and len(report.records) == L
-    assert [l for l, _ in seen["phase_table"]] == [1, 2, 3, 4, 5]
+    assert [l for l, _ in seen["phase_table"]] == [0, 1, 2, 3, 4, 5]
+    assert seen["phase_table"][0][1][1] == 0.0
     # both constraints' violators, and the nine accepted values of x+y <= 8
     assert [l for l, _ in seen["value_digits"]] == [0, 0, 0]
     assert [l for l, _ in seen["contains"]] == [0, 0]
