@@ -20,10 +20,9 @@ from .errors import (ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge,
                      InfeasibleSystem, NoFactorInRange, NoSolutionFound, ParseError)
 from .factoring import (STREAM_STATS, TABLE1_TIME_GRID_NOTE, FactoringConfig,
                         replay_table1, run_factoring, table1_comparison)
-from .reporting import (fmt_float, report_to_dict, summarize_trajectories,
-                        to_json_text, write_iteration_csv, write_json,
-                        write_replay_csv, write_stats_long_csv,
-                        write_stats_summary_csv)
+from .reporting import (fmt_float, summarize_trajectories, to_json_text,
+                        write_iteration_csv, write_json, write_replay_csv,
+                        write_stats_long_csv, write_stats_summary_csv)
 from .rng import SplitMix64
 from .search import BlackBox, SearchConfig, run_search
 from .solver import run_solver
@@ -84,20 +83,20 @@ def _times(args):
     return "seeded"
 
 
-def _emit(args, report_dict, csv_writer) -> None:
-    """Write the report to --out-dir, or print it to stdout."""
+def _emit(args, report, csv_writer) -> None:
+    """Write the report (a report dataclass or a dict) to --out-dir, or print it."""
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         base = os.path.join(args.out_dir, args.basename)
         if args.format == "json":
-            write_json(base + ".json", report_dict)
+            write_json(base + ".json", report)
             print(f"wrote {base}.json")
         else:
             csv_writer(base + ".csv")
             print(f"wrote {base}.csv")
     else:
         if args.format == "json":
-            sys.stdout.write(to_json_text(report_dict))
+            sys.stdout.write(to_json_text(report))
         else:
             csv_writer(sys.stdout)
 
@@ -115,8 +114,7 @@ def cmd_factor(args) -> int:
     report = run_factoring(config, progress=args.progress)
     args.basename = "factor_report"
     meta = {"command": "factor", "N": args.n, "seed": args.seed}
-    _emit(args, report_to_dict(report),
-          lambda p: write_iteration_csv(p, report, meta))
+    _emit(args, report, lambda p: write_iteration_csv(p, report, meta))
     if report.sampled_factors is None:
         print(f"sampled {report.sampled_tuple}, not a factor pair of {args.n}",
               file=sys.stderr)
@@ -143,8 +141,7 @@ def cmd_search(args) -> int:
     report = run_search(config, box)
     args.basename = "search_report"
     meta = {"command": "search", "domain": args.n, "seed": args.seed}
-    _emit(args, report_to_dict(report),
-          lambda p: write_iteration_csv(p, report, meta))
+    _emit(args, report, lambda p: write_iteration_csv(p, report, meta))
     found = ", ".join(str(n) for n, _ in report.solutions)
     _say(args, f"marked items: {found}   ({len(report.records)} iterations, "
                f"{report.oracle_calls} oracle calls)")
@@ -166,8 +163,7 @@ def cmd_solve(args) -> int:
     args.basename = "solve_report"
     meta = {"command": "solve", "system": args.system, "mode": args.mode,
             "seed": args.seed}
-    _emit(args, report_to_dict(report),
-          lambda p: write_iteration_csv(p, report, meta))
+    _emit(args, report, lambda p: write_iteration_csv(p, report, meta))
     summary = f"{report.solution_count} satisfying tuple(s); sampled {report.sampled_tuple}"
     last = report.records[-1] if report.records else None
     if last is not None and last.solution_mass < args.stop_mass:

@@ -19,7 +19,7 @@ from hoamp.ensemble import (TargetState, TrialEnsemble, apply_entry_multipliers,
 from hoamp.errors import (ConditionedMassVanished, DomainTooLarge, EmptyRange,
                           NoFactorInRange)
 from hoamp.factoring import FactoringConfig, run_factoring
-from hoamp.reporting import report_to_dict, to_json_text
+from hoamp.reporting import to_json_text
 from hoamp.rng import SplitMix64
 
 from conftest import factoring_rectangle
@@ -193,7 +193,7 @@ def test_conditioning_reuses_one_scratch_per_worker(monkeypatch, path):
             assert 1 <= len(made) <= threads
         else:
             report = run_factoring(FactoringConfig(N=50_000, seed=3, L_max=3))
-            outs.append(to_json_text(report_to_dict(report)))
+            outs.append(to_json_text(report))
             assert 2 <= len(made) <= threads + 1   # the pass, plus one for the draw
         # no buffer outgrows one block
         assert max(len(b) for s in made for b in s._bufs.values()) <= KERNEL_BLOCK
