@@ -157,9 +157,8 @@ def cmd_solve(args) -> int:
         return 2
     except (KeyError, ValueError, TypeError) as exc:
         raise _UsageError(f"bad system file {args.system}: {exc}")
-    report = run_solver(system, alpha_schedule=_alpha_schedule(args), mode=args.mode,
-                        times=_times(args), seed=args.seed, L_max=args.l_max,
-                        stop_mass=args.stop_mass)
+    report = run_solver(system, alpha_schedule=_alpha_schedule(args), times=_times(args),
+                        seed=args.seed, L_max=args.l_max, stop_mass=args.stop_mass)
     args.basename = "solve_report"
     meta = {"command": "solve", "system": args.system, "mode": args.mode,
             "seed": args.seed}
@@ -264,7 +263,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve an integer constraint system")
     p.add_argument("--system", required=True, help="JSON file with the system")
-    p.add_argument("--mode", choices=("max", "sum-clipped"), default="max")
+    p.add_argument("--mode", choices=("max",), default="max",
+                   help="the per-constraint multiplier (max is the only one)")
     p.add_argument("--times", default=None)
     _add_common(p, with_stop_mass=True)
     p.set_defaults(fn=cmd_solve)

@@ -179,7 +179,8 @@ class TrialEnsemble:
     total: float = 1.0     # the mass the probabilities are relative to
     shift: int = 0         # mass and total are scaled by 2**shift
 
-    # benchmarks/tracing.py reads these; ROADMAP item 1 deletes this block
+    # benchmarks/tracing.py reads these; they go once it reads an in-program
+    # trace sink instead (ROADMAP: "One factoring engine", "Benchmark v2")
     layout = property(lambda self: "binned")
     tuples = property(lambda self: None)
     weights = property(lambda self: None)

@@ -151,19 +151,14 @@ def apply_black_box(state: TrialEnsemble, box: BlackBox) -> TrialEnsemble:
                                  _Items(d, marked))
 
 
-def _parity_multipliers(state: TrialEnsemble, config: SearchConfig, alpha_mag: float):
+def search_iteration(state: TrialEnsemble, config: SearchConfig, l: int):
+    """Evolve t_s, condition on |alpha^(l)>; returns (state', StepRecord)."""
+    alpha_mag = config.alpha_for(l)
     # at t_s the marker turns by pi * (omega3_multiple + h), an even multiple
     # of pi exactly for even h, since omega3_multiple is even: those bins keep
     # multiplier 1
     even = state.keys % 2 == 0
     mult = np.where(even, 1.0, math.exp(-4.0 * alpha_mag * alpha_mag))
-    return mult, even
-
-
-def search_iteration(state: TrialEnsemble, config: SearchConfig, l: int):
-    """Evolve t_s, condition on |alpha^(l)>; returns (state', StepRecord)."""
-    alpha_mag = config.alpha_for(l)
-    mult, even = _parity_multipliers(state, config, alpha_mag)
     return condition_step(state, mult, even, l, config.t_s, alpha_mag)
 
 

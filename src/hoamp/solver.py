@@ -9,13 +9,9 @@ their mass exactly while violators shrink.  One |alpha| schedule drives every
 marker, and the iterations run through search's loop, ensemble.amplify.
 
 The product of coherent projectors over all accepted values, taken literally,
-is not a valid measurement element, so the per-constraint multiplier is
-defined as either
-
-* max:         max over accepted x of |eps(Delta(x, v))|^2   (default), or
-* sum-clipped: min(1, sum over accepted x of |eps|^2)        (sensitivity mode),
-
-both of which equal 1 exactly on satisfying tuples and never exceed 1.
+is not a valid measurement element, so the per-constraint multiplier is the
+max over accepted x of |eps(Delta(x, v))|^2: it equals 1 exactly on
+satisfying tuples and never exceeds 1.
 
 Every multiplier depends on a tuple only through its row of constraint values
 (f_1(x), ..., f_B(x)), so the state bins the domain tuples by that row
@@ -37,19 +33,18 @@ reports therefore differ from those of versions that sized a table per
 constraint from its violators alone in the last digits of their masses:
 where a constraint accepts several values, and where any column holds
 values of two or more 13-bit table digits, since the shared bound can
-change the digit width and with it how P_v is split and rounded.  Max
-mode is exact at every domain size: the largest Re(Q_x * P_v) is taken at
+change the digit width and with it how P_v is split and rounded.  The
+max is exact at every domain size: the largest Re(Q_x * P_v) is taken at
 the Q_x nearest to conj(P_v) on the circle, found by one binary search
 among the sorted angles of the Q_x, so a step costs
 O((V + A) log A) for V distinct violating values and A accepted values,
 plus one gather per violating row.  At b = 1,100 (x+y <= b, x*y >= b^2/8:
 1.21M tuples, 10 steps) a run takes 1.3 s on two shared vCPUs, against
 4.3-4.5 s when every step recut its digits and reduced every accepted value
-exactly.  Sum-clipped mode loops over the accepted values and is refused
-above 10^6 domain tuples.  With a single accepted value the two modes
-coincide and the max is factoring's own Re(Q * P_v): over the factoring
-rectangle, the embedding f = m1*m2, a = N has factoring's product bins as
-its bins and reproduces that module's arithmetic bit for bit.
+exactly.  With a single accepted value the max is factoring's own
+Re(Q * P_v): over the factoring rectangle, the embedding f = m1*m2, a = N
+has factoring's product bins as its bins and reproduces that module's
+arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -69,7 +64,6 @@ from .errors import DomainTooLarge, EmptyRange, InfeasibleSystem
 from .factoring import STREAM_SAMPLE, STREAM_TIMES, sample_times
 from .rng import SplitMix64
 
-_SUM_CLIPPED_CAP = 1_000_000
 _STATE_CAP = 4_000_000
 # every constraint's marker: identity linear coupling, Omega(v) = v
 _MARKER = OscillatorParams(couplings=(1.0,))
@@ -189,35 +183,25 @@ def _best_cos(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorParams,
-                           alpha_mag: float, t: float, mode: str, cut: _Cut,
-                           table: PhaseTable):
+                           alpha_mag: float, t: float, cut: _Cut, table: PhaseTable):
     """Per-entry mass multiplier for one constraint's column of values, and
     the satisfied mask: `cut` is the column's cut from plan_steps and `table`
     the step's phase table at t, built for the plan's bound."""
     mult = np.ones(len(values), dtype=np.float64)
     if not len(cut.bad):
         return mult, cut.ok
-    if mode not in ("max", "sum-clipped"):
-        raise ValueError(f"unknown mode {mode!r}")
     p = gather_phasors(table, cut.bad_digits)
     if cut.accepted_digits is None:
         q = target_phasors(params, t, accepted.values)
     else:
         q = np.conjugate(gather_phasors(table, cut.accepted_digits))
-    if mode == "max":
-        cos = _best_cos(p, q)[cut.bad_value]
-        mult[cut.bad] = eps_squared_batch(alpha_mag, cos, out=cos)
-    else:
-        total = np.zeros(len(p), dtype=np.float64)
-        for q_x in q:
-            total += eps_squared_batch(alpha_mag, (p * q_x).real)
-        mult[cut.bad] = np.minimum(1.0, total)[cut.bad_value]
+    cos = _best_cos(p, q)[cut.bad_value]
+    mult[cut.bad] = eps_squared_batch(alpha_mag, cos, out=cos)
     return mult, cut.ok
 
 
 def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, alpha_schedule: tuple,
-                     l: int, t_l: float, mode: str = "max", plan: StepPlan = None,
-                     in_place: bool = False):
+                     l: int, t_l: float, plan: StepPlan = None, in_place: bool = False):
     """One joint conditioning over all B markers at |alpha| =
     alpha_at(alpha_schedule, l), with one phase table for every marker;
     returns (state', StepRecord).  `plan` is plan_steps over the state's
@@ -228,8 +212,8 @@ def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, alpha_sched
     table = phase_table(_MARKER, t_l, plan.bound)
     joint = None
     for k, (acc, cut) in enumerate(zip(plan.accepted, plan.cuts)):
-        mult, _ = constraint_multipliers(state.keys[:, k], acc, _MARKER, alpha_mag, t_l, mode,
-                                         cut, table)
+        mult, _ = constraint_multipliers(state.keys[:, k], acc, _MARKER, alpha_mag, t_l, cut,
+                                         table)
         joint = mult if joint is None else joint * mult
     return condition_step(state, joint, plan.solved, l, t_l, alpha_mag, in_place=in_place)
 
@@ -291,9 +275,9 @@ def uniform_state(system: ConstraintSystem, tuples: np.ndarray = None) -> TrialE
                                  _TupleBins(tuples[order], starts))
 
 
-def run_solver(system: ConstraintSystem, alpha_schedule=(2.0,), mode: str = "max",
-               times="seeded", seed: int = 0, L_max: int = 40,
-               stop_mass: float = 0.999999, domain: np.ndarray = None) -> SolverReport:
+def run_solver(system: ConstraintSystem, alpha_schedule=(2.0,), times="seeded",
+               seed: int = 0, L_max: int = 40, stop_mass: float = 0.999999,
+               domain: np.ndarray = None) -> SolverReport:
     """Amplify the feasible tuples of the system and report them.
 
     `alpha_schedule` gives |alpha| per iteration for every marker (see
@@ -302,11 +286,6 @@ def run_solver(system: ConstraintSystem, alpha_schedule=(2.0,), mode: str = "max
     """
     alpha_schedule = normalize_alpha_schedule(alpha_schedule)
     check_run_limits(L_max, stop_mass, "stop_mass")
-    size = system.domain_size() if domain is None else len(domain)
-    if mode == "sum-clipped" and size > _SUM_CLIPPED_CAP:
-        # its loop over accepted values costs violators x accepted per step
-        raise DomainTooLarge(f"sum-clipped mode takes at most {_SUM_CLIPPED_CAP} "
-                             f"tuples, got {size}")
     state = uniform_state(system, domain)
     plan = plan_steps(state.keys, build_accepted_sets(system, state))
 
@@ -314,8 +293,8 @@ def run_solver(system: ConstraintSystem, alpha_schedule=(2.0,), mode: str = "max
     stream = sample_times(times, master.derive(STREAM_TIMES), 1.0)
     # looked up per step, so a wrapper set on the module sees every call
     state, records = amplify(
-        state, lambda s, l, t: solver_iteration(s, system, alpha_schedule, l, t, mode=mode,
-                                                plan=plan, in_place=True),
+        state, lambda s, l, t: solver_iteration(s, system, alpha_schedule, l, t, plan=plan,
+                                                in_place=True),
         islice(stream, L_max), stop_mass)
     solutions = member_masses(state, np.flatnonzero(plan.solved))
 
@@ -329,7 +308,7 @@ def run_solver(system: ConstraintSystem, alpha_schedule=(2.0,), mode: str = "max
            if lam_bar > 1.0 else 0)
 
     return SolverReport(
-        config={"system": system.to_json(), "mode": mode, "seed": seed,
+        config={"system": system.to_json(), "mode": "max", "seed": seed,
                 "L_max": L_max, "stop_mass": stop_mass,
                 "alpha_schedule": list(alpha_schedule)},
         seed=seed, records=records, solutions=solutions,

@@ -258,14 +258,18 @@ def test_alpha_takes_one_value_or_a_schedule(capsys):
     assert "unrecognized arguments: --alpha-schedule" in capsys.readouterr().err
 
 
-def test_solve_sum_clipped_refuses_large_domains(tmp_path, capsys):
-    f = tmp_path / "wide.json"
+def test_solve_mode_takes_only_max(tmp_path, capsys):
+    # max is the solver's one multiplier: any other mode is a usage error
+    # that writes no report
+    f = tmp_path / "sys.json"
     f.write_text(json.dumps({
-        "variables": [{"name": "x", "bound": 1_100_000}],
-        "constraints": [{"expr": "x", "relation": "<=", "bound": 10}],
+        "variables": [{"name": "x", "bound": 3}],
+        "constraints": [{"expr": "x", "relation": "<=", "bound": 1}],
     }))
-    assert run(["solve", "--system", str(f), "--mode", "sum-clipped"]) == 2
-    assert "runtime error: sum-clipped" in capsys.readouterr().err
+    assert run(["solve", "--system", str(f), "--mode", "sum-clipped",
+                "--out-dir", str(tmp_path)]) == 3
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("solve_report*"))
 
 
 @pytest.mark.parametrize("schedule", [",", "-1", "3,2"])

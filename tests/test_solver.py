@@ -1,4 +1,4 @@
-"""Constraint solver: accepted sets, conditioning modes, factoring embedding."""
+"""Constraint solver: accepted sets, the max multiplier, factoring embedding."""
 
 import dataclasses
 import io
@@ -142,11 +142,11 @@ def test_accepted_sets_infeasible():
         })
 
 
-def column_multipliers(vals, acc, params, alpha_mag, t, mode):
+def column_multipliers(vals, acc, params, alpha_mag, t):
     # one column as a solver step sees it: its cut from plan_steps and the
     # step's phase table for the plan's bound
     plan = plan_steps(vals[:, None], [acc])
-    return constraint_multipliers(vals, acc, params, alpha_mag, t, mode, plan.cuts[0],
+    return constraint_multipliers(vals, acc, params, alpha_mag, t, plan.cuts[0],
                                   phase_table(params, t, plan.bound))
 
 
@@ -154,19 +154,10 @@ def test_constraint_multipliers_satisfying_exactly_one():
     acc = accepted_sets(INEQ_SMALL)
     params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
     vals = np.array([0, 1, 2, 3, 4, 6], dtype=np.int64)    # x+y values
-    mult, ok = column_multipliers(vals, acc[0], params, 2.0, 1.234, "max")
+    mult, ok = column_multipliers(vals, acc[0], params, 2.0, 1.234)
     assert ok.tolist() == [True, True, True, True, False, False]
     assert all(mult[i] == 1.0 for i in range(4))            # exact
     assert all(mult[i] < 1.0 for i in (4, 5))
-
-
-def test_constraint_multipliers_sum_clipped_bounded():
-    acc = accepted_sets(INEQ_SMALL)
-    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
-    vals = np.array([0, 1, 5, 8], dtype=np.int64)
-    mult, ok = column_multipliers(vals, acc[1], params, 2.0, 0.9, "sum-clipped")
-    assert ok.tolist() == [False, False, False, False]
-    assert np.all(mult <= 1.0) and np.all(mult > 0.0)
 
 
 def test_constraint_multipliers_int64_scale_match_scalar():
@@ -180,7 +171,7 @@ def test_constraint_multipliers_int64_scale_match_scalar():
                      -3_000_000_001, -3_000_000_000 - (1 << 40), 7, 6_000_000_000],
                     dtype=np.int64)
     for t in (0.3, 2.71, 6.1):
-        mult, ok = column_multipliers(vals, acc, params, 1.7, t, "max")
+        mult, ok = column_multipliers(vals, acc, params, 1.7, t)
         assert ok.tolist() == [True, True, False, False, False,
                                False, False, True, False]
         for v, m, inside in zip(vals, mult, ok):
@@ -251,7 +242,7 @@ def test_max_mode_matches_pairwise_reference(doc, monkeypatch):
     for k, (acc, cut) in enumerate(zip(plan.accepted, plan.cuts)):
         vals = state.keys[:, k].astype(np.int64)
         for t in (0.3, 2.71, 6.1):
-            mult, ok = constraint_multipliers(vals, acc, params, 2.0, t, "max", cut,
+            mult, ok = constraint_multipliers(vals, acc, params, 2.0, t, cut,
                                               phase_table(params, t, plan.bound))
             bad = vals[~ok]
             if not len(bad):
@@ -417,10 +408,9 @@ def test_three_constraint_system_converges():
     assert masses[-1] > masses[0]
 
 
-def test_sum_clipped_mode_equality_converges():
+def test_equality_and_sum_system_converges():
     system = make_system(EQ_AND_SUM)
-    report = run_solver(system, mode="sum-clipped", seed=3, L_max=40,
-                        stop_mass=0.999)
+    report = run_solver(system, seed=3, L_max=40, stop_mass=0.999)
     assert {t for t, _ in report.solutions} == feasible_set(system)
     assert report.records[-1].solution_mass >= 0.999
 
