@@ -4,6 +4,10 @@ Subcommands: factor, search, solve, replay-table1, stats.  Exit codes:
 0 success, 1 replay tolerance failure, 2 runtime failure (vanished mass,
 resource caps, I/O), 3 usage error, 4 no factor / no solution / infeasible
 system.  Set HOAMP_THREADS to cap the worker pool used for large ensembles.
+
+A call that names its subcommand first builds only that subcommand's
+arguments; `hoamp --help`, `--version` and an unknown subcommand build all
+five.
 """
 
 from __future__ import annotations
@@ -232,17 +236,7 @@ def _add_common(p, with_stop_fidelity=False, with_stop_mass=False):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="hoamp",
-        description="Amplitude amplification on coupled oscillators: factoring, "
-                    "search, integer constraint systems.",
-        epilog="HOAMP_THREADS caps the worker pool for large ensembles.",
-    )
-    parser.add_argument("--version", action="version", version=f"hoamp {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("factor", help="factor an integer N")
+def _factor_arguments(p):
     p.add_argument("--n", type=int, required=True, help="integer to factor")
     p.add_argument("--k-order", type=int, default=None,
                    help="coupling polynomial order K (default: len(--couplings))")
@@ -251,45 +245,76 @@ def build_parser() -> _Parser:
                    help="explicit evolution times (default: seeded random)")
     p.add_argument("--progress", action="store_true")
     _add_common(p, with_stop_fidelity=True)
-    p.set_defaults(fn=cmd_factor)
 
-    p = sub.add_parser("search", help="amplify marked items of a black box")
+
+def _search_arguments(p):
     p.add_argument("--n", type=int, required=True, help="domain size")
     p.add_argument("--solutions", default=None, help="comma-separated marked indices")
     p.add_argument("--solutions-file", default=None,
                    help="file with a JSON array or whitespace-separated indices")
     _add_common(p, with_stop_mass=True)
-    p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("solve", help="solve an integer constraint system")
+
+def _solve_arguments(p):
     p.add_argument("--system", required=True, help="JSON file with the system")
     p.add_argument("--mode", choices=("max",), default="max",
                    help="the per-constraint multiplier (max is the only one)")
     p.add_argument("--times", default=None)
     _add_common(p, with_stop_mass=True)
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("replay-table1",
-                       help="re-run the published factoring trajectory and diff it")
+
+def _replay_table1_arguments(p):
     p.add_argument("--progress", action="store_true")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=cmd_replay_table1)
 
-    p = sub.add_parser("stats", help="repeated factoring runs, mean/std per iteration")
+
+def _stats_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--k-order", type=int, default=None)
     p.add_argument("--couplings", default=None)
     _add_common(p, with_stop_fidelity=True)
-    p.set_defaults(fn=cmd_stats)
 
+
+# subcommand -> (help, function adding its arguments, handler)
+_COMMANDS = {
+    "factor": ("factor an integer N", _factor_arguments, cmd_factor),
+    "search": ("amplify marked items of a black box", _search_arguments, cmd_search),
+    "solve": ("solve an integer constraint system", _solve_arguments, cmd_solve),
+    "replay-table1": ("re-run the published factoring trajectory and diff it",
+                      _replay_table1_arguments, cmd_replay_table1),
+    "stats": ("repeated factoring runs, mean/std per iteration", _stats_arguments,
+              cmd_stats),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The hoamp parser.  When `command` names a subcommand, only that
+    subcommand's parser is built, since argparse builds each one in full
+    whether or not it runs; otherwise (--help, --version, a bad choice) all
+    of them are."""
+    parser = _Parser(
+        prog="hoamp",
+        description="Amplitude amplification on coupled oscillators: factoring, "
+                    "search, integer constraint systems.",
+        epilog="HOAMP_THREADS caps the worker pool for large ensembles.",
+    )
+    parser.add_argument("--version", action="version", version=f"hoamp {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -35,9 +35,9 @@ one job per KERNEL_BLOCK block of bins, which sums the block right after
 scaling it, while it is still in cache; the total C_l is the math.fsum of
 those block sums in index order, and Pr(E_l) = C_l / C_{l-1}.  So results
 are bit-identical no matter how many worker threads run the blocks.
-A state whose total falls below 2^-500 (a search with no marked item, an
-infeasible solver system) has its masses scaled up by an exact power of two,
-kept in `shift`, so nothing goes subnormal.
+A state whose total falls below 2^-500 (a search whose box marks no item,
+so that no bin keeps multiplier 1) has its masses scaled up by an exact power
+of two, kept in `shift`, so nothing goes subnormal.
 
 Search and the solver share one step and one loop: condition_step conditions
 and returns a StepRecord with the solution bins' share of the mass, and

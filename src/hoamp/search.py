@@ -15,9 +15,11 @@ rounding in between.
 
 Since the multiplier depends on an item only through the parity of h(n), the
 state is two bins: the items with even h(n), kept as their sorted indices,
-and the rest.  One chunked pass over the domain fills them, so an iteration
-costs O(1) and the state O(marked) memory.  The iterations run through the
-solver's loop, ensemble.amplify.
+and the rest.  A box built from solution indices already holds that sorted
+set, so its state costs O(marked) to build; any other box fills the bins in
+one chunked pass of h over the domain.  An iteration costs O(1) and the
+state O(marked) memory.  The iterations run through the solver's loop,
+ensemble.amplify.
 """
 
 from __future__ import annotations
@@ -57,8 +59,11 @@ class BlackBox:
         bad = [i for i in marked if not 0 <= i < domain_size]
         if bad:
             raise ValueError(f"solution indices outside the domain: {sorted(bad)[:5]}")
+        # read-only: search states built from this box share the array
+        members = np.array(sorted(marked), dtype=np.int64)
+        members.flags.writeable = False
         return cls(domain_size=domain_size, predicate=lambda n: n in marked,
-                   marked=np.array(sorted(marked), dtype=np.int64))
+                   marked=members)
 
     def h(self, n: int) -> int:
         if self.encoding is None:
@@ -69,10 +74,8 @@ class BlackBox:
         return v
 
     def h_batch(self, items: np.ndarray) -> np.ndarray:
-        """h over an array of items: one np.isin when the box was built from
-        solution indices, else h per item, parity check included."""
-        if self.marked is not None:
-            return np.where(np.isin(items, self.marked), 0, 1)
+        """h over an array of items, one call of h per item, parity check
+        included."""
         return np.fromiter((self.h(n) for n in items.tolist()), dtype=np.int64,
                            count=len(items))
 
@@ -137,15 +140,19 @@ def initial_search_state(box: BlackBox, m0: int = 0) -> TrialEnsemble:
 
 
 def apply_black_box(state: TrialEnsemble, box: BlackBox) -> TrialEnsemble:
-    """(n, m0) -> (n, h(n)) on the uniform initial state: one chunked pass
-    over the domain splits the items by the parity of h(n) into two bins,
-    keyed 0 (even: the solutions) and 1, every item keeping mass 1/d."""
+    """(n, m0) -> (n, h(n)) on the uniform initial state: the items split by
+    the parity of h(n) into two bins, keyed 0 (even: the solutions) and 1,
+    every item keeping mass 1/d.  A box built from solution indices gives its
+    sorted marked set directly, so h runs on no item; any other box is
+    evaluated in one chunked pass over the domain."""
     d = box.domain_size
-    marked = []
-    for lo in range(0, d, _MARK_CHUNK):
-        items = np.arange(lo, min(lo + _MARK_CHUNK, d), dtype=np.int64)
-        marked.append(items[box.h_batch(items) % 2 == 0])
-    marked = np.concatenate(marked)
+    marked = box.marked
+    if marked is None:
+        chunks = []
+        for lo in range(0, d, _MARK_CHUNK):
+            items = np.arange(lo, min(lo + _MARK_CHUNK, d), dtype=np.int64)
+            chunks.append(items[box.h_batch(items) % 2 == 0])
+        marked = np.concatenate(chunks)
     return TrialEnsemble.uniform(np.array([0, 1], dtype=np.int64),
                                  np.array([len(marked), d - len(marked)], dtype=np.int64),
                                  _Items(d, marked))

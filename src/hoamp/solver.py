@@ -282,12 +282,15 @@ def run_solver(system: ConstraintSystem, alpha_schedule=(2.0,), times="seeded",
 
     `alpha_schedule` gives |alpha| per iteration for every marker (see
     normalize_alpha_schedule); `domain` holds the trial tuples, one per row,
-    default the bounded box.
+    default the bounded box.  Raises InfeasibleSystem before the first step
+    when no tuple of the domain satisfies every constraint.
     """
     alpha_schedule = normalize_alpha_schedule(alpha_schedule)
     check_run_limits(L_max, stop_mass, "stop_mass")
     state = uniform_state(system, domain)
     plan = plan_steps(state.keys, build_accepted_sets(system, state))
+    if not plan.solved.any():
+        raise InfeasibleSystem("no tuple of the domain satisfies every constraint at once")
 
     master = SplitMix64(seed)
     stream = sample_times(times, master.derive(STREAM_TIMES), 1.0)

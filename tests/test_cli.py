@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hoamp import ensemble
+from hoamp import __version__, ensemble
 from hoamp.cli import main
 from hoamp.constraints import ConstraintSystem
 from hoamp.dynamics import KERNEL_BLOCK
@@ -189,6 +190,20 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
         "constraints": [{"expr": "x^2", "relation": "=", "bound": 5}],
     }))
     assert run(["solve", "--system", str(f)]) == 4
+
+
+def test_solve_no_common_tuple_exits_before_any_step(tmp_path, capsys):
+    # each constraint has accepted values over 0..5, but no tuple meets both
+    f = tmp_path / "apart.json"
+    f.write_text(json.dumps({
+        "variables": [{"name": "x", "bound": 5}, {"name": "y", "bound": 5}],
+        "constraints": [{"expr": "x + y", "relation": "<=", "bound": 2},
+                        {"expr": "x*y", "relation": ">=", "bound": 9}],
+    }))
+    out = tmp_path / "out"
+    assert run(["solve", "--system", str(f), "--out-dir", str(out)]) == 4
+    assert "no solution" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_values_beyond_int64_exit_code(tmp_path, capsys):
@@ -372,13 +387,54 @@ def test_stats_single_sample_usage_error(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 3
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(["nope"]) == 3
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert all(name in err for name in SUBCOMMANDS)
 
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as ei:
         run(["--version"])
     assert ei.value.code == 0
-    assert "hoamp" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"hoamp {__version__}\n"
+
+
+SUBCOMMANDS = ("factor", "search", "solve", "replay-table1", "stats")
+
+
+def _count_subparsers(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return built
+
+
+def test_named_subcommand_builds_only_its_parser(monkeypatch, capsys):
+    built = _count_subparsers(monkeypatch)
+    assert run(["factor", "--n", "35", "--l-max", "2"]) == 0
+    assert built == ["factor"]
+    built.clear()
+    assert run(["nope"]) == 3
+    assert built == list(SUBCOMMANDS)
+
+
+def test_help_lists_every_subcommand(monkeypatch, capsys):
+    built = _count_subparsers(monkeypatch)
+    with pytest.raises(SystemExit) as ei:
+        run(["--help"])
+    assert ei.value.code == 0 and built == list(SUBCOMMANDS)
+    out = capsys.readouterr().out
+    assert all(name in out for name in SUBCOMMANDS)
+    with pytest.raises(SystemExit) as ei:
+        run(["factor", "--help"])
+    assert ei.value.code == 0
+    assert "--stop-fidelity" in capsys.readouterr().out
 
 
 GRID_SYSTEM = {

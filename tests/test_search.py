@@ -89,6 +89,45 @@ def test_black_box_pass_spans_chunks(monkeypatch):
         assert st.members(0)[:, 0].tolist() == marked
 
 
+@pytest.mark.parametrize("d, marked, chunk", [
+    (300, [0, 63, 64, 65, 127, 128, 200, 299], 64),   # five chunks, the last partial
+    (256, [5, 64, 255], 64),                           # four full chunks
+    (100, [], 64),                                     # nothing marked
+    (1, [0], 64),                                      # one item, marked
+    (50, [0, 49], 1 << 20),                            # marks at 0 and d - 1
+])
+def test_index_box_state_equals_predicate_box_state(d, marked, chunk, monkeypatch):
+    # the state an index-built box takes from its marked set equals the one
+    # the chunked pass of h builds for the same predicate
+    from hoamp import search
+    monkeypatch.setattr(search, "_MARK_CHUNK", chunk)
+    box = BlackBox.from_solution_indices(d, marked)
+    fast = apply_black_box(initial_search_state(box), box)
+    pred = BlackBox(domain_size=d, predicate=lambda n: n in marked)
+    slow = apply_black_box(initial_search_state(pred), pred)
+    assert fast.keys.tolist() == slow.keys.tolist() == [0, 1]
+    assert fast.counts.tolist() == slow.counts.tolist() == [len(marked), d - len(marked)]
+    assert fast.mass.tolist() == slow.mass.tolist() and fast.total == slow.total
+    for i in (0, 1):
+        assert np.array_equal(fast.members(i), slow.members(i))
+    assert fast.members(0)[:, 0].tolist() == marked
+
+
+def test_index_box_never_calls_the_oracle(monkeypatch):
+    # a box built from solution indices holds its marked set: neither the
+    # state nor the run evaluates h on any item
+    def refuse(*_):
+        raise AssertionError("oracle called")
+    monkeypatch.setattr(BlackBox, "h", refuse)
+    monkeypatch.setattr(BlackBox, "h_batch", refuse)
+    box = BlackBox.from_solution_indices(3 << 20, [0, 7, (3 << 20) - 1])
+    st = apply_black_box(initial_search_state(box), box)
+    assert st.counts.tolist() == [3, (3 << 20) - 3]
+    report = run_search(SearchConfig(L_max=3), box)
+    assert [n for n, _ in report.solutions] == [0, 7, (3 << 20) - 1]
+    assert report.oracle_calls == 3 << 20
+
+
 def test_one_in_eight_oracle_values():
     # frozen by an independent dense computation
     box = BlackBox.from_solution_indices(8, [5])
