@@ -82,9 +82,12 @@ def _alpha_schedule(args) -> tuple:
 
 
 def _times(args):
-    if getattr(args, "times", None):
-        return _parse_floats(args.times, "--times")
-    return "seeded"
+    if args.times is None:
+        return "seeded"
+    times = _parse_floats(args.times, "--times")
+    if not times:
+        raise _UsageError(f"--times expects at least one number, got {args.times!r}")
+    return times
 
 
 def _emit(args, report, csv_writer) -> None:

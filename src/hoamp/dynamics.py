@@ -33,13 +33,18 @@ phase_delta gives.  For P_v write each |v^k| in base B_k = 2^w_k; then
     P_v = prod_k prod_j T_kj[digit_j(|v^k|)],   conjugated per order where v^k < 0,
 
 where T_kj[r] = exp(-i * (r * B_k^j * g_k * t mod 2*pi)), one complex128
-entry.  phase_table builds the tables once per (params, t), sized to the
-call: the largest |v^k| takes nd = ceil(bits / 13) digits, each
-w_k = ceil(bits / nd) bits wide, so a small bound gets short rows and the
-digit count is the least that 13-bit digits allow.  Each B_k^j*g_k*t is
-reduced exactly in Fraction arithmetic and kept as a double-double, and its
-B_k multiples are filled by an exact two-product and a Cody-Waite split, so
-every entry is within an ulp or two of the exact angle.  value_phasors
+entry.  phase_tables builds the tables of every time of a run in one pass
+(phase_table is its one-time call), sized to the call: the largest |v^k|
+takes nd = ceil(bits / 13) digits, each w_k = ceil(bits / nd) bits wide,
+so a small bound gets short rows and the digit count is the least that
+13-bit digits allow.  Each B_k^j*g_k*t is reduced exactly in integer
+arithmetic: the double-double of g_k*t and the 2*pi triple share one
+power-of-two denominator, so rounding the quotient is one divmod, and the
+residue is kept as a double-double by correctly rounded int / int
+division.  Its B_k multiples are filled, for all the rows at once, by an
+exact two-product and a Cody-Waite split, so every entry is within an ulp
+or two of the exact angle.  The split needs |g_k|, |t| and |g_k*t| below
+2^996; every exact reduction refuses larger ones.  value_phasors
 works in two steps.  value_digits cuts each |v^k| into table indices (intp
 arrays, with the sign masks); they depend on the table's digit layout but
 not on t, so a caller that conditions the same values at several times cuts
@@ -78,12 +83,19 @@ _PI2_A = 6.283185005187988
 _PI2_B = 3.019915981956753e-07
 _INV_TWOPI = 0.15915494309189535
 
+# the Veltkamp split in _two_prod multiplies by 2^27 + 1, so its factors and
+# their product must stay below 2^(1024 - 28)
+_SPLIT_LIMIT = 2.0**996
+
 _INT128_MAX = (1 << 127) - 1
 _INT64_MAX = (1 << 63) - 1
 _MAX_ORDER = 4
 
 # phase tables index |v^k| by digits of at most 13 bits
 _DIGIT_BITS = 13
+# phase_tables fills its rows in windows of at most this many entries (or one
+# row), so the fill's float64 temporaries stay near 1 MiB however many steps
+_TABLE_WINDOW = 1 << 13
 # callers hand the phasor kernel at most this many elements at a time, so its
 # temporaries stay in cache; values are element-wise, so the size changes none
 KERNEL_BLOCK = 1 << 16
@@ -219,14 +231,39 @@ def _two_prod(a: float, b: float):
     return hi, lo
 
 
-def _mod_twopi(x: Fraction) -> Fraction:
-    """Exact x - q*2*pi with q = round(x / 2*pi), so |result| <= pi."""
-    return x - round(x / _TWOPI_FRACTION) * _TWOPI_FRACTION
+def _exact_phases(params: OscillatorParams, t: float) -> tuple:
+    """(nums, turn, den): nums[k-1] / den is the exact value of the
+    double-double of g_k*t and turn / den the 2*pi triple, over one
+    power-of-two den.
+
+    ValueError unless t is finite and each |g_k|, |t| and |g_k*t| is below
+    2**996, where the split in _two_prod stays finite.
+    """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    parts = []
+    for g in params.couplings:
+        if not max(abs(g), abs(t), abs(g * t)) < _SPLIT_LIMIT:
+            raise ValueError(f"g*t = {g!r} * {t!r} is beyond the exact phase reduction: "
+                             f"|g|, |t| and |g*t| must stay below 2**996 (~6.7e299)")
+        parts.append([x.as_integer_ratio() for x in _two_prod(g, t)])
+    den = max(_TWOPI_FRACTION.denominator, *(d for pair in parts for _, d in pair))
+    nums = [sum(n * (den // d) for n, d in pair) for pair in parts]
+    return nums, _TWOPI_FRACTION.numerator * (den // _TWOPI_FRACTION.denominator), den
+
+
+def _residue(x: int, turn: int) -> int:
+    """x - q*turn with q = round(x / turn), ties to even, as round() rounds
+    a Fraction: |result| <= turn / 2."""
+    q, rem = divmod(2 * x + turn, 2 * turn)
+    if not rem and q & 1:
+        q -= 1
+    return x - q * turn
 
 
 def _reduce_fraction(x: Fraction) -> float:
     """Nearest-double representative of x mod 2*pi in (-pi, pi]."""
-    r = float(_mod_twopi(x))
+    r = float(x - round(x / _TWOPI_FRACTION) * _TWOPI_FRACTION)
     # fraction rounding can leave |r| a hair beyond float(pi); fold once
     if r > math.pi:
         r -= TWOPI_HI
@@ -261,15 +298,11 @@ def phase_delta(params: OscillatorParams, target_term: int, trial_term: int, t: 
     g_k * t, and the sum is reduced against a ~160-bit 2*pi, keeping the
     reduction error far below the 1e-9 contract even at |raw| ~ 2^60.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    total = Fraction(0)
-    for k, g in enumerate(params.couplings, start=1):
-        d = _int_pow_checked(target_term, k) - _int_pow_checked(trial_term, k)
-        if d:
-            hi, lo = _two_prod(g, t)
-            total += (Fraction(hi) + Fraction(lo)) * d
-    angle = _reduce_fraction(total) if total else 0.0
+    nums, _, den = _exact_phases(params, t)
+    total = 0
+    for k, num in enumerate(nums, start=1):
+        total += num * (_int_pow_checked(target_term, k) - _int_pow_checked(trial_term, k))
+    angle = _reduce_fraction(Fraction(total, den)) if total else 0.0
     return PhaseDelta(angle=angle, raw_integer=trial_term - target_term)
 
 
@@ -282,19 +315,14 @@ def _reduce_batch(raw_hi, raw_lo):
     return r
 
 
-def _theta(g: float, t: float) -> Fraction:
-    """g*t as the exact value of its double-double."""
-    hi, lo = _two_prod(g, t)
-    return Fraction(hi) + Fraction(lo)
-
-
 @dataclass(frozen=True)
 class PhaseTable:
     """exp(-i * (r * B^j * g_k * t mod 2*pi)) for digits r < B = 2^bits[k-1].
 
     rows[k-1][j] is the complex128 row for order k and digit position j,
     holding every digit value a |v^k| can take with |v| up to the max_term
-    the table was built for; bits[k-1] is the digit width of order k.
+    the table was built for, and no more: each row is its own array of
+    exactly that length.  bits[k-1] is the digit width of order k.
     Read-only once built, so worker threads share it.
     """
 
@@ -303,35 +331,79 @@ class PhaseTable:
 
 
 def phase_table(params: OscillatorParams, t: float, max_term: int) -> PhaseTable:
-    """Value-phasor tables for (params, t), covering values with |v| <= max_term.
+    """Value-phasor tables for (params, t), covering values with |v| <= max_term:
+    phase_tables for the one time t.
 
     Raises OverflowError where phase_delta would: max_term**K past 128 bits.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    rows_k, bits_k = [], []
-    for k, g in enumerate(params.couplings, start=1):
-        theta = _theta(g, t)
+    return phase_tables(params, (t,), max_term)[0]
+
+
+def phase_tables(params: OscillatorParams, times, max_term: int) -> list:
+    """phase_table(params, t, max_term) for each t of `times`, in one pass.
+
+    Every table has the same layout.  Each row's base angle B_k^j*g_k*t mod
+    2*pi is reduced exactly in integers over _exact_phases and kept as a
+    double-double; then the rows of every step are filled together, in
+    windows of whole rows, each row its own array of exactly its entries.
+    Raises OverflowError where phase_delta would: max_term**K past 128
+    bits; ValueError where _exact_phases does.
+    """
+    widths, lengths = [], []
+    for k in range(1, params.order + 1):
         bound = _int_pow_checked(max_term, k)           # >= |v^k|
         n_digits = max(1, -(-bound.bit_length() // _DIGIT_BITS))
         w = max(1, -(-bound.bit_length() // n_digits))
-        rows = []
-        for j in range(n_digits):
-            # digit values reachable at position j: the top row is short
-            r = np.arange(min((1 << w) - 1, bound >> (w * j)) + 1, dtype=np.float64)
-            phi = _mod_twopi(theta * (1 << (w * j)))
-            phi_hi = float(phi)
-            phi_lo = float(phi - Fraction(phi_hi))
-            p_hi, p_lo = _two_prod(r, phi_hi)      # r * phi_hi exactly
-            angle = _reduce_batch(p_hi, p_lo + r * phi_lo)
-            row = np.empty(len(r), dtype=np.complex128)
-            np.cos(angle, out=row.real)
-            np.sin(angle, out=row.imag)
-            np.subtract(0.0, row.imag, out=row.imag)    # r = 0 gives exactly (1, +0)
-            rows.append(row)
-        rows_k.append(tuple(rows))
-        bits_k.append(w)
-    return PhaseTable(rows=tuple(rows_k), bits=tuple(bits_k))
+        widths.append(w)
+        # digit values reachable at position j: the top row is short
+        lengths.append([min((1 << w) - 1, bound >> (w * j)) + 1 for j in range(n_digits)])
+    base = []       # (hi, lo) of each row's base angle, step by step
+    for t in times:
+        nums, turn, den = _exact_phases(params, t)
+        for num, w, row_lengths in zip(nums, widths, lengths):
+            for j in range(len(row_lengths)):
+                phi = _residue(num << (w * j), turn)
+                hi = phi / den                          # int / int rounds correctly
+                a, b = hi.as_integer_ratio()
+                base.append((hi, (phi * b - a * den) / (den * b)))     # phi - hi
+    per_step = [n for row_lengths in lengths for n in row_lengths]
+    n_steps = len(base) // len(per_step)
+    rows = iter(_table_rows(base, per_step * n_steps))
+    return [PhaseTable(rows=tuple(tuple(next(rows) for _ in row_lengths)
+                                  for row_lengths in lengths),
+                       bits=tuple(widths))
+            for _ in range(n_steps)]
+
+
+def _table_rows(base: list, lengths: list) -> list:
+    """Row i: exp(-i * (r * phi_i mod 2*pi)) for r < lengths[i], with phi_i =
+    base[i] a double-double, as its own complex128 array.
+
+    r * phi_i is formed exactly by _two_prod and reduced by _reduce_batch;
+    each window of rows is filled in one numpy pass.  The rows are allocated
+    before any window's temporaries, so that freeing those leaves no holes
+    between rows on the heap to keep the process's resident size up.
+    """
+    rows, i = [np.empty(m, dtype=np.complex128) for m in lengths], 0
+    while i < len(lengths):
+        j, n = i + 1, lengths[i]
+        while j < len(lengths) and n + lengths[j] <= _TABLE_WINDOW:
+            n += lengths[j]
+            j += 1
+        size = np.array(lengths[i:j])
+        starts = np.cumsum(size) - size
+        r = (np.arange(n) - np.repeat(starts, size)).astype(np.float64)
+        phi_hi, phi_lo = (np.repeat(x, size) for x in np.array(base[i:j]).T)
+        p_hi, p_lo = _two_prod(r, phi_hi)       # r * phi_hi exactly
+        angle = _reduce_batch(p_hi, p_lo + r * phi_lo)
+        z = np.empty(n, dtype=np.complex128)
+        np.cos(angle, out=z.real)
+        np.sin(angle, out=z.imag)
+        np.subtract(0.0, z.imag, out=z.imag)    # r = 0 gives exactly (1, +0)
+        for a, row in zip(starts.tolist(), rows[i:j]):
+            np.copyto(row, z[a : a + len(row)])
+        i = j
+    return rows
 
 
 def target_phasors(params: OscillatorParams, t: float, targets) -> np.ndarray:
@@ -339,26 +411,25 @@ def target_phasors(params: OscillatorParams, t: float, targets) -> np.ndarray:
 
     Each phase is reduced exactly, to the correctly rounded residue mod 2*pi
     that phase_delta(params, a, 0, t) reduces to, in integer arithmetic over
-    an object array: every g_k*t double-double and 2*pi share one
-    power-of-two denominator.  Raises OverflowError where phase_delta would:
-    a**K past 128 bits.
+    _exact_phases.  Raises OverflowError where phase_delta would: a**K past
+    128 bits; ValueError where _exact_phases does.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    a = np.asarray(targets).astype(object)
-    if a.size:
-        _int_pow_checked(max(abs(a.max()), abs(a.min())), params.order)
-    thetas = [_theta(g, t) for g in params.couplings]
-    den = max(x.denominator for x in thetas + [_TWOPI_FRACTION])
-    turn = _TWOPI_FRACTION.numerator * (den // _TWOPI_FRACTION.denominator)
-    y = 0
-    for x in reversed(thetas):      # Horner: sum_k theta_k a^k, scaled by den
-        y = (y + x.numerator * (den // x.denominator)) * a
-    r = ((y - (2 * y + turn) // (2 * turn) * turn) / den).astype(np.float64)
-    q = np.empty(r.shape, dtype=np.complex128)
+    nums, turn, den = _exact_phases(params, t)
+    shape = np.shape(targets)
+    xs = np.ravel(targets).tolist()
+    _int_pow_checked(max(map(abs, xs), default=0), params.order)
+
+    def angle(x: int) -> float:
+        y = 0
+        for num in reversed(nums):      # Horner: sum_k g_k t x^k, scaled by den
+            y = (y + num) * x
+        return _residue(y, turn) / den
+
+    r = np.array([angle(x) for x in xs], dtype=np.float64)
+    q = np.empty(len(r), dtype=np.complex128)
     np.cos(r, out=q.real)
     np.sin(r, out=q.imag)
-    return q
+    return q.reshape(shape)
 
 
 class KernelScratch:

@@ -86,6 +86,7 @@ from .dynamics import (
     eps_squared_batch,
     gather_phasors,
     phase_table,
+    phase_tables,
     target_phasors,
     value_digits,
 )
@@ -512,13 +513,14 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
 class ProductStream:
     """A factoring trajectory through fixed steps, with no stored state.
 
-    `steps` holds (t, |alpha|) per iteration.  One pass of the product sieve
-    (_product_blocks, its windows counted on the _map_blocks workers one
-    window ahead, its blocks cut on the calling thread) cuts the rectangle's
-    bins into the global KERNEL_BLOCK blocks that a stored state's
-    conditioning uses, and the workers take each block from its uniform
-    masses through every step: its keys' digits and on-target index are
-    found once, then each step gathers phasors, forms |eps|^2 and scales
+    `steps` holds (t, |alpha|) per iteration; one phase_tables call builds
+    every step's phase table up front, all of one layout.  One pass of the
+    product sieve (_product_blocks, its windows counted on the _map_blocks
+    workers one window ahead, its blocks cut on the calling thread) cuts the
+    rectangle's bins into the global KERNEL_BLOCK blocks that a stored
+    state's conditioning uses, and the workers take each block from its
+    uniform masses through every step: its keys' digits and on-target index
+    are found once, then each step gathers phasors, forms |eps|^2 and scales
     the masses.  Per block only the mass sum after each step is kept, and of
     the on-target bin its count and mass, which its multiplier of exactly 1
     never changes.  So total(l), the hit_state(l) that fidelity reads and
@@ -537,8 +539,9 @@ class ProductStream:
         # so every step's table has the same layout, and one block's digits
         # serve every step (gather_phasors checks it)
         vmax = rect.n_hi * rect.m_hi
-        self._steps = [(phase_table(params, t, vmax), target_phasors(params, t, [target_term])[0],
-                        amag) for t, amag in steps]
+        tables = phase_tables(params, [t for t, _ in steps], vmax)
+        self._steps = [(table, target_phasors(params, t, [target_term])[0], amag)
+                       for table, (t, amag) in zip(tables, steps)]
         self._inv = 1.0 / rect.n_pairs
         self._scratch = KernelScratch()     # the draws'
         self.starts = []        # first key of each block

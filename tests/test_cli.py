@@ -319,6 +319,42 @@ def test_run_limits_out_of_range_are_usage_errors(command, flags, message, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("times", ["", ",", " , "])
+@pytest.mark.parametrize("command", ["factor", "solve"])
+def test_empty_times_is_a_usage_error(command, times, tmp_path, capsys):
+    # an explicitly empty list is refused, not run as seeded times
+    system = tmp_path / "grid.json"
+    system.write_text(json.dumps(GRID_SYSTEM))
+    argv = {"factor": ["factor", "--n", "899"],
+            "solve": ["solve", "--system", str(system)]}[command]
+    out = tmp_path / "out"
+    assert run(argv + ["--times", times, "--out-dir", str(out), "--format", "csv"]) == 3
+    assert capsys.readouterr().err == (
+        f"usage error: --times expects at least one number, got {times!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,product", [
+    ("factor", ["--couplings", "1e200", "--times", "1e200"], "1e+200 * 1e+200"),
+    ("factor", ["--times", "1e308"], "1.0 * 1e+308"),
+    ("solve", ["--times", "1e308"], "1.0 * 1e+308"),
+])
+def test_g_times_t_beyond_exact_reduction_is_a_usage_error(command, flags, product,
+                                                           tmp_path, capsys):
+    # g*t past the double-double split is refused by name, with no
+    # traceback, no replay-failure exit code and no report
+    system = tmp_path / "grid.json"
+    system.write_text(json.dumps(GRID_SYSTEM))
+    argv = {"factor": ["factor", "--n", "35"],
+            "solve": ["solve", "--system", str(system)]}[command]
+    out = tmp_path / "out"
+    assert run(argv + flags + ["--out-dir", str(out), "--format", "json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: g*t = {product} is beyond the exact phase reduction")
+    assert "2**996" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--alpha", "nan"], "alpha schedule must be finite"),
     (["--alpha", "inf"], "alpha schedule must be finite"),

@@ -1,15 +1,18 @@
 """Marker rotation, phase reduction, and overlap amplitudes."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoamp import dynamics
 from hoamp.dynamics import (KernelScratch, MarkerAmplitude, OscillatorParams, PhaseDelta,
                             epsilon_batch, epsilon_overlap, eps_squared_batch,
-                            phase_delta, phase_delta_batch, phase_table, phasor_batch,
-                            gather_phasors, reduce_angle, rotation_frequency,
+                            phase_delta, phase_delta_batch, phase_table, phase_tables,
+                            phasor_batch, gather_phasors, reduce_angle, rotation_frequency,
                             target_phasors, value_digits, value_phasors)
 
 PI = math.pi
@@ -459,3 +462,140 @@ def test_phase_delta_batch_never_calls_scalar(monkeypatch, p, target, trials):
     batch = phase_delta_batch(p, target, np.array(trials, dtype=np.int64), 3.3)
     for got, want in zip(batch, reference):
         assert circle_distance(got, want) < 1e-12
+
+
+def fraction_phase_table(p, t, max_term):
+    """phase_table with each row's base angle B^j*g_k*t mod 2*pi reduced in
+    Fraction arithmetic and each row filled on its own: the reference for
+    the integer reduction and the windowed fill of phase_tables."""
+    twopi = Fraction(dynamics.TWOPI_HI) + Fraction(dynamics.TWOPI_MD) + Fraction(dynamics.TWOPI_LO)
+    rows_k, bits_k = [], []
+    for k, g in enumerate(p.couplings, start=1):
+        theta = sum(map(Fraction, dynamics._two_prod(g, t)))
+        bound = max_term**k
+        n_digits = max(1, -(-bound.bit_length() // 13))
+        w = max(1, -(-bound.bit_length() // n_digits))
+        rows = []
+        for j in range(n_digits):
+            r = np.arange(min((1 << w) - 1, bound >> (w * j)) + 1, dtype=np.float64)
+            x = theta * (1 << (w * j))
+            phi = x - round(x / twopi) * twopi
+            phi_hi = float(phi)
+            phi_lo = float(phi - Fraction(phi_hi))
+            p_hi, p_lo = dynamics._two_prod(r, phi_hi)
+            angle = dynamics._reduce_batch(p_hi, p_lo + r * phi_lo)
+            row = np.empty(len(r), dtype=np.complex128)
+            np.cos(angle, out=row.real)
+            np.sin(angle, out=row.imag)
+            np.subtract(0.0, row.imag, out=row.imag)
+            rows.append(row)
+        rows_k.append(rows)
+        bits_k.append(w)
+    return rows_k, tuple(bits_k)
+
+
+def assert_tables_bitwise(table, rows_k, bits):
+    # int64 views, so that -0.0 against +0.0 is a mismatch
+    assert table.bits == bits
+    assert [len(rows) for rows in table.rows] == [len(rows) for rows in rows_k]
+    for got_rows, want_rows in zip(table.rows, rows_k):
+        for got, want in zip(got_rows, want_rows):
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _limit(bits, k):
+    """The largest v >= 0 with v**k < 2**bits."""
+    v = int(2 ** (bits / k)) + 2
+    while v**k >= 1 << bits:
+        v -= 1
+    return v
+
+
+_COUPLING = st.floats(0.001, 3.0).flatmap(lambda g: st.sampled_from([g, -g]))
+
+
+@st.composite
+def table_cases(draw):
+    k = draw(st.integers(1, 4))
+    couplings = tuple(draw(_COUPLING) for _ in range(k))
+    max_term = draw(st.one_of(st.just(0), st.integers(1, (1 << 13) - 1),
+                              st.sampled_from([_limit(63, k), _limit(127, k)])))
+    times = draw(st.lists(st.one_of(st.sampled_from([0.0, 1e-12, -1e-12, 1e5]),
+                                    st.floats(-50.0, 50.0)), min_size=1, max_size=4))
+    return OscillatorParams(couplings=couplings), max_term, times
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_cases())
+def test_phase_tables_equal_fraction_reference_bitwise(case):
+    # the integer reduction and the windowed fill give the entries of the
+    # per-row Fraction reduction bit for bit (K = 1..4, signed couplings and
+    # times, narrow and 13-bit digits, up to the int64 and 128-bit limits),
+    # and each table of a batch is phase_table at its own t
+    p, max_term, times = case
+    tables = phase_tables(p, times, max_term)
+    assert len(tables) == len(times)
+    for t, table in zip(times, tables):
+        rows_k, bits = fraction_phase_table(p, t, max_term)
+        assert_tables_bitwise(table, rows_k, bits)
+        assert_tables_bitwise(phase_table(p, t, max_term), rows_k, bits)
+
+
+def test_phase_tables_rows_own_their_entries():
+    # a row holds exactly its entries: no window or padded top row is kept
+    # alive through a view, so the tables take sum(row lengths) * 16 B a step
+    p = OscillatorParams(couplings=(0.7, -0.3))
+    max_term = 30_000_000
+    tables = phase_tables(p, [0.4, -2.9, 17.0], max_term)
+    for table in tables:
+        lengths = []
+        for k, (w, rows) in enumerate(zip(table.bits, table.rows), start=1):
+            bound = max_term**k
+            lengths += [min((1 << w) - 1, bound >> (w * j)) + 1 for j in range(len(rows))]
+            for row in rows:
+                assert row.base is None and row.flags.owndata
+        assert [len(row) for rows in table.rows for row in rows] == lengths
+        assert sum(row.nbytes for rows in table.rows for row in rows) == 16 * sum(lengths)
+    assert phase_tables(p, [], max_term) == []
+
+
+def test_phase_tables_temporaries_stay_near_one_mib():
+    # the fill runs in windows of whole rows, so the memory it needs beyond
+    # the tables themselves does not grow with the steps or the row count
+    p = OscillatorParams(couplings=(0.9, -0.1, 0.01, 0.001))
+    for n_steps in (1, 6):
+        tracemalloc.start()
+        try:
+            tables = phase_tables(p, [0.3 + i for i in range(n_steps)], _K4_MAX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(row.nbytes for table in tables for rows in table.rows for row in rows)
+        assert size > n_steps * (2 << 20)
+        assert peak - size < 1.25 * (1 << 20), (n_steps, peak - size)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p, t: phase_table(p, t, 1000),
+    lambda p, t: phase_tables(p, [0.5, t], 1000),
+    lambda p, t: target_phasors(p, t, [35]),
+    lambda p, t: phase_delta(p, 35, 36, t),
+])
+@pytest.mark.parametrize("couplings,t", [((1.0,), 1e308), ((1e200,), 1e200),
+                                         ((1e-200,), 1e305), ((1.0, 1e300), 1e-3)])
+def test_g_times_t_beyond_the_split_is_refused(build, couplings, t):
+    # g, t or g*t past 2**996 would overflow the double-double split (or
+    # g*t itself): every exact reduction refuses it by name
+    with pytest.raises(ValueError, match=r"g\*t = .* 2\*\*996"):
+        build(OscillatorParams(couplings=couplings), t)
+    # just inside the limit the reduction runs
+    build(OscillatorParams(couplings=(1.0,)), math.ldexp(1.0, 995))
+
+
+def test_residue_rounds_ties_to_even_as_round_does():
+    # the integer reduction picks the quotient Fraction's round() picks,
+    # ties to even included
+    for turn in (2, 6, 10):
+        for x in range(-4 * turn, 4 * turn + 1):
+            assert dynamics._residue(x, turn) == x - round(Fraction(x, turn)) * turn

@@ -186,6 +186,24 @@ def test_streamed_run_equals_stored_loop_past_int64(monkeypatch):
     assert report.initial_fidelity == f0 and report.sampled_tuple == drawn
 
 
+@pytest.mark.parametrize("steps", [[], [(0.9, 2.0)], [(0.9, 2.0), (4.1, 1.5), (-2.2, 2.0)]])
+def test_stream_builds_its_tables_in_one_call(monkeypatch, steps):
+    # one phase_tables call builds every step's table, none through
+    # phase_table; with no steps no table is built
+    calls = {"phase_tables": [], "phase_table": []}
+    for name, log in calls.items():
+        def counted(*args, _fn=getattr(ensemble, name), _log=log, **kwargs):
+            result = _fn(*args, **kwargs)
+            _log.append(result)
+            return result
+        monkeypatch.setattr(ensemble, name, counted)
+    stream = ProductStream(trial_rectangle(899), OscillatorParams(), 899, steps)
+    assert calls["phase_table"] == []
+    (tables,) = calls["phase_tables"]
+    assert len(tables) == len(steps)
+    assert all(mine is built for (mine, _, _), built in zip(stream._steps, tables))
+
+
 def test_streamed_pass_cuts_digits_once_per_block(monkeypatch):
     # the digits of a block's keys do not depend on t: the pass cuts them
     # once per block and gathers phasors once per block and step; a draw
