@@ -70,11 +70,9 @@ def _load_solution_indices(path: str):
 
 
 def _oscillator_params(args) -> OscillatorParams:
-    couplings = _parse_floats(args.couplings, "--couplings") if args.couplings else (1.0,)
-    try:
-        return OscillatorParams(omega=(), couplings=couplings, order=args.k_order)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    # a ValueError from OscillatorParams is a usage error in main
+    return OscillatorParams(couplings=_parse_floats(args.couplings, "--couplings")
+                            if args.couplings else (1.0,))
 
 
 def _alpha_schedule(args) -> tuple:
@@ -90,11 +88,12 @@ def _times(args):
     return times
 
 
-def _emit(args, report, csv_writer) -> None:
-    """Write the report (a report dataclass or a dict) to --out-dir, or print it."""
+def _emit(args, basename: str, report, csv_writer) -> None:
+    """Write the report (a report dataclass or a dict) to --out-dir as
+    basename.csv or basename.json, or print it."""
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        base = os.path.join(args.out_dir, args.basename)
+        base = os.path.join(args.out_dir, basename)
         if args.format == "json":
             write_json(base + ".json", report)
             print(f"wrote {base}.json")
@@ -112,6 +111,15 @@ def _say(args, msg: str) -> None:
     """Human summary: stdout normally, stderr when the report uses stdout."""
     print(msg, file=sys.stdout if args.out_dir else sys.stderr)
 
+
+def _stall_note(records, stop_mass: float) -> str:
+    """The summary's note when the run ended below its stop mass, else ''."""
+    if records[-1].solution_mass >= stop_mass:
+        return ""
+    return (f"; stalled: solution mass {records[-1].solution_mass:.6g} after "
+            f"{len(records)} iterations, stop mass {stop_mass:g} not reached")
+
+
 def cmd_factor(args) -> int:
     config = FactoringConfig(
         N=args.n, params=_oscillator_params(args), alpha_schedule=_alpha_schedule(args),
@@ -119,9 +127,8 @@ def cmd_factor(args) -> int:
         stop_fidelity=args.stop_fidelity,
     )
     report = run_factoring(config, progress=args.progress)
-    args.basename = "factor_report"
     meta = {"command": "factor", "N": args.n, "seed": args.seed}
-    _emit(args, report, lambda p: write_iteration_csv(p, report, meta))
+    _emit(args, "factor_report", report, lambda p: write_iteration_csv(p, report, meta))
     if report.sampled_factors is None:
         print(f"sampled {report.sampled_tuple}, not a factor pair of {args.n}",
               file=sys.stderr)
@@ -139,19 +146,16 @@ def cmd_search(args) -> int:
         indices = _load_solution_indices(args.solutions_file)
     else:
         raise _UsageError("search needs --solutions or --solutions-file")
-    try:
-        box = BlackBox.from_solution_indices(args.n, indices)
-        config = SearchConfig(alpha_schedule=_alpha_schedule(args), L_max=args.l_max,
-                              stop_mass=args.stop_mass, seed=args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    box = BlackBox.from_solution_indices(args.n, indices)
+    config = SearchConfig(alpha_schedule=_alpha_schedule(args), L_max=args.l_max,
+                          stop_mass=args.stop_mass, seed=args.seed)
     report = run_search(config, box)
-    args.basename = "search_report"
     meta = {"command": "search", "domain": args.n, "seed": args.seed}
-    _emit(args, report, lambda p: write_iteration_csv(p, report, meta))
+    _emit(args, "search_report", report, lambda p: write_iteration_csv(p, report, meta))
     found = ", ".join(str(n) for n, _ in report.solutions)
     _say(args, f"marked items: {found}   ({len(report.records)} iterations, "
-               f"{report.oracle_calls} oracle calls)")
+               f"{report.oracle_calls} oracle calls)"
+               + _stall_note(report.records, args.stop_mass))
     return 0
 
 
@@ -166,26 +170,19 @@ def cmd_solve(args) -> int:
         raise _UsageError(f"bad system file {args.system}: {exc}")
     report = run_solver(system, alpha_schedule=_alpha_schedule(args), times=_times(args),
                         seed=args.seed, L_max=args.l_max, stop_mass=args.stop_mass)
-    args.basename = "solve_report"
     meta = {"command": "solve", "system": args.system, "mode": args.mode,
             "seed": args.seed}
-    _emit(args, report, lambda p: write_iteration_csv(p, report, meta))
-    summary = f"{report.solution_count} satisfying tuple(s); sampled {report.sampled_tuple}"
-    last = report.records[-1] if report.records else None
-    if last is not None and last.solution_mass < args.stop_mass:
-        summary += (f"; stalled: solution mass {last.solution_mass:.6g} after "
-                    f"{len(report.records)} iterations, stop mass {args.stop_mass:g} "
-                    f"not reached")
-    _say(args, summary)
+    _emit(args, "solve_report", report, lambda p: write_iteration_csv(p, report, meta))
+    _say(args, f"{report.solution_count} satisfying tuple(s); sampled {report.sampled_tuple}"
+               + _stall_note(report.records, args.stop_mass))
     return 0
 
 
 def cmd_replay_table1(args) -> int:
     report = replay_table1(progress=args.progress)
     rows = table1_comparison(report)
-    args.basename = "replay_table1"
     meta = {"command": "replay-table1", "N": report.config["N"]}
-    _emit(args, {"rows": rows, "config": report.config},
+    _emit(args, "replay_table1", {"rows": rows, "config": report.config},
           lambda p: write_replay_csv(p, rows, meta))
     failed = [r for r in rows if not r.passed]
     for r in rows:
@@ -235,19 +232,22 @@ def _add_common(p, with_stop_fidelity=False, with_stop_mass=False):
         p.add_argument("--stop-fidelity", type=float, default=0.99)
     if with_stop_mass:
         p.add_argument("--stop-mass", type=float, default=0.999999)
+
+
+def _add_report_output(p):
     p.add_argument("--out-dir", default=None, help="directory for report files")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _factor_arguments(p):
     p.add_argument("--n", type=int, required=True, help="integer to factor")
-    p.add_argument("--k-order", type=int, default=None,
-                   help="coupling polynomial order K (default: len(--couplings))")
-    p.add_argument("--couplings", default=None, help="comma-separated g_1..g_K")
+    p.add_argument("--couplings", default=None,
+                   help="comma-separated g_1..g_K; K, at most 4, is their count")
     p.add_argument("--times", default=None,
                    help="explicit evolution times (default: seeded random)")
     p.add_argument("--progress", action="store_true")
     _add_common(p, with_stop_fidelity=True)
+    _add_report_output(p)
 
 
 def _search_arguments(p):
@@ -256,6 +256,7 @@ def _search_arguments(p):
     p.add_argument("--solutions-file", default=None,
                    help="file with a JSON array or whitespace-separated indices")
     _add_common(p, with_stop_mass=True)
+    _add_report_output(p)
 
 
 def _solve_arguments(p):
@@ -264,20 +265,21 @@ def _solve_arguments(p):
                    help="the per-constraint multiplier (max is the only one)")
     p.add_argument("--times", default=None)
     _add_common(p, with_stop_mass=True)
+    _add_report_output(p)
 
 
 def _replay_table1_arguments(p):
     p.add_argument("--progress", action="store_true")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_report_output(p)
 
 
 def _stats_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--k-order", type=int, default=None)
     p.add_argument("--couplings", default=None)
     _add_common(p, with_stop_fidelity=True)
+    p.add_argument("--out-dir", default=None,
+                   help="directory for the two CSV files (default: .)")
 
 
 # subcommand -> (help, function adding its arguments, handler)

@@ -103,7 +103,8 @@ KERNEL_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Frequencies omega_j and nonlinear couplings g_1..g_K.
+    """Frequencies omega_j and nonlinear couplings g_1..g_K, whose count is
+    the order K of the coupling polynomial.
 
     The marker is by convention the last oscillator in `omega`; an empty
     `omega` means every frequency is zero (they cancel in all observables
@@ -112,19 +113,15 @@ class OscillatorParams:
 
     omega: tuple = ()
     couplings: tuple = (1.0,)
-    order: int = None  # defaults to len(couplings)
+    order = property(lambda self: len(self.couplings))     # K, read-only
 
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
         object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
-        k = len(self.couplings) if self.order is None else self.order
-        object.__setattr__(self, "order", k)
-        if k < 1:
-            raise ValueError("order K must be >= 1")
-        if k > _MAX_ORDER:
-            raise ValueError(f"order K capped at {_MAX_ORDER}, got {k}")
-        if len(self.couplings) != k:
-            raise ValueError("couplings must have exactly K entries")
+        if not self.couplings:
+            raise ValueError("at least one coupling g_1 is needed")
+        if self.order > _MAX_ORDER:
+            raise ValueError(f"order K capped at {_MAX_ORDER}, got {self.order}")
         if self.couplings[-1] == 0.0:
             raise ValueError("leading coupling g_K must be nonzero")
         for x in self.omega + self.couplings:

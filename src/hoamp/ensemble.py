@@ -31,10 +31,12 @@ member tuple.
 Masses are never renormalized.  The state carries its current total, and
 fidelity, member masses and sampling divide by it.  Conditioning multiplies
 each bin's mass by its multiplier in one loop (_condition) for every caller,
-one job per KERNEL_BLOCK block of bins, which sums the block right after
-scaling it, while it is still in cache; the total C_l is the math.fsum of
-those block sums in index order, and Pr(E_l) = C_l / C_{l-1}.  So results
-are bit-identical no matter how many worker threads run the blocks.
+in place (every application throws the pre-state away; the stored factoring
+step, conditional_update, is the one place that can copy it first), one job
+per KERNEL_BLOCK block of bins, which sums the block right after scaling it,
+while it is still in cache; the total C_l is the math.fsum of those block
+sums in index order, and Pr(E_l) = C_l / C_{l-1}.  So results are
+bit-identical no matter how many worker threads run the blocks.
 A state whose total falls below 2^-500 (a search whose box marks no item,
 so that no bin keeps multiplier 1) has its masses scaled up by an exact power
 of two, kept in `shift`, so nothing goes subnormal.
@@ -388,8 +390,8 @@ def step_fraction(c: float, prev: float) -> float:
     return min(pr, 1.0) if pr <= 1.0 + 1e-9 else pr  # guard rounding overshoot only
 
 
-def _condition(state: TrialEnsemble, block_multipliers, in_place: bool) -> MeasurementOutcome:
-    """The conditioning loop: scale each bin's mass, total it, report Pr.
+def _condition(state: TrialEnsemble, block_multipliers) -> MeasurementOutcome:
+    """The conditioning loop: scale each bin's mass in place, total it, report Pr.
 
     block_multipliers(lo, hi, scratch) gives the real multipliers of bins
     [lo, hi), one KERNEL_BLOCK block at a time, so kernel temporaries stay in
@@ -397,9 +399,8 @@ def _condition(state: TrialEnsemble, block_multipliers, in_place: bool) -> Measu
     block.  Each block is summed right after it is scaled, while it is still
     in cache, and the block sums are combined with math.fsum in index order.
     """
-    post = state if in_place else state.copy()
     prev, shift = state.total, state.shift
-    arr = post.mass
+    arr = state.mass
 
     def job(lo, scratch):
         seg = arr[lo : lo + KERNEL_BLOCK]
@@ -409,24 +410,23 @@ def _condition(state: TrialEnsemble, block_multipliers, in_place: bool) -> Measu
     c = math.fsum(_map_blocks(lambda submit: range(0, len(arr), KERNEL_BLOCK), job,
                               -(-len(arr) // KERNEL_BLOCK)))
     pr = step_fraction(c, prev)
-    post.total = c
+    state.total = c
     if c < _RESCALE_BELOW:
         k = -math.frexp(c)[1]       # c * 2**k in [0.5, 1): exact, and no subnormals
         np.ldexp(arr, k, out=arr)
-        post.total, post.shift = math.ldexp(c, k), shift + k
-    return MeasurementOutcome(probability=pr, post_state=post,
+        state.total, state.shift = math.ldexp(c, k), shift + k
+    return MeasurementOutcome(probability=pr, post_state=state,
                               normalization=math.ldexp(c, -shift))
 
 
-def apply_entry_multipliers(state: TrialEnsemble, multipliers,
-                            in_place: bool = False) -> MeasurementOutcome:
-    """Multiply each bin's mass by its real multiplier and report Pr.
+def apply_entry_multipliers(state: TrialEnsemble, multipliers) -> MeasurementOutcome:
+    """Multiply each bin's mass by its real multiplier, in place, and report Pr.
 
     `multipliers` holds one factor per bin (|eps|^2 or a product of them).
     Search and the solver condition through here, and factoring through the
     same loop, so identical inputs give bit-identical outcomes across modules.
     """
-    return _condition(state, lambda lo, hi, _: multipliers[lo:hi], in_place)
+    return _condition(state, lambda lo, hi, _: multipliers[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -442,14 +442,13 @@ class StepRecord:
 
 
 def condition_step(state: TrialEnsemble, multipliers, solved: np.ndarray, l: int,
-                   t_l: float, alpha_mag: float, in_place: bool = False):
-    """Condition on one multiplier per bin; returns (post_state, StepRecord),
-    whose solution mass is the share of the post-state in the `solved` bins."""
-    out = apply_entry_multipliers(state, multipliers, in_place=in_place)
-    post = out.post_state
-    return post, StepRecord(l=l, t_l=t_l, alpha_mag=alpha_mag, pr_E=out.probability,
-                            C_l=out.normalization,
-                            solution_mass=math.fsum(post.mass[solved]) / post.total)
+                   t_l: float, alpha_mag: float):
+    """Condition on one multiplier per bin; returns (state, StepRecord), whose
+    solution mass is the share of the post-state in the `solved` bins."""
+    out = apply_entry_multipliers(state, multipliers)
+    return state, StepRecord(l=l, t_l=t_l, alpha_mag=alpha_mag, pr_E=out.probability,
+                             C_l=out.normalization,
+                             solution_mass=math.fsum(state.mass[solved]) / state.total)
 
 
 def amplify(state: TrialEnsemble, step, times, stop_mass: float):
@@ -498,8 +497,10 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
 
     Every bin's mass is multiplied by |eps|^2 for the phase difference
     between its product term and the target, and the surviving mass Pr(E)
-    is recorded.
+    is recorded, on `state` itself with `in_place` and else on a copy.
     """
+    if not in_place:
+        state = state.copy()
     amag = alpha.magnitude
     keys = state.keys
     # keys ascend, so the end bins bound every |key|
@@ -507,7 +508,7 @@ def conditional_update(state: TrialEnsemble, params: OscillatorParams,
     q = target_phasors(params, t, [target_term])[0]
     return _condition(state, lambda a, b, scratch: _block_multipliers(
         table, _key_digits(table, keys[a:b], scratch), q, amag,
-        _index_of(keys[a:b], target_term), scratch), in_place)
+        _index_of(keys[a:b], target_term), scratch))
 
 
 class ProductStream:

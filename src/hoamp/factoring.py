@@ -6,8 +6,8 @@ rotated at the target frequency Omega_N.  Trial pairs whose product is N are
 untouched; everything else is suppressed by |eps|^2 < 1.  Repeating with
 random times drives the register onto the factor states.
 
-Times are drawn as t_l = (2*pi/g) * r_l with r_l uniform in [0, 1); the unit
-of time throughout is 1/g for the leading coupling g.
+Seeded times are drawn as t_l = (2*pi/g) * r_l with r_l uniform in [0, 1);
+their unit is 1/g for g = |g_1|, the linear coupling, so they need g_1 != 0.
 
 Every time is fixed before the run and every multiplier depends on a pair
 only through n*m, so run_factoring computes all L_max steps in one streamed
@@ -143,11 +143,12 @@ class RunReport:
 
 def sample_times(policy, seed: int, g: float):
     """Stream of evolution times: (2*pi/g) * uniform, or an explicit list."""
-    if g <= 0:
-        raise DomainError("time scale requires g > 0")
     if isinstance(policy, str):
         if policy != "seeded":
             raise ValueError(f"unknown time policy {policy!r}")
+        if not g > 0:
+            raise DomainError(f"seeded times are drawn in units of 1/|g_1|, and "
+                              f"|g_1| = {g:g}: give explicit times (--times)")
         rng = SplitMix64(seed)
         scale = 2.0 * math.pi / g
         while True:
@@ -173,15 +174,12 @@ def _record(config: FactoringConfig, l: int, t_l: float, alpha_mag: float, pr: f
     )
 
 
-def run_iteration(state: TrialEnsemble, config: FactoringConfig, l: int, t_l: float,
-                  target: TargetState = None, in_place: bool = False):
-    """One conditioning I_l of a stored state; returns (post_state, IterationRecord)."""
-    if target is None:
-        target = TargetState.factor_target(config.N)
+def run_iteration(state: TrialEnsemble, config: FactoringConfig, l: int, t_l: float):
+    """One conditioning I_l of a stored state, in place; returns (state, record)."""
     alpha = MarkerAmplitude(config.alpha_for(l))
-    out = conditional_update(state, config.params, alpha, config.N, t_l, in_place=in_place)
+    out = conditional_update(state, config.params, alpha, config.N, t_l, in_place=True)
     rec = _record(config, l, t_l, alpha.magnitude, out.probability, out.normalization,
-                  fidelity(out.post_state, target))
+                  fidelity(out.post_state, TargetState.factor_target(config.N)))
     return out.post_state, rec
 
 

@@ -200,14 +200,12 @@ def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorPara
     return mult, cut.ok
 
 
-def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, alpha_schedule: tuple,
-                     l: int, t_l: float, plan: StepPlan = None, in_place: bool = False):
-    """One joint conditioning over all B markers at |alpha| =
-    alpha_at(alpha_schedule, l), with one phase table for every marker;
-    returns (state', StepRecord).  `plan` is plan_steps over the state's
-    bins, built here when not given."""
-    if plan is None:
-        plan = plan_steps(state.keys, build_accepted_sets(system, state))
+def solver_iteration(state: TrialEnsemble, plan: StepPlan, alpha_schedule: tuple, l: int,
+                     t_l: float):
+    """One joint conditioning of `state`, in place, over all B markers at
+    |alpha| = alpha_at(alpha_schedule, l), with one phase table for every
+    marker; returns (state, StepRecord).  `plan` is plan_steps over the
+    state's bins, built once per run."""
     alpha_mag = alpha_at(alpha_schedule, l)
     table = phase_table(_MARKER, t_l, plan.bound)
     joint = None
@@ -215,7 +213,7 @@ def solver_iteration(state: TrialEnsemble, system: ConstraintSystem, alpha_sched
         mult, _ = constraint_multipliers(state.keys[:, k], acc, _MARKER, alpha_mag, t_l, cut,
                                          table)
         joint = mult if joint is None else joint * mult
-    return condition_step(state, joint, plan.solved, l, t_l, alpha_mag, in_place=in_place)
+    return condition_step(state, joint, plan.solved, l, t_l, alpha_mag)
 
 
 @dataclass(frozen=True)
@@ -296,8 +294,7 @@ def run_solver(system: ConstraintSystem, alpha_schedule=(2.0,), times="seeded",
     stream = sample_times(times, master.derive(STREAM_TIMES), 1.0)
     # looked up per step, so a wrapper set on the module sees every call
     state, records = amplify(
-        state, lambda s, l, t: solver_iteration(s, system, alpha_schedule, l, t, plan=plan,
-                                                in_place=True),
+        state, lambda s, l, t: solver_iteration(s, plan, alpha_schedule, l, t),
         islice(stream, L_max), stop_mass)
     solutions = member_masses(state, np.flatnonzero(plan.solved))
 

@@ -35,7 +35,8 @@ from hoamp.fockoracle import brute_force_step, dense_marker_overlaps
 from hoamp.rng import SplitMix64
 from hoamp.search import (BlackBox, SearchConfig, apply_black_box,
                           initial_search_state, run_search, search_iteration)
-from hoamp.solver import build_accepted_sets, run_solver, solver_iteration, uniform_state
+from hoamp.solver import (build_accepted_sets, plan_steps, run_solver, solver_iteration,
+                          uniform_state)
 
 from conftest import factoring_rectangle, per_member
 
@@ -248,12 +249,14 @@ def _solver_instance(rng):
     alpha_mag = rng.uniform(0.5, 1.5)
     t = rng.uniform(0.1, 3.0)
     state = uniform_state(system)
-    post_f, rec = solver_iteration(state, system, (alpha_mag,), 1, t)
-
+    # the step conditions the state in place: read its pre-state first
     tuples, masses = per_member(state)
+    accepted = build_accepted_sets(system, state)
+    post_f, rec = solver_iteration(state, plan_steps(state.keys, accepted), (alpha_mag,), 1, t)
+
     cols = {name: tuples[:, j] for j, name in enumerate(system.names)}
     joint = np.ones(len(tuples), dtype=np.complex128)
-    for acc, (expr, _, _) in zip(build_accepted_sets(system, state), system.constraints):
+    for acc, (expr, _, _) in zip(accepted, system.constraints):
         vals = expr.evaluate_batch(cols)
         joint *= dense_marker_overlaps(vals, 0.0, MarkerAmplitude(alpha_mag), t,
                                        list(acc.values))[:, 0]
@@ -327,13 +330,14 @@ def test_solver_factoring_embedding(acceptance):
                                          stop_fidelity=1.0))
     srep = run_solver(system, seed=seed, L_max=depth, stop_mass=1.0,
                       domain=factoring_rectangle(35))
+    s_plan = plan_steps(s_state.keys, build_accepted_sets(system, s_state))
     bitwise = bitwise and (len(frep.records) == len(srep.records) and
                            all(fr.t_l == sr.t_l and fr.pr_E == sr.pr_E and fr.C_l == sr.C_l
                                for fr, sr in zip(frep.records, srep.records)))
     for rec in frep.records:
         out = conditional_update(f_state, OscillatorParams(), MarkerAmplitude(rec.alpha_mag),
                                  35, rec.t_l)
-        s_state, _ = solver_iteration(s_state, system, (2.0,), rec.l, rec.t_l)
+        s_state, _ = solver_iteration(s_state, s_plan, (2.0,), rec.l, rec.t_l)
         f_state = out.post_state
         bitwise = bitwise and f_state.mass.tobytes() == s_state.mass.tobytes()
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hoamp import __version__, ensemble
-from hoamp.cli import main
+from hoamp.cli import build_parser, main
 from hoamp.constraints import ConstraintSystem
 from hoamp.dynamics import KERNEL_BLOCK
 from hoamp.search import BlackBox, apply_black_box, initial_search_state
@@ -183,6 +183,26 @@ def test_solve_stall_is_reported(tmp_path, capsys):
     assert "satisfying tuple(s)" in said and "stalled" not in said
 
 
+def test_search_stall_is_reported(tmp_path, capsys):
+    # |alpha| = 0 never suppresses anything: the run ends at its iteration
+    # cap with the prior solution mass, exits 0 and says it stalled
+    argv = ["search", "--n", "10", "--solutions", "3", "--alpha", "0"]
+    assert run(argv + ["--out-dir", str(tmp_path), "--format", "json"]) == 0
+    said = capsys.readouterr().out
+    report = (tmp_path / "search_report.json").read_bytes()
+    records = json.loads(report)["records"]
+    assert len(records) == 30 and records[-1]["solution_mass"] == pytest.approx(0.1)
+    assert said.rstrip() == (
+        f"wrote {tmp_path / 'search_report.json'}\nmarked items: 3   (30 iterations, "
+        f"10 oracle calls); stalled: solution mass {records[-1]['solution_mass']:.6g} "
+        f"after 30 iterations, stop mass 0.999999 not reached")
+    assert b"stalled" not in report
+    # a run that reaches its stop mass does not say it
+    assert run(["search", "--n", "10", "--solutions", "3"]) == 0
+    said = capsys.readouterr().err
+    assert "marked items: 3" in said and "stalled" not in said
+
+
 def test_solve_infeasible_exit_code(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({
@@ -334,6 +354,24 @@ def test_empty_times_is_a_usage_error(command, times, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("couplings,rc", [("0,1", 0), ("0,0,1", 4)])
+def test_zero_linear_coupling_needs_explicit_times(couplings, rc, tmp_path, capsys):
+    # seeded times are drawn in units of 1/|g_1|; explicit times need no unit
+    # (five steps of g_3 u^3 leave (4, 7) the draw: exit 4, with a report)
+    argv = ["factor", "--n", "35", "--couplings", couplings]
+    out = tmp_path / "explicit"
+    assert run(argv + ["--times", "1,2,3,4,5", "--out-dir", str(out), "--format", "json"]) == rc
+    doc = json.loads((out / "factor_report.json").read_text())
+    assert [r["t_l"] for r in doc["records"]] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert doc["config"]["order"] == len(couplings.split(","))
+    capsys.readouterr()
+    out = tmp_path / "seeded"
+    assert run(argv + ["--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "g_1" in err and "--times" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags,product", [
     ("factor", ["--couplings", "1e200", "--times", "1e200"], "1e+200 * 1e+200"),
     ("factor", ["--times", "1e308"], "1.0 * 1e+308"),
@@ -471,6 +509,40 @@ def test_help_lists_every_subcommand(monkeypatch, capsys):
         run(["factor", "--help"])
     assert ei.value.code == 0
     assert "--stop-fidelity" in capsys.readouterr().out
+
+
+# each subcommand's options, by dest
+CLI_SURFACE = {
+    "factor": {"n", "couplings", "times", "progress", "seed", "alpha", "l_max",
+               "stop_fidelity", "out_dir", "format"},
+    "search": {"n", "solutions", "solutions_file", "seed", "alpha", "l_max", "stop_mass",
+               "out_dir", "format"},
+    "solve": {"system", "mode", "times", "seed", "alpha", "l_max", "stop_mass", "out_dir",
+              "format"},
+    "replay-table1": {"progress", "out_dir", "format"},
+    "stats": {"n", "samples", "couplings", "seed", "alpha", "l_max", "stop_fidelity",
+              "out_dir"},
+}
+
+
+def test_cli_surface():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(SUBCOMMANDS)
+    for name, parser in sub.choices.items():
+        assert {a.dest for a in parser._actions} - {"help"} == CLI_SURFACE[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--n", "35", "--k-order", "1"],
+    ["stats", "--n", "35", "--samples", "2", "--k-order", "1"],
+    ["stats", "--n", "35", "--samples", "2", "--format", "json"],
+])
+def test_removed_flags_are_usage_errors(argv, tmp_path, capsys):
+    # K is the number of --couplings, and stats always writes two CSV files
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)]) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 GRID_SYSTEM = {

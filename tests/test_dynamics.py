@@ -70,7 +70,7 @@ WIDE_CASES = [
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one coupling"):
         OscillatorParams(couplings=())
     with pytest.raises(ValueError):
         OscillatorParams(couplings=(1.0, 0.5, 0.1, 0.2, 0.3))   # K > 4
@@ -78,8 +78,17 @@ def test_params_validation():
         OscillatorParams(couplings=(1.0, 0.0))                  # g_K = 0
     with pytest.raises(ValueError):
         OscillatorParams(couplings=(float("nan"),))
-    p = OscillatorParams(couplings=(0.5, 0.25), order=2)
+
+def test_params_order_is_the_coupling_count():
+    # K is a fact of the couplings: read-only, and not a separate input
+    p = OscillatorParams(couplings=(0.5, 0.25))
     assert p.order == 2
+    assert OscillatorParams().order == 1
+    assert OscillatorParams(couplings=(0.0, 0.0, 0.0, 1.0)).order == 4
+    with pytest.raises(AttributeError):
+        p.order = 3
+    with pytest.raises(TypeError):
+        OscillatorParams(couplings=(0.5, 0.25), order=2)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -206,12 +206,12 @@ def test_on_target_bin_keeps_multiplier_exactly_one(monkeypatch):
     blocks = []
     condition = ensemble._condition
 
-    def spy(state, block_multipliers, in_place):
+    def spy(state, block_multipliers):
         n, scratch = len(state.keys), KernelScratch()
         blocks.append(np.concatenate([
             block_multipliers(lo, min(lo + KERNEL_BLOCK, n), scratch).copy()
             for lo in range(0, n, KERNEL_BLOCK)]))
-        return condition(state, block_multipliers, in_place)
+        return condition(state, block_multipliers)
 
     monkeypatch.setattr(ensemble, "_condition", spy)
     raw_misses = 0
@@ -262,6 +262,22 @@ def test_conditional_update_preserves_norm():
     assert 0.0 < out.probability <= 1.0
 
 
+def test_conditional_update_copies_only_when_not_in_place():
+    # the one copy point: in_place=False conditions a copy and leaves the
+    # input's masses alone; in_place=True scales the input itself, to the
+    # same bits
+    st = init_uniform_factoring(35)
+    saved = st.mass.tobytes()
+    copied = conditional_update(st, PARAMS, MarkerAmplitude(2.0), 35, 1.0, in_place=False)
+    assert copied.post_state is not st and st.mass.tobytes() == saved
+    assert copied.post_state.mass.tobytes() != saved
+    assert (st.total, st.shift) == (1.0, 0)
+    scaled = conditional_update(st, PARAMS, MarkerAmplitude(2.0), 35, 1.0, in_place=True)
+    assert scaled.post_state is st
+    assert st.mass.tobytes() == copied.post_state.mass.tobytes()
+    assert st.total == copied.post_state.total == copied.normalization
+
+
 def test_conditional_update_chains_normalization():
     st = init_uniform_factoring(35)
     o1 = conditional_update(st, PARAMS, MarkerAmplitude(2.0), 35, 1.0)
@@ -287,11 +303,14 @@ def test_binned_update_matches_explicit_update():
 
 def test_apply_entry_multipliers_identity():
     # all-ones multiplier: the measured mass is the (rounded) state norm,
-    # so Pr caps at 1 and the state only gets renormalized within an ulp
+    # so Pr caps at 1 and the state only gets renormalized within an ulp;
+    # the state is scaled in place, so compare against a saved copy
     st = init_uniform_factoring(35)
+    before = st.mass.copy()
     out = apply_entry_multipliers(st, np.ones(21))
+    assert out.post_state is st
     assert out.probability == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(out.post_state.mass, st.mass, rtol=1e-14)
+    np.testing.assert_allclose(out.post_state.mass, before, rtol=1e-14)
 
 
 def test_apply_entry_multipliers_probability_capped():

@@ -67,6 +67,7 @@ def test_run_iteration_lambda_is_exact_inverse():
     st = init_uniform_factoring(35)
     config = FactoringConfig(N=35)
     post, rec = run_iteration(st, config, 1, 1.0)
+    assert post is st           # conditioned in place
     # lambda is the float inverse of Pr: the product is 1 to within an ulp
     assert abs(rec.lambda_l * rec.pr_E - 1.0) < 1e-15
     assert rec.C_l == rec.pr_E

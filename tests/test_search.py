@@ -147,6 +147,16 @@ def test_one_in_1024_two_rounds():
     assert [n for n, _ in report.solutions] == [123]
 
 
+def test_search_step_conditions_the_state_it_is_given():
+    box = BlackBox.from_solution_indices(8, [5])
+    st = apply_black_box(initial_search_state(box), box)
+    before = st.mass.copy()
+    post, rec = search_iteration(st, SearchConfig(), 1)
+    assert post is st
+    assert st.mass[0] == before[0] and st.mass[1] < before[1]
+    assert st.total == rec.C_l < 1.0
+
+
 def test_suppression_factor_is_symbolic():
     # each round multiplies non-solution amplitudes by exactly exp(-2 alpha^2),
     # so the one-round mass ratio non-solution/solution is exp(-4 alpha^2)/1

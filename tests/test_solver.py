@@ -27,6 +27,10 @@ def make_system(doc):
     return ConstraintSystem.from_json(doc)
 
 
+def make_plan(system, state):
+    return plan_steps(state.keys, build_accepted_sets(system, state))
+
+
 EQ_FACTORING_35 = {
     "variables": [{"name": "m1", "bound": 6}, {"name": "m2", "bound": 12}],
     "constraints": [{"expr": "m1*m2", "relation": "=", "bound": 35}],
@@ -88,10 +92,25 @@ def test_solve_alpha_mag_follows_the_schedule():
     assert report.config["alpha_schedule"] == list(sched)
     # step by step, the same as conditioning at that |alpha| alone
     state = uniform_state(system)
+    plan = make_plan(system, state)
     for rec in report.records:
-        state, ref = solver_iteration(state, system, (rec.alpha_mag,), 1, rec.t_l)
+        state, ref = solver_iteration(state, plan, (rec.alpha_mag,), 1, rec.t_l)
         assert (ref.pr_E, ref.C_l, ref.solution_mass) == (rec.pr_E, rec.C_l,
                                                           rec.solution_mass)
+
+
+def test_solver_step_conditions_the_state_it_is_given():
+    # the step scales the state in place: solved bins keep their masses
+    # exactly, violators lose mass
+    system = make_system(INEQ_SMALL)
+    state = uniform_state(system)
+    plan = make_plan(system, state)
+    before = state.mass.copy()
+    post, rec = solver_iteration(state, plan, (2.0,), 1, 1.3)
+    assert post is state
+    assert np.array_equal(state.mass[plan.solved], before[plan.solved])
+    assert (state.mass[~plan.solved] < before[~plan.solved]).all()
+    assert state.total == rec.C_l < 1.0
 
 
 def test_run_solver_rejects_a_decreasing_schedule():
@@ -204,7 +223,7 @@ def test_max_mode_exact_past_a_million_tuples(monkeypatch):
     t, alpha = 2.71, 2.0
     state = uniform_state(system)
     v = state.keys[:, 0].astype(np.int64)
-    solver_iteration(state, system, (alpha,), 1, t)
+    solver_iteration(state, make_plan(system, state), (alpha,), 1, t)
     (mult,) = seen
     assert np.all(mult[v <= 10] == 1.0)
     # every violator against the pairwise max over the eleven accepted values
@@ -303,8 +322,9 @@ def test_member_masses_one_gather_equals_the_per_bin_loop(domain):
     # loop's, over the box and over a custom domain with a repeated tuple
     system = make_system(EQ_AND_SUM)
     state = uniform_state(system, domain)
+    plan = make_plan(system, state)
     for l, t in enumerate((0.4, 1.3, 2.9), start=1):
-        state, _ = solver_iteration(state, system, (2.0,), l, t)
+        state, _ = solver_iteration(state, plan, (2.0,), l, t)
     assert len(np.unique(state.mass / state.counts)) > 2
 
     def per_bin(bins):
@@ -385,7 +405,7 @@ def test_equality_mode_post_state_identical():
         assert getattr(st_s, a).tobytes() == getattr(st_f, a).tobytes()
     out_f = conditional_update(st_f, OscillatorParams(), MarkerAmplitude(2.0),
                                35, 1.37)
-    post_s, rec = solver_iteration(st_s, system, (2.0,), 1, 1.37)
+    post_s, rec = solver_iteration(st_s, make_plan(system, st_s), (2.0,), 1, 1.37)
     assert rec.pr_E == out_f.probability
     assert post_s.mass.tobytes() == out_f.post_state.mass.tobytes()
 
