@@ -72,7 +72,7 @@ def _load_solution_indices(path: str):
 def _oscillator_params(args) -> OscillatorParams:
     # a ValueError from OscillatorParams is a usage error in main
     return OscillatorParams(couplings=_parse_floats(args.couplings, "--couplings")
-                            if args.couplings else (1.0,))
+                            if args.couplings is not None else (1.0,))
 
 
 def _alpha_schedule(args) -> tuple:

@@ -19,7 +19,8 @@ one per application:
   which fidelity uses (factoring only).
 
 Factoring's is Rectangle below; its bins are built by a segmented sieve over
-the product range, one 4 MiB window at a time.
+the product range: it counts one window of _SIEVE_WINDOW product slots at a
+time and gathers the window's products KERNEL_BLOCK slots at a time.
 
 Masses suffice because every reported quantity (Pr(E), C, fidelity against
 the target members, solution mass, samples) depends only on |eps|^2: target
@@ -57,7 +58,7 @@ block through every step with that kernel, cutting its digits once for all
 steps, and keeps only the block sums.  Its blocks are cut at the same bin
 indices as a stored state's, so its totals and draws equal those of
 conditional_update, fidelity and sample bit for bit, in memory set by the
-sieve window and the worker count, not by N.
+sieve window's count slots, the kernel block and the worker count, not by N.
 
 Both loops run their blocks through one runner, _map_blocks: up to
 HOAMP_THREADS worker threads, each with one set of kernel buffers reused by
@@ -98,14 +99,16 @@ from .rng import SplitMix64
 _VANISH = 1e-300
 # a state total below this is scaled back up by a power of two
 _RESCALE_BELOW = 2.0**-500
-# product slots the bin sieve counts at a time (a 2 MiB uint16 window)
+# product slots the bin sieve counts at a time; each of its two window slots
+# holds a uint16 count and a bool mask per product (3 MiB at 2^20)
 _SIEVE_WINDOW = 1 << 20
 # rectangles with more trial pairs are refused to bound the run time: sieving
 # and conditioning take time linear in the pairs and bins.  A streamed run's
-# memory depends on the sieve window (two slots of counts and a mask) and the
-# worker count (a kernel scratch and two blocks of backlog each), not on
-# them; a stored state, which only tests and the tracer build, takes 16 B per
-# bin, twice that while init_uniform_factoring joins its blocks
+# memory depends on the sieve window (two count slots), the kernel block (one
+# block of gathered products) and the worker count (a kernel scratch and two
+# blocks of backlog each), not on them; a stored state, which only tests and
+# the tracer build, takes 16 B per bin, twice that while
+# init_uniform_factoring joins its blocks
 _MAX_BINS = 1 << 30
 
 
@@ -319,12 +322,14 @@ def _sieve(n_lo: int, n_hi: int, m_lo: int, m_hi: int, start: int, submit=partia
     """The distinct products n*m over the rectangle from `start` on, ascending.
 
     A segmented sieve: one window of _SIEVE_WINDOW product slots at a time,
-    each n adding 1 at its multiples n*m that fall in the window.  Yields
-    (w0, offsets, counts) per window: its products are w0 + offsets, with
-    counts pairs each.  Each window is counted by a job handed to `submit`
-    (see _map_blocks) while the window before it is yielded, into one of two
-    slots allocated here; the calling thread gathers the products.  A count
-    is at most n_hi - n_lo + 1, under 1,500 within _MAX_BINS, so uint16 holds it.
+    each n adding 1 at its multiples n*m that fall in the window.  Each
+    window is counted by a job handed to `submit` (see _map_blocks) while
+    the window before it is yielded, into one of two slots allocated here.
+    The calling thread gathers the products KERNEL_BLOCK slots at a time,
+    so no offsets or counts array outgrows a kernel block: it yields
+    (w0, offsets, counts) per sub-range, whose products are w0 + offsets,
+    with counts pairs each.  A count is at most n_hi - n_lo + 1, under 1,500
+    within _MAX_BINS, so uint16 holds it.
     """
     vmin, vmax = n_lo * m_lo, n_hi * m_hi
     width = min(_SIEVE_WINDOW, vmax - vmin + 1)
@@ -346,8 +351,9 @@ def _sieve(n_lo: int, n_hi: int, m_lo: int, m_hi: int, start: int, submit=partia
         win, nz = counted()
         if i + 1 < len(starts):
             counted = submit(count, starts[i + 1], slots[(i + 1) % 2])
-        found = np.flatnonzero(nz)
-        yield w0, found, win.take(found)
+        for a in range(0, len(win), KERNEL_BLOCK):
+            found = np.flatnonzero(nz[a : a + KERNEL_BLOCK])
+            yield w0 + a, found, win[a : a + KERNEL_BLOCK].take(found)
 
 
 def _product_blocks(rect: Rectangle, start: int, submit=partial):

@@ -14,11 +14,12 @@ only through n*m, so run_factoring computes all L_max steps in one streamed
 pass over the product sieve (ensemble.ProductStream) and keeps no state.
 The worker threads count the sieve's windows and take each block of product
 bins through every step, with the block's table digits cut once for all
-steps; the calling thread cuts the blocks.  Its memory is set by the sieve
-window and the worker count, not by N, while its time grows with L_max,
-since the stop rule only truncates the records afterwards.  The records and
-the sample are bit-identical to a stored-state loop of run_iteration and
-sample.
+steps; the calling thread gathers each window's products one kernel block
+of product slots at a time and cuts the blocks.  Its memory is set by the
+sieve's two window slots, the kernel block and the worker count, not by N,
+while its time grows with L_max, since the stop rule only truncates the
+records afterwards.  The records and the sample are bit-identical to a
+stored-state loop of run_iteration and sample.
 """
 
 from __future__ import annotations

@@ -354,6 +354,17 @@ def test_empty_times_is_a_usage_error(command, times, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("couplings", ["", ",", " , "])
+@pytest.mark.parametrize("argv", [["factor", "--n", "35"],
+                                  ["stats", "--n", "35", "--samples", "2"]])
+def test_empty_couplings_is_a_usage_error(argv, couplings, tmp_path, capsys):
+    # an explicitly empty list is refused, not run with the default g = 1
+    out = tmp_path / "out"
+    assert run(argv + ["--couplings", couplings, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "usage error: at least one coupling g_1 is needed\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("couplings,rc", [("0,1", 0), ("0,0,1", 4)])
 def test_zero_linear_coupling_needs_explicit_times(couplings, rc, tmp_path, capsys):
     # seeded times are drawn in units of 1/|g_1|; explicit times need no unit

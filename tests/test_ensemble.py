@@ -125,6 +125,71 @@ def test_product_bins_across_windows(monkeypatch, rect, window, key_dtype):
     assert counts.dtype == np.int32 and np.array_equal(counts, want_counts)
 
 
+@pytest.mark.parametrize("rect,window", [
+    (factoring_ranges(30_000), None),                  # the real window, then a partial one
+    (factoring_ranges(30_000), 4096),                  # windows under one sub-range
+    (factoring_ranges(30_000), 3 * KERNEL_BLOCK + 4099),   # a short last sub-range
+    ((46_000, 46_300, 46_500, 46_800), None),          # products on both sides of 2^31
+    ((46_000, 46_300, 46_500, 46_800), 3 * KERNEL_BLOCK + 4099),
+])
+def test_sub_range_gather_matches_brute_force(monkeypatch, rect, window):
+    # the sieve gathers each window KERNEL_BLOCK slots at a time; the bins,
+    # and the blocks re-sieved from a block's first key as ProductStream.sample
+    # re-sieves them, must not depend on where those sub-ranges fall
+    if window is not None:
+        monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
+    r = ensemble.Rectangle(*rect)
+    blocks = list(ensemble._product_blocks(r, r.n_lo * r.m_lo))
+    assert len(blocks) > 1
+    keys, counts = (np.concatenate(parts) for parts in zip(*blocks))
+    want_keys, want_counts = _brute_force_bins(*rect)
+    assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
+    width = ensemble._SIEVE_WINDOW
+    assert any((int(k[0]) - r.n_lo * r.m_lo) % width for k, _ in blocks[1:])
+    for k, c in blocks[1:]:
+        got_k, got_c = next(ensemble._product_blocks(r, int(k[0])))
+        assert got_k.dtype == k.dtype and np.array_equal(got_k, k)
+        assert np.array_equal(got_c, c)
+
+
+def test_sieve_yields_no_more_than_one_kernel_block_of_offsets(monkeypatch):
+    # no window-sized offsets or counts array: neither in the streamed pass
+    # nor in a draw's re-sieve.  N = 30,000 puts 0.54M bins in its first window
+    sieve, lengths = ensemble._sieve, []
+
+    def spy(*args):
+        for w0, found, cnt in sieve(*args):
+            assert len(found) == len(cnt)
+            lengths.append(len(found))
+            yield w0, found, cnt
+
+    monkeypatch.setattr(ensemble, "_sieve", spy)
+    rect = ensemble.trial_rectangle(30_000)
+    stream = ensemble.ProductStream(rect, PARAMS, 30_000, [(0.9, 2.0)])
+    n_bins = sum(lengths)
+    assert len(stream.starts) > 2
+    assert n_bins == len(_brute_force_bins(*factoring_ranges(30_000))[0])
+    stream.sample(1, SplitMix64(3))
+    assert sum(lengths) > n_bins and max(lengths) <= KERNEL_BLOCK
+
+
+def test_streamed_pass_working_set(monkeypatch):
+    # one pass at N = 205,193 (31M product slots, so every window but the
+    # last is full) on one thread holds the sieve's two 3 MiB window slots,
+    # one worker's 4 MiB kernel scratch and one block of products: a
+    # 12.3 MiB tracemalloc peak.  Gathering a whole window's offsets and
+    # counts at once takes 25.8 MiB; the bound lies between the two
+    monkeypatch.setenv("HOAMP_THREADS", "1")
+    rect = ensemble.trial_rectangle(205_193)
+    tracemalloc.start()
+    try:
+        ensemble.ProductStream(rect, PARAMS, 205_193, [(0.9, 2.0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 @pytest.mark.parametrize("N", [3_000_000, 10**22])
 def test_bin_cap_raises_before_allocating(N):
     # 3,000,000 has 1.73e9 trial pairs, so could need that many bins: past
