@@ -12,9 +12,8 @@ everything else geometrically per step.  Built on top of that:
 """
 
 from .constraints import ConstraintExpr, ConstraintSystem, evaluate_constraints, feasible_set
-from .dynamics import (MarkerAmplitude, OscillatorParams, PhaseDelta, RotationFrequency,
-                       epsilon_overlap, phase_delta, phase_delta_batch, reduce_angle,
-                       rotation_frequency)
+from .dynamics import (MarkerAmplitude, OscillatorParams, PhaseDelta, epsilon_overlap,
+                       phase_delta, phase_delta_batch)
 from .ensemble import (MeasurementOutcome, TargetState, TrialEnsemble, conditional_update,
                        factoring_ranges, fidelity, init_uniform_factoring, sample)
 from .errors import (ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge,
@@ -22,7 +21,6 @@ from .errors import (ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge,
                      InfeasibleSystem, NoFactorInRange, NoSolutionFound, ParseError)
 from .factoring import (FactoringConfig, IterationRecord, RunReport, estimate_iterations,
                         replay_table1, run_factoring, table1_comparison)
-from .fockoracle import brute_force_step, coherent_vector, required_cutoff
 from .rng import SplitMix64
 from .search import (BlackBox, SearchConfig, SearchReport, required_iterations,
                      run_search)
@@ -36,12 +34,10 @@ __all__ = [
     "DomainTooLarge", "EmptyRange", "FactoringConfig", "HoampError",
     "InfeasibleSystem", "IterationRecord", "MarkerAmplitude", "MeasurementOutcome",
     "NoFactorInRange", "NoSolutionFound", "OscillatorParams",
-    "ParseError", "PhaseDelta", "RotationFrequency", "RunReport", "SearchConfig",
-    "SearchReport", "SolverReport", "SplitMix64", "TargetState", "TrialEnsemble",
-    "brute_force_step", "coherent_vector", "conditional_update", "epsilon_overlap",
-    "estimate_iterations", "evaluate_constraints", "factoring_ranges", "feasible_set",
-    "fidelity", "init_uniform_factoring", "phase_delta", "phase_delta_batch",
-    "reduce_angle", "replay_table1", "required_cutoff", "required_iterations",
-    "rotation_frequency", "run_factoring", "run_search", "run_solver", "sample",
-    "table1_comparison",
+    "ParseError", "PhaseDelta", "RunReport", "SearchConfig", "SearchReport",
+    "SolverReport", "SplitMix64", "TargetState", "TrialEnsemble", "conditional_update",
+    "epsilon_overlap", "estimate_iterations", "evaluate_constraints", "factoring_ranges",
+    "feasible_set", "fidelity", "init_uniform_factoring", "phase_delta",
+    "phase_delta_batch", "replay_table1", "required_iterations", "run_factoring",
+    "run_search", "run_solver", "sample", "table1_comparison",
 ]

@@ -19,9 +19,8 @@ import sys
 from . import __version__
 from .constraints import ConstraintSystem
 from .dynamics import OscillatorParams
-from .errors import (ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge,
-                     DomainError, DomainTooLarge, EmptyRange, HoampError,
-                     InfeasibleSystem, NoFactorInRange, NoSolutionFound, ParseError)
+from .errors import (DomainError, EmptyRange, HoampError, InfeasibleSystem, NoFactorInRange,
+                     NoSolutionFound, ParseError)
 from .factoring import (STREAM_STATS, TABLE1_TIME_GRID_NOTE, FactoringConfig,
                         replay_table1, run_factoring, table1_comparison)
 from .reporting import (fmt_float, summarize_trajectories, to_json_text,
@@ -321,17 +320,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, ParseError, DomainError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, DomainError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 3
+    # ahead of HoampError, which every one of them is
     except (EmptyRange, NoFactorInRange, NoSolutionFound, InfeasibleSystem) as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 4
-    except (ConditionedMassVanished, DomainTooLarge, DimensionTooLarge,
-            CutoffTooSmall, HoampError, OSError, MemoryError) as exc:
+    except (HoampError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

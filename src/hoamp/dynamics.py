@@ -5,7 +5,12 @@ integer occupations, a marker oscillator holds a coherent state, and the
 Hamiltonian is diagonal in the number basis, so a marker attached to a
 register tuple with product term u simply rotates in phase space at
 
-    Omega_u = omega_marker + sum_k g_k * u**k .
+    Omega_u = sum_k g_k * u**k .
+
+The oscillators' own frequencies and the phase of alpha would add the same
+rotation to every branch, so they cancel in every overlap below and are
+taken as zero (tests/test_fockoracle.py checks this against the dense
+physics with nonzero frequencies).
 
 A conditional measurement compares the marker rotated at the target's
 frequency with one rotated at a trial's frequency; the overlap is
@@ -44,11 +49,11 @@ residue is kept as a double-double by correctly rounded int / int
 division.  Its B_k multiples are filled, for all the rows at once, by an
 exact two-product and a Cody-Waite split, so every entry is within an ulp
 or two of the exact angle.  The split needs |g_k|, |t| and |g_k*t| below
-2^996; every exact reduction refuses larger ones.  value_phasors
-works in two steps.  value_digits cuts each |v^k| into table indices (intp
-arrays, with the sign masks); they depend on the table's digit layout but
-not on t, so a caller that conditions the same values at several times cuts
-them once.  gather_phasors then gathers one complex entry per digit and
+2^996; every exact reduction refuses larger ones.  P_v takes two steps.
+value_digits cuts each |v^k| into table indices (intp arrays, with the
+sign masks); they depend on the table's digit layout but not on t, so a
+caller that conditions the same values at several times cuts them once.
+gather_phasors then gathers one complex entry per digit and
 multiplies them, so the hot loop is gathers and multiplies with no trig
 call and no width limit: powers beyond int64 (K >= 2 with large values)
 have their digits taken from Python ints in an object array, and
@@ -56,8 +61,8 @@ non-negative values skip the abs and sign passes.
 Callers that loop over blocks pass a KernelScratch (out=) so the blocks
 reuse one set of buffers; cos Delta is Re(Q_a * P_v), and |eps|^2 follows
 from it in eps_squared_batch.  Re(Q_a * P_a) rounds to 1 +- an ulp, so
-callers set on-target entries to exactly 1 (phasor_batch gives exactly
-cos = 1, sin = 0 there).  The batch angle agrees with phase_delta to within
+callers set on-target entries to exactly 1 (phase_delta_batch gives
+exactly 0 there).  The batch angle agrees with phase_delta to within
 2.1e-15 rad (5,600 random comparisons, K = 1..4, signed values up to the
 int64 and 128-bit limits, with 13-bit and with narrower digits).
 """
@@ -65,7 +70,7 @@ int64 and 128-bit limits, with 13-bit and with narrower digits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -103,20 +108,17 @@ KERNEL_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Frequencies omega_j and nonlinear couplings g_1..g_K, whose count is
-    the order K of the coupling polynomial.
+    """Nonlinear couplings g_1..g_K, whose count is the order K of the
+    coupling polynomial.
 
-    The marker is by convention the last oscillator in `omega`; an empty
-    `omega` means every frequency is zero (they cancel in all observables
-    anyway, see phase_delta).
+    The oscillators' own frequencies cancel in every phase difference (see
+    phase_delta), so they are taken as zero and are not parameters.
     """
 
-    omega: tuple = ()
     couplings: tuple = (1.0,)
     order = property(lambda self: len(self.couplings))     # K, read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
         object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
         if not self.couplings:
             raise ValueError("at least one coupling g_1 is needed")
@@ -124,22 +126,8 @@ class OscillatorParams:
             raise ValueError(f"order K capped at {_MAX_ORDER}, got {self.order}")
         if self.couplings[-1] == 0.0:
             raise ValueError("leading coupling g_K must be nonzero")
-        for x in self.omega + self.couplings:
-            if not math.isfinite(x):
-                raise ValueError("frequencies and couplings must be finite")
-
-    @property
-    def marker_omega(self) -> float:
-        return self.omega[-1] if self.omega else 0.0
-
-
-@dataclass(frozen=True)
-class RotationFrequency:
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("rotation frequency must be finite")
+        if not all(math.isfinite(g) for g in self.couplings):
+            raise ValueError("couplings must be finite")
 
 
 @dataclass(frozen=True)
@@ -158,20 +146,16 @@ class PhaseDelta:
 
 @dataclass(frozen=True)
 class MarkerAmplitude:
-    """Coherent amplitude alpha = magnitude * exp(i*phase)."""
+    """Coherent amplitude |alpha| of a marker.  The phase of alpha cancels
+    in every overlap, so alpha is taken real."""
 
     magnitude: float
-    phase: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.magnitude) and math.isfinite(self.phase)):
+        if not math.isfinite(self.magnitude):
             raise ValueError("marker amplitude must be finite")
         if self.magnitude < 0:
             raise ValueError("magnitude must be >= 0")
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * complex(math.cos(self.phase), math.sin(self.phase))
 
 
 def normalize_alpha_schedule(sched) -> tuple:
@@ -267,23 +251,6 @@ def _reduce_fraction(x: Fraction) -> float:
     elif r < -math.pi:
         r += TWOPI_HI
     return r
-
-
-def reduce_angle(x: float) -> float:
-    """Reduce a plain double angle to (-pi, pi] (for marker phases etc.)."""
-    if -math.pi < x <= math.pi:
-        return x
-    return _reduce_fraction(Fraction(x))
-
-
-def rotation_frequency(params: OscillatorParams, product_term: int) -> RotationFrequency:
-    """Omega for the marker attached to a register product term."""
-    if product_term < 0:
-        raise ValueError("product term must be a non-negative integer")
-    terms = [params.marker_omega]
-    for k, g in enumerate(params.couplings, start=1):
-        terms.append(g * _int_pow_checked(product_term, k))
-    return RotationFrequency(math.fsum(terms))
 
 
 def phase_delta(params: OscillatorParams, target_term: int, trial_term: int, t: float) -> PhaseDelta:
@@ -577,35 +544,17 @@ def gather_phasors(table: PhaseTable, digits: ValueDigits, out=None) -> np.ndarr
     return P
 
 
-def value_phasors(table: PhaseTable, values, out=None, span=None) -> np.ndarray:
-    """P_v = exp(-i * sum_k g_k t v^k) per integer value v, complex128:
-    gather_phasors over value_digits (see both).  The result is a view into
-    `out` (a KernelScratch) when given.  A value beyond the range the table
-    was built for raises IndexError.
-    """
-    ws = KernelScratch() if out is None else out
-    return gather_phasors(table, value_digits(table, values, span, out=ws), out=ws)
-
-
-def phasor_batch(params: OscillatorParams, target_term: int, trial_terms,
-                 t: float) -> tuple:
-    """(cos Delta, sin Delta) for one target against an array of trial terms:
-    Q_target * P_trial, exactly (1, 0) on trials equal to the target."""
+def phase_delta_batch(params: OscillatorParams, target_term: int, trial_terms,
+                      t: float) -> np.ndarray:
+    """Vectorized phase_delta: the angle of Q_target * P_trial, in [-pi, pi],
+    and exactly 0 on trials equal to the target."""
     trials = _int_array(trial_terms)
     bound = max(abs(int(trials.min())), abs(int(trials.max()))) if trials.size else 0
     table = phase_table(params, t, bound)
-    z = value_phasors(table, trials) * target_phasors(params, t, [target_term])[0]
-    cos, sin = z.real.copy(), z.imag.copy()
-    on = trials == target_term
-    cos[on], sin[on] = 1.0, 0.0
-    return cos, sin
-
-
-def phase_delta_batch(params: OscillatorParams, target_term: int, trial_terms,
-                      t: float) -> np.ndarray:
-    """Vectorized phase_delta: the angle of phasor_batch, in [-pi, pi]."""
-    cos, sin = phasor_batch(params, target_term, trial_terms, t)
-    return np.arctan2(sin, cos)
+    z = gather_phasors(table, value_digits(table, trials))
+    angle = np.angle(z * target_phasors(params, t, [target_term])[0])
+    angle[trials == target_term] = 0.0
+    return angle
 
 
 def epsilon_overlap(alpha: MarkerAmplitude, delta) -> complex:

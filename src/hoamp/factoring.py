@@ -200,8 +200,7 @@ def run_factoring(config: FactoringConfig, progress: bool = False) -> RunReport:
     g = abs(config.params.couplings[0])
     times = list(islice(sample_times(config.times, master.derive(STREAM_TIMES), g),
                         config.L_max))
-    alphas = [MarkerAmplitude(config.alpha_for(l)).magnitude
-              for l in range(1, len(times) + 1)]
+    alphas = [config.alpha_for(l) for l in range(1, len(times) + 1)]
     def show(share):
         print(f"  sieved {share:4.0%} of the product range", file=sys.stderr)
 
@@ -233,7 +232,6 @@ def run_factoring(config: FactoringConfig, progress: bool = False) -> RunReport:
 def config_echo(config: FactoringConfig) -> dict:
     return {
         "N": config.N,
-        "omega": list(config.params.omega),
         "couplings": list(config.params.couplings),
         "order": config.params.order,
         "alpha_schedule": list(config.alpha_schedule),
@@ -248,8 +246,8 @@ def replay_table1(progress: bool = False) -> RunReport:
     """Re-run the published 15-iteration reference trajectory.
 
     Streams the 123 million product bins of the 346,833,979 trial pairs
-    through all 15 steps in ~66 MiB on two threads (15-21 s on two shared
-    vCPUs, 32 s at 60 MiB on one).
+    through all 15 steps in ~52 MiB on two threads (~15 s on two shared
+    vCPUs, 23.5 s at 45 MiB on one).
     """
     config = FactoringConfig(
         N=TABLE1_N, alpha_schedule=(2.0,), times=TABLE1_TIMES,

@@ -11,6 +11,12 @@ per register tuple.  Chaining dense_condition therefore checks that no
 reported quantity depends on the phases, and comparing its per-tuple masses
 with the engine's bin masses shared equally among the members checks the
 equal-share argument the engine's state rests on.
+
+The oracle computes each marker's rotation frequency Omega_u = sum_k g_k u^k
+itself, and takes the oscillators' own frequencies, which the engine drops,
+as arguments of its own: register_omegas, one per register oscillator, and
+marker_omega.  With them nonzero, agreement with the engine shows that they
+cancel.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MarkerAmplitude, OscillatorParams, rotation_frequency
+from .dynamics import MarkerAmplitude, OscillatorParams
 from .errors import ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge
 
 _MAX_JOINT_DIM = 1_000_000
@@ -33,7 +39,7 @@ def required_cutoff(alpha_mag: float) -> int:
 
 def coherent_vector(alpha, M: int) -> np.ndarray:
     """Fock components of |alpha>: alpha^f e^{-|alpha|^2/2} / sqrt(f!)."""
-    a = alpha.value if isinstance(alpha, MarkerAmplitude) else complex(alpha)
+    a = alpha.magnitude if isinstance(alpha, MarkerAmplitude) else complex(alpha)
     if M < required_cutoff(abs(a)):
         raise CutoffTooSmall(
             f"cutoff {M} < required {required_cutoff(abs(a))} for |alpha|={abs(a):.3g}")
@@ -60,11 +66,10 @@ class DenseJointState:
         return float(np.vdot(self.psi, self.psi).real)
 
 
-def _register_phase(params: OscillatorParams, tup) -> float:
-    """sum_j omega_j m_j over the register oscillators."""
-    if not params.omega:
-        return 0.0
-    return math.fsum(w * int(m) for w, m in zip(params.omega, tup))
+def rotation_frequency(params: OscillatorParams, u: int, marker_omega: float = 0.0) -> float:
+    """Omega_u = marker_omega + sum_k g_k u^k, the marker's frequency on
+    product term u."""
+    return math.fsum([marker_omega] + [g * u**k for k, g in enumerate(params.couplings, 1)])
 
 
 def _product_term(tup) -> int:
@@ -74,8 +79,9 @@ def _product_term(tup) -> int:
     return u
 
 
-def _evolved_marker_rows(tuples, params, t, alpha, term_fn):
-    """Dense joint evolution: each register row's marker picks up per-Fock-level
+def _evolved_marker_rows(tuples, params, t, alpha, term_fn, register_omegas, marker_omega):
+    """Dense joint evolution: each register row picks up the phase
+    sum_j omega_j m_j of its oscillators, and its marker per-Fock-level
     phases at its own effective rotation frequency (no coherent closed form)."""
     M = required_cutoff(alpha.magnitude) + 5
     n_entries = len(tuples)
@@ -85,26 +91,29 @@ def _evolved_marker_rows(tuples, params, t, alpha, term_fn):
     levels = np.arange(M, dtype=np.float64)
     rows = np.empty((n_entries, M), dtype=np.complex128)
     for e, tup in enumerate(tuples):
-        omega_eff = rotation_frequency(params, term_fn(tup)).value
-        reg_phase = _register_phase(params, tup)
+        omega_eff = rotation_frequency(params, term_fn(tup), marker_omega)
+        reg_phase = math.fsum(w * int(m) for w, m in zip(register_omegas, tup))
         rows[e] = v0 * np.exp(-1j * (reg_phase + omega_eff * levels) * t)
     return rows, M
 
 
 def dense_condition(tuples: np.ndarray, amplitudes: np.ndarray, params: OscillatorParams,
-                    t: float, target_term: int, alpha: MarkerAmplitude, term_fn=None):
+                    t: float, target_term: int, alpha: MarkerAmplitude, term_fn=None,
+                    register_omegas=(), marker_omega: float = 0.0):
     """One full measurement cycle on complex register amplitudes, dense.
 
     Attaches |alpha> to each row, evolves the joint state and projects the
     marker onto the coherent state the target branch has rotated to.
     Returns (post amplitudes, renormalized; probability).  `term_fn` maps an
     occupation tuple to the marker coupling argument; default is the product
-    of the components.
+    of the components.  `register_omegas` (one per register oscillator,
+    missing ones 0) and `marker_omega` are the oscillators' own frequencies.
     """
     term_fn = term_fn or _product_term
-    rows, M = _evolved_marker_rows(tuples, params, t, alpha, term_fn)
-    omega_target = rotation_frequency(params, target_term).value
-    v_target = coherent_vector(alpha.value * cmath.exp(-1j * omega_target * t), M)
+    rows, M = _evolved_marker_rows(tuples, params, t, alpha, term_fn, register_omegas,
+                                   marker_omega)
+    omega_target = rotation_frequency(params, target_term, marker_omega)
+    v_target = coherent_vector(alpha.magnitude * cmath.exp(-1j * omega_target * t), M)
     joint = DenseJointState(tuples=tuples, cutoff=M, psi=amplitudes[:, None] * rows)
     if abs(joint.norm_sq() - 1.0) > 1e-10:
         raise ValueError(f"joint norm drifted to {joint.norm_sq()!r}")
@@ -116,13 +125,14 @@ def dense_condition(tuples: np.ndarray, amplitudes: np.ndarray, params: Oscillat
 
 
 def brute_force_step(tuples: np.ndarray, masses: np.ndarray, params: OscillatorParams,
-                     t: float, target_term: int, alpha: MarkerAmplitude, term_fn=None):
+                     t: float, target_term: int, alpha: MarkerAmplitude, term_fn=None,
+                     register_omegas=(), marker_omega: float = 0.0):
     """dense_condition on per-tuple masses, from amplitudes sqrt(mass).
 
     Returns (post masses |amplitude|^2, probability).
     """
     amps, prob = dense_condition(tuples, np.sqrt(masses), params, t, target_term, alpha,
-                                 term_fn)
+                                 term_fn, register_omegas, marker_omega)
     return amps.real**2 + amps.imag**2, prob
 
 
@@ -139,7 +149,7 @@ def dense_marker_overlaps(values, omega_k: float, alpha: MarkerAmplitude, t: flo
     v0 = coherent_vector(alpha, M)
     levels = np.arange(M, dtype=np.float64)
     targets = [
-        coherent_vector(alpha.value * cmath.exp(-1j * (omega_k + float(x)) * t), M)
+        coherent_vector(alpha.magnitude * cmath.exp(-1j * (omega_k + float(x)) * t), M)
         for x in accepted_values
     ]
     out = np.empty((len(values), len(accepted_values)), dtype=np.complex128)

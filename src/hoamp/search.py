@@ -1,13 +1,15 @@
 """Unstructured search by parity-coded conditioning.
 
-A black box writes h(n) into the second register: even for solutions, odd for
-everything else.  The marker couples linearly to that register, so after the
-fixed time t_s = pi/g_tilde a solution's marker has returned exactly to
-|alpha> (the marker frequency omega_3 is an even multiple of g_tilde) while a
-non-solution's marker sits at |-alpha>.  Conditioning on |alpha> therefore
-multiplies every non-solution amplitude by <alpha|-alpha> = exp(-2|alpha|^2),
-i.e. its mass by exp(-4|alpha|^2), a huge suppression per iteration at
-|alpha| = 2.
+A black box writes h(n) into the second register: 0 for solutions, 1 for
+everything else.  The marker couples linearly to that register with strength
+g_tilde, the unit of time here, so after the fixed time T_S = pi a solution's
+marker has returned exactly to |alpha> while a non-solution's marker sits at
+|-alpha>.  Conditioning on |alpha> therefore multiplies every non-solution
+amplitude by <alpha|-alpha> = exp(-2|alpha|^2), i.e. its mass by
+exp(-4|alpha|^2), a huge suppression per iteration at |alpha| = 2.  The
+marker's own frequency turns both branches alike and cancels, and any other
+h of the same parity would give the same state: only the parity of h
+reaches it.
 
 The parity arithmetic is carried symbolically: solution multipliers are the
 exact float 1.0 and non-solution ones the exact exp(-4 alpha^2), with no trig
@@ -41,11 +43,10 @@ _MARK_CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class BlackBox:
-    """Predicate over n in [0, domain_size) plus its integer parity encoding."""
+    """Predicate over n in [0, domain_size)."""
 
     domain_size: int
     predicate: object                   # callable n -> bool
-    encoding: object = None             # callable n -> int; default 0/1
     # sorted solutions, when built from_solution_indices
     marked: np.ndarray = field(default=None, compare=False)
 
@@ -66,16 +67,11 @@ class BlackBox:
                    marked=members)
 
     def h(self, n: int) -> int:
-        if self.encoding is None:
-            return 0 if self.predicate(n) else 1
-        v = int(self.encoding(n))
-        if (v % 2 == 0) != bool(self.predicate(n)):
-            raise ValueError(f"encoding parity disagrees with predicate at n={n}")
-        return v
+        """0 for a solution, 1 for anything else."""
+        return 0 if self.predicate(n) else 1
 
     def h_batch(self, items: np.ndarray) -> np.ndarray:
-        """h over an array of items, one call of h per item, parity check
-        included."""
+        """h over an array of items, one call of h per item."""
         return np.fromiter((self.h(n) for n in items.tolist()), dtype=np.int64,
                            count=len(items))
 
@@ -98,27 +94,21 @@ class _Items:
         return rest[:, None]
 
 
+# the evolution time of every iteration, pi/g_tilde in units of 1/g_tilde
+T_S = math.pi
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    g_tilde: float = 1.0
-    omega3_multiple: int = 0           # omega_3 = multiple * g_tilde, even
     alpha_schedule: tuple = (2.0,)
     L_max: int = 20
     stop_mass: float = 0.999999
     seed: int = 0
 
     def __post_init__(self):
-        if self.g_tilde <= 0:
-            raise ValueError("g_tilde must be positive")
-        if self.omega3_multiple % 2 != 0:
-            raise ValueError("omega_3 must be an even multiple of g_tilde")
         object.__setattr__(self, "alpha_schedule",
                            normalize_alpha_schedule(self.alpha_schedule))
         check_run_limits(self.L_max, self.stop_mass, "stop_mass")
-
-    @property
-    def t_s(self) -> float:
-        return math.pi / self.g_tilde
 
     def alpha_for(self, l: int) -> float:
         return alpha_at(self.alpha_schedule, l)
@@ -151,7 +141,7 @@ def apply_black_box(state: TrialEnsemble, box: BlackBox) -> TrialEnsemble:
         chunks = []
         for lo in range(0, d, _MARK_CHUNK):
             items = np.arange(lo, min(lo + _MARK_CHUNK, d), dtype=np.int64)
-            chunks.append(items[box.h_batch(items) % 2 == 0])
+            chunks.append(items[box.h_batch(items) == 0])
         marked = np.concatenate(chunks)
     return TrialEnsemble.uniform(np.array([0, 1], dtype=np.int64),
                                  np.array([len(marked), d - len(marked)], dtype=np.int64),
@@ -159,14 +149,13 @@ def apply_black_box(state: TrialEnsemble, box: BlackBox) -> TrialEnsemble:
 
 
 def search_iteration(state: TrialEnsemble, config: SearchConfig, l: int):
-    """Evolve t_s, condition on |alpha^(l)>; returns (state', StepRecord)."""
+    """Evolve T_S, condition on |alpha^(l)>; returns (state', StepRecord)."""
     alpha_mag = config.alpha_for(l)
-    # at t_s the marker turns by pi * (omega3_multiple + h), an even multiple
-    # of pi exactly for even h, since omega3_multiple is even: those bins keep
-    # multiplier 1
+    # at T_S the marker turns by pi * h, whole turns exactly for even h: those
+    # bins keep multiplier 1
     even = state.keys % 2 == 0
     mult = np.where(even, 1.0, math.exp(-4.0 * alpha_mag * alpha_mag))
-    return condition_step(state, mult, even, l, config.t_s, alpha_mag)
+    return condition_step(state, mult, even, l, T_S, alpha_mag)
 
 
 def run_search(config: SearchConfig, box: BlackBox) -> SearchReport:
@@ -175,7 +164,7 @@ def run_search(config: SearchConfig, box: BlackBox) -> SearchReport:
     try:
         # looked up per step, so a wrapper set on the module sees every call
         state, records = amplify(state, lambda s, l, _: search_iteration(s, config, l),
-                                 repeat(config.t_s, config.L_max), config.stop_mass)
+                                 repeat(T_S, config.L_max), config.stop_mass)
     except ConditionedMassVanished as exc:
         raise NoSolutionFound(f"conditioning extinguished the register: {exc}") from exc
 
@@ -189,7 +178,6 @@ def run_search(config: SearchConfig, box: BlackBox) -> SearchReport:
             raise ValueError(f"black box parity/predicate mismatch at n={n}")
     return SearchReport(
         config={
-            "g_tilde": config.g_tilde, "omega3_multiple": config.omega3_multiple,
             "alpha_schedule": list(config.alpha_schedule), "L_max": config.L_max,
             "stop_mass": config.stop_mass, "seed": config.seed,
             "domain_size": box.domain_size,

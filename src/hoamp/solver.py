@@ -182,8 +182,8 @@ def _best_cos(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum((q[i - 1] * p).real, (q[i % len(q)] * p).real)
 
 
-def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorParams,
-                           alpha_mag: float, t: float, cut: _Cut, table: PhaseTable):
+def constraint_multipliers(values, accepted: AcceptedSet, alpha_mag: float, t: float,
+                           cut: _Cut, table: PhaseTable):
     """Per-entry mass multiplier for one constraint's column of values, and
     the satisfied mask: `cut` is the column's cut from plan_steps and `table`
     the step's phase table at t, built for the plan's bound."""
@@ -192,7 +192,7 @@ def constraint_multipliers(values, accepted: AcceptedSet, params: OscillatorPara
         return mult, cut.ok
     p = gather_phasors(table, cut.bad_digits)
     if cut.accepted_digits is None:
-        q = target_phasors(params, t, accepted.values)
+        q = target_phasors(_MARKER, t, accepted.values)
     else:
         q = np.conjugate(gather_phasors(table, cut.accepted_digits))
     cos = _best_cos(p, q)[cut.bad_value]
@@ -210,8 +210,7 @@ def solver_iteration(state: TrialEnsemble, plan: StepPlan, alpha_schedule: tuple
     table = phase_table(_MARKER, t_l, plan.bound)
     joint = None
     for k, (acc, cut) in enumerate(zip(plan.accepted, plan.cuts)):
-        mult, _ = constraint_multipliers(state.keys[:, k], acc, _MARKER, alpha_mag, t_l, cut,
-                                         table)
+        mult, _ = constraint_multipliers(state.keys[:, k], acc, alpha_mag, t_l, cut, table)
         joint = mult if joint is None else joint * mult
     return condition_step(state, joint, plan.solved, l, t_l, alpha_mag)
 

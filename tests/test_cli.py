@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hoamp import __version__, ensemble
+from hoamp import __version__, cli, ensemble, errors
 from hoamp.cli import build_parser, main
 from hoamp.constraints import ConstraintSystem
 from hoamp.dynamics import KERNEL_BLOCK
@@ -442,6 +442,41 @@ def test_demo_scripts_recover_their_answers(script):
             [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])})
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert snapshot() == before
+
+
+@pytest.mark.parametrize("exc,code", [
+    (cli._UsageError("x"), 3), (errors.ParseError("x", "x@", 1), 3),
+    (errors.DomainError("x"), 3), (ValueError("x"), 3),
+    (errors.EmptyRange("x"), 4), (errors.NoFactorInRange("x"), 4),
+    (errors.NoSolutionFound("x"), 4), (errors.InfeasibleSystem("x"), 4),
+    (errors.ConditionedMassVanished("x"), 2), (errors.DomainTooLarge("x"), 2),
+    (errors.DimensionTooLarge("x"), 2), (errors.CutoffTooSmall("x"), 2),
+    (errors.HoampError("x"), 2), (OSError("x"), 2), (MemoryError("x"), 2),
+], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v))
+def test_exit_code_of_each_error(exc, code, monkeypatch, capsys):
+    # the no-solution errors are HoampErrors too: they must exit 4, not 2
+    def fail(args):
+        raise exc
+    help_text, add_arguments, _ = cli._COMMANDS["factor"]
+    monkeypatch.setitem(cli._COMMANDS, "factor", (help_text, add_arguments, fail))
+    assert run(["factor", "--n", "35"]) == code
+    prefix = {2: "runtime error: ", 3: "usage error: ", 4: "no solution: "}[code]
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_cli_import_leaves_out_the_dense_oracle():
+    # the test-only Fock oracle is not loaded by the command line, and every
+    # name the package exports resolves
+    code = ("import sys, hoamp, hoamp.cli; "
+            "assert 'hoamp.fockoracle' not in sys.modules, 'fockoracle imported'; "
+            "missing = [n for n in hoamp.__all__ if not hasattr(hoamp, n)]; "
+            "assert not missing, missing")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(ensemble.__file__)), os.environ.get(
+                "PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solve_missing_file(capsys):

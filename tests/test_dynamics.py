@@ -12,8 +12,7 @@ from hoamp import dynamics
 from hoamp.dynamics import (KernelScratch, MarkerAmplitude, OscillatorParams, PhaseDelta,
                             epsilon_batch, epsilon_overlap, eps_squared_batch,
                             phase_delta, phase_delta_batch, phase_table, phase_tables,
-                            phasor_batch, gather_phasors, reduce_angle, rotation_frequency,
-                            target_phasors, value_digits, value_phasors)
+                            gather_phasors, target_phasors, value_digits)
 
 PI = math.pi
 
@@ -23,10 +22,24 @@ def circle_distance(a, b):
     return min(d, 2 * PI - d)
 
 
+def phasors_of(table, values, out=None, span=None):
+    """P_v per value, as the engine forms it: gather_phasors over value_digits."""
+    return gather_phasors(table, value_digits(table, values, span, out=out), out=out)
+
+
+def kernel_phasors(p, target, values, t, table=None):
+    """Q_target * P_v, as the conditioning kernel forms it (cos Delta is its
+    real part), by default with the table sized to the values."""
+    if table is None:
+        table = phase_table(p, t, max(abs(int(values.min())), abs(int(values.max()))))
+    return phasors_of(table, values) * target_phasors(p, t, [target])[0]
+
+
 def assert_matches_scalar(p, target, trials, t, tol=1e-12):
     """Batch angle, cos and sin against the exact scalar reduction."""
     batch = phase_delta_batch(p, target, trials, t)
-    cos, sin = phasor_batch(p, target, trials, t)
+    z = kernel_phasors(p, target, trials, t)
+    cos, sin = z.real, z.imag
     for i, trial in enumerate(trials):
         exact = phase_delta(p, target, int(trial), t).angle
         assert circle_distance(batch[i], exact) < tol, (target, int(trial), t)
@@ -34,16 +47,9 @@ def assert_matches_scalar(p, target, trials, t, tol=1e-12):
         assert abs(sin[i] - math.sin(exact)) < tol
 
 
-def kernel_cos(p, target, values, t, table=None):
-    """cos Delta = Re(Q_target * P_v), as the conditioning kernel forms it."""
-    if table is None:
-        table = phase_table(p, t, max(abs(int(values.min())), abs(int(values.max()))))
-    return (value_phasors(table, values) * target_phasors(p, t, [target])[0]).real
-
-
 def assert_multipliers_match_scalar(p, target, values, t, table=None, alpha=1.7, tol=1e-12):
     """Kernel cos Delta and |eps|^2 against the exact scalar reduction."""
-    cos = kernel_cos(p, target, values, t, table)
+    cos = kernel_phasors(p, target, values, t, table).real
     mult = eps_squared_batch(alpha, cos)
     for v, c, m in zip(values, cos, mult):
         exact = math.cos(phase_delta(p, target, int(v), t).angle)
@@ -95,23 +101,10 @@ def test_params_order_is_the_coupling_count():
 def test_marker_amplitude_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         MarkerAmplitude(bad)
-    with pytest.raises(ValueError, match="finite"):
-        MarkerAmplitude(2.0, phase=bad)
     with pytest.raises(ValueError, match="alpha schedule must be finite"):
         dynamics.normalize_alpha_schedule((1.0, bad))
     with pytest.raises(ValueError, match="alpha schedule must be finite"):
         dynamics.normalize_alpha_schedule(bad)
-
-
-def test_rotation_frequency_linear():
-    p = OscillatorParams(omega=(0.0, 0.0, 1.5), couplings=(2.0,))
-    assert rotation_frequency(p, 10).value == pytest.approx(1.5 + 20.0, rel=0, abs=0)
-
-
-def test_rotation_frequency_higher_order():
-    p = OscillatorParams(couplings=(0.5, 0.25, 0.125))
-    # 0.5*4 + 0.25*16 + 0.125*64 with exact dyadic coefficients
-    assert rotation_frequency(p, 4).value == 2.0 + 4.0 + 8.0
 
 
 def test_phase_delta_zero_at_target():
@@ -150,7 +143,7 @@ def test_phase_delta_exact_multiple_of_two_pi():
     p = OscillatorParams()
     t = 2.0 * PI
     a = phase_delta(p, 0, 1, t).angle
-    b = reduce_angle(t)
+    b = dynamics._reduce_fraction(Fraction(t))
     assert abs(a) < 3e-16          # |fl(2pi) - 2pi|
     assert abs(b) < 3e-16
     assert a == -b                 # same residual, opposite orientation
@@ -176,12 +169,6 @@ def test_phase_delta_batch_large_terms():
         exact = phase_delta(p, 1_030_189, int(trial), 6.046).angle
         diff = abs(batch[i] - exact)
         assert min(diff, 2 * PI - diff) < 1e-11
-
-
-def test_phase_delta_ignores_register_omegas():
-    a = OscillatorParams(omega=(0.0,), couplings=(1.0,))
-    b = OscillatorParams(omega=(123.456,), couplings=(1.0,))
-    assert phase_delta(a, 10, 14, 2.2).angle == phase_delta(b, 10, 14, 2.2).angle
 
 
 def test_epsilon_overlap_exact_one_cases():
@@ -231,11 +218,12 @@ def test_eps_squared_batch_clamps_rounding_above_one():
 
 
 def test_reduce_angle_boundary():
-    assert reduce_angle(PI) == PI       # pi stays pi, not -pi
+    reduce = dynamics._reduce_fraction
+    assert reduce(Fraction(PI)) == PI       # pi stays pi, not -pi
     # -float(pi) sits strictly inside (-pi, pi] because float(pi) < pi,
     # so it must come back unchanged rather than folded to +pi
-    assert reduce_angle(-PI) == -PI
-    assert reduce_angle(0.0) == 0.0
+    assert reduce(Fraction(-PI)) == -PI
+    assert reduce(Fraction(0)) == 0.0
 
 
 def test_phase_delta_overflow_guard():
@@ -284,8 +272,8 @@ def test_phasor_sign_of_negative_values():
     above = np.array([36, 1_000, 123_456_789, (1 << 40) + 3], dtype=np.int64)
     for t in (0.4, 2.9, 5.3):
         table = phase_table(p, t, int(above.max()))
-        up = value_phasors(table, above)
-        assert np.array_equal(value_phasors(table, -above), np.conj(up))
+        up = phasors_of(table, above)
+        assert np.array_equal(phasors_of(table, -above), np.conj(up))
         assert_matches_scalar(p, 35, above, t)
         assert_matches_scalar(p, 35, -above, t)
         assert_matches_scalar(p, -35, 70 - above, t)
@@ -318,10 +306,11 @@ def test_zero_difference_is_exactly_one():
                       (OscillatorParams(couplings=(1.0, 1.0, 1.0, 1.0)), _K4_MAX)):
         trials = np.array([target, target - 1, target, 0], dtype=np.int64)
         for t in (0.37, 5.9):
-            cos, sin = phasor_batch(p, target, trials, t)
+            angle = phase_delta_batch(p, target, trials, t)
+            assert angle[0] == 0.0 and angle[2] == 0.0 and angle[1] != 0.0
+            assert not math.copysign(1.0, angle[0]) < 0   # +0.0, not -0.0
+            cos, sin = np.cos(angle), np.sin(angle)
             assert cos[0] == 1.0 and sin[0] == 0.0
-            assert cos[2] == 1.0 and sin[2] == 0.0
-            assert not math.copysign(1.0, sin[0]) < 0     # +0.0, not -0.0
             assert epsilon_batch(2.0, cos[:1], sin[:1])[0] == 1.0 + 0.0j
             assert eps_squared_batch(2.0, cos[:1])[0] == 1.0
 
@@ -335,22 +324,22 @@ def test_phasor_value_independent_of_call():
     table, big = phase_table(p, 2.2, 1 << 31), phase_table(p, 2.2, 1 << 40)
     assert table.bits == big.bits == (11,)
     assert (len(table.rows[0]), len(big.rows[0])) == (3, 4)
-    want = value_phasors(table, values)
-    assert np.array_equal(value_phasors(big, values[:2]), want[:2])
-    assert np.array_equal(value_phasors(table, values, span=(3, 1_000_003)), want)
+    want = phasors_of(table, values)
+    assert np.array_equal(phasors_of(big, values[:2]), want[:2])
+    assert np.array_equal(phasors_of(table, values, span=(3, 1_000_003)), want)
     grid = values[None, :] + np.zeros((3, 1), dtype=np.int64)
-    assert np.array_equal(value_phasors(big, grid)[1], want)
+    assert np.array_equal(phasors_of(big, grid)[1], want)
 
 
 def test_value_phasors_reject_values_outside_table():
     p = OscillatorParams()
     table = phase_table(p, 1.0, 1000)          # one 10-bit row of 1001 entries
-    value_phasors(table, np.array([1000, -1000]))
+    phasors_of(table, np.array([1000, -1000]))
     with pytest.raises(IndexError):
-        value_phasors(table, np.array([1 << 20]))    # no row
+        phasors_of(table, np.array([1 << 20]))    # no row
     for short in (1010, -1010):
         with pytest.raises(IndexError):
-            value_phasors(table, np.array([short]))  # short row
+            phasors_of(table, np.array([short]))  # short row
 
 
 # tables whose digits are narrower than 13 bits: (params, max_term, widths)
@@ -393,18 +382,18 @@ def test_narrow_phase_tables(p, max_term, bits):
     for k, v in enumerate(covers, start=1):
         for covered in (v, -v):
             try:
-                value_phasors(table, np.array([covered]))
+                phasors_of(table, np.array([covered]))
             except IndexError as e:
                 assert v > min(covers) and f"v^{k}|" not in str(e)
         first = next(j for j, c in enumerate(covers, start=1) if c <= v)
         for beyond in (v + 1, -(v + 1)):
             with pytest.raises(IndexError, match=rf"\|v\^{first}\|"):
-                value_phasors(table, np.array([beyond]))
+                phasors_of(table, np.array([beyond]))
     largest = min(covers)
-    value_phasors(table, np.array([largest, -largest]))
+    phasors_of(table, np.array([largest, -largest]))
     # one more first-order digit than the table has
     with pytest.raises(IndexError, match=r"\|v\^1\|"):
-        value_phasors(table, np.array([1 << (bits[0] * len(table.rows[0]))]))
+        phasors_of(table, np.array([1 << (bits[0] * len(table.rows[0]))]))
 
 
 def test_kernel_scratch_reuse_is_bitwise():
@@ -423,8 +412,8 @@ def test_kernel_scratch_reuse_is_bitwise():
         starts = list(range(0, len(values), 300))
         for lo in starts[-1:] + starts:
             block = values[lo : lo + 300]
-            want = value_phasors(table, block) * q
-            z = value_phasors(table, block, out=scratch)
+            want = phasors_of(table, block) * q
+            z = phasors_of(table, block, out=scratch)
             z *= q
             assert np.array_equal(z, want)
             w = eps_squared_batch(1.5, z.real, out=scratch.get("w", block.shape))
@@ -440,7 +429,7 @@ def test_kernel_scratch_reuse_is_bitwise():
 def test_digits_cut_once_serve_every_time(p, values):
     # value_digits depends on the table's layout, not on t: digits cut
     # against the table for one time, gathered against the table for
-    # another, give value_phasors there bit for bit (K = 1..4, both signs,
+    # another, give phasors_of there bit for bit (K = 1..4, both signs,
     # int64 and object-dtype powers, narrow digits), also when the digits
     # and the phasors share one scratch
     values = np.array(values, dtype=np.int64)
@@ -450,7 +439,7 @@ def test_digits_cut_once_serve_every_time(p, values):
     shared = value_digits(phase_table(p, 0.5, bound), values, out=scratch)
     for t in (0.013, 1.704, 6.046, 97.31):
         table = phase_table(p, t, bound)
-        want = value_phasors(table, values).tobytes()
+        want = phasors_of(table, values).tobytes()
         assert gather_phasors(table, digits).tobytes() == want
         assert gather_phasors(table, shared, out=scratch).tobytes() == want
     # a table built for a smaller bound does not hold the largest value

@@ -11,8 +11,8 @@ import pytest
 
 from hoamp import ensemble
 from hoamp.dynamics import (KERNEL_BLOCK, KernelScratch, MarkerAmplitude, OscillatorParams,
-                            epsilon_overlap, phase_delta, phase_table, target_phasors,
-                            value_phasors)
+                            epsilon_overlap, gather_phasors, phase_delta, phase_table,
+                            target_phasors, value_digits)
 from hoamp.ensemble import (TargetState, TrialEnsemble, apply_entry_multipliers,
                             ceil_sqrt, conditional_update, factoring_ranges, fidelity,
                             init_uniform_factoring, member_masses, sample)
@@ -290,7 +290,8 @@ def test_on_target_bin_keeps_multiplier_exactly_one(monkeypatch):
             mult = blocks.pop()
             assert mult[i] == 1.0 and mult.max() <= 1.0
             table = phase_table(PARAMS, t, int(st.keys[-1]))
-            z = value_phasors(table, st.keys[i : i + 1]) * target_phasors(PARAMS, t, [N])[0]
+            p = gather_phasors(table, value_digits(table, st.keys[i : i + 1]))
+            z = p * target_phasors(PARAMS, t, [N])[0]
             raw_misses += z.real[0] != 1.0
     assert raw_misses        # the pin is what makes it exact
 

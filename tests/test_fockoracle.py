@@ -12,7 +12,7 @@ from hoamp.ensemble import (TargetState, conditional_update, fidelity,
                             init_uniform_factoring)
 from hoamp.errors import CutoffTooSmall, DimensionTooLarge
 from hoamp.fockoracle import (brute_force_step, coherent_vector, dense_condition,
-                              dense_marker_overlaps, required_cutoff)
+                              dense_marker_overlaps, required_cutoff, rotation_frequency)
 
 from conftest import per_member
 
@@ -47,8 +47,8 @@ def test_overlap_of_rotated_coherent_states():
     a = MarkerAmplitude(1.7)
     M = required_cutoff(1.7) + 5
     for delta in (0.3, -1.2, 2.9):
-        va = coherent_vector(a.value, M)
-        vb = coherent_vector(a.value * cmath.exp(1j * delta), M)
+        va = coherent_vector(a.magnitude, M)
+        vb = coherent_vector(a.magnitude * cmath.exp(1j * delta), M)
         dense = complex(np.vdot(va, vb))
         assert abs(dense - epsilon_overlap(a, delta)) < 1e-12
 
@@ -102,22 +102,65 @@ def test_brute_force_step_higher_order_coupling():
 
 def test_brute_force_step_custom_term_fn():
     # term = second register component h(n): the parity marker used by search
-    from hoamp.search import (BlackBox, SearchConfig, apply_black_box,
+    from hoamp.search import (T_S, BlackBox, SearchConfig, apply_black_box,
                               initial_search_state, search_iteration)
     box = BlackBox.from_solution_indices(8, [5])
     st = apply_black_box(initial_search_state(box), box)
     config = SearchConfig()
     post_a, rec = search_iteration(st, config, 1)
-    params = OscillatorParams(omega=(0.0,), couplings=(config.g_tilde,))
     tuples = np.array([(n, box.h(n)) for n in range(8)])
-    post_b, pr = brute_force_step(tuples, np.full(8, 1 / 8), params, config.t_s, 0,
+    post_b, pr = brute_force_step(tuples, np.full(8, 1 / 8), OscillatorParams(), T_S, 0,
                                   MarkerAmplitude(2.0), term_fn=lambda row: int(row[1]))
     assert pr == pytest.approx(rec.pr_E, abs=1e-12)
     np.testing.assert_allclose(post_b, per_member(post_a)[1], atol=1e-12)
 
 
+def test_rotation_frequency():
+    # Omega_u = marker_omega + sum_k g_k u^k
+    p = OscillatorParams(couplings=(2.0,))
+    assert rotation_frequency(p, 10) == 20.0
+    assert rotation_frequency(p, 10, marker_omega=1.5) == 1.5 + 20.0
+    p = OscillatorParams(couplings=(0.5, 0.25, 0.125))
+    # 0.5*4 + 0.25*16 + 0.125*64 with exact dyadic coefficients
+    assert rotation_frequency(p, 4) == 2.0 + 4.0 + 8.0
+
+
+@pytest.mark.parametrize("couplings", [(1.0,), (0.7, 0.3)])
+def test_frequencies_cancel_against_engine(couplings):
+    # the dense physics with nonzero register and marker frequencies gives
+    # the engine's frequency-free conditioning, step after step; the
+    # frequencies do turn the dense amplitudes, only no observable sees it
+    N, alpha, params = 35, MarkerAmplitude(1.5), OscillatorParams(couplings=couplings)
+    omegas = {"register_omegas": (0.37, -1.9), "marker_omega": 2.3}
+    st = init_uniform_factoring(N)
+    tuples, masses = per_member(st)
+    amps = plain = np.sqrt(masses).astype(np.complex128)
+    for t in (0.8, 2.3, 4.1):
+        amps, pr = dense_condition(tuples, amps, params, t, N, alpha, **omegas)
+        plain, pr_plain = dense_condition(tuples, plain, params, t, N, alpha)
+        assert np.max(np.abs(amps - plain)) > 1e-3
+        out = conditional_update(st, params, alpha, N, t)
+        st = out.post_state
+        assert pr == pytest.approx(out.probability, abs=1e-12)
+        assert pr_plain == pytest.approx(pr, abs=1e-12)
+        np.testing.assert_allclose(np.abs(amps) ** 2, per_member(st)[1], atol=1e-12)
+    # search: the marker frequency needs no even multiple of g_tilde
+    from hoamp.search import (T_S, BlackBox, SearchConfig, apply_black_box,
+                              initial_search_state, search_iteration)
+    box = BlackBox.from_solution_indices(8, [2, 5])
+    post, rec = search_iteration(apply_black_box(initial_search_state(box), box),
+                                 SearchConfig(), 1)
+    for marker_omega in (0.0, 1.0, 2.3):
+        post_d, pr_d = brute_force_step(
+            np.array([(n, box.h(n)) for n in range(8)]), np.full(8, 1 / 8),
+            OscillatorParams(), T_S, 0, MarkerAmplitude(2.0), term_fn=lambda row: int(row[1]),
+            register_omegas=(0.37, -1.9), marker_omega=marker_omega)
+        assert pr_d == pytest.approx(rec.pr_E, abs=1e-12)
+        np.testing.assert_allclose(post_d, per_member(post)[1], atol=1e-12)
+
+
 def test_dense_marker_overlaps_match_epsilon():
-    params = OscillatorParams(omega=(0.25,), couplings=(1.0,))
+    params = OscillatorParams()
     alpha = MarkerAmplitude(1.5)
     values = [0, 1, 4, 7]
     accepted = [2, 4]

@@ -7,7 +7,7 @@ import pytest
 
 from hoamp.ensemble import member_masses
 from hoamp.errors import DomainError, EmptyRange, NoSolutionFound
-from hoamp.search import (BlackBox, SearchConfig, apply_black_box,
+from hoamp.search import (T_S, BlackBox, SearchConfig, apply_black_box,
                           initial_search_state, required_iterations, run_search,
                           search_iteration)
 
@@ -22,36 +22,16 @@ def test_black_box_from_indices():
         BlackBox(domain_size=0, predicate=lambda n: True)
 
 
-def test_black_box_custom_encoding_validated():
-    # encoding must be even exactly on solutions
-    box = BlackBox(domain_size=4, predicate=lambda n: n == 2,
-                   encoding=lambda n: 4 if n == 2 else 3)
-    assert box.h(2) == 4
-    bad = BlackBox(domain_size=4, predicate=lambda n: n == 2,
-                   encoding=lambda n: 1)          # odd on the solution
-    with pytest.raises(ValueError):
-        bad.h(2)
-    with pytest.raises(ValueError):                # the batched pass checks it too
-        apply_black_box(initial_search_state(bad), bad)
-
-
 def test_h_batch_matches_h():
     items = np.arange(16)
     boxes = (BlackBox.from_solution_indices(16, [0, 9, 15]),
-             BlackBox(domain_size=16, predicate=lambda n: n % 5 == 0,
-                      encoding=lambda n: 2 * n if n % 5 == 0 else 7))
+             BlackBox(domain_size=16, predicate=lambda n: n % 5 == 0))
     for box in boxes:
         assert box.h_batch(items).tolist() == [box.h(n) for n in range(16)]
 
 
 def test_search_config_validation():
-    c = SearchConfig()
-    assert c.t_s == pytest.approx(math.pi)
-    assert SearchConfig(g_tilde=2.0).t_s == pytest.approx(math.pi / 2)
-    with pytest.raises(ValueError):
-        SearchConfig(g_tilde=0.0)
-    with pytest.raises(ValueError):
-        SearchConfig(omega3_multiple=3)           # must be even
+    assert T_S == math.pi                         # pi/g_tilde, with g_tilde = 1
     with pytest.raises(ValueError):
         SearchConfig(alpha_schedule=(2.0, 1.0))
 

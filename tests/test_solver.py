@@ -9,8 +9,9 @@ import pytest
 
 from hoamp import solver
 from hoamp.constraints import ConstraintSystem, feasible_set
-from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap, phase_delta,
-                            phase_table, target_phasors, value_phasors)
+from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap,
+                            gather_phasors, phase_delta, phase_table, target_phasors,
+                            value_digits)
 from hoamp import ensemble
 from hoamp.ensemble import StepRecord, init_uniform_factoring, member_masses
 from hoamp.errors import DomainTooLarge, EmptyRange, InfeasibleSystem
@@ -161,19 +162,18 @@ def test_accepted_sets_infeasible():
         })
 
 
-def column_multipliers(vals, acc, params, alpha_mag, t):
+def column_multipliers(vals, acc, alpha_mag, t):
     # one column as a solver step sees it: its cut from plan_steps and the
     # step's phase table for the plan's bound
     plan = plan_steps(vals[:, None], [acc])
-    return constraint_multipliers(vals, acc, params, alpha_mag, t, plan.cuts[0],
-                                  phase_table(params, t, plan.bound))
+    return constraint_multipliers(vals, acc, alpha_mag, t, plan.cuts[0],
+                                  phase_table(OscillatorParams(), t, plan.bound))
 
 
 def test_constraint_multipliers_satisfying_exactly_one():
     acc = accepted_sets(INEQ_SMALL)
-    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
     vals = np.array([0, 1, 2, 3, 4, 6], dtype=np.int64)    # x+y values
-    mult, ok = column_multipliers(vals, acc[0], params, 2.0, 1.234)
+    mult, ok = column_multipliers(vals, acc[0], 2.0, 1.234)
     assert ok.tolist() == [True, True, True, True, False, False]
     assert all(mult[i] == 1.0 for i in range(4))            # exact
     assert all(mult[i] < 1.0 for i in (4, 5))
@@ -185,12 +185,12 @@ def test_constraint_multipliers_int64_scale_match_scalar():
     acc = AcceptedSet(relation="<=", bound=0.0,
                       values=np.array([-3_000_000_000, -1, 0, 7, 4_999_999_999,
                                        5_000_000_000], dtype=np.int64))
-    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
+    params = OscillatorParams()
     vals = np.array([0, 5_000_000_000, 5_000_000_001, 5_000_008_193, 9_876_543_210_123,
                      -3_000_000_001, -3_000_000_000 - (1 << 40), 7, 6_000_000_000],
                     dtype=np.int64)
     for t in (0.3, 2.71, 6.1):
-        mult, ok = column_multipliers(vals, acc, params, 1.7, t)
+        mult, ok = column_multipliers(vals, acc, 1.7, t)
         assert ok.tolist() == [True, True, False, False, False,
                                False, False, True, False]
         for v, m, inside in zip(vals, mult, ok):
@@ -227,9 +227,10 @@ def test_max_mode_exact_past_a_million_tuples(monkeypatch):
     (mult,) = seen
     assert np.all(mult[v <= 10] == 1.0)
     # every violator against the pairwise max over the eleven accepted values
-    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
+    params = OscillatorParams()
     bad = v[v > 10]
-    p = value_phasors(phase_table(params, t, int(bad.max())), bad)
+    table = phase_table(params, t, int(bad.max()))
+    p = gather_phasors(table, value_digits(table, bad))
     cos = np.max([(p * q).real for q in target_phasors(params, t, np.arange(11))], axis=0)
     assert np.abs(mult[v > 10] - solver.eps_squared_batch(alpha, cos)).max() < 1e-12
     # and a stride of them against the scalar phase_delta
@@ -255,13 +256,13 @@ def test_max_mode_matches_pairwise_reference(doc, monkeypatch):
     monkeypatch.setattr(solver, "eps_squared_batch", spy)
     system = make_system(doc)
     state = uniform_state(system)
-    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
+    params = OscillatorParams()
     # the plan and tables a solver step builds: one bound for every column
     plan = plan_steps(state.keys, build_accepted_sets(system, state))
     for k, (acc, cut) in enumerate(zip(plan.accepted, plan.cuts)):
         vals = state.keys[:, k].astype(np.int64)
         for t in (0.3, 2.71, 6.1):
-            mult, ok = constraint_multipliers(vals, acc, params, 2.0, t, cut,
+            mult, ok = constraint_multipliers(vals, acc, 2.0, t, cut,
                                               phase_table(params, t, plan.bound))
             bad = vals[~ok]
             if not len(bad):
@@ -344,10 +345,11 @@ def test_member_masses_one_gather_equals_the_per_bin_loop(domain):
 def test_best_cos_columns_are_the_factoring_product():
     # with one accepted value the outer product is factoring's Re(q * P_v),
     # bit for bit, and every column of a wider one is too
-    params = OscillatorParams(omega=(0.0,), couplings=(1.0,))
+    params = OscillatorParams()
     vals = np.arange(-3000, 9000, 7, dtype=np.int64)
     for t in (0.3, 2.71, 6.1):
-        p = value_phasors(phase_table(params, t, 9000), vals)
+        table = phase_table(params, t, 9000)
+        p = gather_phasors(table, value_digits(table, vals))
         q = target_phasors(params, t, [35, 8191, -77, 4_000])
         assert np.array_equal(solver._best_cos(p, q[:1]), (p * q[0]).real)
         full = np.maximum.reduce([(p * x).real for x in q])
