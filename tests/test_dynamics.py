@@ -13,6 +13,7 @@ from hoamp.dynamics import (KernelScratch, MarkerAmplitude, OscillatorParams, Ph
                             epsilon_batch, epsilon_overlap, eps_squared_batch,
                             phase_delta, phase_delta_batch, phase_table, phase_tables,
                             gather_phasors, target_phasors, value_digits)
+from hoamp.fockoracle import rotation_frequency
 
 PI = math.pi
 
@@ -105,6 +106,19 @@ def test_marker_amplitude_must_be_finite(bad):
         dynamics.normalize_alpha_schedule((1.0, bad))
     with pytest.raises(ValueError, match="alpha schedule must be finite"):
         dynamics.normalize_alpha_schedule(bad)
+
+
+def test_rotation_frequency_linear():
+    # Omega_u = marker_omega + sum_k g_k u^k, computed by the dense oracle
+    p = OscillatorParams(couplings=(2.0,))
+    assert rotation_frequency(p, 10) == 20.0
+    assert rotation_frequency(p, 10, marker_omega=1.5) == 1.5 + 20.0
+
+
+def test_rotation_frequency_higher_order():
+    p = OscillatorParams(couplings=(0.5, 0.25, 0.125))
+    # 0.5*4 + 0.25*16 + 0.125*64 with exact dyadic coefficients
+    assert rotation_frequency(p, 4) == 2.0 + 4.0 + 8.0
 
 
 def test_phase_delta_zero_at_target():

@@ -12,7 +12,7 @@ from hoamp.ensemble import (TargetState, conditional_update, fidelity,
                             init_uniform_factoring)
 from hoamp.errors import CutoffTooSmall, DimensionTooLarge
 from hoamp.fockoracle import (brute_force_step, coherent_vector, dense_condition,
-                              dense_marker_overlaps, required_cutoff, rotation_frequency)
+                              dense_marker_overlaps, required_cutoff)
 
 from conftest import per_member
 
@@ -113,16 +113,6 @@ def test_brute_force_step_custom_term_fn():
                                   MarkerAmplitude(2.0), term_fn=lambda row: int(row[1]))
     assert pr == pytest.approx(rec.pr_E, abs=1e-12)
     np.testing.assert_allclose(post_b, per_member(post_a)[1], atol=1e-12)
-
-
-def test_rotation_frequency():
-    # Omega_u = marker_omega + sum_k g_k u^k
-    p = OscillatorParams(couplings=(2.0,))
-    assert rotation_frequency(p, 10) == 20.0
-    assert rotation_frequency(p, 10, marker_omega=1.5) == 1.5 + 20.0
-    p = OscillatorParams(couplings=(0.5, 0.25, 0.125))
-    # 0.5*4 + 0.25*16 + 0.125*64 with exact dyadic coefficients
-    assert rotation_frequency(p, 4) == 2.0 + 4.0 + 8.0
 
 
 @pytest.mark.parametrize("couplings", [(1.0,), (0.7, 0.3)])
