@@ -16,9 +16,9 @@ from .dynamics import (MarkerAmplitude, OscillatorParams, PhaseDelta, epsilon_ov
                        phase_delta, phase_delta_batch)
 from .ensemble import (MeasurementOutcome, TargetState, TrialEnsemble, conditional_update,
                        factoring_ranges, fidelity, init_uniform_factoring, sample)
-from .errors import (ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge,
-                     DomainError, DomainTooLarge, EmptyRange, HoampError,
-                     InfeasibleSystem, NoFactorInRange, NoSolutionFound, ParseError)
+from .errors import (ConditionedMassVanished, DomainError, DomainTooLarge, EmptyRange,
+                     HoampError, InfeasibleSystem, NoFactorInRange, NoSolutionFound,
+                     ParseError)
 from .factoring import (FactoringConfig, IterationRecord, RunReport, estimate_iterations,
                         replay_table1, run_factoring, table1_comparison)
 from .rng import SplitMix64
@@ -30,9 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcceptedSet", "BlackBox", "ConditionedMassVanished", "ConstraintExpr",
-    "ConstraintSystem", "CutoffTooSmall", "DimensionTooLarge", "DomainError",
-    "DomainTooLarge", "EmptyRange", "FactoringConfig", "HoampError",
-    "InfeasibleSystem", "IterationRecord", "MarkerAmplitude", "MeasurementOutcome",
+    "ConstraintSystem", "DomainError", "DomainTooLarge", "EmptyRange", "FactoringConfig",
+    "HoampError", "InfeasibleSystem", "IterationRecord", "MarkerAmplitude", "MeasurementOutcome",
     "NoFactorInRange", "NoSolutionFound", "OscillatorParams",
     "ParseError", "PhaseDelta", "RunReport", "SearchConfig", "SearchReport",
     "SolverReport", "SplitMix64", "TargetState", "TrialEnsemble", "conditional_update",

@@ -5,16 +5,15 @@ Subcommands: factor, search, solve, replay-table1, stats.  Exit codes:
 resource caps, I/O), 3 usage error, 4 no factor / no solution / infeasible
 system.  Set HOAMP_THREADS to cap the worker pool used for large ensembles.
 
-A call that names its subcommand first builds only that subcommand's
-arguments; `hoamp --help`, `--version` and an unknown subcommand build all
-five.
+One table, _COMMANDS, holds every subcommand's options; a single pass over
+argv parses them, and the same rows print `hoamp <command> --help`.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .constraints import ConstraintSystem
@@ -33,11 +32,6 @@ from .solver import run_solver
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _parse_floats(text: str, flag: str):
@@ -221,105 +215,111 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _add_common(p, with_stop_fidelity=False, with_stop_mass=False):
-    p.add_argument("--seed", type=int, default=0, help="deterministic run seed")
-    p.add_argument("--alpha", default="2.0",
-                   help="marker amplitude |alpha|: one value, or a comma-separated "
-                        "non-decreasing schedule, one per iteration")
-    p.add_argument("--l-max", type=int, default=30, help="iteration cap")
-    if with_stop_fidelity:
-        p.add_argument("--stop-fidelity", type=float, default=0.99)
-    if with_stop_mass:
-        p.add_argument("--stop-mass", type=float, default=0.999999)
+# one row per option: flag, type, default, required, choices, help; bool takes no value
+_SEED = ("--seed", int, 0, False, None, "deterministic run seed")
+_ALPHA = ("--alpha", str, "2.0", False, None,
+          "marker amplitude |alpha|: one value, or a comma-separated non-decreasing "
+          "schedule, one per iteration")
+_L_MAX = ("--l-max", int, 30, False, None, "iteration cap")
+_STOP_FIDELITY = ("--stop-fidelity", float, 0.99, False, None, "stop at this fidelity")
+_STOP_MASS = ("--stop-mass", float, 0.999999, False, None, "stop at this solution mass")
+_COUPLINGS = ("--couplings", str, None, False, None,
+              "comma-separated g_1..g_K; K, at most 4, is their count (default: 1)")
+_TIMES = ("--times", str, None, False, None, "explicit evolution times (default: seeded)")
+_PROGRESS = ("--progress", bool, False, False, None, "report progress on stderr")
+_REPORT = (("--out-dir", str, None, False, None, "directory for report files"),
+           ("--format", str, "csv", False, ("csv", "json"), "report format"))
 
-
-def _add_report_output(p):
-    p.add_argument("--out-dir", default=None, help="directory for report files")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _factor_arguments(p):
-    p.add_argument("--n", type=int, required=True, help="integer to factor")
-    p.add_argument("--couplings", default=None,
-                   help="comma-separated g_1..g_K; K, at most 4, is their count")
-    p.add_argument("--times", default=None,
-                   help="explicit evolution times (default: seeded random)")
-    p.add_argument("--progress", action="store_true")
-    _add_common(p, with_stop_fidelity=True)
-    _add_report_output(p)
-
-
-def _search_arguments(p):
-    p.add_argument("--n", type=int, required=True, help="domain size")
-    p.add_argument("--solutions", default=None, help="comma-separated marked indices")
-    p.add_argument("--solutions-file", default=None,
-                   help="file with a JSON array or whitespace-separated indices")
-    _add_common(p, with_stop_mass=True)
-    _add_report_output(p)
-
-
-def _solve_arguments(p):
-    p.add_argument("--system", required=True, help="JSON file with the system")
-    p.add_argument("--mode", choices=("max",), default="max",
-                   help="the per-constraint multiplier (max is the only one)")
-    p.add_argument("--times", default=None)
-    _add_common(p, with_stop_mass=True)
-    _add_report_output(p)
-
-
-def _replay_table1_arguments(p):
-    p.add_argument("--progress", action="store_true")
-    _add_report_output(p)
-
-
-def _stats_arguments(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--couplings", default=None)
-    _add_common(p, with_stop_fidelity=True)
-    p.add_argument("--out-dir", default=None,
-                   help="directory for the two CSV files (default: .)")
-
-
-# subcommand -> (help, function adding its arguments, handler)
+# subcommand -> (help, handler, option rows)
 _COMMANDS = {
-    "factor": ("factor an integer N", _factor_arguments, cmd_factor),
-    "search": ("amplify marked items of a black box", _search_arguments, cmd_search),
-    "solve": ("solve an integer constraint system", _solve_arguments, cmd_solve),
+    "factor": ("factor an integer N", cmd_factor, (
+        ("--n", int, None, True, None, "integer to factor"), _COUPLINGS, _TIMES, _PROGRESS,
+        _SEED, _ALPHA, _L_MAX, _STOP_FIDELITY, *_REPORT)),
+    "search": ("amplify marked items of a black box", cmd_search, (
+        ("--n", int, None, True, None, "domain size"),
+        ("--solutions", str, None, False, None, "comma-separated marked indices"),
+        ("--solutions-file", str, None, False, None,
+         "file with a JSON array or whitespace-separated indices"),
+        _SEED, _ALPHA, _L_MAX, _STOP_MASS, *_REPORT)),
+    "solve": ("solve an integer constraint system", cmd_solve, (
+        ("--system", str, None, True, None, "JSON file with the system"),
+        ("--mode", str, "max", False, ("max",), "the per-constraint multiplier"),
+        _TIMES, _SEED, _ALPHA, _L_MAX, _STOP_MASS, *_REPORT)),
     "replay-table1": ("re-run the published factoring trajectory and diff it",
-                      _replay_table1_arguments, cmd_replay_table1),
-    "stats": ("repeated factoring runs, mean/std per iteration", _stats_arguments,
-              cmd_stats),
+                      cmd_replay_table1, (_PROGRESS, *_REPORT)),
+    "stats": ("repeated factoring runs, mean/std per iteration", cmd_stats, (
+        ("--n", int, None, True, None, "integer to factor"),
+        ("--samples", int, None, True, None, "number of seeded runs, at least 2"),
+        _COUPLINGS, _SEED, _ALPHA, _L_MAX, _STOP_FIDELITY,
+        ("--out-dir", str, None, False, None,
+         "directory for the two CSV files (default: .)"))),
 }
 
 
-def build_parser(command=None) -> _Parser:
-    """The hoamp parser.  When `command` names a subcommand, only that
-    subcommand's parser is built, since argparse builds each one in full
-    whether or not it runs; otherwise (--help, --version, a bad choice) all
-    of them are."""
-    parser = _Parser(
-        prog="hoamp",
-        description="Amplitude amplification on coupled oscillators: factoring, "
-                    "search, integer constraint systems.",
-        epilog="HOAMP_THREADS caps the worker pool for large ensembles.",
-    )
-    parser.add_argument("--version", action="version", version=f"hoamp {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        help_text, add_arguments, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(fn=handler)
-    return parser
+def _print_help(name=None):
+    """Print the top-level help, or subcommand `name`'s, and exit 0."""
+    if name is None:
+        print("usage: hoamp [--help] [--version] <command> [options]\n\n"
+              "Amplitude amplification on coupled oscillators.  `hoamp <command> --help`\n"
+              "lists a command's options; HOAMP_THREADS caps the worker pool.\n\ncommands:")
+        rows = [(cmd, text) for cmd, (text, _, _) in _COMMANDS.items()]
+    else:
+        print(f"usage: hoamp {name} [options]\n\n{_COMMANDS[name][0]}\n\noptions:")
+        rows = [(flag if kind is bool else f"{flag} {'|'.join(choices or [kind.__name__])}",
+                 text + (" (required)" if required else "" if default in (None, False)
+                         else f" (default: {default})"))
+                for flag, kind, default, required, choices, text in _COMMANDS[name][2]]
+    print(*(f"  {left:<24}{right}" for left, right in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _parse(argv):
+    """(handler, options) of one command line: exact long flags, `--flag value`
+    or `--flag=value`, the last of a repeated flag winning."""
+    name = argv[0] if argv else ""
+    if name in ("-h", "--help"):
+        _print_help()
+    if name == "--version":
+        print(f"hoamp {__version__}")
+        raise SystemExit(0)
+    if name not in _COMMANDS:
+        raise _UsageError(f"argument command: invalid choice: {name!r} "
+                          f"(choose from {', '.join(_COMMANDS)})")
+    _, handler, options = _COMMANDS[name]
+    rows = {row[0]: row for row in options}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _print_help(name)
+        flag, eq, value = token.partition("=")
+        if flag not in rows or eq and rows[flag][1] is bool:
+            raise _UsageError(f"unrecognized arguments: {token}")
+        _, kind, _, _, choices, _ = rows[flag]
+        if kind is not bool and not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"argument {flag}: expected one argument")
+        try:
+            values[flag] = True if kind is bool else kind(value)
+        except ValueError:
+            raise _UsageError(f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+        if choices and values[flag] not in choices:
+            raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(choices)})")
+    for flag, _, _, required, _, _ in options:
+        if required and flag not in values:
+            raise _UsageError(f"the following arguments are required: {flag}")
+    return handler, SimpleNamespace(**{flag[2:].replace("-", "_"): values.get(flag, default)
+                                       for flag, _, default, _, _, _ in options})
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-        return args.fn(args)
+        handler, args = _parse(argv)
+        return handler(args)
     except (_UsageError, ParseError, DomainError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

@@ -38,14 +38,6 @@ class DomainTooLarge(HoampError):
     """Brute-force enumeration was requested over too many tuples."""
 
 
-class DimensionTooLarge(HoampError):
-    """Dense Fock-space oracle asked for a joint dimension above its cap."""
-
-
-class CutoffTooSmall(HoampError):
-    """Fock cutoff too low to hold a coherent state to the required mass."""
-
-
 class ParseError(HoampError):
     """Constraint expression could not be parsed.
 

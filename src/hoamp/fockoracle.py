@@ -28,9 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MarkerAmplitude, OscillatorParams
-from .errors import ConditionedMassVanished, CutoffTooSmall, DimensionTooLarge
+from .errors import ConditionedMassVanished, HoampError
 
 _MAX_JOINT_DIM = 1_000_000
+
+
+class DimensionTooLarge(HoampError):
+    """Dense Fock-space oracle asked for a joint dimension above its cap."""
+
+
+class CutoffTooSmall(HoampError):
+    """Fock cutoff too low to hold a coherent state to the required mass."""
 
 
 def required_cutoff(alpha_mag: float) -> int:

@@ -53,6 +53,16 @@ class BlackBox:
     def __post_init__(self):
         if self.domain_size < 1:
             raise EmptyRange("search domain is empty")
+        # the search takes `marked` as the solutions without running h, so a
+        # set the predicate disagrees with is refused before any step
+        m = self.marked
+        if m is not None:
+            if len(m) and (m[0] < 0 or m[-1] >= self.domain_size or np.any(np.diff(m) <= 0)):
+                raise ValueError("marked items must be ascending, unique and inside "
+                                 f"[0, {self.domain_size})")
+            bad = [n for n in m.tolist() if not self.predicate(n)]
+            if bad:
+                raise ValueError(f"marked items that fail the predicate: {bad[:5]}")
 
     @classmethod
     def from_solution_indices(cls, domain_size: int, indices) -> "BlackBox":
@@ -173,9 +183,6 @@ def run_search(config: SearchConfig, box: BlackBox) -> SearchReport:
     if not solutions:
         raise NoSolutionFound(
             f"no marked item among {box.domain_size} after {len(records)} iterations")
-    for n, _ in solutions:
-        if not box.predicate(n):
-            raise ValueError(f"black box parity/predicate mismatch at n={n}")
     return SearchReport(
         config={
             "alpha_schedule": list(config.alpha_schedule), "L_max": config.L_max,

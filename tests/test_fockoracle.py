@@ -10,9 +10,9 @@ from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap,
                             phase_delta)
 from hoamp.ensemble import (TargetState, conditional_update, fidelity,
                             init_uniform_factoring)
-from hoamp.errors import CutoffTooSmall, DimensionTooLarge
-from hoamp.fockoracle import (brute_force_step, coherent_vector, dense_condition,
-                              dense_marker_overlaps, required_cutoff)
+from hoamp.fockoracle import (CutoffTooSmall, DimensionTooLarge, brute_force_step,
+                              coherent_vector, dense_condition, dense_marker_overlaps,
+                              required_cutoff)
 
 from conftest import per_member
 

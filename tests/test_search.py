@@ -1,6 +1,7 @@
 """Unstructured search: parity encoding, per-round suppression, recovery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,20 @@ def test_black_box_from_indices():
         BlackBox.from_solution_indices(8, [9])
     with pytest.raises(EmptyRange):
         BlackBox(domain_size=0, predicate=lambda n: True)
+
+
+@pytest.mark.parametrize("marked,message", [
+    ([5], "fail the predicate: [5]"),
+    ([3, 3], "ascending, unique"), ([3, 1], "ascending, unique"),
+    ([-1, 3], "inside [0, 8)"), ([3, 8], "inside [0, 8)"),
+])
+def test_black_box_marked_set_checked_when_built(marked, message):
+    # a marked set the predicate disagrees with is refused by the constructor,
+    # before any step runs
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BlackBox(domain_size=8, predicate=lambda n: n == 3,
+                 marked=np.array(marked, dtype=np.int64))
+    BlackBox(domain_size=8, predicate=lambda n: n == 3, marked=np.array([3]))
 
 
 def test_h_batch_matches_h():
