@@ -6,8 +6,8 @@ lie anywhere in [t - 5e-4, t + 5e-4).  For each seed this re-runs the
 N = 1,030,189 trajectory with every time drawn uniformly from its interval
 (the draw of tests/test_acceptance.py), prints Pr(E_l) and F_l per row and the
 rows the acceptance test would reject, then the per-row mean and standard
-deviation of Pr and ln F over all seeds.  Each run takes ~25 s and ~2.9 GB
-on 2 vCPUs.
+deviation of Pr and ln F over all seeds.  Each run streams the replay in
+~13-15 s and ~52 MiB on 2 vCPUs.
 
     PYTHONPATH=src python scripts/table1_spread.py --seeds 1-63
     PYTHONPATH=src python scripts/table1_spread.py --seeds 0,64-83

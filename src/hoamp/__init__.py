@@ -14,7 +14,7 @@ everything else geometrically per step.  Built on top of that:
 from .constraints import ConstraintExpr, ConstraintSystem, evaluate_constraints, feasible_set
 from .dynamics import (MarkerAmplitude, OscillatorParams, PhaseDelta, epsilon_overlap,
                        phase_delta, phase_delta_batch)
-from .ensemble import (MeasurementOutcome, TargetState, TrialEnsemble, conditional_update,
+from .ensemble import (MeasurementOutcome, TrialEnsemble, conditional_update,
                        factoring_ranges, fidelity, init_uniform_factoring, sample)
 from .errors import (ConditionedMassVanished, DomainError, DomainTooLarge, EmptyRange,
                      HoampError, InfeasibleSystem, NoFactorInRange, NoSolutionFound,
@@ -34,7 +34,7 @@ __all__ = [
     "HoampError", "InfeasibleSystem", "IterationRecord", "MarkerAmplitude", "MeasurementOutcome",
     "NoFactorInRange", "NoSolutionFound", "OscillatorParams",
     "ParseError", "PhaseDelta", "RunReport", "SearchConfig", "SearchReport",
-    "SolverReport", "SplitMix64", "TargetState", "TrialEnsemble", "conditional_update",
+    "SolverReport", "SplitMix64", "TrialEnsemble", "conditional_update",
     "epsilon_overlap", "estimate_iterations", "evaluate_constraints", "factoring_ranges",
     "feasible_set", "fidelity", "init_uniform_factoring", "phase_delta",
     "phase_delta_batch", "replay_table1", "required_iterations", "run_factoring",

@@ -133,6 +133,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.solutions is not None and args.solutions_file is not None:
+        raise _UsageError("argument --solutions-file: not allowed with argument --solutions")
     if args.solutions is not None:
         indices = _parse_ints(args.solutions, "--solutions")
     elif args.solutions_file is not None:

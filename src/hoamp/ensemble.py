@@ -11,23 +11,19 @@ whole state.  Keys ascend (rows in lexicographic order for several markers),
 which fixes summation and sampling order across platforms.
 
 Which tuples a bin holds is the business of the state's member enumerator,
-one per application:
-
-* members(keys, i): the tuples of bin i, ascending, as a (count, arity) array,
-  which sampling and the solution lists use;
-* bin_of(keys, member): the bin holding one tuple, or None if none does,
-  which fidelity uses (factoring only).
-
+one per application: members(keys, i) gives the tuples of bin i, ascending,
+as a (count, arity) array, which sampling and the solution lists use.
 Factoring's is Rectangle below; its bins are built by a segmented sieve over
 the product range: it counts one window of _SIEVE_WINDOW product slots at a
 time and gathers the window's products KERNEL_BLOCK slots at a time.
 
-Masses suffice because every reported quantity (Pr(E), C, fidelity against
-the target members, solution mass, samples) depends only on |eps|^2: target
-and accepted tuples are multiplied by exactly eps = 1 and start real and
-equal, so their amplitudes never pick up a relative phase.
+Masses suffice because every reported quantity (Pr(E), C, fidelity to the
+factor states, solution mass, samples) depends only on |eps|^2: target and
+accepted tuples are multiplied by exactly eps = 1 and start real and equal,
+so their amplitudes never pick up a relative phase.
 tests/test_fockoracle.py checks this against dense complex amplitudes, per
-member tuple.
+member tuple.  So the fidelity to the factor states is the on-target bin's
+share of the total (fidelity below).
 
 Masses are never renormalized.  The state carries its current total, and
 fidelity, member masses and sampling divide by it.  Conditioning multiplies
@@ -38,9 +34,11 @@ per KERNEL_BLOCK block of bins, which sums the block right after scaling it,
 while it is still in cache; the total C_l is the math.fsum of those block
 sums in index order, and Pr(E_l) = C_l / C_{l-1}.  So results are
 bit-identical no matter how many worker threads run the blocks.
-A state whose total falls below 2^-500 (a search whose box marks no item,
-so that no bin keeps multiplier 1) has its masses scaled up by an exact power
-of two, kept in `shift`, so nothing goes subnormal.
+The solution bins keep multiplier 1, so C_l never falls below their initial
+share F_0 of the mass, and every application refuses a run with no solution
+bin before step 1 (NoFactorInRange, NoSolutionFound, InfeasibleSystem).
+F_0 is at least one tuple in 2^63, so the total stays far from subnormal and
+Pr(E_l) >= F_0 far above step_fraction's 1e-300 floor, with no rescaling.
 
 Search and the solver share one step and one loop: condition_step conditions
 and returns a StepRecord with the solution bins' share of the mass, and
@@ -93,12 +91,10 @@ from .dynamics import (
     target_phasors,
     value_digits,
 )
-from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange, NoFactorInRange
+from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange
 from .rng import SplitMix64
 
 _VANISH = 1e-300
-# a state total below this is scaled back up by a power of two
-_RESCALE_BELOW = 2.0**-500
 # product slots the bin sieve counts at a time; each of its two window slots
 # holds a uint16 count and a bool mask per product (3 MiB at 2^20)
 _SIEVE_WINDOW = 1 << 20
@@ -180,10 +176,8 @@ class TrialEnsemble:
     keys: np.ndarray       # conditioning argument per bin, ascending; (bins, B) for B markers
     counts: np.ndarray     # tuples per bin
     mass: np.ndarray       # unnormalized probability mass per bin
-    domain: object         # member enumerator: members(keys, i) [, bin_of(keys, member)]
-                           # [, member_rows(keys, bins)]
+    domain: object         # member enumerator: members(keys, i) [, member_rows(keys, bins)]
     total: float = 1.0     # the mass the probabilities are relative to
-    shift: int = 0         # mass and total are scaled by 2**shift
 
     # benchmarks/tracing.py reads these; they go once it reads an in-program
     # trace sink instead (ROADMAP: "One factoring engine", "Benchmark v2")
@@ -218,42 +212,14 @@ class TrialEnsemble:
     def copy(self) -> "TrialEnsemble":
         # keys and counts are never written after construction: shared
         return TrialEnsemble(keys=self.keys, counts=self.counts, mass=self.mass.copy(),
-                             domain=self.domain, total=self.total, shift=self.shift)
-
-
-@dataclass(frozen=True)
-class TargetState:
-    """The factor/solution states rho_f: members with normalized weights."""
-
-    members: tuple                 # tuple of occupation tuples
-    weights: tuple                 # same length, sums to 1
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("target must have at least one member")
-        s = math.fsum(self.weights)
-        if abs(s - 1.0) > 1e-12:
-            raise ValueError("target weights must sum to 1")
-
-    @classmethod
-    def factor_target(cls, N: int) -> "TargetState":
-        n_lo, n_hi, m_lo, m_hi = factoring_ranges(N)
-        members = [
-            (r, N // r)
-            for r in range(n_lo, n_hi + 1)
-            if N % r == 0 and m_lo <= N // r <= m_hi
-        ]
-        if not members:
-            raise NoFactorInRange(f"no factor pair of {N} inside the trial ranges")
-        w = 1.0 / len(members)
-        return cls(members=tuple(members), weights=tuple([w] * len(members)))
+                             domain=self.domain, total=self.total)
 
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
     probability: float             # Pr(E_l) = C_l / C_{l-1}
     post_state: TrialEnsemble
-    normalization: float           # cumulative C_l: the post-state's total, unscaled
+    normalization: float           # cumulative C_l: the post-state's total
 
 
 @dataclass(frozen=True)
@@ -279,16 +245,6 @@ class Rectangle:
         lo, hi = max(self.n_lo, -(-v // self.m_hi)), min(self.n_hi, v // self.m_lo)
         pairs = [(n, v // n) for n in range(lo, hi + 1) if v % n == 0]
         return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-
-    def bin_of(self, keys: np.ndarray, member):
-        if len(member) != 2:
-            return None
-        n, m = (int(x) for x in member)
-        if not (self.n_lo <= n <= self.n_hi and self.m_lo <= m <= self.m_hi):
-            return None
-        # every pair's product is a key; a Python-int needle would cast the
-        # whole key array
-        return int(np.searchsorted(keys, keys.dtype.type(n * m)))
 
 
 def trial_rectangle(N: int) -> Rectangle:
@@ -405,8 +361,7 @@ def _condition(state: TrialEnsemble, block_multipliers) -> MeasurementOutcome:
     block.  Each block is summed right after it is scaled, while it is still
     in cache, and the block sums are combined with math.fsum in index order.
     """
-    prev, shift = state.total, state.shift
-    arr = state.mass
+    prev, arr = state.total, state.mass
 
     def job(lo, scratch):
         seg = arr[lo : lo + KERNEL_BLOCK]
@@ -417,12 +372,7 @@ def _condition(state: TrialEnsemble, block_multipliers) -> MeasurementOutcome:
                               -(-len(arr) // KERNEL_BLOCK)))
     pr = step_fraction(c, prev)
     state.total = c
-    if c < _RESCALE_BELOW:
-        k = -math.frexp(c)[1]       # c * 2**k in [0.5, 1): exact, and no subnormals
-        np.ldexp(arr, k, out=arr)
-        state.total, state.shift = math.ldexp(c, k), shift + k
-    return MeasurementOutcome(probability=pr, post_state=state,
-                              normalization=math.ldexp(c, -shift))
+    return MeasurementOutcome(probability=pr, post_state=state, normalization=c)
 
 
 def apply_entry_multipliers(state: TrialEnsemble, multipliers) -> MeasurementOutcome:
@@ -529,10 +479,10 @@ class ProductStream:
     uniform masses through every step: its keys' digits and on-target index
     are found once, then each step gathers phasors, forms |eps|^2 and scales
     the masses.  Per block only the mass sum after each step is kept, and of
-    the on-target bin its count and mass, which its multiplier of exactly 1
-    never changes.  So total(l), the hit_state(l) that fidelity reads and
-    sample(l, rng) equal those of a stored state after l conditional_update
-    calls, bit for bit; a draw re-sieves and recomputes only the block it
+    the on-target bin its count and mass, `hit`, which its multiplier of
+    exactly 1 never changes.  So total(l), the fidelity of `hit` after step
+    l and sample(l, rng) equal those of a stored state after l
+    conditional_update calls, bit for bit; a draw re-sieves and recomputes only the block it
     falls in.
 
     `progress`, if given, is called from the calling thread with the share
@@ -552,7 +502,7 @@ class ProductStream:
         self._inv = 1.0 / rect.n_pairs
         self._scratch = KernelScratch()     # the draws'
         self.starts = []        # first key of each block
-        self._hit = None        # (count, mass) of the on-target bin
+        self.hit = None         # (count, mass) of the on-target bin
         self.sums = self._run(progress)     # per block, the mass sum after steps 0..L
 
     def _trajectory(self, keys, counts, hit, scratch):
@@ -589,7 +539,7 @@ class ProductStream:
             for mass in self._trajectory(keys, counts, hit, scratch):
                 sums.append(np.sum(mass))
             if hit is not None:
-                self._hit = (int(counts[hit]), float(mass[hit]))
+                self.hit = (int(counts[hit]), float(mass[hit]))
             return sums
 
         return _map_blocks(blocks, job, -(-r.n_pairs // KERNEL_BLOCK))
@@ -598,14 +548,6 @@ class ProductStream:
         """C_l, the total mass after step l: 1 before the first step, as a
         uniform TrialEnsemble's total."""
         return math.fsum(float(s[l]) for s in self.sums) if l else 1.0
-
-    def hit_state(self, l: int) -> TrialEnsemble:
-        """The on-target bin alone, with the total after step l: fidelity
-        reads the same share from it as from the whole stored state."""
-        count, mass = self._hit
-        return TrialEnsemble(keys=np.array([self.target_term], dtype=np.int64),
-                             counts=np.array([count]), mass=np.array([mass]),
-                             domain=self.rect, total=self.total(l))
 
     def sample(self, l: int, rng: SplitMix64) -> tuple:
         """One pair drawn from the state after step l, as sample() draws it."""
@@ -621,15 +563,13 @@ class ProductStream:
         return _pick(self.rect.members(keys, i), rng)
 
 
-def fidelity(state: TrialEnsemble, target: TargetState) -> float:
-    """Uhlmann fidelity (sum_f sqrt(w_f p_f))^2 against the target members,
-    with p_f the state's probability on member f, an equal share of its
-    bin's (members the state does not hold add 0)."""
+def fidelity(count: int, mass: float, total: float) -> float:
+    """Uhlmann fidelity (sum_f sqrt(p_f / k))^2 to the k = count factor
+    states, the members of the on-target bin, each with probability
+    p_f = mass / total / k (their amplitudes are real and equal)."""
     acc = 0.0
-    for member, w in zip(target.members, target.weights):
-        i = state.domain.bin_of(state.keys, member)
-        if i is not None:
-            acc += math.sqrt(w * state.share(i))
+    for _ in range(count):
+        acc += math.sqrt((1.0 / count) * (mass / total / count))
     return min(acc * acc, 1.0)
 
 

@@ -23,7 +23,7 @@ class NoFactorInRange(HoampError):
 
 
 class NoSolutionFound(HoampError):
-    """Search ended without any surviving solution candidate."""
+    """The search's black box marks no item, so nothing can be amplified."""
 
 
 class InfeasibleSystem(HoampError):

@@ -33,14 +33,14 @@ from .dynamics import (MarkerAmplitude, OscillatorParams, alpha_at, check_run_li
                        normalize_alpha_schedule)
 from .ensemble import (
     ProductStream,
-    TargetState,
     TrialEnsemble,
+    _index_of,
     conditional_update,
     fidelity,
     step_fraction,
     trial_rectangle,
 )
-from .errors import DomainError
+from .errors import DomainError, NoFactorInRange
 from .rng import SplitMix64
 
 # child-stream indices off the master seed, shared by every command; fixed
@@ -175,12 +175,21 @@ def _record(config: FactoringConfig, l: int, t_l: float, alpha_mag: float, pr: f
     )
 
 
+def _no_factor(N: int) -> NoFactorInRange:
+    return NoFactorInRange(f"no factor pair of {N} inside the trial ranges")
+
+
 def run_iteration(state: TrialEnsemble, config: FactoringConfig, l: int, t_l: float):
-    """One conditioning I_l of a stored state, in place; returns (state, record)."""
+    """One conditioning I_l of a stored state, in place; returns (state, record).
+    NoFactorInRange, before conditioning, if no pair of the state multiplies
+    to N."""
+    hit = _index_of(state.keys, config.N)
+    if hit is None:
+        raise _no_factor(config.N)
     alpha = MarkerAmplitude(config.alpha_for(l))
     out = conditional_update(state, config.params, alpha, config.N, t_l, in_place=True)
     rec = _record(config, l, t_l, alpha.magnitude, out.probability, out.normalization,
-                  fidelity(out.post_state, TargetState.factor_target(config.N)))
+                  fidelity(int(state.counts[hit]), float(state.mass[hit]), state.total))
     return out.post_state, rec
 
 
@@ -195,7 +204,8 @@ def run_factoring(config: FactoringConfig, progress: bool = False) -> RunReport:
     lines follow once it is done.
     """
     rect = trial_rectangle(config.N)                # DomainTooLarge before any scan
-    target = TargetState.factor_target(config.N)   # NoFactorInRange if none
+    if not len(rect.members([config.N], 0)):
+        raise _no_factor(config.N)
     master = SplitMix64(config.seed)
     g = abs(config.params.couplings[0])
     times = list(islice(sample_times(config.times, master.derive(STREAM_TIMES), g),
@@ -207,12 +217,13 @@ def run_factoring(config: FactoringConfig, progress: bool = False) -> RunReport:
     stream = ProductStream(rect, config.params, config.N, list(zip(times, alphas)),
                            progress=show if progress else None)
 
-    f0 = fidelity(stream.hit_state(0), target)
+    count, mass = stream.hit
+    f0 = fidelity(count, mass, stream.total(0))
     records = []
     for l, (t_l, alpha_mag) in enumerate(zip(times, alphas), start=1):
         c = stream.total(l)
         rec = _record(config, l, t_l, alpha_mag, step_fraction(c, stream.total(l - 1)), c,
-                      fidelity(stream.hit_state(l), target))
+                      fidelity(count, mass, c))
         records.append(rec)
         if progress:
             print(f"  l={rec.l:2d} t={rec.t_l:8.4f} pr={rec.pr_E:10.4e} "

@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import alpha_at, check_run_limits, normalize_alpha_schedule
 from .ensemble import TrialEnsemble, amplify, condition_step, member_masses
-from .errors import ConditionedMassVanished, DomainError, EmptyRange, NoSolutionFound
+from .errors import DomainError, DomainTooLarge, EmptyRange, NoSolutionFound
 
 # items the black box sees per call of h_batch, which bounds the marking
 # pass's temporaries (~30 MiB)
@@ -53,6 +53,10 @@ class BlackBox:
     def __post_init__(self):
         if self.domain_size < 1:
             raise EmptyRange("search domain is empty")
+        # items and bin counts are int64
+        if self.domain_size >= 2**63:
+            raise DomainTooLarge(f"search domain of {self.domain_size} items; "
+                                 "items are int64, so at most 2^63 - 1")
         # the search takes `marked` as the solutions without running h, so a
         # set the predicate disagrees with is refused before any step
         m = self.marked
@@ -169,20 +173,16 @@ def search_iteration(state: TrialEnsemble, config: SearchConfig, l: int):
 
 
 def run_search(config: SearchConfig, box: BlackBox) -> SearchReport:
-    """Amplify until the solution mass reaches stop_mass, then read register 1."""
+    """Amplify until the solution mass reaches stop_mass, then read register 1.
+    Raises NoSolutionFound before the first step if the box marks no item."""
     state = apply_black_box(initial_search_state(box), box)
-    try:
-        # looked up per step, so a wrapper set on the module sees every call
-        state, records = amplify(state, lambda s, l, _: search_iteration(s, config, l),
-                                 repeat(T_S, config.L_max), config.stop_mass)
-    except ConditionedMassVanished as exc:
-        raise NoSolutionFound(f"conditioning extinguished the register: {exc}") from exc
-
-    solutions = [(n, w) for (n,), w in
-                 member_masses(state, np.flatnonzero(state.keys % 2 == 0))]
-    if not solutions:
-        raise NoSolutionFound(
-            f"no marked item among {box.domain_size} after {len(records)} iterations")
+    solved = state.keys % 2 == 0
+    if not state.counts[solved].any():
+        raise NoSolutionFound(f"the black box marks no item among {box.domain_size}")
+    # looked up per step, so a wrapper set on the module sees every call
+    state, records = amplify(state, lambda s, l, _: search_iteration(s, config, l),
+                             repeat(T_S, config.L_max), config.stop_mass)
+    solutions = [(n, w) for (n,), w in member_masses(state, np.flatnonzero(solved))]
     return SearchReport(
         config={
             "alpha_schedule": list(config.alpha_schedule), "L_max": config.L_max,

@@ -4,7 +4,7 @@ acceptance criterion at the end of the run."""
 import numpy as np
 import pytest
 
-from hoamp.ensemble import factoring_ranges, member_masses
+from hoamp.ensemble import factoring_ranges, fidelity, member_masses
 
 _ACCEPTANCE_LINES = []
 
@@ -27,6 +27,12 @@ def factoring_rectangle(N):
     n_lo, n_hi, m_lo, m_hi = factoring_ranges(N)
     n, m = np.meshgrid(np.arange(n_lo, n_hi + 1), np.arange(m_lo, m_hi + 1), indexing="ij")
     return np.stack([n.ravel(), m.ravel()], axis=1)
+
+
+def factor_fidelity(state, N):
+    """The engine's fidelity of a stored factoring state: that of bin N."""
+    i = int(np.searchsorted(state.keys, N))
+    return fidelity(int(state.counts[i]), float(state.mass[i]), state.total)
 
 
 def per_member(state):

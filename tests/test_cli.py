@@ -78,6 +78,8 @@ def test_flag_value_spellings(capsys):
     (["factor", "--l-max", "3"], "the following arguments are required: --n"),
     (["stats", "--n", "35"], "the following arguments are required: --samples"),
     (["solve"], "the following arguments are required: --system"),
+    (["search", "--n", "16", "--solutions", "3", "--solutions-file", "f.json"],
+     "argument --solutions-file: not allowed with argument --solutions"),
 ])
 def test_parse_errors_are_usage_errors(argv, message, capsys):
     # refused before any work, naming the flag or token at fault
@@ -93,6 +95,13 @@ def test_factor_huge_n_runtime_error(capsys):
 def test_factor_past_bin_cap_runtime_error(capsys):
     # 1.73e9 trial pairs, more than the product-bin cap: refused before any work
     assert run(["factor", "--n", "3000000"]) == 2
+    assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [str(2**63), str(2**64)])
+def test_search_domain_past_int64_runtime_error(n, capsys):
+    # items are int64: refused as too large, not an OverflowError traceback
+    assert run(["search", "--n", n, "--solutions", "5"]) == 2
     assert "runtime error" in capsys.readouterr().err
 
 

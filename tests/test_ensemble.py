@@ -13,16 +13,16 @@ from hoamp import ensemble
 from hoamp.dynamics import (KERNEL_BLOCK, KernelScratch, MarkerAmplitude, OscillatorParams,
                             epsilon_overlap, gather_phasors, phase_delta, phase_table,
                             target_phasors, value_digits)
-from hoamp.ensemble import (TargetState, TrialEnsemble, apply_entry_multipliers,
-                            ceil_sqrt, conditional_update, factoring_ranges, fidelity,
-                            init_uniform_factoring, member_masses, sample)
+from hoamp.ensemble import (TrialEnsemble, apply_entry_multipliers, ceil_sqrt,
+                            conditional_update, factoring_ranges, fidelity,
+                            init_uniform_factoring, member_masses, sample, trial_rectangle)
 from hoamp.errors import (ConditionedMassVanished, DomainTooLarge, EmptyRange,
                           NoFactorInRange)
 from hoamp.factoring import FactoringConfig, run_factoring
 from hoamp.reporting import to_json_text
 from hoamp.rng import SplitMix64
 
-from conftest import factoring_rectangle
+from conftest import factor_fidelity, factoring_rectangle
 
 PARAMS = OscillatorParams()
 
@@ -77,7 +77,7 @@ def test_init_n9_empty_m_range():
 
 def test_binned_layout_matches_explicit():
     # the bins' members are the explicit pairs, each once, in the bin of its
-    # product and found there again by bin_of
+    # product
     b = init_uniform_factoring(35)
     pairs = factoring_rectangle(35)
     assert [p for p, _ in member_masses(b)] == [tuple(p) for p in pairs.tolist()]
@@ -85,7 +85,6 @@ def test_binned_layout_matches_explicit():
         members = b.members(i)
         assert len(members) == b.counts[i]
         assert (members[:, 0] * members[:, 1] == v).all()
-        assert all(b.domain.bin_of(b.keys, m) == i for m in members.tolist())
     # bin for the factor product holds exactly the factor pair
     i = int(np.searchsorted(b.keys, 35))
     assert b.keys[i] == 35 and b.members(i).tolist() == [[5, 7]]
@@ -296,13 +295,18 @@ def test_on_target_bin_keeps_multiplier_exactly_one(monkeypatch):
     assert raw_misses        # the pin is what makes it exact
 
 
-def test_factor_target():
-    t = TargetState.factor_target(35)
-    assert t.members == ((5, 7),)
-    t2 = TargetState.factor_target(1_030_189)
-    assert t2.members == ((1009, 1021),)
+def test_factor_target(monkeypatch):
+    # the factor states are the members of bin N; a run with none in range
+    # is refused before the sieve starts
+    for N, pairs in ((35, [[5, 7]]), (1_030_189, [[1009, 1021]]),
+                     (1_001, [[7, 143], [11, 91], [13, 77]])):
+        assert trial_rectangle(N).members([N], 0).tolist() == pairs
+
+    def no_sieve(*args):
+        raise AssertionError("sieved")
+    monkeypatch.setattr(ensemble, "_sieve", no_sieve)
     with pytest.raises(NoFactorInRange):
-        TargetState.factor_target(37)
+        run_factoring(FactoringConfig(N=37))
 
 
 def test_conditional_update_oracle_values():
@@ -337,7 +341,7 @@ def test_conditional_update_copies_only_when_not_in_place():
     copied = conditional_update(st, PARAMS, MarkerAmplitude(2.0), 35, 1.0, in_place=False)
     assert copied.post_state is not st and st.mass.tobytes() == saved
     assert copied.post_state.mass.tobytes() != saved
-    assert (st.total, st.shift) == (1.0, 0)
+    assert st.total == 1.0
     scaled = conditional_update(st, PARAMS, MarkerAmplitude(2.0), 35, 1.0, in_place=True)
     assert scaled.post_state is st
     assert st.mass.tobytes() == copied.post_state.mass.tobytes()
@@ -391,65 +395,12 @@ def test_apply_entry_multipliers_vanished_mass():
         apply_entry_multipliers(st, np.zeros(21))
 
 
-def test_tiny_totals_are_rescaled_by_exact_powers_of_two():
-    # every bin but the one keyed 35 loses 2^-100 of its mass per step, that
-    # one 2^-99: the unnormalized total passes 2^-500 at step 6 and would go
-    # subnormal by step 11, so the masses are scaled back up by a power of
-    # two, while Pr, C and the member probabilities stay exact
-    st = init_uniform_factoring(35)
-    hit = int(np.searchsorted(st.keys, 35))
-    mult = np.full(len(st.keys), 2.0**-100)
-    mult[hit] = 2.0**-99
-    c_hit, c_rest = 1 / 28, 27 / 28
-    for l in range(1, 13):
-        out = apply_entry_multipliers(st, mult)
-        st = out.post_state
-        want = c_hit * 2.0**(-99 * l) + c_rest * 2.0**(-100 * l)
-        assert out.normalization == pytest.approx(want, rel=1e-14)
-        assert st.total >= 2.0**-500 and st.mass.min() >= np.finfo(np.float64).tiny
-        assert st.total_mass() == st.total
-        assert (st.shift > 0) == (l >= 6)
-        p_hit = c_hit * 2.0**l / (c_hit * 2.0**l + c_rest)
-        assert dict(member_masses(st))[(5, 7)] == pytest.approx(p_hit, rel=1e-14)
-
-
 def test_fidelity_initial_uniform():
     st = init_uniform_factoring(35)
-    t = TargetState.factor_target(35)
-    assert fidelity(st, t) == pytest.approx(1.0 / 28.0, rel=1e-14)
-
-
-def test_fidelity_multi_member_target_pure():
-    # two-member target: fidelity is |<phi|Psi>|^2, which for a uniform state
-    # over 28 pairs and a 2-member uniform target is (2/sqrt(2*28))^2 = 1/14
-    st = init_uniform_factoring(1961)              # 37*53, in-range pair
-    t = TargetState(members=((37, 53), (3, 654)), weights=(0.5, 0.5))
-    f = fidelity(st, t)
-    n = st.n_entries
-    assert f == pytest.approx((2 / math.sqrt(2 * n)) ** 2, rel=1e-12)
-
-
-def test_fidelity_finds_every_explicit_row():
-    # bins found by binary search in key order: each single-member target
-    # must pick out exactly its own pair's share of a bin's mass, here with
-    # random bin masses
-    st = init_uniform_factoring(1961)
-    mass = np.random.default_rng(3).random(len(st.keys))
-    st = TrialEnsemble(keys=st.keys, counts=st.counts, mass=mass / mass.sum(),
-                       domain=st.domain)
-    pairs = member_masses(st)
-    assert len(pairs) == st.n_entries
-    for pair, w in pairs[::7]:
-        t = TargetState(members=(pair,), weights=(1.0,))
-        assert fidelity(st, t) == pytest.approx(w, rel=1e-12)
-    absent = TargetState(members=((2, 1961), (46, 40), (3,)), weights=(0.5, 0.25, 0.25))
-    assert fidelity(st, absent) == 0.0
-
-
-def test_fidelity_member_outside_domain_counts_zero():
-    b = init_uniform_factoring(35)
-    t = TargetState(members=((1, 35),), weights=(1.0,))   # n=1 outside [3,6]
-    assert fidelity(b, t) == 0.0
+    assert factor_fidelity(st, 35) == pytest.approx(1.0 / 28.0, rel=1e-14)
+    # k factor states in phase with equal shares: F is their bin's share
+    assert fidelity(3, 0.25, 0.5) == pytest.approx(0.5, rel=1e-15)
+    assert fidelity(7, 2.0, 1.0) == 1.0
 
 
 def test_product_bins_n35():

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from hoamp.dynamics import KERNEL_BLOCK, MarkerAmplitude, OscillatorParams
@@ -14,8 +15,8 @@ from hoamp.factoring import (STREAM_SAMPLE, STREAM_TIMES, FactoringConfig,
                              run_iteration, sample_times, TABLE1_N, TABLE1_ROWS,
                              TABLE1_TIMES)
 from hoamp import ensemble
-from hoamp.ensemble import (ProductStream, TargetState, conditional_update, fidelity,
-                            init_uniform_factoring, sample, trial_rectangle)
+from hoamp.ensemble import (ProductStream, conditional_update, init_uniform_factoring,
+                            member_masses, sample, trial_rectangle)
 from hoamp.rng import SplitMix64
 
 
@@ -112,6 +113,15 @@ def test_run_factoring_prime_raises():
         run_factoring(FactoringConfig(N=37))
 
 
+def test_run_iteration_without_factor_bin_raises_before_conditioning():
+    # 37 is no product of the N = 35 rectangle: refused, the state untouched
+    st = init_uniform_factoring(35)
+    saved = st.mass.tobytes()
+    with pytest.raises(NoFactorInRange):
+        run_iteration(st, FactoringConfig(N=37), 1, 1.0)
+    assert st.mass.tobytes() == saved and st.total == 1.0
+
+
 def test_run_factoring_semiprime_large_alpha_schedule():
     report = run_factoring(FactoringConfig(N=667, alpha_schedule=(1.0, 2.0, 3.0),
                                            seed=4, L_max=30, stop_fidelity=0.999))
@@ -128,21 +138,32 @@ def test_table1_constants_are_consistent():
         assert f_next / f_prev == pytest.approx(1.0 / pr, rel=0.05)
 
 
+def _factor_fidelity(state, N):
+    """Uhlmann fidelity (sum_f sqrt(p_f / k))^2 to the k factor pairs of N,
+    with p_f each pair's probability in the state."""
+    bins = np.flatnonzero(state.keys == N)
+    shares = [p for (n, m), p in member_masses(state, bins) if n * m == N]
+    acc = 0.0
+    for p in shares:
+        acc += math.sqrt((1.0 / len(shares)) * p)
+    return min(acc * acc, 1.0)
+
+
 def _stored_run(config):
-    """The stored-state loop: conditional_update, fidelity and sample on a
-    whole TrialEnsemble.  (t, Pr, C, F, resonant) per step, the initial
-    fidelity and the sampled tuple."""
+    """The stored-state loop: conditional_update and sample on a whole
+    TrialEnsemble, the fidelity summed over the factor pairs' masses.
+    (t, Pr, C, F, resonant) per step, the initial fidelity and the sampled
+    tuple."""
     state = init_uniform_factoring(config.N)
-    target = TargetState.factor_target(config.N)
     master = SplitMix64(config.seed)
     times = sample_times(config.times, master.derive(STREAM_TIMES),
                          abs(config.params.couplings[0]))
-    f0 = fidelity(state, target)
+    f0 = _factor_fidelity(state, config.N)
     records = []
     for l, t in enumerate(islice(times, config.L_max), start=1):
         out = conditional_update(state, config.params, MarkerAmplitude(config.alpha_for(l)),
                                  config.N, t, in_place=True)
-        f = fidelity(out.post_state, target)
+        f = _factor_fidelity(out.post_state, config.N)
         records.append((t, out.probability, out.normalization, f,
                         out.probability > 0.999 and f < config.stop_fidelity))
         if f >= config.stop_fidelity:
@@ -242,7 +263,8 @@ def test_streamed_draws_equal_stored_draws_at_every_step():
         assert stream.total(l) == state.total
         draws = [stream.sample(l, SplitMix64(seed)) for seed in range(12)]
         assert draws == [sample(state, SplitMix64(seed)) for seed in range(12)]
-        assert len({rect.bin_of(state.keys, d) // KERNEL_BLOCK for d in draws}) > 3
+        bins = np.searchsorted(state.keys, [n * m for n, m in draws])
+        assert len(set((bins // KERNEL_BLOCK).tolist())) > 3
 
 
 def test_streamed_run_memory_is_a_fraction_of_the_stored_state(monkeypatch):

@@ -8,13 +8,12 @@ import pytest
 
 from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap,
                             phase_delta)
-from hoamp.ensemble import (TargetState, conditional_update, fidelity,
-                            init_uniform_factoring)
+from hoamp.ensemble import conditional_update, init_uniform_factoring
 from hoamp.fockoracle import (CutoffTooSmall, DimensionTooLarge, brute_force_step,
                               coherent_vector, dense_condition, dense_marker_overlaps,
                               required_cutoff)
 
-from conftest import per_member
+from conftest import factor_fidelity, per_member
 
 
 def test_required_cutoff_scales_with_alpha():
@@ -69,17 +68,16 @@ def test_observables_are_phase_free_against_dense_amplitudes():
     # of its bin agree, because the target amplitudes stay real and equal
     # while the others turn
     N, alpha, params = 105, MarkerAmplitude(2.0), OscillatorParams()
-    target = TargetState.factor_target(N)
-    assert target.members == ((3, 35), (5, 21), (7, 15))
+    factors = ((3, 35), (5, 21), (7, 15))
     st = init_uniform_factoring(N)
+    assert st.members(int(np.searchsorted(st.keys, N))).tolist() == [list(f) for f in factors]
     tuples, masses = per_member(st)
     assert len(tuples) == 225
-    rows = [int(np.flatnonzero((tuples == m).all(axis=1))[0]) for m in target.members]
+    rows = [int(np.flatnonzero((tuples == m).all(axis=1))[0]) for m in factors]
     amps = np.sqrt(masses).astype(np.complex128)
     for t in (0.8, 2.3, 4.1, 5.6):
         amps, pr_dense = dense_condition(tuples, amps, params, t, N, alpha)
-        f_dense = abs(sum(math.sqrt(w) * amps[i]
-                          for w, i in zip(target.weights, rows))) ** 2
+        f_dense = abs(sum(math.sqrt(1 / len(rows)) * amps[i] for i in rows)) ** 2
         on_target = amps[rows]
         assert np.max(np.abs(on_target.imag)) <= 1e-12 * abs(on_target[0])
         np.testing.assert_allclose(on_target.real, on_target.real[0], rtol=1e-12)
@@ -87,7 +85,7 @@ def test_observables_are_phase_free_against_dense_amplitudes():
         out = conditional_update(st, params, alpha, N, t)
         st = out.post_state
         assert out.probability == pytest.approx(pr_dense, abs=1e-10)
-        assert fidelity(st, target) == pytest.approx(f_dense, abs=1e-10)
+        assert factor_fidelity(st, N) == pytest.approx(f_dense, abs=1e-10)
         np.testing.assert_allclose(per_member(st)[1], np.abs(amps) ** 2, atol=1e-12)
 
 

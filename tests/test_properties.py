@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hoamp.dynamics import (MarkerAmplitude, OscillatorParams, epsilon_overlap,
                             phase_delta, phase_delta_batch)
-from hoamp.ensemble import (TargetState, apply_entry_multipliers,
-                            conditional_update, factoring_ranges, fidelity,
+from hoamp.ensemble import (apply_entry_multipliers, conditional_update, factoring_ranges,
                             init_uniform_factoring, member_masses, sample)
+from hoamp.constraints import ConstraintSystem
+from hoamp.factoring import FactoringConfig, run_factoring
 from hoamp.fockoracle import dense_marker_overlaps
 from hoamp.rng import SplitMix64
+from hoamp.search import BlackBox, SearchConfig, run_search
+from hoamp.solver import run_solver
+
+from conftest import factor_fidelity
 
 PI = math.pi
 
@@ -94,10 +99,9 @@ def test_conditioning_never_decreases_fidelity(n, t, a):
     # the factor branch keeps |eps| = 1, everything else shrinks, so the
     # renormalized fidelity cannot drop
     state = init_uniform_factoring(n)
-    target = TargetState.factor_target(n)
-    before = fidelity(state, target)
+    before = factor_fidelity(state, n)
     out = conditional_update(state, OscillatorParams(), MarkerAmplitude(a), n, t)
-    after = fidelity(out.post_state, target)
+    after = factor_fidelity(out.post_state, n)
     assert after >= before - 1e-13
 
 
@@ -106,7 +110,6 @@ def test_conditioning_never_decreases_fidelity(n, t, a):
 def test_pr_lambda_product_identity(n, seed):
     # lambda_l is the float inverse of Pr, so the product sits within an ulp
     # of 1; the running normalization is the product of step probabilities
-    from hoamp.factoring import FactoringConfig, run_factoring
     report = run_factoring(FactoringConfig(N=n, seed=seed, L_max=6,
                                            stop_fidelity=0.999))
     c = 1.0
@@ -114,6 +117,70 @@ def test_pr_lambda_product_identity(n, seed):
         assert abs(rec.lambda_l * rec.pr_E - 1.0) < 1e-12
         c *= rec.pr_E
         assert rec.C_l == pytest.approx(c, rel=1e-12)
+
+
+# The solution bins keep multiplier 1, so their mass stays at its initial
+# share F_0 and C_l * F_l = F_0 at every step: C_l never falls below F_0.
+
+def _assert_total_times_share_is_initial(records, share, f0):
+    for rec in records:
+        assert rec.C_l * share(rec) / f0 == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+@given(st.sampled_from([35, 143, 899, 1_001, 1_155, 6_557]),
+       st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from([(1.0,), (1.0, 0.5)]))
+@example(1_001, 5, (1.0,))
+@settings(max_examples=30, deadline=None)
+def test_factoring_total_times_fidelity_is_initial_fidelity(n, seed, couplings):
+    report = run_factoring(FactoringConfig(N=n, params=OscillatorParams(couplings=couplings),
+                                           seed=seed, L_max=10, stop_fidelity=1.0))
+    _assert_total_times_share_is_initial(report.records, lambda r: r.fidelity,
+                                          report.initial_fidelity)
+
+
+@given(st.integers(min_value=1, max_value=5000), st.data(),
+       st.floats(min_value=0.5, max_value=4.0))
+@settings(max_examples=40, deadline=None)
+def test_search_total_times_solution_mass_is_initial_share(d, data, a):
+    marked = data.draw(st.lists(st.integers(min_value=0, max_value=d - 1), min_size=1,
+                                max_size=8, unique=True))
+    report = run_search(SearchConfig(alpha_schedule=(a,), L_max=12, stop_mass=1.0),
+                        BlackBox.from_solution_indices(d, marked))
+    _assert_total_times_share_is_initial(report.records, lambda r: r.solution_mass,
+                                          len(marked) / d)
+
+
+@given(st.integers(min_value=1, max_value=14), st.integers(min_value=1, max_value=14),
+       st.data(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_solver_total_times_solution_mass_is_initial_share(bx, by, data, seed):
+    # (x0, y0) satisfies both constraints, so the system is feasible
+    x0 = data.draw(st.integers(min_value=0, max_value=bx))
+    y0 = data.draw(st.integers(min_value=0, max_value=by))
+    s = x0 + y0 + data.draw(st.integers(min_value=0, max_value=6))
+    p = max(0, x0 * y0 - data.draw(st.integers(min_value=0, max_value=20)))
+    system = ConstraintSystem.from_json({
+        "variables": [{"name": "x", "bound": bx}, {"name": "y", "bound": by}],
+        "constraints": [{"expr": "x + y", "relation": "<=", "bound": s},
+                        {"expr": "x*y", "relation": ">=", "bound": p}],
+    })
+    report = run_solver(system, seed=seed, L_max=8, stop_mass=1.0)
+    _assert_total_times_share_is_initial(report.records, lambda r: r.solution_mass,
+                                          report.solution_count / ((bx + 1) * (by + 1)))
+
+
+@pytest.mark.parametrize("N", [35, 143, 1_001])
+def test_solver_embedding_total_times_solution_mass_is_initial_share(N):
+    # factoring N as the equality system m1*m2 = N over [0, n_hi] x [0, m_hi]
+    _, n_hi, _, m_hi = factoring_ranges(N)
+    system = ConstraintSystem.from_json({
+        "variables": [{"name": "m1", "bound": n_hi}, {"name": "m2", "bound": m_hi}],
+        "constraints": [{"expr": "m1*m2", "relation": "=", "bound": N}],
+    })
+    report = run_solver(system, seed=N, L_max=10, stop_mass=1.0)
+    _assert_total_times_share_is_initial(report.records, lambda r: r.solution_mass,
+                                          report.solution_count / ((n_hi + 1) * (m_hi + 1)))
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))

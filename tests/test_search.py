@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hoamp.ensemble import member_masses
-from hoamp.errors import DomainError, EmptyRange, NoSolutionFound
+from hoamp import search
+from hoamp.errors import DomainError, DomainTooLarge, EmptyRange, NoSolutionFound
 from hoamp.search import (T_S, BlackBox, SearchConfig, apply_black_box,
                           initial_search_state, required_iterations, run_search,
                           search_iteration)
@@ -21,6 +22,13 @@ def test_black_box_from_indices():
         BlackBox.from_solution_indices(8, [9])
     with pytest.raises(EmptyRange):
         BlackBox(domain_size=0, predicate=lambda n: True)
+    # items are int64: a domain of 2^63 items or more is refused when built
+    for d in (2**63, 2**64):
+        with pytest.raises(DomainTooLarge):
+            BlackBox.from_solution_indices(d, [5])
+        with pytest.raises(DomainTooLarge):
+            BlackBox(domain_size=d, predicate=lambda n: True)
+    assert BlackBox.from_solution_indices(2**63 - 1, [5]).marked.tolist() == [5]
 
 
 @pytest.mark.parametrize("marked,message", [
@@ -174,10 +182,15 @@ def test_multiple_solutions_recovered_in_order():
     assert sum(ms) >= 0.999999
 
 
-def test_no_solutions_raises():
-    box = BlackBox(domain_size=16, predicate=lambda n: False)
-    with pytest.raises(NoSolutionFound):
-        run_search(SearchConfig(L_max=3), box)
+def test_no_solutions_raises(monkeypatch):
+    # a box that marks nothing is refused before the first step
+    def no_step(*args):
+        raise AssertionError("stepped")
+    monkeypatch.setattr(search, "search_iteration", no_step)
+    for box in (BlackBox(domain_size=16, predicate=lambda n: False),
+                BlackBox.from_solution_indices(16, [])):
+        with pytest.raises(NoSolutionFound, match="marks no item"):
+            run_search(SearchConfig(L_max=3), box)
 
 
 def test_run_search_stops_early():
