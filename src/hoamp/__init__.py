@@ -18,7 +18,7 @@ from .ensemble import (MeasurementOutcome, TrialEnsemble, conditional_update,
                        factoring_ranges, fidelity, init_uniform_factoring, sample)
 from .errors import (ConditionedMassVanished, DomainError, DomainTooLarge, EmptyRange,
                      HoampError, InfeasibleSystem, NoFactorInRange, NoSolutionFound,
-                     ParseError)
+                     ParseError, WorkerFailed)
 from .factoring import (FactoringConfig, IterationRecord, RunReport, estimate_iterations,
                         replay_table1, run_factoring, table1_comparison)
 from .rng import SplitMix64
@@ -34,7 +34,7 @@ __all__ = [
     "HoampError", "InfeasibleSystem", "IterationRecord", "MarkerAmplitude", "MeasurementOutcome",
     "NoFactorInRange", "NoSolutionFound", "OscillatorParams",
     "ParseError", "PhaseDelta", "RunReport", "SearchConfig", "SearchReport",
-    "SolverReport", "SplitMix64", "TrialEnsemble", "conditional_update",
+    "SolverReport", "SplitMix64", "TrialEnsemble", "WorkerFailed", "conditional_update",
     "epsilon_overlap", "estimate_iterations", "evaluate_constraints", "factoring_ranges",
     "feasible_set", "fidelity", "init_uniform_factoring", "phase_delta",
     "phase_delta_batch", "replay_table1", "required_iterations", "run_factoring",

@@ -3,7 +3,8 @@
 Subcommands: factor, search, solve, replay-table1, stats.  Exit codes:
 0 success, 1 replay tolerance failure, 2 runtime failure (vanished mass,
 resource caps, I/O), 3 usage error, 4 no factor / no solution / infeasible
-system.  Set HOAMP_THREADS to cap the worker pool used for large ensembles.
+system.  HOAMP_THREADS caps the worker processes of a streamed factoring
+pass (default and ceiling: the usable CPUs).
 
 One table, _COMMANDS, holds every subcommand's options; a single pass over
 argv parses them, and the same rows print `hoamp <command> --help`.
@@ -263,7 +264,8 @@ def _print_help(name=None):
     if name is None:
         print("usage: hoamp [--help] [--version] <command> [options]\n\n"
               "Amplitude amplification on coupled oscillators.  `hoamp <command> --help`\n"
-              "lists a command's options; HOAMP_THREADS caps the worker pool.\n\ncommands:")
+              "lists a command's options; HOAMP_THREADS caps the worker processes.\n\n"
+              "commands:")
         rows = [(cmd, text) for cmd, (text, _, _) in _COMMANDS.items()]
     else:
         print(f"usage: hoamp {name} [options]\n\n{_COMMANDS[name][0]}\n\noptions:")

@@ -15,7 +15,8 @@ one per application: members(keys, i) gives the tuples of bin i, ascending,
 as a (count, arity) array, which sampling and the solution lists use.
 Factoring's is Rectangle below; its bins are built by a segmented sieve over
 the product range: it counts one window of _SIEVE_WINDOW product slots at a
-time and gathers the window's products KERNEL_BLOCK slots at a time.
+time into one window slot and gathers the window's products KERNEL_BLOCK
+slots at a time.
 
 Masses suffice because every reported quantity (Pr(E), C, fidelity to the
 factor states, solution mass, samples) depends only on |eps|^2: target and
@@ -29,11 +30,10 @@ Masses are never renormalized.  The state carries its current total, and
 fidelity, member masses and sampling divide by it.  Conditioning multiplies
 each bin's mass by its multiplier in one loop (_condition) for every caller,
 in place (every application throws the pre-state away; the stored factoring
-step, conditional_update, is the one place that can copy it first), one job
-per KERNEL_BLOCK block of bins, which sums the block right after scaling it,
-while it is still in cache; the total C_l is the math.fsum of those block
-sums in index order, and Pr(E_l) = C_l / C_{l-1}.  So results are
-bit-identical no matter how many worker threads run the blocks.
+step, conditional_update, is the one place that can copy it first), one
+KERNEL_BLOCK block of bins at a time, summing the block right after scaling
+it, while it is still in cache; the total C_l is the math.fsum of those
+block sums in index order, and Pr(E_l) = C_l / C_{l-1}.
 The solution bins keep multiplier 1, so C_l never falls below their initial
 share F_0 of the mass, and every application refuses a run with no solution
 bin before step 1 (NoFactorInRange, NoSolutionFound, InfeasibleSystem).
@@ -55,24 +55,30 @@ storing the state: it sieves the products block by block and takes each
 block through every step with that kernel, cutting its digits once for all
 steps, and keeps only the block sums.  Its blocks are cut at the same bin
 indices as a stored state's, so its totals and draws equal those of
-conditional_update, fidelity and sample bit for bit, in memory set by the
-sieve window's count slots, the kernel block and the worker count, not by N.
+conditional_update, fidelity and sample bit for bit, in memory per process
+set by the sieve's window slot, the kernel block and one kernel scratch,
+not by N.
 
-Both loops run their blocks through one runner, _map_blocks: up to
-HOAMP_THREADS worker threads, each with one set of kernel buffers reused by
-every block it runs, and at most two blocks per worker waiting at once, so
-the sieve runs only as far ahead of the workers as that backlog.  The
-stream's sieve counts each window on those workers too, one window ahead of
-the calling thread, which gathers the window's products and cuts the blocks.
+The stream runs in up to HOAMP_THREADS worker processes (_worker_count):
+the calling process and children made by os.fork (_in_processes).  Its
+blocks are split into pieces of consecutive blocks, which the processes
+take off one shared queue, so a process on a faster CPU takes more; each
+piece sieves its own key range, and each process sends back its blocks'
+sums.  A piece starts at a global block boundary: one first round, on the
+same queue, counts the bins of each sieve window's KERNEL_BLOCK-slot
+sub-ranges, which places every piece's first block in its sub-range.
+Each process has its own interpreter, so the kernel's many small numpy
+calls do not queue for one interpreter lock, as they would on threads.
+A stored state's _condition runs its blocks in a plain loop.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -91,68 +97,138 @@ from .dynamics import (
     target_phasors,
     value_digits,
 )
-from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange
+from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange, WorkerFailed
 from .rng import SplitMix64
 
 _VANISH = 1e-300
-# product slots the bin sieve counts at a time; each of its two window slots
-# holds a uint16 count and a bool mask per product (3 MiB at 2^20)
+# product slots the bin sieve counts at a time; its window slot holds a
+# uint16 count and a bool mask per product (3 MiB at 2^20)
 _SIEVE_WINDOW = 1 << 20
+# at most this many entries in a work queue of _in_processes: 4 KiB of
+# records, which any pipe buffers whole before a worker reads them
+_QUEUE_MAX = 1024
 # rectangles with more trial pairs are refused to bound the run time: sieving
 # and conditioning take time linear in the pairs and bins.  A streamed run's
-# memory depends on the sieve window (two count slots), the kernel block (one
-# block of gathered products) and the worker count (a kernel scratch and two
-# blocks of backlog each), not on them; a stored state, which only tests and
-# the tracer build, takes 16 B per bin, twice that while
-# init_uniform_factoring joins its blocks
+# memory, in each of its processes, depends on the sieve window (one slot),
+# the kernel block (one block of gathered products) and one kernel scratch,
+# not on them; a stored state, which only tests and the tracer build, takes
+# 16 B per bin, twice that while init_uniform_factoring joins its blocks
 _MAX_BINS = 1 << 30
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("HOAMP_THREADS", "")
+    """The processes a streamed pass may use: HOAMP_THREADS if it is a
+    positive integer, else one per usable CPU, and never more than the
+    usable CPUs (this process's affinity set, or os.cpu_count() where the
+    platform has none)."""
     try:
-        cap = int(raw)
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    try:
+        cap = int(os.environ.get("HOAMP_THREADS", ""))
     except ValueError:
         cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, cap)
+    return min(cap, cpus) if cap > 0 else cpus
 
 
-def _map_blocks(blocks, job, most: int) -> list:
-    """[job(block, scratch) for block in blocks(submit)], on up to
-    HOAMP_THREADS worker threads, at most `most`.
+def _in_processes(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on up to `workers` processes.
 
-    blocks(submit) gives the blocks; submit(fn, *args) hands fn to the same
-    workers and returns a call that waits for fn(*args) and gives its result,
-    so the code that makes the blocks can run its own work ahead on the pool
-    (with one worker, that work runs when its result is asked for).
-    Each thread makes one KernelScratch and passes it to every job it runs.
-    At most two blocks per worker wait at once, so a generator of blocks is
-    drawn only as fast as the workers take them.  The results come back in
-    block order; with one worker the jobs run in a plain loop on the calling
-    thread.
+    The calling process and up to workers - 1 children made by os.fork each
+    take the next entry off one shared work queue until it is empty, so a
+    process that runs faster, or on a CPU less loaded by other tenants,
+    takes more of them.  The queue is a pipe filled, before the fork, with
+    one 4-byte record per entry: an entry is one item, or a run of
+    consecutive ones where there are more than _QUEUE_MAX items.  Entries
+    go out in item order.  With one worker, or where there is no os.fork,
+    the calling process runs every item in order.
+
+    A child sends back its (index, result) pairs through a pipe, pickled,
+    and ends in os._exit, so it runs none of the caller's exit handlers and
+    flushes none of its buffers.  The caller reads every child's results,
+    then reaps every child; on any exception of its own, an interrupt
+    included, it kills the children first.  A child that raised, or ended
+    without sending its results, raises WorkerFailed, with the child's
+    traceback as a note.
     """
-    workers = min(_worker_count(), most)
-    if workers <= 1:
-        scratch = KernelScratch()
-        return [job(block, scratch) for block in blocks(partial)]
-    local = threading.local()
+    workers = min(workers, len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    per = -(-len(items) // _QUEUE_MAX)
+    queue, w = os.pipe()
+    try:
+        os.write(w, b"".join(a.to_bytes(4, "little") for a in range(0, len(items), per)))
+    finally:
+        os.close(w)
 
-    def run(block):
-        scratch = getattr(local, "scratch", None)
-        if scratch is None:
-            scratch = local.scratch = KernelScratch()
-        return job(block, scratch)
+    def take() -> list:
+        done = []
+        while record := os.read(queue, 4):      # one whole record: written at once
+            a = int.from_bytes(record, "little")
+            done.extend((i, fn(items[i])) for i in range(a, min(a + per, len(items))))
+        return done
 
-    results, pending = [], deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for block in blocks(lambda fn, *args: pool.submit(fn, *args).result):
-            if len(pending) >= 2 * workers:
-                results.append(pending.popleft().result())
-            pending.append(pool.submit(run, block))
-        results.extend(fut.result() for fut in pending)
+    children, finished = [], False
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(take, r, w)      # never returns
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        done = take()
+        for pid, pipe in children:
+            done.extend(_child_result(pid, pipe))
+        finished = True
+    finally:
+        os.close(queue)
+        for pid, pipe in children:
+            pipe.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [None] * len(items)
+    for i, value in done:
+        results[i] = value
     return results
+
+
+def _child(job, r: int, w: int):
+    """A forked child's whole life: run job, send ("ok", result) or
+    ("raised", traceback text) through pipe end w, and end the process."""
+    code = 1
+    try:
+        os.close(r)
+        try:
+            outcome = ("ok", job())
+        except BaseException:
+            outcome = ("raised", traceback.format_exc())
+        with os.fdopen(w, "wb") as pipe:
+            pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _child_result(pid: int, pipe):
+    """The result child `pid` sent through `pipe`; WorkerFailed if it raised
+    or sent none."""
+    try:
+        status, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise WorkerFailed(f"worker process {pid} ended without sending its result") from None
+    if status == "ok":
+        return value
+    err = WorkerFailed(f"worker process {pid} raised {value.rstrip().splitlines()[-1]}")
+    err.add_note(f"traceback in worker process {pid}:\n{value.rstrip()}")
+    raise err
 
 
 def ceil_sqrt(n: int) -> int:
@@ -274,59 +350,80 @@ def _key_dtype(vmax: int):
     return np.int32 if vmax < 2**31 else np.int64
 
 
-def _sieve(n_lo: int, n_hi: int, m_lo: int, m_hi: int, start: int, submit=partial):
-    """The distinct products n*m over the rectangle from `start` on, ascending.
+def _window_width(rect: Rectangle) -> int:
+    """Product slots per sieve window: _SIEVE_WINDOW, or the whole product
+    range if that is narrower."""
+    return min(_SIEVE_WINDOW, rect.n_hi * rect.m_hi - rect.n_lo * rect.m_lo + 1)
 
-    A segmented sieve: one window of _SIEVE_WINDOW product slots at a time,
-    each n adding 1 at its multiples n*m that fall in the window.  Each
-    window is counted by a job handed to `submit` (see _map_blocks) while
-    the window before it is yielded, into one of two slots allocated here.
-    The calling thread gathers the products KERNEL_BLOCK slots at a time,
-    so no offsets or counts array outgrows a kernel block: it yields
-    (w0, offsets, counts) per sub-range, whose products are w0 + offsets,
-    with counts pairs each.  A count is at most n_hi - n_lo + 1, under 1,500
-    within _MAX_BINS, so uint16 holds it.
+
+def _sieve_window(rect: Rectangle, w0: int, slot: np.ndarray) -> np.ndarray:
+    """The window of product slots w0, w0 + 1, ... in `slot`, cut at the
+    rectangle's last product: each slot's number of pairs (a uint16 slot),
+    or whether any pair has that product (a bool slot, cheaper to fill).
+
+    Each n adds 1 at (or marks) its multiples n*m that fall in the window.
+    A count is at most n_hi - n_lo + 1, under 1,500 within _MAX_BINS, so
+    uint16 holds it.
     """
-    vmin, vmax = n_lo * m_lo, n_hi * m_hi
-    width = min(_SIEVE_WINDOW, vmax - vmin + 1)
-    slots = [(np.empty(width, dtype=np.uint16), np.empty(width, dtype=bool)) for _ in range(2)]
+    n_lo, n_hi, m_lo, m_hi = rect.n_lo, rect.n_hi, rect.m_lo, rect.m_hi
+    win = slot[: min(len(slot), n_hi * m_hi + 1 - w0)]
+    w1 = w0 + len(win)
+    win.fill(0)
+    mark = win.dtype == bool
+    # n with a multiple n*m, m_lo <= m <= m_hi, inside [w0, w1)
+    for n in range(max(n_lo, -(-w0 // m_hi)), min(n_hi, (w1 - 1) // m_lo) + 1):
+        first = max(n * m_lo, -(-w0 // n) * n)
+        multiples = slice(first - w0, min(n * m_hi, w1 - 1) - w0 + 1, n)
+        if mark:
+            win[multiples] = True
+        else:
+            win[multiples] += 1
+    return win
 
-    def count(w0, slot):
-        win, nz = (a[: min(width, vmax + 1 - w0)] for a in slot)
-        w1 = w0 + len(win)
-        win.fill(0)
-        # n with a multiple n*m, m_lo <= m <= m_hi, inside [w0, w1)
-        for n in range(max(n_lo, -(-w0 // m_hi)), min(n_hi, (w1 - 1) // m_lo) + 1):
-            first = max(n * m_lo, -(-w0 // n) * n)
-            win[first - w0 : min(n * m_hi, w1 - 1) - w0 + 1 : n] += 1
-        return win, np.not_equal(win, 0, out=nz)
 
-    starts = range(start, vmax + 1, width)
-    counted = submit(count, starts[0], slots[0])
-    for i, w0 in enumerate(starts):
-        win, nz = counted()
-        if i + 1 < len(starts):
-            counted = submit(count, starts[i + 1], slots[(i + 1) % 2])
+def _sieve(rect: Rectangle, start: int, stop=None):
+    """The distinct products n*m over the rectangle from `start` on, ascending,
+    and below `stop` if given (the windows then count no slot past it).
+
+    A segmented sieve: one window of product slots at a time is counted into
+    one window slot (_sieve_window), then gathered KERNEL_BLOCK slots at a
+    time, so no offsets or counts array outgrows a kernel block: it yields
+    (w0, offsets, counts) per sub-range, whose products are w0 + offsets,
+    with counts pairs each.
+    """
+    width, end = _window_width(rect), rect.n_hi * rect.m_hi + 1
+    if stop is not None:
+        end = min(end, stop)
+    slot = np.empty(width, dtype=np.uint16)
+    nz = np.empty(width, dtype=bool)
+    for w0 in range(start, end, width):
+        win = _sieve_window(rect, w0, slot[: end - w0])
+        found_in = np.not_equal(win, 0, out=nz[: len(win)])
         for a in range(0, len(win), KERNEL_BLOCK):
-            found = np.flatnonzero(nz[a : a + KERNEL_BLOCK])
+            found = np.flatnonzero(found_in[a : a + KERNEL_BLOCK])
             yield w0 + a, found, win[a : a + KERNEL_BLOCK].take(found)
 
 
-def _product_blocks(rect: Rectangle, start: int, submit=partial):
+def _product_blocks(rect: Rectangle, start: int, skip: int = 0, stop=None):
     """(keys, counts) of the rectangle's product bins from key `start` on,
-    KERNEL_BLOCK bins at a time (the last block may be shorter), cut on the
-    calling thread; `submit` runs the sieve's window counts (see _sieve).
+    all but the first `skip` of them, and below `stop` if given,
+    KERNEL_BLOCK bins at a time (the last block may be shorter).
 
-    From the first key, or the first key of one of its blocks, these are the
-    blocks a stored state's conditioning cuts.
+    From the first key, or the first key of one of its blocks, or from a
+    slot below a block's first bin with `skip` the bins between them, these
+    are the blocks a stored state's conditioning cuts; with `stop` past the
+    bin after a block, that block is whole.
     """
     # no block holds more bins than the rectangle has pairs
     size = min(KERNEL_BLOCK, rect.n_pairs)
     key_dtype = _key_dtype(rect.n_hi * rect.m_hi)
     keys = counts = None
     fill = size
-    for w0, found, cnt in _sieve(rect.n_lo, rect.n_hi, rect.m_lo, rect.m_hi, start, submit):
-        pos = 0
+    for w0, found, cnt in _sieve(rect, start, stop):
+        if skip >= len(found):
+            skip -= len(found)
+            continue
+        pos, skip = skip, 0
         while pos < len(found):
             if fill == size:
                 if keys is not None:
@@ -343,6 +440,50 @@ def _product_blocks(rect: Rectangle, start: int, submit=partial):
         yield keys[:fill], counts[:fill]
 
 
+def _sub_range_bins(rect: Rectangle, w0: int) -> list:
+    """The number of product bins in each KERNEL_BLOCK-slot sub-range of the
+    sieve window that starts at w0, as _sieve gathers them."""
+    marks = _sieve_window(rect, w0, np.empty(_window_width(rect), dtype=bool))
+    return [int(np.count_nonzero(marks[a : a + KERNEL_BLOCK]))
+            for a in range(0, len(marks), KERNEL_BLOCK)]
+
+
+def _pieces(rect: Rectangle, workers: int) -> list:
+    """(start, skip, blocks, stop) per piece of the rectangle's KERNEL_BLOCK
+    blocks of product bins, for islice(_product_blocks(rect, start, skip,
+    stop), blocks): contiguous runs of blocks, in order, for the workers of
+    a pass to take one at a time.
+
+    With one worker the one piece is every block.  Otherwise one round
+    (_in_processes over the windows) counts the bins of every sieve
+    window's KERNEL_BLOCK-slot sub-ranges.  A piece then starts at the
+    sub-range that holds its first bin and stops at the end of the one that
+    holds the next piece's first bin, so neighbouring pieces sieve at most
+    two sub-ranges twice.  Pieces shrink as the blocks left do, each a
+    1/(2 * workers) share of them (at least one block), so the workers
+    finish close together.
+    """
+    vmin, width = rect.n_lo * rect.m_lo, _window_width(rect)
+    if workers == 1:
+        return [(vmin, 0, None, None)]
+    windows = range(vmin, rect.n_hi * rect.m_hi + 1, width)
+    per_window = _in_processes(partial(_sub_range_bins, rect), windows, workers)
+    # (first slot, bins) of every sub-range, in order
+    subs = [(w0 + a, n) for w0, bins in zip(windows, per_window)
+            for a, n in zip(range(0, width, KERNEL_BLOCK), bins)]
+    firsts, left, b0 = [], -(-sum(n for _, n in subs) // KERNEL_BLOCK), 0
+    j, before = 0, 0        # before: the bins of the sub-ranges before j
+    while left:
+        while before + subs[j][1] <= b0 * KERNEL_BLOCK:
+            before += subs[j][1]
+            j += 1
+        size = -(-left // (2 * workers))
+        firsts.append((subs[j][0], b0 * KERNEL_BLOCK - before, size))
+        b0, left = b0 + size, left - size
+    stops = [start + KERNEL_BLOCK for start, _, _ in firsts[1:]] + [None]
+    return [(*first, stop) for first, stop in zip(firsts, stops)]
+
+
 def step_fraction(c: float, prev: float) -> float:
     """Pr(E) = c / prev, the share of the mass a step keeps;
     ConditionedMassVanished below 1e-300."""
@@ -357,19 +498,16 @@ def _condition(state: TrialEnsemble, block_multipliers) -> MeasurementOutcome:
 
     block_multipliers(lo, hi, scratch) gives the real multipliers of bins
     [lo, hi), one KERNEL_BLOCK block at a time, so kernel temporaries stay in
-    cache; scratch is the KernelScratch of the _map_blocks worker running the
-    block.  Each block is summed right after it is scaled, while it is still
-    in cache, and the block sums are combined with math.fsum in index order.
+    cache; scratch is one KernelScratch for every block of the call.  Each
+    block is summed right after it is scaled, while it is still in cache,
+    and the block sums are combined with math.fsum in index order.
     """
-    prev, arr = state.total, state.mass
-
-    def job(lo, scratch):
+    prev, arr, scratch, sums = state.total, state.mass, KernelScratch(), []
+    for lo in range(0, len(arr), KERNEL_BLOCK):
         seg = arr[lo : lo + KERNEL_BLOCK]
         seg *= block_multipliers(lo, lo + len(seg), scratch)
-        return float(np.sum(seg))       # while the block is in cache
-
-    c = math.fsum(_map_blocks(lambda submit: range(0, len(arr), KERNEL_BLOCK), job,
-                              -(-len(arr) // KERNEL_BLOCK)))
+        sums.append(float(np.sum(seg)))     # while the block is in cache
+    c = math.fsum(sums)
     pr = step_fraction(c, prev)
     state.total = c
     return MeasurementOutcome(probability=pr, post_state=state, normalization=c)
@@ -472,21 +610,23 @@ class ProductStream:
 
     `steps` holds (t, |alpha|) per iteration; one phase_tables call builds
     every step's phase table up front, all of one layout.  One pass of the
-    product sieve (_product_blocks, its windows counted on the _map_blocks
-    workers one window ahead, its blocks cut on the calling thread) cuts the
-    rectangle's bins into the global KERNEL_BLOCK blocks that a stored
-    state's conditioning uses, and the workers take each block from its
-    uniform masses through every step: its keys' digits and on-target index
-    are found once, then each step gathers phasors, forms |eps|^2 and scales
-    the masses.  Per block only the mass sum after each step is kept, and of
-    the on-target bin its count and mass, `hit`, which its multiplier of
-    exactly 1 never changes.  So total(l), the fidelity of `hit` after step
-    l and sample(l, rng) equal those of a stored state after l
-    conditional_update calls, bit for bit; a draw re-sieves and recomputes only the block it
-    falls in.
+    product sieve (_product_blocks) cuts the rectangle's bins into the
+    global KERNEL_BLOCK blocks that a stored state's conditioning uses, and
+    takes each block from its uniform masses through every step: its keys'
+    digits and on-target index are found once, then each step gathers
+    phasors, forms |eps|^2 and scales the masses.  The pass runs as pieces
+    of consecutive blocks (_pieces) that the worker processes take off one
+    queue (_in_processes), each piece sieving its own key range.  Per block
+    only the mass sum after each step is kept, and of the on-target bin its
+    count and mass, `hit`, which its multiplier of exactly 1 never changes.
+    So total(l), the fidelity of `hit` after step l and sample(l, rng) equal
+    those of a stored state after l conditional_update calls, bit for bit,
+    however many processes run the pass; a draw re-sieves and recomputes
+    only the block it falls in.
 
-    `progress`, if given, is called from the calling thread with the share
-    of the product range sieved so far, each time it passes another tenth.
+    `progress`, if given, is called in the calling process with the share
+    of the product range below the last key it has sieved, each time that
+    passes another tenth, and with 1.0 once every piece is done.
     """
 
     def __init__(self, rect: Rectangle, params: OscillatorParams, target_term: int, steps,
@@ -500,10 +640,13 @@ class ProductStream:
         self._steps = [(table, target_phasors(params, t, [target_term])[0], amag)
                        for table, (t, amag) in zip(tables, steps)]
         self._inv = 1.0 / rect.n_pairs
-        self._scratch = KernelScratch()     # the draws'
-        self.starts = []        # first key of each block
-        self.hit = None         # (count, mass) of the on-target bin
-        self.sums = self._run(progress)     # per block, the mass sum after steps 0..L
+        self._scratch = KernelScratch()     # each process's, the draws' too
+        blocks = self._run(progress)
+        self.starts = [key for key, _, _ in blocks]     # first key of each block
+        # per block, the mass sum after steps 0..L
+        self.sums = [sums for _, sums, _ in blocks]
+        # (count, mass) of the on-target bin
+        self.hit = next((hit for _, _, hit in blocks if hit is not None), None)
 
     def _trajectory(self, keys, counts, hit, scratch):
         """A block's masses before and after each step, as TrialEnsemble.uniform
@@ -519,30 +662,41 @@ class ProductStream:
             mass *= _block_multipliers(table, digits, q, amag, hit, scratch)
             yield mass
 
+    def _piece(self, piece, sieved=None) -> list:
+        """(first key, mass sums after steps 0..L, on-target (count, mass) or
+        None) for each block of one piece (start, skip, blocks, stop) from
+        _pieces; sieved(last key), if given, is called after each block."""
+        start, skip, n_blocks, stop = piece
+        out = []
+        for keys, counts in islice(_product_blocks(self.rect, start, skip, stop), n_blocks):
+            hit, sums = _index_of(keys, self.target_term), []
+            for mass in self._trajectory(keys, counts, hit, self._scratch):
+                sums.append(float(np.sum(mass)))
+            out.append((int(keys[0]), sums,
+                        None if hit is None else (int(counts[hit]), float(mass[hit]))))
+            if sieved is not None:
+                sieved(int(keys[-1]))
+        return out
+
     def _run(self, progress) -> list:
         r = self.rect
-        vmax, tenths = r.n_hi * r.m_hi, 0
+        lo, hi, caller, tenths = r.n_lo * r.m_lo, r.n_hi * r.m_hi, os.getpid(), 0
 
-        def blocks(submit):
+        def sieved(last):
+            # only the calling process reports
             nonlocal tenths
-            for keys, counts in _product_blocks(r, r.n_lo * r.m_lo, submit):
-                self.starts.append(int(keys[0]))
-                last = int(keys[-1])
-                if progress is not None and 10 * last >= (tenths + 1) * vmax:
-                    tenths = 10 * last // vmax
-                    progress(last / vmax)
-                yield keys, counts
+            share = (last - lo) / max(hi - lo, 1)
+            if os.getpid() == caller and tenths < int(10 * share) < 10:
+                tenths = int(10 * share)
+                progress(share)
 
-        def job(block, scratch):
-            keys, counts = block
-            hit, sums = _index_of(keys, self.target_term), []
-            for mass in self._trajectory(keys, counts, hit, scratch):
-                sums.append(np.sum(mass))
-            if hit is not None:
-                self.hit = (int(counts[hit]), float(mass[hit]))
-            return sums
-
-        return _map_blocks(blocks, job, -(-r.n_pairs // KERNEL_BLOCK))
+        workers = min(_worker_count(), -(-r.n_pairs // KERNEL_BLOCK))
+        run = partial(self._piece, sieved=None if progress is None else sieved)
+        blocks = [block for part in _in_processes(run, _pieces(r, workers), workers)
+                  for block in part]
+        if progress is not None:
+            progress(1.0)
+        return blocks
 
     def total(self, l: int) -> float:
         """C_l, the total mass after step l: 1 before the first step, as a

@@ -38,6 +38,11 @@ class DomainTooLarge(HoampError):
     """Brute-force enumeration was requested over too many tuples."""
 
 
+class WorkerFailed(HoampError):
+    """A worker process of a streamed pass raised, or ended without sending
+    its result."""
+
+
 class ParseError(HoampError):
     """Constraint expression could not be parsed.
 

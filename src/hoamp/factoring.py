@@ -12,14 +12,16 @@ their unit is 1/g for g = |g_1|, the linear coupling, so they need g_1 != 0.
 Every time is fixed before the run and every multiplier depends on a pair
 only through n*m, so run_factoring computes all L_max steps in one streamed
 pass over the product sieve (ensemble.ProductStream) and keeps no state.
-The worker threads count the sieve's windows and take each block of product
-bins through every step, with the block's table digits cut once for all
-steps; the calling thread gathers each window's products one kernel block
-of product slots at a time and cuts the blocks.  Its memory is set by the
-sieve's two window slots, the kernel block and the worker count, not by N,
-while its time grows with L_max, since the stop rule only truncates the
-records afterwards.  The records and the sample are bit-identical to a
-stored-state loop of run_iteration and sample.
+The pass splits the blocks of product bins into one contiguous share per
+worker process (HOAMP_THREADS, at most the usable CPUs): the calling
+process runs the first share and a forked child each other one, sieving
+its own key range and taking each block through every step, with the
+block's table digits cut once for all steps.  No child outlives the call.
+Each process's memory is set by the sieve's window slot, the kernel block
+and one kernel scratch, not by N, while the time grows with L_max, since
+the stop rule only truncates the records afterwards.  The records and the
+sample are bit-identical to a stored-state loop of run_iteration and
+sample, however many processes run the pass.
 """
 
 from __future__ import annotations
@@ -257,8 +259,9 @@ def replay_table1(progress: bool = False) -> RunReport:
     """Re-run the published 15-iteration reference trajectory.
 
     Streams the 123 million product bins of the 346,833,979 trial pairs
-    through all 15 steps in ~52 MiB on two threads (~15 s on two shared
-    vCPUs, 23.5 s at 45 MiB on one).
+    through all 15 steps: ~9 s on two worker processes on two shared
+    vCPUs, at a 42 MiB peak in the calling process and 35 MiB in the child,
+    and ~16 s at 42 MiB on one.
     """
     config = FactoringConfig(
         N=TABLE1_N, alpha_schedule=(2.0,), times=TABLE1_TIMES,

@@ -1,6 +1,8 @@
 """Shared fixtures and helpers, plus a reporter that prints one line per
 acceptance criterion at the end of the run."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ def per_member(state):
     mass/count of its bin's mass."""
     pairs = member_masses(state)
     return np.array([p for p, _ in pairs]), np.array([w for _, w in pairs])
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_unreaped():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")
 
 
 @pytest.fixture

@@ -492,6 +492,7 @@ def test_demo_scripts_recover_their_answers(script):
     (errors.ConditionedMassVanished("x"), 2), (errors.DomainTooLarge("x"), 2),
     (fockoracle.DimensionTooLarge("x"), 2), (fockoracle.CutoffTooSmall("x"), 2),
     (errors.HoampError("x"), 2), (OSError("x"), 2), (MemoryError("x"), 2),
+    (errors.WorkerFailed("x"), 2),
 ], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v))
 def test_exit_code_of_each_error(exc, code, monkeypatch, capsys):
     # the no-solution errors are HoampErrors too: they must exit 4, not 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from hoamp import dynamics
 from hoamp.dynamics import (KernelScratch, MarkerAmplitude, OscillatorParams, PhaseDelta,
@@ -459,6 +459,70 @@ def test_digits_cut_once_serve_every_time(p, values):
     # a table built for a smaller bound does not hold the largest value
     with pytest.raises(IndexError):
         gather_phasors(phase_table(p, 0.5, bound // 2), digits)
+
+
+def _gathered(digits):
+    """digits with every DigitRuns position expanded back to its intp array,
+    so gather_phasors gathers every position per element."""
+    def expand(d):
+        if not isinstance(d, dynamics.DigitRuns):
+            return d
+        return np.repeat(np.array(d.digits, dtype=np.intp),
+                         np.diff(d.bounds)).reshape(digits.shape)
+    return dynamics.ValueDigits(digits.shape, tuple(
+        (k, w, top, tuple(expand(d) for d in idx), negative)
+        for k, w, top, idx, negative in digits.orders))
+
+
+def _runs_in(digits) -> int:
+    return sum(isinstance(d, dynamics.DigitRuns) for *_, idx, _ in digits.orders for d in idx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(1, 3), bits=st.sampled_from([5, 13, 20, 24, 26, 26]),
+       sign=st.sampled_from([1, -1]), offset=st.integers(-5_000, 5_000),
+       n=st.sampled_from([1, 4_096, 9_000]), max_gap=st.sampled_from([0, 1, 1, 3, 200]),
+       lone=st.sampled_from([None, None, None, 0, -1]), seed=st.integers(0, 2**32 - 1),
+       shuffled=st.sampled_from([False, False, False, True]), t=st.floats(0.01, 10.0))
+def test_run_wise_product_equals_per_element_gather(order, bits, sign, offset, n, max_gap,
+                                                    lone, seed, shuffled, t):
+    # ascending values with small gaps and wide digits give long runs of
+    # equal top digits (gap 0 also in the low digits, which the run-wise
+    # pass fills), and `lone` moves the first or last value into a top
+    # digit of its own; shuffled ones give short runs, which keep the
+    # gather.  Signed values, some crossing 0, conjugate odd orders; K = 3
+    # past |v| = 2^21 takes its digits from Python ints
+    rng = np.random.default_rng(seed)
+    values = sign * (1 << bits) + offset + np.cumsum(rng.integers(0, max_gap + 1, n))
+    if lone is not None:
+        values[lone] += (1 << 16) if lone else -(1 << 16)
+    if shuffled:
+        rng.shuffle(values)
+    p = OscillatorParams(couplings=(1.0, -0.3, 0.07)[:order])
+    table = phase_table(p, t, max(abs(int(values.min())), abs(int(values.max()))))
+    digits = value_digits(table, values)
+    want = gather_phasors(table, _gathered(digits)).copy()
+    assert gather_phasors(table, digits).tobytes() == want.tobytes()
+    scratch = KernelScratch()
+    got = gather_phasors(table, value_digits(table, values, out=scratch), out=scratch)
+    assert got.tobytes() == want.tobytes()
+    event(f"positions kept as runs: {_runs_in(digits)}")
+
+
+def test_value_digits_keeps_only_long_runs_as_runs():
+    # ascending keys 3 apart under a 25-bit bound: the top digit runs
+    # ~2,730 keys, the low one changes every key; shuffled, or with a run of
+    # one at the end, the top digit is gathered too
+    table = phase_table(OscillatorParams(), 0.9, (1 << 25) - 1)
+    keys = np.arange(1 << 16, dtype=np.int64) * 3 + 5_000_000
+    (_, _, _, (low, top), _), = value_digits(table, keys).orders
+    assert isinstance(low, np.ndarray) and isinstance(top, dynamics.DigitRuns)
+    assert top.bounds[0] == 0 and top.bounds[-1] == len(keys) and len(top.digits) == 25
+    assert top.digits == sorted(set((keys >> 13).tolist()))
+    assert not _runs_in(value_digits(table, np.random.default_rng(0).permutation(keys)))
+    lone = keys.copy()
+    lone[-1] = (1 << 25) - 1
+    assert not _runs_in(value_digits(table, lone))
 
 
 @pytest.mark.parametrize("p,target,trials", WIDE_CASES)

@@ -1,15 +1,14 @@
 """Trial ensembles, conditional measurements, fidelity, sampling."""
 
 import math
-import sys
-import threading
+import os
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hoamp import ensemble
+from hoamp import cli, ensemble
 from hoamp.dynamics import (KERNEL_BLOCK, KernelScratch, MarkerAmplitude, OscillatorParams,
                             epsilon_overlap, gather_phasors, phase_delta, phase_table,
                             target_phasors, value_digits)
@@ -17,7 +16,7 @@ from hoamp.ensemble import (TrialEnsemble, apply_entry_multipliers, ceil_sqrt,
                             conditional_update, factoring_ranges, fidelity,
                             init_uniform_factoring, member_masses, sample, trial_rectangle)
 from hoamp.errors import (ConditionedMassVanished, DomainTooLarge, EmptyRange,
-                          NoFactorInRange)
+                          NoFactorInRange, WorkerFailed)
 from hoamp.factoring import FactoringConfig, run_factoring
 from hoamp.reporting import to_json_text
 from hoamp.rng import SplitMix64
@@ -153,7 +152,9 @@ def test_sub_range_gather_matches_brute_force(monkeypatch, rect, window):
 
 def test_sieve_yields_no_more_than_one_kernel_block_of_offsets(monkeypatch):
     # no window-sized offsets or counts array: neither in the streamed pass
-    # nor in a draw's re-sieve.  N = 30,000 puts 0.54M bins in its first window
+    # nor in a draw's re-sieve.  N = 30,000 puts 0.54M bins in its first
+    # window.  The spy sees only the calling process, so the pass runs there
+    monkeypatch.setenv("HOAMP_THREADS", "1")
     sieve, lengths = ensemble._sieve, []
 
     def spy(*args):
@@ -174,10 +175,11 @@ def test_sieve_yields_no_more_than_one_kernel_block_of_offsets(monkeypatch):
 
 def test_streamed_pass_working_set(monkeypatch):
     # one pass at N = 205,193 (31M product slots, so every window but the
-    # last is full) on one thread holds the sieve's two 3 MiB window slots,
-    # one worker's 4 MiB kernel scratch and one block of products: a
-    # 12.3 MiB tracemalloc peak.  Gathering a whole window's offsets and
-    # counts at once takes 25.8 MiB; the bound lies between the two
+    # last is full) in one process holds the sieve's one 3 MiB window slot,
+    # the 4 MiB kernel scratch and one block of products: an 8.4 MiB
+    # tracemalloc peak.  A second window slot, counted ahead, took it to
+    # 12.3 MiB, and gathering a whole window's offsets and counts at once
+    # to 25.8 MiB; the bound lies below both
     monkeypatch.setenv("HOAMP_THREADS", "1")
     rect = ensemble.trial_rectangle(205_193)
     tracemalloc.start()
@@ -186,7 +188,7 @@ def test_streamed_pass_working_set(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 << 20
+    assert peak < 10 << 20
 
 
 @pytest.mark.parametrize("N", [3_000_000, 10**22])
@@ -203,40 +205,154 @@ def test_bin_cap_raises_before_allocating(N):
     assert peak < 1 << 16
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_map_blocks_keeps_order_and_bounds_the_backlog(monkeypatch, threads):
-    monkeypatch.setenv("HOAMP_THREADS", str(threads))
-    lock = threading.Lock()
-    done, ahead, scratches = [], [], {}
+def _job(i):
+    time.sleep(0.1 if i % 2 else 0.05)      # uneven items finish out of order
+    return i, os.getpid()
 
-    def blocks(submit):
-        for i in range(50):
-            with lock:
-                ahead.append(i - len(done))     # jobs not finished when block i is drawn
-            yield i
 
-    def job(i, scratch):
-        time.sleep(0.001 * (i % 3))             # uneven jobs finish out of order
-        with lock:
-            scratches.setdefault(threading.get_ident(), set()).add(id(scratch))
-            done.append(i)
-        return i * i
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_in_processes_keeps_order(workers):
+    # the calling process and workers - 1 forked children take the items off
+    # one queue; each item runs once, the results come back in item order,
+    # and every child is reaped (no_child_left_unreaped checks that)
+    results = ensemble._in_processes(_job, list(range(2 * workers)), workers)
+    assert [i for i, _ in results] == list(range(2 * workers))
+    pids = {pid for _, pid in results}
+    assert os.getpid() in pids and len(pids) == workers
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)         # threads interleave as often as they can
-    try:
-        results = ensemble._map_blocks(blocks, job, 50)
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == [i * i for i in range(50)]
-    assert sorted(done) == list(range(50))
-    assert max(ahead) <= 2 * threads
-    # one scratch per worker thread, reused by every block it runs
-    assert len(scratches) <= threads and all(len(s) == 1 for s in scratches.values())
+
+def test_in_processes_batches_a_long_queue(monkeypatch):
+    # past _QUEUE_MAX items a queue entry is a run of consecutive items
+    monkeypatch.setattr(ensemble, "_QUEUE_MAX", 4)
+    assert ensemble._in_processes(lambda i: i * i, range(11), 2) == \
+        [i * i for i in range(11)]
+
+
+def test_without_fork_every_piece_runs_in_the_calling_process(monkeypatch):
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 2)
+    rect = trial_rectangle(50_000)
+    forked = ensemble.ProductStream(rect, PARAMS, 50_000, [(0.9, 2.0)])
+    monkeypatch.delattr(os, "fork")
+    pids = []
+    piece = ensemble.ProductStream._piece
+
+    def spy(self, *args, **kwargs):
+        pids.append(os.getpid())
+        return piece(self, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble.ProductStream, "_piece", spy)
+    serial = ensemble.ProductStream(rect, PARAMS, 50_000, [(0.9, 2.0)])
+    assert pids == [os.getpid()] * len(ensemble._pieces(rect, 2)) and len(pids) > 2
+    assert (serial.sums, serial.starts, serial.hit) == (forked.sums, forked.starts, forked.hit)
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch, affinity):
+    # HOAMP_THREADS=64 on 2 usable CPUs makes two processes per round (the
+    # first round's count and the pass), so one fork each; counted on a
+    # wrapped os.fork, never by starting 64 processes
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for raw, want in (("64", 2), ("2", 2), ("1", 1), ("0", 2), ("", 2), ("x", 2)):
+        monkeypatch.setenv("HOAMP_THREADS", raw)
+        assert ensemble._worker_count() == want
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setenv("HOAMP_THREADS", "64")
+    stream = ensemble.ProductStream(trial_rectangle(50_000), PARAMS, 50_000, [(0.9, 2.0)])
+    assert len(stream.starts) == 22 and len(forks) == 2
+
+
+def _piece_spans_a_window(rect, pieces):
+    """Whether some piece after the first starts mid-window and its first
+    block runs on into the window after."""
+    width, vmin = ensemble._window_width(rect), rect.n_lo * rect.m_lo
+    for start, skip, _, stop in pieces[1:]:
+        keys, _ = next(ensemble._product_blocks(rect, start, skip, stop))
+        if skip and int(keys[-1]) >= vmin + ((start - vmin) // width + 1) * width:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("N,window", [
+    (50_000, None),
+    (50_000, 3 * KERNEL_BLOCK + 4099),      # 19 windows, pieces start mid-window
+    (205_193, None),
+])
+def test_forked_pass_equals_serial_pass(monkeypatch, N, window):
+    # 1, 2 and 3 worker processes cut the same global blocks, so every block
+    # sum, first key and the on-target bin come out bit for bit as from one
+    if window is not None:
+        monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
+    rect, steps = trial_rectangle(N), [(0.9, 2.0), (4.1, 1.5)]
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
+        stream = ensemble.ProductStream(rect, PARAMS, N, steps)
+        runs.append((stream.sums, stream.starts, stream.hit))
+        pieces = ensemble._pieces(rect, workers)
+        assert pieces[0][:2] == (rect.n_lo * rect.m_lo, 0) and pieces[-1][3] is None
+        if workers > 1:
+            # pieces of consecutive blocks that cover the pass, shrinking
+            sizes = [n for _, _, n, _ in pieces]
+            assert sum(sizes) == len(stream.starts) and sizes == sorted(sizes, reverse=True)
+            assert len(pieces) > workers
+            if window is not None:
+                assert _piece_spans_a_window(rect, pieces)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert all(isinstance(s, float) for sums in runs[0][0] for s in sums)
+
+
+def test_child_failure_raises_and_reaps_every_child(monkeypatch, tmp_path, capsys):
+    # a child that raises, or ends without a result, makes run_factoring
+    # raise WorkerFailed (exit 2 from the CLI); an interrupt in the calling
+    # process's own piece kills the children; every child is reaped
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 3)
+    parent, index_of = os.getpid(), ensemble._index_of
+    config = FactoringConfig(N=50_000, seed=3, L_max=2)
+
+    def failing(how):
+        in_child = how != "interrupt"       # the interrupt hits the calling process
+
+        def index(keys, v):
+            if (os.getpid() != parent) == in_child:
+                if how == "raise":
+                    raise ZeroDivisionError("in a worker")
+                if how == "exit":
+                    os._exit(3)
+                raise KeyboardInterrupt
+            return index_of(keys, v)
+        return index
+
+    monkeypatch.setattr(ensemble, "_index_of", failing("raise"))
+    with pytest.raises(WorkerFailed, match="ZeroDivisionError: in a worker") as info:
+        run_factoring(config)
+    assert any("ZeroDivisionError" in note for note in info.value.__notes__)
+    assert cli.main(["factor", "--n", "50000", "--l-max", "2", "--out-dir", str(tmp_path)]) == 2
+    assert "runtime error: worker process" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(ensemble, "_index_of", failing("exit"))
+    with pytest.raises(WorkerFailed, match="ended without sending its result"):
+        run_factoring(config)
+    monkeypatch.setattr(ensemble, "_index_of", failing("interrupt"))
+    with pytest.raises(KeyboardInterrupt):
+        run_factoring(config)
 
 
 @pytest.mark.parametrize("path", ["stored", "streamed"])
 def test_conditioning_reuses_one_scratch_per_worker(monkeypatch, path):
+    # one KernelScratch per process: a stored conditioning makes one for all
+    # its blocks, and a stream one for its own pieces and its draw (a forked
+    # worker uses its copy of it), whatever the worker count
     made = []
 
     class CountedScratch(KernelScratch):
@@ -248,19 +364,18 @@ def test_conditioning_reuses_one_scratch_per_worker(monkeypatch, path):
     st = init_uniform_factoring(50_000)
     assert len(st.keys) > 2 * KERNEL_BLOCK          # 22 blocks
     outs = []
-    for threads in (1, 2):
-        monkeypatch.setenv("HOAMP_THREADS", str(threads))
+    for workers in (1, 2):
+        monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
         made.clear()
         if path == "stored":
             out = conditional_update(st, PARAMS, MarkerAmplitude(2.0), 50_000, 0.9)
             outs.append(out.post_state.mass.tobytes())
-            assert 1 <= len(made) <= threads
         else:
             report = run_factoring(FactoringConfig(N=50_000, seed=3, L_max=3))
             outs.append(to_json_text(report))
-            assert 2 <= len(made) <= threads + 1   # the pass, plus one for the draw
+        assert len(made) == 1
         # no buffer outgrows one block
-        assert max(len(b) for s in made for b in s._bufs.values()) <= KERNEL_BLOCK
+        assert max(len(b) for b in made[0]._bufs.values()) <= KERNEL_BLOCK
     assert outs[0] == outs[1]
 
 

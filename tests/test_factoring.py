@@ -1,7 +1,6 @@
 """Factoring driver: schedules, iteration records, full runs."""
 
 import math
-import sys
 import tracemalloc
 from itertools import islice
 
@@ -229,23 +228,36 @@ def test_stream_builds_its_tables_in_one_call(monkeypatch, steps):
 def test_streamed_pass_cuts_digits_once_per_block(monkeypatch):
     # the digits of a block's keys do not depend on t: the pass cuts them
     # once per block and gathers phasors once per block and step; a draw
-    # cuts its block's digits once
+    # cuts its block's digits once.  The counts see only the calling
+    # process, and so only the blocks it ran: all 22 with one worker
     calls = {"value_digits": [], "gather_phasors": []}
     for name, log in calls.items():
         def counted(*args, _fn=getattr(ensemble, name), _log=log, **kwargs):
             _log.append(1)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(ensemble, name, counted)
-    monkeypatch.setenv("HOAMP_THREADS", "2")
+    mine, piece = [], ProductStream._piece
+
+    def spy(self, *args, **kwargs):
+        out = piece(self, *args, **kwargs)
+        mine.append(len(out))
+        return out
+
+    monkeypatch.setattr(ProductStream, "_piece", spy)
     steps = [(0.9, 2.0), (4.1, 1.5), (2.2, 2.0)]
-    stream = ProductStream(trial_rectangle(50_000), OscillatorParams(), 50_000, steps)
-    blocks = len(stream.starts)
-    assert blocks == 22
-    assert len(calls["value_digits"]) == blocks
-    assert len(calls["gather_phasors"]) == blocks * len(steps)
-    stream.sample(2, SplitMix64(5))
-    assert len(calls["value_digits"]) == blocks + 1
-    assert len(calls["gather_phasors"]) == blocks * len(steps) + 2
+    for workers in (1, 2):
+        monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
+        for log in (mine, *calls.values()):
+            log.clear()
+        stream = ProductStream(trial_rectangle(50_000), OscillatorParams(), 50_000, steps)
+        assert len(stream.starts) == 22
+        blocks = sum(mine)
+        assert blocks == 22 if workers == 1 else 1 <= blocks < 22
+        assert len(calls["value_digits"]) == blocks
+        assert len(calls["gather_phasors"]) == blocks * len(steps)
+        stream.sample(2, SplitMix64(5))
+        assert len(calls["value_digits"]) == blocks + 1
+        assert len(calls["gather_phasors"]) == blocks * len(steps) + 2
 
 
 def test_streamed_draws_equal_stored_draws_at_every_step():
@@ -269,9 +281,9 @@ def test_streamed_draws_equal_stored_draws_at_every_step():
 
 def test_streamed_run_memory_is_a_fraction_of_the_stored_state(monkeypatch):
     # a stored state at N = 205,193 keeps keys, counts and mass for its
-    # 11,335,082 product bins: 16 B each.  Each worker holds a scratch and
-    # its share of the backlog, so the thread count is fixed here
-    monkeypatch.setenv("HOAMP_THREADS", "2")
+    # 11,335,082 product bins: 16 B each.  tracemalloc sees only the calling
+    # process, so the whole pass runs there: 8.8 MiB at its peak
+    monkeypatch.setenv("HOAMP_THREADS", "1")
     stored_bytes = 16 * 11_335_082
     tracemalloc.start()
     try:
@@ -281,20 +293,15 @@ def test_streamed_run_memory_is_a_fraction_of_the_stored_state(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(report.records) == 3
-    assert peak < stored_bytes / 4
+    assert peak < stored_bytes / 16
 
 
-def test_streamed_run_under_thread_contention(monkeypatch):
-    # more workers than cores, switching threads every microsecond: a block
-    # sum lost or written to the wrong block would change the records
+def test_streamed_run_under_process_contention(monkeypatch):
+    # five worker processes, more than the cores of a small host: a block
+    # sum lost, or sent back in the wrong order, would change the records
     config = FactoringConfig(N=50_000, seed=11, L_max=4, stop_fidelity=1.0)
-    monkeypatch.setenv("HOAMP_THREADS", "1")
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
     want = run_factoring(config)
-    monkeypatch.setenv("HOAMP_THREADS", "8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = run_factoring(config)
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 5)
+    got = run_factoring(config)
     assert got.records == want.records and got.sampled_tuple == want.sampled_tuple
