@@ -3,8 +3,9 @@
 Subcommands: factor, search, solve, replay-table1, stats.  Exit codes:
 0 success, 1 replay tolerance failure, 2 runtime failure (vanished mass,
 resource caps, I/O), 3 usage error, 4 no factor / no solution / infeasible
-system.  HOAMP_THREADS caps the worker processes of a streamed factoring
-pass (default and ceiling: the usable CPUs).
+system, 141 (128 + SIGPIPE) stdout closed by its reader.  HOAMP_THREADS
+caps the worker processes of a streamed factoring pass (default and
+ceiling: the usable CPUs).
 
 One table, _COMMANDS, holds every subcommand's options; a single pass over
 argv parses them, and the same rows print `hoamp <command> --help`.
@@ -322,8 +323,14 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        handler, args = _parse(argv)
-        return handler(args)
+        try:
+            handler, args = _parse(argv)
+            return handler(args)
+        finally:    # so that a closed stdout raises here, not at exit
+            sys.stdout.flush()
+    except BrokenPipeError:     # ahead of OSError: no run failed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (_UsageError, ParseError, DomainError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

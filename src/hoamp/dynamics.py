@@ -51,15 +51,13 @@ exact two-product and a Cody-Waite split, so every entry is within an ulp
 or two of the exact angle.  The split needs |g_k|, |t| and |g_k*t| below
 2^996; every exact reduction refuses larger ones.  P_v takes two steps.
 value_digits cuts each |v^k| into table indices (intp arrays, with the
-sign masks); they depend on the table's digit layout but not on t, so a
-caller that conditions the same values at several times cuts them once.
-gather_phasors then gathers one complex entry per digit and
-multiplies them, so the hot loop is gathers and multiplies with no trig
-call and no width limit: powers beyond int64 (K >= 2 with large values)
-have their digits taken from Python ints in an object array, and
-non-negative values skip the abs and sign passes.  Where a digit position
-holds long runs of equal digits, as the top digits of ascending keys do,
-it multiplies one entry per run instead of gathering one per element.
+sign masks), forming them from the digits of |v| by schoolbook
+multiplication in int64 however wide v^k is; they depend on the table's
+digit layout but not on t, so they are cut once for all times.
+gather_phasors then gathers one complex entry per digit and multiplies
+them, so the hot loop has no trig call and no width limit.  Where a digit
+position holds long runs of equal digits, as the top digits of ascending
+keys do, it multiplies one entry per run instead of gathering per element.
 Callers that loop over blocks pass a KernelScratch (out=) so the blocks
 reuse one set of buffers; cos Delta is Re(Q_a * P_v), and |eps|^2 follows
 from it in eps_squared_batch.  Re(Q_a * P_a) rounds to 1 +- an ulp, so
@@ -95,7 +93,6 @@ _INV_TWOPI = 0.15915494309189535
 _SPLIT_LIMIT = 2.0**996
 
 _INT128_MAX = (1 << 127) - 1
-_INT64_MAX = (1 << 63) - 1
 _MAX_ORDER = 4
 
 # phase tables index |v^k| by digits of at most 13 bits
@@ -433,27 +430,40 @@ def _int_array(terms) -> np.ndarray:
     return arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
 
 
-def _digit(mag, shift: int, mask, out):
-    """The digit of |v^k| at bit `shift` into the intp array `out`, masked
-    unless it is the top digit."""
-    if mag.dtype == object:
-        d = mag >> shift
-        np.copyto(out, d if mask is None else d & mask, casting="unsafe")
-    elif mask is None:
-        np.right_shift(mag, shift, out=out)
-    else:
-        np.bitwise_and(np.right_shift(mag, shift, out=out) if shift else mag, mask, out=out)
+def _cut(mag, w: int, out):
+    """The w-bit digits of mag into the intp arrays of `out`, least
+    significant first, the top one unmasked."""
+    for j, row in enumerate(out):
+        if j == len(out) - 1:
+            np.right_shift(mag, w * j, out=row)
+        else:
+            np.bitwise_and(np.right_shift(mag, w * j, out=row) if j else mag, (1 << w) - 1,
+                           out=row)
     return out
 
 
-def _check_covered(table: PhaseTable, k: int, bits: int, top: int) -> int:
-    """The number of bits-wide digits of top = max |v^k|; IndexError unless
-    the table's order-k rows are that wide and hold every such digit."""
+def _times(p, a, w: int, out, term):
+    """The w-bit digits of p * a into the intp arrays of `out` (as many as
+    the largest product has), from those of p and a: schoolbook
+    multiplication (Knuth, TAOCP Vol. 2, 4.3.1, Algorithm M), each column
+    taking the last one's carry and summing at most len(out) products of
+    two digits below 2^13, far inside int64.  The top digit is unmasked."""
+    np.multiply(p[0], a[0], out=out[0])
+    for c in range(1, len(out)):
+        np.right_shift(out[c - 1], w, out=out[c])
+        np.bitwise_and(out[c - 1], (1 << w) - 1, out=out[c - 1])
+        for r in range(max(0, c + 1 - len(a)), min(c + 1, len(p))):
+            out[c] += np.multiply(p[r], a[c - r], out=term)
+    return out
+
+
+def _check_covered(table: PhaseTable, k: int, bits: int, top: int) -> None:
+    """IndexError unless the table's order-k rows are bits wide and hold
+    every bits-wide digit of top = max |v^k|."""
     rows, n_digits = table.rows[k - 1], -(-top.bit_length() // bits)
     if (table.bits[k - 1] != bits or n_digits > len(rows)
             or top >> (bits * (n_digits - 1)) >= len(rows[n_digits - 1])):
         raise IndexError(f"|v^{k}| = {top} is beyond the phase table")
-    return n_digits
 
 
 @dataclass(frozen=True)
@@ -510,8 +520,8 @@ def value_digits(table: PhaseTable, values, span=None, out=None) -> ValueDigits:
     They depend on the table only through its digit widths and row lengths
     (the order K and the max_term it was built for), not on t, so a caller
     that conditions the same values at several times cuts them once and
-    calls gather_phasors per time.  Powers beyond int64 (K >= 2 with large
-    values) have their digits taken from Python ints in an object array.
+    calls gather_phasors per time.  |v| is cut once per digit width, and
+    |v|^k is |v|^(k-1) times |v| in digits (_times), in int64 at any width.
     `span` is (min, max) of the values when the caller knows it (ascending
     keys give it in O(1)); non-negative values skip the abs and sign passes.
     A digit position whose runs of equal digits are long (ascending keys
@@ -526,31 +536,26 @@ def value_digits(table: PhaseTable, values, span=None, out=None) -> ValueDigits:
         return ValueDigits(shape, ())
     ws = KernelScratch() if out is None else out
     lo, hi = (int(vals.min()), int(vals.max())) if span is None else span
-    big, order = max(-lo, hi), len(table.bits)
-    if _int_pow_checked(big, order) > _INT64_MAX:
-        vals = vals.astype(object)
-    orders, power = [], vals
-    for k in range(1, order + 1):
-        if k > 1:
-            power = (power * vals if vals.dtype == object else
-                     np.multiply(power, vals, out=ws.get("pow", shape, np.int64),
-                                 dtype=np.int64))
-        top, w = big**k, table.bits[k - 1]
+    big, mag, negative = max(-lo, hi), vals, None
+    if lo < 0:      # uint64, so that |-2^63| fits
+        mag = np.abs(vals, out=ws.get("mag", shape, np.int64), dtype=np.int64).view(np.uint64)
+        negative = np.less(vals, 0, out=ws.get("negative", shape, bool))
+    orders, formed = [], {}
+    for k, w in enumerate(table.bits, start=1):
+        top = big**k
         if not top:         # every v^k is zero: a factor of 1
             continue
-        n_digits = _check_covered(table, k, w, top)
-        signed = lo < 0 and k % 2 == 1
-        if not signed:
-            mag = power
-        elif power.dtype == object:
-            mag = np.abs(power)
-        else:
-            mag = np.abs(power, out=ws.get("mag", shape, np.int64), dtype=np.int64)
-        digits = tuple(_runs(_digit(mag, w * j, (1 << w) - 1 if j < n_digits - 1 else None,
-                                    ws.get(f"digit{k}.{j}", shape, np.intp)), ws)
-                       for j in range(n_digits))
-        negative = np.less(power, 0, out=ws.get(f"negative{k}", shape, bool)) if signed else None
-        orders.append((k, w, top, digits, negative))
+        _check_covered(table, k, w, top)
+        powers = formed.setdefault(w, [])   # the digits of |v|, |v|^2, ... at width w
+        for i in range(len(powers) + 1, k + 1):     # |v|^i = |v|^(i-1) * |v|
+            name = f"cut{w}" if i == 1 else f"digits{k}" if i == k else f"power{i % 2}"
+            rows = [ws.get(f"{name}.{j}", shape, np.intp)
+                    for j in range(-(-(big**i).bit_length() // w))]
+            powers.append(_times(powers[-1], powers[0], w, rows,
+                                 ws.get("term", shape, np.intp)) if powers
+                          else _cut(mag, w, rows))
+        orders.append((k, w, top, tuple(_runs(d, ws) for d in powers[k - 1]),
+                       negative if k % 2 else None))
     return ValueDigits(shape, tuple(orders))
 
 

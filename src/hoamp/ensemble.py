@@ -256,7 +256,7 @@ class TrialEnsemble:
     total: float = 1.0     # the mass the probabilities are relative to
 
     # benchmarks/tracing.py reads these; they go once it reads an in-program
-    # trace sink instead (ROADMAP: "One factoring engine", "Benchmark v2")
+    # trace sink instead (ROADMAP item 7, "Benchmark v2")
     layout = property(lambda self: "binned")
     tuples = property(lambda self: None)
     weights = property(lambda self: None)

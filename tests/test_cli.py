@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,9 @@ from hoamp import __version__, cli, ensemble, errors, fockoracle
 from hoamp.cli import main
 from hoamp.constraints import ConstraintSystem
 from hoamp.dynamics import KERNEL_BLOCK
+from hoamp.factoring import (TABLE1_ROWS, TABLE1_TIME_GRID_NOTE, TABLE1_TIMES, FactoringConfig,
+                             run_factoring)
+from hoamp.reporting import REPLAY_HEADER
 from hoamp.search import BlackBox, apply_black_box, initial_search_state
 from hoamp.solver import uniform_state
 
@@ -546,6 +550,42 @@ def test_stats_single_sample_usage_error(capsys):
     assert run(["stats", "--n", "35", "--samples", "1"]) == 3
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_replay_table1_writes_its_comparison(fmt, tmp_path, monkeypatch, capsys):
+    # the replay streams 123 million bins, so the command runs on stand-in
+    # reports: N = 899 over the Table 1 times, whose rows fail, and the same
+    # run with every record set to its Table 1 row, whose rows all pass
+    failing = run_factoring(FactoringConfig(N=899, alpha_schedule=(2.0,), times=TABLE1_TIMES,
+                                            L_max=len(TABLE1_TIMES), stop_fidelity=1.0))
+    matching = dataclasses.replace(failing, records=[
+        dataclasses.replace(rec, fidelity=f, pr_E=pr)
+        for rec, (f, pr, _) in zip(failing.records, TABLE1_ROWS)])
+    for name, report, code in (("failing", failing, 1), ("matching", matching, 0)):
+        monkeypatch.setattr(cli, "replay_table1", lambda progress=False: report)
+        out = tmp_path / name
+        assert run(["replay-table1", "--out-dir", str(out), "--format", fmt]) == code
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == f"wrote {out / 'replay_table1'}.{fmt}"
+        assert [line[:4] for line in lines[1:16]] == [f"l={l:2d}" for l in range(1, 16)]
+        text = (out / f"replay_table1.{fmt}").read_text()
+        if fmt == "csv":
+            rows = [line for line in text.splitlines() if not line.startswith("#")]
+            assert "# N: 899" in text and rows[0] == ",".join(REPLAY_HEADER)
+        else:
+            doc = json.loads(text)
+            rows = [None, *doc["rows"]]
+            assert doc["config"]["N"] == 899
+        assert len(rows) == 16
+        failed = sum(line.endswith("  FAIL") for line in lines[1:16])
+        if code:
+            assert f"{failed} row(s) outside tolerance" in captured.err and failed
+            assert TABLE1_TIME_GRID_NOTE in captured.err
+        else:
+            assert lines[16:] == ["all rows within tolerance"] and not failed
+            assert captured.err == ""
+
+
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 3
     assert "invalid choice" in capsys.readouterr().err
@@ -554,6 +594,30 @@ def test_unknown_subcommand(capsys):
         err = capsys.readouterr().err
         assert f"invalid choice: '{bad}'" in err
         assert all(name in err for name in SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["factor", "--n", "35", "--format", "json"]])
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    # a reader that went away (`hoamp --help | head -1`) is no run failure:
+    # exit 128 + SIGPIPE with no error on stderr, whether the child's stdout
+    # is buffered (the write fails at the final flush) or not (at print)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(ensemble.__file__)),
+                                         os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hoamp.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141, proc.stderr
+    assert not any(text in proc.stderr for text in ("runtime error", "BrokenPipeError",
+                                                    "Exception ignored", "Traceback"))
 
 
 def test_version_flag(capsys):

@@ -59,8 +59,8 @@ def assert_multipliers_match_scalar(p, target, values, t, table=None, alpha=1.7,
 
 
 # wide-term inputs: K = 2 just below 2^31 (int64 differences near 2^62) and
-# past it, K = 3, and K = 4 up to the signed 128-bit limit (object-dtype
-# differences)
+# past it, K = 3, and K = 4 up to the signed 128-bit limit (powers past
+# int64)
 _K4_MAX = math.isqrt(math.isqrt((1 << 127) - 1))
 WIDE_CASES = [
     (OscillatorParams(couplings=(0.7, 0.3)), 2_000_000_011,
@@ -258,7 +258,7 @@ def test_phase_delta_batch_wide_terms_match_scalar(p, target, trials):
 @pytest.mark.parametrize("p,target,trials", WIDE_CASES + [
     (OscillatorParams(), 1_030_189, [3, 1_030_188, 348_547_955, (1 << 40) + 3])])
 def test_value_phasor_multipliers_match_scalar(p, target, trials):
-    # K = 1..4, both signs in one call, int64 and object-dtype powers
+    # K = 1..4, both signs in one call, powers within and past int64
     values = np.array(trials + [-x for x in trials], dtype=np.int64)
     for t in (0.013, 1.704, 6.046, 97.31):
         assert_multipliers_match_scalar(p, target, values, t)
@@ -314,7 +314,7 @@ def test_phasor_near_digit_resonances():
 
 def test_zero_difference_is_exactly_one():
     # on-target entries must multiply by exactly 1.0, in every order and
-    # on both the int64 and the object-dtype path
+    # with powers within and past int64
     for p, target in ((OscillatorParams(), 35),
                       (OscillatorParams(couplings=(0.3, 0.2, 0.1)), 123_456_789),
                       (OscillatorParams(couplings=(1.0, 1.0, 1.0, 1.0)), _K4_MAX)):
@@ -412,7 +412,7 @@ def test_narrow_phase_tables(p, max_term, bits):
 
 def test_kernel_scratch_reuse_is_bitwise():
     # blocks run through one scratch, the last one short, give the values of
-    # calls that allocate their own buffers, on the int64 and object paths;
+    # calls that allocate their own buffers, with powers within and past int64;
     # the short block also runs first, so the buffers grow once
     for p, values, target in (
             (OscillatorParams(couplings=(0.7, 0.3)),
@@ -444,7 +444,7 @@ def test_digits_cut_once_serve_every_time(p, values):
     # value_digits depends on the table's layout, not on t: digits cut
     # against the table for one time, gathered against the table for
     # another, give phasors_of there bit for bit (K = 1..4, both signs,
-    # int64 and object-dtype powers, narrow digits), also when the digits
+    # powers within and past int64, narrow digits), also when the digits
     # and the phasors share one scratch
     values = np.array(values, dtype=np.int64)
     bound = max(abs(int(values.min())), abs(int(values.max())))
@@ -491,7 +491,7 @@ def test_run_wise_product_equals_per_element_gather(order, bits, sign, offset, n
     # pass fills), and `lone` moves the first or last value into a top
     # digit of its own; shuffled ones give short runs, which keep the
     # gather.  Signed values, some crossing 0, conjugate odd orders; K = 3
-    # past |v| = 2^21 takes its digits from Python ints
+    # past |v| = 2^21 has powers past int64
     rng = np.random.default_rng(seed)
     values = sign * (1 << bits) + offset + np.cumsum(rng.integers(0, max_gap + 1, n))
     if lone is not None:
@@ -507,6 +507,52 @@ def test_run_wise_product_equals_per_element_gather(order, bits, sign, offset, n
     got = gather_phasors(table, value_digits(table, values, out=scratch), out=scratch)
     assert got.tobytes() == want.tobytes()
     event(f"positions kept as runs: {_runs_in(digits)}")
+
+
+@st.composite
+def digit_cases(draw):
+    """(K, values): signed or non-negative int64 values, their largest |v|
+    narrow, past 2^31, or at the limit, which is |-2^63| at K = 1 and 2 and
+    the 128-bit power limit at K = 3 and 4; some ascending, long enough to
+    be kept as runs."""
+    k = draw(st.integers(1, 4))
+    limit = min(1 << 63, _limit(127, k))
+    bound = draw(st.sampled_from([limit, limit, 1 << 13, 1 << 31, limit - 1]))
+    lo = -bound if draw(st.booleans()) else 0
+    hi = min(bound, (1 << 63) - 1)
+    values = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        values.append(draw(st.sampled_from([lo, hi])))
+    if draw(st.integers(0, 4)) == 0:
+        start = draw(st.integers(lo, hi - 4_096))
+        values = list(range(start, start + 4_096, draw(st.sampled_from([1, 3]))))
+    return k, np.array(values, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_cases(), st.booleans())
+def test_value_digits_equal_python_int_reference(case, shared):
+    # every digit of every |v^k| against Python ints, the top digit
+    # unmasked, and the sign masks against v^k < 0: K = 1..4, with and
+    # without a shared scratch that an earlier call has filled
+    k, values = case
+    big = max(abs(int(values.min())), abs(int(values.max())))
+    table = phase_table(OscillatorParams(couplings=(0.5,) * k), 0.7, big)
+    scratch = KernelScratch() if shared else None
+    if shared:
+        value_digits(table, values[::-1] // 3, out=scratch)
+    digits = _gathered(value_digits(table, values, out=scratch))
+    powers = {j: [v**j for v in values.tolist()] for j in range(1, k + 1)}
+    assert [order[0] for order in digits.orders] == (list(range(1, k + 1)) if big else [])
+    for j, w, top, idx, negative in digits.orders:
+        assert top == big**j and len(idx) == -(-top.bit_length() // w)
+        for pos, d in enumerate(idx):
+            assert d.dtype == np.intp
+            mask = (1 << w) - 1 if pos < len(idx) - 1 else -1
+            assert d.tolist() == [(abs(x) >> (w * pos)) & mask for x in powers[j]]
+        below = [x < 0 for x in powers[j]]
+        assert (negative.tolist() if negative is not None else [False] * len(values)) == below
+        assert negative is None or any(below)
 
 
 def test_value_digits_keeps_only_long_runs_as_runs():
