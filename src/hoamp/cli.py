@@ -107,12 +107,14 @@ def _say(args, msg: str) -> None:
     print(msg, file=sys.stdout if args.out_dir else sys.stderr)
 
 
-def _stall_note(records, stop_mass: float) -> str:
-    """The summary's note when the run ended below its stop mass, else ''."""
-    if records[-1].solution_mass >= stop_mass:
+def _stall_note(records, field: str, stop: float) -> str:
+    """The summary's note when the run ended with its last record's `field`
+    (fidelity or solution_mass) below its stop value, else ''."""
+    reached, name = getattr(records[-1], field), field.replace("_", " ")
+    if reached >= stop:
         return ""
-    return (f"; stalled: solution mass {records[-1].solution_mass:.6g} after "
-            f"{len(records)} iterations, stop mass {stop_mass:g} not reached")
+    return (f"; stalled: {name} {reached:.6g} after {len(records)} iterations, "
+            f"stop {name.split()[-1]} {stop:g} not reached")
 
 
 def cmd_factor(args) -> int:
@@ -130,7 +132,8 @@ def cmd_factor(args) -> int:
         return 4
     p, q = report.sampled_factors
     _say(args, f"{args.n} = {p} * {q}   (fidelity {fmt_float(report.final_fidelity)}, "
-               f"{len(report.records)} iterations)")
+               f"{len(report.records)} iterations)"
+               + _stall_note(report.records, "fidelity", args.stop_fidelity))
     return 0
 
 
@@ -152,7 +155,7 @@ def cmd_search(args) -> int:
     found = ", ".join(str(n) for n, _ in report.solutions)
     _say(args, f"marked items: {found}   ({len(report.records)} iterations, "
                f"{report.oracle_calls} oracle calls)"
-               + _stall_note(report.records, args.stop_mass))
+               + _stall_note(report.records, "solution_mass", args.stop_mass))
     return 0
 
 
@@ -171,7 +174,7 @@ def cmd_solve(args) -> int:
             "seed": args.seed}
     _emit(args, "solve_report", report, lambda p: write_iteration_csv(p, report, meta))
     _say(args, f"{report.solution_count} satisfying tuple(s); sampled {report.sampled_tuple}"
-               + _stall_note(report.records, args.stop_mass))
+               + _stall_note(report.records, "solution_mass", args.stop_mass))
     return 0
 
 

@@ -18,6 +18,12 @@ the product range: it counts one window of _SIEVE_WINDOW product slots at a
 time into one window slot and gathers the window's products KERNEL_BLOCK
 slots at a time.
 
+A state is conditioned, totalled and sampled in blocks of bins, cut by one
+rule (_blocks): a state with one column of dense keys at KERNEL_BLOCK-wide
+key ranges counted from its first key, any other state every KERNEL_BLOCK
+bins.  For factoring those key ranges are the sieve's sub-ranges, so a block
+is what the sieve gathers at once.
+
 Masses suffice because every reported quantity (Pr(E), C, fidelity to the
 factor states, solution mass, samples) depends only on |eps|^2: target and
 accepted tuples are multiplied by exactly eps = 1 and start real and equal,
@@ -31,9 +37,9 @@ fidelity, member masses and sampling divide by it.  Conditioning multiplies
 each bin's mass by its multiplier in one loop (_condition) for every caller,
 in place (every application throws the pre-state away; the stored factoring
 step, conditional_update, is the one place that can copy it first), one
-KERNEL_BLOCK block of bins at a time, summing the block right after scaling
-it, while it is still in cache; the total C_l is the math.fsum of those
-block sums in index order, and Pr(E_l) = C_l / C_{l-1}.
+block of bins at a time, summing the block right after scaling it, while it
+is still in cache; the total C_l is the math.fsum of those block sums in
+index order, and Pr(E_l) = C_l / C_{l-1}.
 The solution bins keep multiplier 1, so C_l never falls below their initial
 share F_0 of the mass, and every application refuses a run with no solution
 bin before step 1 (NoFactorInRange, NoSolutionFound, InfeasibleSystem).
@@ -53,22 +59,20 @@ Since the times are fixed before a run and the multipliers depend on the
 product alone, ProductStream computes a whole factoring trajectory without
 storing the state: it sieves the products block by block and takes each
 block through every step with that kernel, cutting its digits once for all
-steps, and keeps only the block sums.  Its blocks are cut at the same bin
-indices as a stored state's, so its totals and draws equal those of
-conditional_update, fidelity and sample bit for bit, in memory per process
-set by the sieve's window slot, the kernel block and one kernel scratch,
-not by N.
+steps, and keeps only the block sums.  Its blocks are the sieve's
+sub-ranges, which are a stored state's blocks, so its totals and draws
+equal those of conditional_update, fidelity and sample bit for bit, in
+memory per process set by the sieve's window slot, the kernel block and one
+kernel scratch, not by N.
 
 The stream runs in up to HOAMP_THREADS worker processes (_worker_count):
-the calling process and children made by os.fork (_in_processes).  Its
-blocks are split into pieces of consecutive blocks, which the processes
-take off one shared queue, so a process on a faster CPU takes more; each
-piece sieves its own key range, and each process sends back its blocks'
-sums.  A piece starts at a global block boundary: one first round, on the
-same queue, counts the bins of each sieve window's KERNEL_BLOCK-slot
-sub-ranges, which places every piece's first block in its sub-range.
-Each process has its own interpreter, so the kernel's many small numpy
-calls do not queue for one interpreter lock, as they would on threads.
+the calling process and children made by os.fork (_in_processes).  The
+product range is split into pieces, runs of consecutive sub-ranges, which
+the processes take off one shared queue, so a process on a faster CPU
+takes more; each piece sieves its own slots, once, and each process sends
+back its blocks' sums.  Each process has its own interpreter, so the
+kernel's many small numpy calls do not queue for one interpreter lock, as
+they would on threads.
 A stored state's _condition runs its blocks in a plain loop.
 """
 
@@ -79,6 +83,7 @@ import os
 import pickle
 import signal
 import traceback
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -101,8 +106,9 @@ from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange, WorkerF
 from .rng import SplitMix64
 
 _VANISH = 1e-300
-# product slots the bin sieve counts at a time; its window slot holds a
-# uint16 count and a bool mask per product (3 MiB at 2^20)
+# product slots the bin sieve counts at a time, rounded down to whole
+# KERNEL_BLOCK sub-ranges (at least one); its window slot holds a uint16
+# count and a bool mask per product (3 MiB at 2^20)
 _SIEVE_WINDOW = 1 << 20
 # at most this many entries in a work queue of _in_processes: 4 KiB of
 # records, which any pipe buffers whole before a worker reads them
@@ -142,7 +148,8 @@ def _in_processes(fn, items, workers: int) -> list:
     one 4-byte record per entry: an entry is one item, or a run of
     consecutive ones where there are more than _QUEUE_MAX items.  Entries
     go out in item order.  With one worker, or where there is no os.fork,
-    the calling process runs every item in order.
+    the calling process runs every item in order.  A streamed pass makes
+    one such call, over its pieces.
 
     A child sends back its (index, result) pairs through a pipe, pickled,
     and ends in os._exit, so it runs none of the caller's exit handlers and
@@ -242,9 +249,34 @@ def factoring_ranges(N: int):
     return n_lo, n_hi, m_lo, m_hi
 
 
-def _block_sums(mass: np.ndarray) -> list:
-    """The sum of each KERNEL_BLOCK block of masses, in index order."""
-    return [float(np.sum(mass[a : a + KERNEL_BLOCK])) for a in range(0, len(mass), KERNEL_BLOCK)]
+def _blocks(keys: np.ndarray) -> list:
+    """(lo, hi) of each block of a state's bins, in order: the bins that
+    conditioning scales and sums at once, and whose sums totals and draws
+    combine.
+
+    A state with one key column whose keys fill at least an eighth of their
+    span (factoring's products, about a third; search's parity) is cut at
+    KERNEL_BLOCK-wide key ranges counted from its first key k0: a block
+    holds the bins whose keys lie in [k0 + j*KERNEL_BLOCK, k0 + (j+1)*
+    KERNEL_BLOCK), for each j with any.  For factoring, k0 = n_lo*m_lo and
+    the blocks are the product sieve's sub-ranges, as ProductStream takes
+    them, and the solver's embedding of factoring cuts the same.  Keys are
+    distinct, so no block holds more than KERNEL_BLOCK bins, and the span
+    bound keeps the blocks under 8 times as many as below.  Any other state
+    (several key columns, or one of sparse keys) is cut every KERNEL_BLOCK
+    bins.
+    """
+    n = len(keys)
+    col = keys.reshape(n) if keys.ndim == 1 or keys.shape[1] == 1 else None
+    if col is None or not n or 8 * n < int(col[-1]) - int(col[0]) + 1:
+        return [(lo, min(lo + KERNEL_BLOCK, n)) for lo in range(0, n, KERNEL_BLOCK)]
+    cuts = (np.flatnonzero(np.diff((col - col[0]) // KERNEL_BLOCK)) + 1).tolist()
+    return list(zip([0] + cuts, cuts + [n]))
+
+
+def _block_sums(mass: np.ndarray, blocks: list) -> list:
+    """The sum of each block of masses, in order."""
+    return [float(np.sum(mass[lo:hi])) for lo, hi in blocks]
 
 
 @dataclass
@@ -282,8 +314,8 @@ class TrialEnsemble:
 
     def total_mass(self) -> float:
         """The sum of the masses, as conditioning totals them: the fsum of the
-        KERNEL_BLOCK block sums."""
-        return math.fsum(_block_sums(self.mass))
+        block sums (_blocks)."""
+        return math.fsum(_block_sums(self.mass, _blocks(self.keys)))
 
     def copy(self) -> "TrialEnsemble":
         # keys and counts are never written after construction: shared
@@ -341,8 +373,7 @@ def trial_rectangle(N: int) -> Rectangle:
 def init_uniform_factoring(N: int) -> TrialEnsemble:
     """Uniform mass 1/n_pairs over all trial pairs for factoring N, in product bins."""
     rect = trial_rectangle(N)
-    keys, counts = (np.concatenate(parts)
-                    for parts in zip(*_product_blocks(rect, rect.n_lo * rect.m_lo)))
+    keys, counts = (np.concatenate(parts) for parts in zip(*_sieve(rect, rect.n_lo * rect.m_lo)))
     return TrialEnsemble.uniform(keys, counts, rect)
 
 
@@ -350,50 +381,47 @@ def _key_dtype(vmax: int):
     return np.int32 if vmax < 2**31 else np.int64
 
 
-def _window_width(rect: Rectangle) -> int:
-    """Product slots per sieve window: _SIEVE_WINDOW, or the whole product
-    range if that is narrower."""
-    return min(_SIEVE_WINDOW, rect.n_hi * rect.m_hi - rect.n_lo * rect.m_lo + 1)
-
-
 def _sieve_window(rect: Rectangle, w0: int, slot: np.ndarray) -> np.ndarray:
-    """The window of product slots w0, w0 + 1, ... in `slot`, cut at the
-    rectangle's last product: each slot's number of pairs (a uint16 slot),
-    or whether any pair has that product (a bool slot, cheaper to fill).
+    """The window of product slots w0, w0 + 1, ... in the uint16 `slot`, cut
+    at the rectangle's last product: each slot's number of pairs.
 
-    Each n adds 1 at (or marks) its multiples n*m that fall in the window.
-    A count is at most n_hi - n_lo + 1, under 1,500 within _MAX_BINS, so
-    uint16 holds it.
+    Each n adds 1 at its multiples n*m that fall in the window.  A count is
+    at most n_hi - n_lo + 1, under 1,500 within _MAX_BINS, so uint16 holds
+    it.
     """
     n_lo, n_hi, m_lo, m_hi = rect.n_lo, rect.n_hi, rect.m_lo, rect.m_hi
     win = slot[: min(len(slot), n_hi * m_hi + 1 - w0)]
     w1 = w0 + len(win)
     win.fill(0)
-    mark = win.dtype == bool
     # n with a multiple n*m, m_lo <= m <= m_hi, inside [w0, w1)
     for n in range(max(n_lo, -(-w0 // m_hi)), min(n_hi, (w1 - 1) // m_lo) + 1):
         first = max(n * m_lo, -(-w0 // n) * n)
-        multiples = slice(first - w0, min(n * m_hi, w1 - 1) - w0 + 1, n)
-        if mark:
-            win[multiples] = True
-        else:
-            win[multiples] += 1
+        win[first - w0 : min(n * m_hi, w1 - 1) - w0 + 1 : n] += 1
     return win
 
 
-def _sieve(rect: Rectangle, start: int, stop=None):
-    """The distinct products n*m over the rectangle from `start` on, ascending,
-    and below `stop` if given (the windows then count no slot past it).
+def _window_sub_ranges() -> int:
+    """KERNEL_BLOCK-slot sub-ranges per sieve window: _SIEVE_WINDOW rounded
+    down to whole ones, at least one."""
+    return max(_SIEVE_WINDOW // KERNEL_BLOCK, 1)
 
-    A segmented sieve: one window of product slots at a time is counted into
-    one window slot (_sieve_window), then gathered KERNEL_BLOCK slots at a
-    time, so no offsets or counts array outgrows a kernel block: it yields
-    (w0, offsets, counts) per sub-range, whose products are w0 + offsets,
-    with counts pairs each.
+
+def _sieve(rect: Rectangle, start: int, stop=None):
+    """The rectangle's product bins from key `start` on, and below `stop` if
+    given, as (keys, counts) per KERNEL_BLOCK-slot sub-range [start +
+    j*KERNEL_BLOCK, start + (j+1)*KERNEL_BLOCK) that holds any, ascending.
+
+    A segmented sieve: one window of whole sub-ranges at a time is counted
+    into one window slot (_sieve_window), then gathered a sub-range at a
+    time, so no keys or counts array outgrows a kernel block.  From
+    n_lo*m_lo, or from any multiple of KERNEL_BLOCK slots past it, the
+    sub-ranges are a stored state's blocks (_blocks).
     """
-    width, end = _window_width(rect), rect.n_hi * rect.m_hi + 1
+    end = rect.n_hi * rect.m_hi + 1
     if stop is not None:
         end = min(end, stop)
+    width = KERNEL_BLOCK * min(_window_sub_ranges(), -(-(end - start) // KERNEL_BLOCK))
+    key_dtype = _key_dtype(rect.n_hi * rect.m_hi)
     slot = np.empty(width, dtype=np.uint16)
     nz = np.empty(width, dtype=bool)
     for w0 in range(start, end, width):
@@ -401,87 +429,29 @@ def _sieve(rect: Rectangle, start: int, stop=None):
         found_in = np.not_equal(win, 0, out=nz[: len(win)])
         for a in range(0, len(win), KERNEL_BLOCK):
             found = np.flatnonzero(found_in[a : a + KERNEL_BLOCK])
-            yield w0 + a, found, win[a : a + KERNEL_BLOCK].take(found)
-
-
-def _product_blocks(rect: Rectangle, start: int, skip: int = 0, stop=None):
-    """(keys, counts) of the rectangle's product bins from key `start` on,
-    all but the first `skip` of them, and below `stop` if given,
-    KERNEL_BLOCK bins at a time (the last block may be shorter).
-
-    From the first key, or the first key of one of its blocks, or from a
-    slot below a block's first bin with `skip` the bins between them, these
-    are the blocks a stored state's conditioning cuts; with `stop` past the
-    bin after a block, that block is whole.
-    """
-    # no block holds more bins than the rectangle has pairs
-    size = min(KERNEL_BLOCK, rect.n_pairs)
-    key_dtype = _key_dtype(rect.n_hi * rect.m_hi)
-    keys = counts = None
-    fill = size
-    for w0, found, cnt in _sieve(rect, start, stop):
-        if skip >= len(found):
-            skip -= len(found)
-            continue
-        pos, skip = skip, 0
-        while pos < len(found):
-            if fill == size:
-                if keys is not None:
-                    yield keys, counts
-                keys = np.empty(size, dtype=key_dtype)
-                counts = np.empty(size, dtype=np.int32)
-                fill = 0
-            take = min(size - fill, len(found) - pos)
-            np.add(found[pos : pos + take], w0, out=keys[fill : fill + take])
-            counts[fill : fill + take] = cnt[pos : pos + take]
-            fill += take
-            pos += take
-    if keys is not None:
-        yield keys[:fill], counts[:fill]
-
-
-def _sub_range_bins(rect: Rectangle, w0: int) -> list:
-    """The number of product bins in each KERNEL_BLOCK-slot sub-range of the
-    sieve window that starts at w0, as _sieve gathers them."""
-    marks = _sieve_window(rect, w0, np.empty(_window_width(rect), dtype=bool))
-    return [int(np.count_nonzero(marks[a : a + KERNEL_BLOCK]))
-            for a in range(0, len(marks), KERNEL_BLOCK)]
+            if len(found):
+                yield (np.add(found, w0 + a, dtype=key_dtype),
+                       win[a : a + KERNEL_BLOCK].take(found).astype(np.int32))
 
 
 def _pieces(rect: Rectangle, workers: int) -> list:
-    """(start, skip, blocks, stop) per piece of the rectangle's KERNEL_BLOCK
-    blocks of product bins, for islice(_product_blocks(rect, start, skip,
-    stop), blocks): contiguous runs of blocks, in order, for the workers of
-    a pass to take one at a time.
-
-    With one worker the one piece is every block.  Otherwise one round
-    (_in_processes over the windows) counts the bins of every sieve
-    window's KERNEL_BLOCK-slot sub-ranges.  A piece then starts at the
-    sub-range that holds its first bin and stops at the end of the one that
-    holds the next piece's first bin, so neighbouring pieces sieve at most
-    two sub-ranges twice.  Pieces shrink as the blocks left do, each a
-    1/(2 * workers) share of them (at least one block), so the workers
-    finish close together.
+    """(start, stop) per piece of a pass over the rectangle's product range:
+    runs of consecutive KERNEL_BLOCK-slot sub-ranges counted from n_lo*m_lo,
+    in order, for the workers to take one at a time.  Each is a 1/(2 *
+    workers) share of the sub-ranges left (at least one) and at most one
+    sieve window, so pieces shrink toward the end and the workers finish
+    close together.  The cap matters because bins are densest at the low
+    end, where nearly every slot is a product: without it the first piece
+    would hold 42% of the bins at N = 205,193, and a pass would wait on the
+    process that took it whenever that process's CPU ran slower.
     """
-    vmin, width = rect.n_lo * rect.m_lo, _window_width(rect)
-    if workers == 1:
-        return [(vmin, 0, None, None)]
-    windows = range(vmin, rect.n_hi * rect.m_hi + 1, width)
-    per_window = _in_processes(partial(_sub_range_bins, rect), windows, workers)
-    # (first slot, bins) of every sub-range, in order
-    subs = [(w0 + a, n) for w0, bins in zip(windows, per_window)
-            for a, n in zip(range(0, width, KERNEL_BLOCK), bins)]
-    firsts, left, b0 = [], -(-sum(n for _, n in subs) // KERNEL_BLOCK), 0
-    j, before = 0, 0        # before: the bins of the sub-ranges before j
+    start, end = rect.n_lo * rect.m_lo, rect.n_hi * rect.m_hi + 1
+    pieces, left = [], -(-(end - start) // KERNEL_BLOCK)
     while left:
-        while before + subs[j][1] <= b0 * KERNEL_BLOCK:
-            before += subs[j][1]
-            j += 1
-        size = -(-left // (2 * workers))
-        firsts.append((subs[j][0], b0 * KERNEL_BLOCK - before, size))
-        b0, left = b0 + size, left - size
-    stops = [start + KERNEL_BLOCK for start, _, _ in firsts[1:]] + [None]
-    return [(*first, stop) for first, stop in zip(firsts, stops)]
+        size = min(-(-left // (2 * workers)), _window_sub_ranges())
+        pieces.append((start, min(start + size * KERNEL_BLOCK, end)))
+        start, left = pieces[-1][1], left - size
+    return pieces
 
 
 def step_fraction(c: float, prev: float) -> float:
@@ -497,15 +467,15 @@ def _condition(state: TrialEnsemble, block_multipliers) -> MeasurementOutcome:
     """The conditioning loop: scale each bin's mass in place, total it, report Pr.
 
     block_multipliers(lo, hi, scratch) gives the real multipliers of bins
-    [lo, hi), one KERNEL_BLOCK block at a time, so kernel temporaries stay in
+    [lo, hi), one block (_blocks) at a time, so kernel temporaries stay in
     cache; scratch is one KernelScratch for every block of the call.  Each
     block is summed right after it is scaled, while it is still in cache,
     and the block sums are combined with math.fsum in index order.
     """
     prev, arr, scratch, sums = state.total, state.mass, KernelScratch(), []
-    for lo in range(0, len(arr), KERNEL_BLOCK):
-        seg = arr[lo : lo + KERNEL_BLOCK]
-        seg *= block_multipliers(lo, lo + len(seg), scratch)
+    for lo, hi in _blocks(state.keys):
+        seg = arr[lo:hi]
+        seg *= block_multipliers(lo, hi, scratch)
         sums.append(float(np.sum(seg)))     # while the block is in cache
     c = math.fsum(sums)
     pr = step_fraction(c, prev)
@@ -610,19 +580,20 @@ class ProductStream:
 
     `steps` holds (t, |alpha|) per iteration; one phase_tables call builds
     every step's phase table up front, all of one layout.  One pass of the
-    product sieve (_product_blocks) cuts the rectangle's bins into the
-    global KERNEL_BLOCK blocks that a stored state's conditioning uses, and
-    takes each block from its uniform masses through every step: its keys'
-    digits and on-target index are found once, then each step gathers
-    phasors, forms |eps|^2 and scales the masses.  The pass runs as pieces
-    of consecutive blocks (_pieces) that the worker processes take off one
-    queue (_in_processes), each piece sieving its own key range.  Per block
-    only the mass sum after each step is kept, and of the on-target bin its
-    count and mass, `hit`, which its multiplier of exactly 1 never changes.
-    So total(l), the fidelity of `hit` after step l and sample(l, rng) equal
-    those of a stored state after l conditional_update calls, bit for bit,
-    however many processes run the pass; a draw re-sieves and recomputes
-    only the block it falls in.
+    product sieve (_sieve) yields the rectangle's bins a KERNEL_BLOCK-slot
+    sub-range at a time, the blocks a stored state's conditioning cuts
+    (_blocks), and takes each block from its uniform masses through every
+    step: its keys' digits and on-target index are found once, then each
+    step gathers phasors, forms |eps|^2 and scales the masses.  The pass
+    runs as pieces, runs of consecutive sub-ranges (_pieces), that the
+    worker processes take off one queue in one _in_processes round, each
+    piece sieving its own slots.  Per block only the mass sum after each
+    step is kept, and of the on-target bin its count and mass, `hit`, which
+    its multiplier of exactly 1 never changes.  So total(l), the fidelity
+    of `hit` after step l and sample(l, rng) equal those of a stored state
+    after l conditional_update calls, bit for bit, however many processes
+    run the pass; a draw re-sieves and recomputes only the block it falls
+    in, from its first key to the end of its sub-range.
 
     `progress`, if given, is called in the calling process with the share
     of the product range below the last key it has sieved, each time that
@@ -664,12 +635,13 @@ class ProductStream:
 
     def _piece(self, piece, sieved=None) -> list:
         """(first key, mass sums after steps 0..L, on-target (count, mass) or
-        None) for each block of one piece (start, skip, blocks, stop) from
-        _pieces; sieved(last key), if given, is called after each block."""
-        start, skip, n_blocks, stop = piece
+        None) for each block of one piece (start, stop) from _pieces;
+        sieved(last key), if given, is called after each block."""
         out = []
-        for keys, counts in islice(_product_blocks(self.rect, start, skip, stop), n_blocks):
-            hit, sums = _index_of(keys, self.target_term), []
+        for keys, counts in _sieve(self.rect, *piece):
+            # 8 bytes a sum, against 32 as floats in a list: the calling
+            # process collects the sums of thousands of blocks
+            hit, sums = _index_of(keys, self.target_term), array("d")
             for mass in self._trajectory(keys, counts, hit, self._scratch):
                 sums.append(float(np.sum(mass)))
             out.append((int(keys[0]), sums,
@@ -690,7 +662,7 @@ class ProductStream:
                 tenths = int(10 * share)
                 progress(share)
 
-        workers = min(_worker_count(), -(-r.n_pairs // KERNEL_BLOCK))
+        workers = _worker_count()
         run = partial(self._piece, sieved=None if progress is None else sieved)
         blocks = [block for part in _in_processes(run, _pieces(r, workers), workers)
                   for block in part]
@@ -709,7 +681,10 @@ class ProductStream:
 
         def block_mass(b):
             nonlocal keys
-            keys, counts = next(_product_blocks(self.rect, self.starts[b]))
+            first, r = self.starts[b], self.rect
+            # to the end of the KERNEL_BLOCK-slot sub-range that holds `first`
+            end = first - (first - r.n_lo * r.m_lo) % KERNEL_BLOCK + KERNEL_BLOCK
+            keys, counts = next(_sieve(r, first, end))
             hit = _index_of(keys, self.target_term)
             return next(islice(self._trajectory(keys, counts, hit, self._scratch), l, None))
 
@@ -780,6 +755,6 @@ def sample(state: TrialEnsemble, rng_seed) -> tuple:
     ascending key order, then one member of the drawn bin, uniformly.
     """
     rng = rng_seed if isinstance(rng_seed, SplitMix64) else SplitMix64(int(rng_seed))
-    m = state.mass
-    b, i = _draw(rng, _block_sums(m), lambda b: m[b * KERNEL_BLOCK : (b + 1) * KERNEL_BLOCK])
-    return _pick(state.members(b * KERNEL_BLOCK + i), rng)
+    m, blocks = state.mass, _blocks(state.keys)
+    b, i = _draw(rng, _block_sums(m, blocks), lambda b: m[slice(*blocks[b])])
+    return _pick(state.members(blocks[b][0] + i), rng)

@@ -12,11 +12,12 @@ their unit is 1/g for g = |g_1|, the linear coupling, so they need g_1 != 0.
 Every time is fixed before the run and every multiplier depends on a pair
 only through n*m, so run_factoring computes all L_max steps in one streamed
 pass over the product sieve (ensemble.ProductStream) and keeps no state.
-The pass cuts the blocks of product bins into pieces of consecutive
-blocks, shrinking toward the end; its worker processes (HOAMP_THREADS, at
-most the usable CPUs: the calling one and forked children) take them off
-one queue and sieve each piece's key range, taking every block through
-every step with its table digits cut once.  No child outlives the call.
+The pass cuts the product range into pieces, runs of consecutive
+KERNEL_BLOCK-slot sub-ranges whose bins are its blocks, shrinking toward
+the end; its worker processes (HOAMP_THREADS, at most the usable CPUs: the
+calling one and forked children) take them off one queue and sieve each
+piece's slots, taking every block through every step with its table
+digits cut once.  No child outlives the call.
 Each process's memory is set by the sieve's window slot, the kernel block
 and one kernel scratch, not by N, while the time grows with L_max, since
 the stop rule only truncates the records afterwards.  The records and the

@@ -27,7 +27,7 @@ import pytest
 from hoamp.cli import main as cli_main
 from hoamp.constraints import ConstraintSystem, evaluate_constraints, feasible_set
 from hoamp.dynamics import MarkerAmplitude, OscillatorParams
-from hoamp.ensemble import conditional_update, init_uniform_factoring
+from hoamp.ensemble import conditional_update, factoring_ranges, init_uniform_factoring
 from hoamp.factoring import (FID_REL_TOL, PR_ABS_TOL, TABLE1_N, TABLE1_ROWS, TABLE1_TIMES,
                              FactoringConfig, replay_table1, run_factoring,
                              table1_comparison)
@@ -316,30 +316,35 @@ INEQ_SYSTEMS = (
 
 def test_solver_factoring_embedding(acceptance):
     # equality mode on m1*m2 = N over the factoring rectangle must be the
-    # factoring module, bit for bit: the same bins, records and masses
+    # factoring module, bit for bit: the same bins, records, masses and
+    # draw.  N = 35 is one block; N = 10,403 has 138,650 bins in 6 blocks
     seed, depth = 7, 6
-    system = ConstraintSystem.from_json({
-        "variables": [{"name": "m1", "bound": 6}, {"name": "m2", "bound": 12}],
-        "constraints": [{"expr": "m1*m2", "relation": "=", "bound": 35}],
-    })
-    f_state = init_uniform_factoring(35)
-    s_state = uniform_state(system, factoring_rectangle(35))
-    bitwise = all(getattr(f_state, a).tobytes() == getattr(s_state, a).tobytes()
-                  for a in ("keys", "counts", "mass"))
-    frep = run_factoring(FactoringConfig(N=35, seed=seed, L_max=depth,
-                                         stop_fidelity=1.0))
-    srep = run_solver(system, seed=seed, L_max=depth, stop_mass=1.0,
-                      domain=factoring_rectangle(35))
-    s_plan = plan_steps(s_state.keys, build_accepted_sets(system, s_state))
-    bitwise = bitwise and (len(frep.records) == len(srep.records) and
-                           all(fr.t_l == sr.t_l and fr.pr_E == sr.pr_E and fr.C_l == sr.C_l
-                               for fr, sr in zip(frep.records, srep.records)))
-    for rec in frep.records:
-        out = conditional_update(f_state, OscillatorParams(), MarkerAmplitude(rec.alpha_mag),
-                                 35, rec.t_l)
-        s_state, _ = solver_iteration(s_state, s_plan, (2.0,), rec.l, rec.t_l)
-        f_state = out.post_state
-        bitwise = bitwise and f_state.mass.tobytes() == s_state.mass.tobytes()
+    bitwise = True
+    for N in (35, 10_403):
+        _, n_hi, _, m_hi = factoring_ranges(N)
+        system = ConstraintSystem.from_json({
+            "variables": [{"name": "m1", "bound": n_hi}, {"name": "m2", "bound": m_hi}],
+            "constraints": [{"expr": "m1*m2", "relation": "=", "bound": N}],
+        })
+        f_state = init_uniform_factoring(N)
+        s_state = uniform_state(system, factoring_rectangle(N))
+        bitwise = bitwise and all(getattr(f_state, a).tobytes() == getattr(s_state, a).tobytes()
+                                  for a in ("keys", "counts", "mass"))
+        frep = run_factoring(FactoringConfig(N=N, seed=seed, L_max=depth,
+                                             stop_fidelity=1.0))
+        srep = run_solver(system, seed=seed, L_max=depth, stop_mass=1.0,
+                          domain=factoring_rectangle(N))
+        s_plan = plan_steps(s_state.keys, build_accepted_sets(system, s_state))
+        bitwise = bitwise and (len(frep.records) == len(srep.records) == depth and
+                               all(fr.t_l == sr.t_l and fr.pr_E == sr.pr_E and fr.C_l == sr.C_l
+                                   for fr, sr in zip(frep.records, srep.records))
+                               and frep.sampled_tuple == srep.sampled_tuple)
+        for rec in frep.records:
+            out = conditional_update(f_state, OscillatorParams(),
+                                     MarkerAmplitude(rec.alpha_mag), N, rec.t_l)
+            s_state, _ = solver_iteration(s_state, s_plan, (2.0,), rec.l, rec.t_l)
+            f_state = out.post_state
+            bitwise = bitwise and f_state.mass.tobytes() == s_state.mass.tobytes()
 
     feas_ok, masses = True, []
     for doc in INEQ_SYSTEMS:
@@ -352,7 +357,8 @@ def test_solver_factoring_embedding(acceptance):
     acceptance.check(
         "solver embedding (equality == factoring bitwise; inequality == feasible set)",
         bitwise and feas_ok,
-        f"{depth} iterations bitwise-equal; {len(INEQ_SYSTEMS)} inequality systems, "
+        f"{depth} iterations bitwise-equal at N = 35 and 10,403; "
+        f"{len(INEQ_SYSTEMS)} inequality systems, "
         f"min amplified feasible mass {min(masses):.4f}",
     )
 

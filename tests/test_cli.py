@@ -15,7 +15,7 @@ from hoamp.constraints import ConstraintSystem
 from hoamp.dynamics import KERNEL_BLOCK
 from hoamp.factoring import (TABLE1_ROWS, TABLE1_TIME_GRID_NOTE, TABLE1_TIMES, FactoringConfig,
                              run_factoring)
-from hoamp.reporting import REPLAY_HEADER
+from hoamp.reporting import REPLAY_HEADER, fmt_float
 from hoamp.search import BlackBox, apply_black_box, initial_search_state
 from hoamp.solver import uniform_state
 
@@ -245,6 +245,26 @@ def test_search_stall_is_reported(tmp_path, capsys):
     assert run(["search", "--n", "10", "--solutions", "3"]) == 0
     said = capsys.readouterr().err
     assert "marked items: 3" in said and "stalled" not in said
+
+
+def test_factor_stall_is_reported(tmp_path, capsys):
+    # |alpha| = 0 never suppresses anything: the run ends at its iteration
+    # cap with the initial fidelity F_0 = 1/28, exits 0 and says it stalled
+    argv = ["factor", "--n", "35", "--alpha", "0", "--seed", "3"]
+    assert run(argv + ["--out-dir", str(tmp_path), "--format", "json"]) == 0
+    said = capsys.readouterr().out
+    report = (tmp_path / "factor_report.json").read_bytes()
+    records = json.loads(report)["records"]
+    assert len(records) == 30 and records[-1]["fidelity"] == pytest.approx(1 / 28)
+    assert said.rstrip() == (
+        f"wrote {tmp_path / 'factor_report.json'}\n35 = 5 * 7   (fidelity "
+        f"{fmt_float(records[-1]['fidelity'])}, 30 iterations); stalled: fidelity "
+        f"{records[-1]['fidelity']:.6g} after 30 iterations, stop fidelity 0.99 not reached")
+    assert b"stalled" not in report
+    # a run that reaches its stop fidelity does not say it
+    assert run(["factor", "--n", "35", "--seed", "3"]) == 0
+    said = capsys.readouterr().err
+    assert "35 = 5 * 7" in said and "stalled" not in said
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):
@@ -714,7 +734,7 @@ GRID_SYSTEM = {
 
 @pytest.mark.parametrize("command", ["factor", "search", "solve"])
 def test_reports_identical_across_thread_counts(command, tmp_path, monkeypatch, capsys):
-    # factor --n 50000 has 1.41M product bins: 22 conditioning blocks
+    # factor --n 50000 has 1.41M product bins: 57 conditioning blocks
     system = tmp_path / "grid.json"
     system.write_text(json.dumps(GRID_SYSTEM))
     argv = {

@@ -20,6 +20,7 @@ from hoamp.errors import (ConditionedMassVanished, DomainTooLarge, EmptyRange,
 from hoamp.factoring import FactoringConfig, run_factoring
 from hoamp.reporting import to_json_text
 from hoamp.rng import SplitMix64
+from hoamp.solver import ConstraintSystem, uniform_state
 
 from conftest import factor_fidelity, factoring_rectangle
 
@@ -107,16 +108,24 @@ def test_binned_build_matches_brute_force(N):
     assert st.mass.tobytes() == mass.tobytes()
 
 
+def _sub_range(rect, key: int) -> int:
+    """The index of the KERNEL_BLOCK-slot sub-range, counted from the
+    rectangle's first product, that holds `key`."""
+    return (key - rect.n_lo * rect.m_lo) // KERNEL_BLOCK
+
+
 @pytest.mark.parametrize("rect,window,key_dtype", [
-    (factoring_ranges(6557), 4096, np.int32),          # 44 windows, last partial
+    (factoring_ranges(6557), 4096, np.int32),          # rounds up to 3 one-sub-range windows
     ((50_000, 50_010, 49_990, 50_100), 1 << 20, np.int64),   # products past 2^31
 ])
 def test_product_bins_across_windows(monkeypatch, rect, window, key_dtype):
     monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
     r = ensemble.Rectangle(*rect)
-    blocks = list(ensemble._product_blocks(r, r.n_lo * r.m_lo))
-    # every block but the last is full: the cuts conditioning makes
-    assert {len(k) for k, _ in blocks[:-1]} <= {KERNEL_BLOCK}
+    blocks = list(ensemble._sieve(r, r.n_lo * r.m_lo))
+    # every block is one nonempty sub-range, in order: the cuts conditioning makes
+    subs = [_sub_range(r, int(k[0])) for k, _ in blocks]
+    assert all(len(k) and _sub_range(r, int(k[-1])) == j for (k, _), j in zip(blocks, subs))
+    assert subs == sorted(set(subs))
     keys, counts = (np.concatenate(parts) for parts in zip(*blocks))
     want_keys, want_counts = _brute_force_bins(*rect)
     assert keys.dtype == key_dtype and np.array_equal(keys, want_keys)
@@ -125,43 +134,98 @@ def test_product_bins_across_windows(monkeypatch, rect, window, key_dtype):
 
 @pytest.mark.parametrize("rect,window", [
     (factoring_ranges(30_000), None),                  # the real window, then a partial one
-    (factoring_ranges(30_000), 4096),                  # windows under one sub-range
-    (factoring_ranges(30_000), 3 * KERNEL_BLOCK + 4099),   # a short last sub-range
+    (factoring_ranges(30_000), 4096),                  # a window setting under one sub-range
+    (factoring_ranges(30_000), 3 * KERNEL_BLOCK + 4099),   # not a whole number of them
     ((46_000, 46_300, 46_500, 46_800), None),          # products on both sides of 2^31
     ((46_000, 46_300, 46_500, 46_800), 3 * KERNEL_BLOCK + 4099),
 ])
 def test_sub_range_gather_matches_brute_force(monkeypatch, rect, window):
-    # the sieve gathers each window KERNEL_BLOCK slots at a time; the bins,
-    # and the blocks re-sieved from a block's first key as ProductStream.sample
-    # re-sieves them, must not depend on where those sub-ranges fall
+    # the sieve's windows are whole sub-ranges, whatever the window setting;
+    # the bins, and each block re-sieved from its first key to the end of its
+    # sub-range as ProductStream.sample re-sieves it, must not depend on it
     if window is not None:
         monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
     r = ensemble.Rectangle(*rect)
-    blocks = list(ensemble._product_blocks(r, r.n_lo * r.m_lo))
+    vmin = r.n_lo * r.m_lo
+    blocks = list(ensemble._sieve(r, vmin))
     assert len(blocks) > 1
     keys, counts = (np.concatenate(parts) for parts in zip(*blocks))
     want_keys, want_counts = _brute_force_bins(*rect)
     assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
-    width = ensemble._SIEVE_WINDOW
-    assert any((int(k[0]) - r.n_lo * r.m_lo) % width for k, _ in blocks[1:])
-    for k, c in blocks[1:]:
-        got_k, got_c = next(ensemble._product_blocks(r, int(k[0])))
+    for k, c in blocks:
+        end = vmin + (_sub_range(r, int(k[0])) + 1) * KERNEL_BLOCK
+        (got_k, got_c), = ensemble._sieve(r, int(k[0]), end)
         assert got_k.dtype == k.dtype and np.array_equal(got_k, k)
         assert np.array_equal(got_c, c)
 
 
+@pytest.mark.parametrize("N", [50_000, 205_193])
+def test_every_block_is_one_nonempty_sub_range(monkeypatch, N):
+    # a stored state's blocks and a pass's are the same: the bins of each
+    # KERNEL_BLOCK-slot product range that holds any, counted from n_lo*m_lo
+    monkeypatch.setenv("HOAMP_THREADS", "1")
+    rect = trial_rectangle(N)
+    keys = np.concatenate([k for k, _ in ensemble._sieve(rect, rect.n_lo * rect.m_lo)])
+    blocks = ensemble._blocks(keys)
+    subs = [_sub_range(rect, int(keys[lo])) for lo, _ in blocks]
+    assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(keys)
+    assert all(lo < hi and _sub_range(rect, int(keys[hi - 1])) == j
+               for (lo, hi), j in zip(blocks, subs))
+    assert subs == sorted(set(subs)) and len(blocks) > 2
+    stream = ensemble.ProductStream(rect, PARAMS, N, [(0.9, 2.0)])
+    assert stream.starts == [int(keys[lo]) for lo, _ in blocks]
+
+
+_B = KERNEL_BLOCK
+
+
+@pytest.mark.parametrize("keys,want", [
+    # dense keys, one column: KERNEL_BLOCK-wide key ranges from the first
+    # key, the empty one (the third) skipped
+    (np.concatenate([np.arange(5, 5 + _B // 2), np.arange(5 + _B, 5 + _B + _B // 4),
+                     np.arange(5 + 3 * _B, 5 + 4 * _B)]),
+     [(0, _B // 2), (_B // 2, 3 * _B // 4), (3 * _B // 4, 7 * _B // 4)]),
+    (np.arange(2 * _B + 1, dtype=np.int32), [(0, _B), (_B, 2 * _B), (2 * _B, 2 * _B + 1)]),
+    (np.arange(_B + 1, dtype=np.int64).reshape(-1, 1) * 4,     # a quarter full
+     [(0, _B // 4), (_B // 4, _B // 2), (_B // 2, 3 * _B // 4), (3 * _B // 4, _B),
+      (_B, _B + 1)]),
+    # one column under an eighth full, and wider keys: every KERNEL_BLOCK bins
+    (np.array([5, 6, 5 + _B, 7 + 3 * _B]), [(0, 4)]),
+    (np.array([[-(2**63)], [0], [2**63 - 1]]), [(0, 3)]),
+    (np.arange(_B + 1, dtype=np.int64) * 9, [(0, _B), (_B, _B + 1)]),
+    (np.zeros((_B + 1, 2), dtype=np.int64), [(0, _B), (_B, _B + 1)]),
+    (np.zeros(0, dtype=np.int32), []),
+])
+def test_blocks_cut_dense_key_column_by_key_range(keys, want):
+    assert ensemble._blocks(keys) == want
+
+
+def test_sparse_one_constraint_state_keeps_bin_count_blocks():
+    # x^4 + y^4 over x, y <= 299: 45,147 distinct values spread over 1.6e10,
+    # one bin in about 350,000 keys.  Key ranges would make a block of about
+    # one bin each; the state is one block of every bin, and the solve
+    # conditions, totals and samples it as one
+    system = ConstraintSystem.from_json({
+        "variables": [{"name": "x", "bound": 299}, {"name": "y", "bound": 299}],
+        "constraints": [{"expr": "x^4 + y^4", "relation": "<=", "bound": 10**10}]})
+    state = uniform_state(system)
+    assert state.keys.shape == (45_147, 1)
+    assert ensemble._blocks(state.keys) == [(0, 45_147)]
+
+
 def test_sieve_yields_no_more_than_one_kernel_block_of_offsets(monkeypatch):
-    # no window-sized offsets or counts array: neither in the streamed pass
-    # nor in a draw's re-sieve.  N = 30,000 puts 0.54M bins in its first
-    # window.  The spy sees only the calling process, so the pass runs there
+    # no window-sized keys or counts array: neither in the streamed pass nor
+    # in a draw's re-sieve.  N = 30,000 puts 0.54M bins in its first window.
+    # The spy sees only the calling process, so the pass runs there
     monkeypatch.setenv("HOAMP_THREADS", "1")
     sieve, lengths = ensemble._sieve, []
 
     def spy(*args):
-        for w0, found, cnt in sieve(*args):
-            assert len(found) == len(cnt)
-            lengths.append(len(found))
-            yield w0, found, cnt
+        for keys, cnt in sieve(*args):
+            assert len(keys) == len(cnt)
+            lengths.append(len(keys))
+            yield keys, cnt
 
     monkeypatch.setattr(ensemble, "_sieve", spy)
     rect = ensemble.trial_rectangle(30_000)
@@ -173,13 +237,55 @@ def test_sieve_yields_no_more_than_one_kernel_block_of_offsets(monkeypatch):
     assert sum(lengths) > n_bins and max(lengths) <= KERNEL_BLOCK
 
 
+def _spy_sieve_widths(monkeypatch, path):
+    """Append the width of every window _sieve_window fills, in any process,
+    to the file at `path`, one line each."""
+    fill = ensemble._sieve_window
+
+    def spy(rect, w0, slot):
+        win = fill(rect, w0, slot)
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, b"%d\n" % len(win))
+        finally:
+            os.close(fd)
+        return win
+
+    monkeypatch.setattr(ensemble, "_sieve_window", spy)
+    return lambda: [int(w) for w in path.read_text().split()] if path.exists() else []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pass_sieves_every_product_slot_once(monkeypatch, tmp_path, workers):
+    # the pieces of a pass split the product range at sub-range edges, so the
+    # windows the calling process and its children fill add up to the range:
+    # no slot is sieved twice, and there is no counting round
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
+    widths = _spy_sieve_widths(monkeypatch, tmp_path / "widths")
+    rect = trial_rectangle(50_000)
+    ensemble.ProductStream(rect, PARAMS, 50_000, [(0.9, 2.0)])
+    assert sum(widths()) == rect.n_hi * rect.m_hi - rect.n_lo * rect.m_lo + 1
+
+
+def test_draw_sieves_at_most_one_sub_range(monkeypatch, tmp_path):
+    # a draw re-sieves its block from the block's first key to the end of
+    # its sub-range, never a whole window
+    monkeypatch.setenv("HOAMP_THREADS", "1")
+    rect = trial_rectangle(50_000)
+    stream = ensemble.ProductStream(rect, PARAMS, 50_000, [(0.9, 2.0)])
+    widths = _spy_sieve_widths(monkeypatch, tmp_path / "widths")
+    for seed in range(8):
+        stream.sample(1, SplitMix64(seed))
+    assert len(widths()) == 8 and max(widths()) <= KERNEL_BLOCK
+
+
 def test_streamed_pass_working_set(monkeypatch):
-    # one pass at N = 205,193 (31M product slots, so every window but the
-    # last is full) in one process holds the sieve's one 3 MiB window slot,
-    # the 4 MiB kernel scratch and one block of products: an 8.4 MiB
-    # tracemalloc peak.  A second window slot, counted ahead, took it to
-    # 12.3 MiB, and gathering a whole window's offsets and counts at once
-    # to 25.8 MiB; the bound lies below both
+    # one pass at N = 205,193 (31M product slots, in windows of at most 2^20)
+    # in one process holds the sieve's one 3 MiB window slot, the 4 MiB
+    # kernel scratch and one block of products: a 7.6 MiB tracemalloc peak.
+    # A second window slot, counted ahead, took it to 12.3 MiB, and
+    # gathering a whole window's offsets and counts at once to 25.8 MiB;
+    # the bound lies below both
     monkeypatch.setenv("HOAMP_THREADS", "1")
     rect = ensemble.trial_rectangle(205_193)
     tracemalloc.start()
@@ -248,9 +354,9 @@ def test_without_fork_every_piece_runs_in_the_calling_process(monkeypatch):
 
 @pytest.mark.parametrize("affinity", [True, False])
 def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch, affinity):
-    # HOAMP_THREADS=64 on 2 usable CPUs makes two processes per round (the
-    # first round's count and the pass), so one fork each; counted on a
-    # wrapped os.fork, never by starting 64 processes
+    # HOAMP_THREADS=64 on 2 usable CPUs makes two processes for the pass's
+    # one round, so one fork; counted on a wrapped os.fork, never by
+    # starting 64 processes
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -269,45 +375,35 @@ def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch, affinity):
     monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setenv("HOAMP_THREADS", "64")
     stream = ensemble.ProductStream(trial_rectangle(50_000), PARAMS, 50_000, [(0.9, 2.0)])
-    assert len(stream.starts) == 22 and len(forks) == 2
-
-
-def _piece_spans_a_window(rect, pieces):
-    """Whether some piece after the first starts mid-window and its first
-    block runs on into the window after."""
-    width, vmin = ensemble._window_width(rect), rect.n_lo * rect.m_lo
-    for start, skip, _, stop in pieces[1:]:
-        keys, _ = next(ensemble._product_blocks(rect, start, skip, stop))
-        if skip and int(keys[-1]) >= vmin + ((start - vmin) // width + 1) * width:
-            return True
-    return False
+    assert len(stream.starts) == 57 and len(forks) == 1
 
 
 @pytest.mark.parametrize("N,window", [
     (50_000, None),
-    (50_000, 3 * KERNEL_BLOCK + 4099),      # 19 windows, pieces start mid-window
+    (50_000, 3 * KERNEL_BLOCK + 4099),      # windows of 3 sub-ranges, cut at piece edges
     (205_193, None),
 ])
 def test_forked_pass_equals_serial_pass(monkeypatch, N, window):
-    # 1, 2 and 3 worker processes cut the same global blocks, so every block
-    # sum, first key and the on-target bin come out bit for bit as from one
+    # 1, 2 and 3 worker processes cut the same blocks, so every block sum,
+    # first key and the on-target bin come out bit for bit as from one
     if window is not None:
         monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
     rect, steps = trial_rectangle(N), [(0.9, 2.0), (4.1, 1.5)]
+    vmin, end = rect.n_lo * rect.m_lo, rect.n_hi * rect.m_hi + 1
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
         stream = ensemble.ProductStream(rect, PARAMS, N, steps)
         runs.append((stream.sums, stream.starts, stream.hit))
+        # pieces of consecutive sub-ranges that cover the product range,
+        # shrinking, none past one sieve window
         pieces = ensemble._pieces(rect, workers)
-        assert pieces[0][:2] == (rect.n_lo * rect.m_lo, 0) and pieces[-1][3] is None
-        if workers > 1:
-            # pieces of consecutive blocks that cover the pass, shrinking
-            sizes = [n for _, _, n, _ in pieces]
-            assert sum(sizes) == len(stream.starts) and sizes == sorted(sizes, reverse=True)
-            assert len(pieces) > workers
-            if window is not None:
-                assert _piece_spans_a_window(rect, pieces)
+        bounds = [start for start, _ in pieces] + [end]
+        assert [stop for _, stop in pieces] == bounds[1:] and bounds[0] == vmin
+        assert all((start - vmin) % KERNEL_BLOCK == 0 for start in bounds[:-1])
+        sizes = [-(-(stop - start) // KERNEL_BLOCK) for start, stop in pieces]
+        assert sizes == sorted(sizes, reverse=True) and len(pieces) > workers
+        assert sizes[0] <= ensemble._window_sub_ranges()
     assert runs[1] == runs[0] and runs[2] == runs[0]
     assert all(isinstance(s, float) for sums in runs[0][0] for s in sums)
 
@@ -362,7 +458,7 @@ def test_conditioning_reuses_one_scratch_per_worker(monkeypatch, path):
 
     monkeypatch.setattr(ensemble, "KernelScratch", CountedScratch)
     st = init_uniform_factoring(50_000)
-    assert len(st.keys) > 2 * KERNEL_BLOCK          # 22 blocks
+    assert len(st.keys) > 2 * KERNEL_BLOCK          # 57 blocks
     outs = []
     for workers in (1, 2):
         monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)

@@ -26,6 +26,8 @@ GRID_B7 = {"variables": [{"name": "x", "bound": 7}, {"name": "y", "bound": 7}],
 # CLI runs whose JSON reports are pinned byte for byte under tests/data/
 GOLDEN_RUNS = {
     "factor_899_seed4": ["factor", "--n", "899", "--seed", "4"],
+    # 6 blocks: pins the block partition and the fsum of the block sums
+    "factor_10403_seed2": ["factor", "--n", "10403", "--seed", "2"],
     "search_1024": ["search", "--n", "1024", "--solutions", "5,77,1000"],
     "solve_grid_b7": ["solve", "--system", "{grid}", "--l-max", "10", "--seed", "3"],
     "solve_example_system": ["solve", "--system",
