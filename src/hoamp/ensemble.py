@@ -12,11 +12,12 @@ which fixes summation and sampling order across platforms.
 
 Which tuples a bin holds is the business of the state's member enumerator,
 one per application: members(keys, i) gives the tuples of bin i, ascending,
-as a (count, arity) array, which sampling and the solution lists use.
+as a (count, arity) array, which sampling uses, and member_rows(keys, bins)
+those of several bins, bin after bin, which the solution lists use.
 Factoring's is Rectangle below; its bins are built by a segmented sieve over
-the product range: it counts one window of _SIEVE_WINDOW product slots at a
-time into one window slot and gathers the window's products KERNEL_BLOCK
-slots at a time.
+the product range: it counts one window of _SIEVE_WINDOW product slots
+(_windows) into one window slot and gathers the window's products
+KERNEL_BLOCK slots at a time.
 
 A state is conditioned, totalled and sampled in blocks of bins, cut by one
 rule (_blocks): a state with one column of dense keys at KERNEL_BLOCK-wide
@@ -67,12 +68,11 @@ kernel scratch, not by N.
 
 The stream runs in up to HOAMP_THREADS worker processes (_worker_count):
 the calling process and children made by os.fork (_in_processes).  The
-product range is split into pieces, runs of consecutive sub-ranges, which
-the processes take off one shared queue, so a process on a faster CPU
-takes more; each piece sieves its own slots, once, and each process sends
-back its blocks' sums.  Each process has its own interpreter, so the
-kernel's many small numpy calls do not queue for one interpreter lock, as
-they would on threads.
+processes take the sieve windows off one shared queue, so a process on a
+faster CPU takes more; each window is sieved once, by the process that
+takes it, and each process sends back its blocks' sums.  Each process has
+its own interpreter, so the kernel's many small numpy calls do not queue
+for one interpreter lock, as they would on threads.
 A stored state's _condition runs its blocks in a plain loop.
 """
 
@@ -106,10 +106,10 @@ from .errors import ConditionedMassVanished, DomainTooLarge, EmptyRange, WorkerF
 from .rng import SplitMix64
 
 _VANISH = 1e-300
-# product slots the bin sieve counts at a time, rounded down to whole
-# KERNEL_BLOCK sub-ranges (at least one); its window slot holds a uint16
-# count and a bool mask per product (3 MiB at 2^20)
-_SIEVE_WINDOW = 1 << 20
+# product slots of one sieve window (_windows), a whole number of
+# KERNEL_BLOCK sub-ranges: 2^20; its window slot holds a uint16 count and a
+# bool mask per product (3 MiB)
+_SIEVE_WINDOW = 16 * KERNEL_BLOCK
 # at most this many entries in a work queue of _in_processes: 4 KiB of
 # records, which any pipe buffers whole before a worker reads them
 _QUEUE_MAX = 1024
@@ -149,7 +149,7 @@ def _in_processes(fn, items, workers: int) -> list:
     consecutive ones where there are more than _QUEUE_MAX items.  Entries
     go out in item order.  With one worker, or where there is no os.fork,
     the calling process runs every item in order.  A streamed pass makes
-    one such call, over its pieces.
+    one such call, over its sieve windows.
 
     A child sends back its (index, result) pairs through a pipe, pickled,
     and ends in os._exit, so it runs none of the caller's exit handlers and
@@ -284,7 +284,7 @@ class TrialEnsemble:
     keys: np.ndarray       # conditioning argument per bin, ascending; (bins, B) for B markers
     counts: np.ndarray     # tuples per bin
     mass: np.ndarray       # unnormalized probability mass per bin
-    domain: object         # member enumerator: members(keys, i) [, member_rows(keys, bins)]
+    domain: object         # member enumerator: members(keys, i), member_rows(keys, bins)
     total: float = 1.0     # the mass the probabilities are relative to
 
     # benchmarks/tracing.py reads these; they go once it reads an in-program
@@ -307,10 +307,6 @@ class TrialEnsemble:
     def members(self, i: int) -> np.ndarray:
         """The tuples of bin i, ascending, one per row."""
         return self.domain.members(self.keys, i)
-
-    def share(self, i: int) -> float:
-        """The probability of each member of bin i."""
-        return float(self.mass[i]) / self.total / float(self.counts[i])
 
     def total_mass(self) -> float:
         """The sum of the masses, as conditioning totals them: the fsum of the
@@ -354,6 +350,11 @@ class Rectangle:
         pairs = [(n, v // n) for n in range(lo, hi + 1) if v % n == 0]
         return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
+    def member_rows(self, keys: np.ndarray, bins) -> np.ndarray:
+        """The members of the given bins, bin after bin."""
+        return np.concatenate([np.empty((0, 2), np.int64),
+                               *(self.members(keys, i) for i in bins)])
+
 
 def trial_rectangle(N: int) -> Rectangle:
     """The trial pairs for factoring N; EmptyRange if there are none and
@@ -371,9 +372,12 @@ def trial_rectangle(N: int) -> Rectangle:
 
 
 def init_uniform_factoring(N: int) -> TrialEnsemble:
-    """Uniform mass 1/n_pairs over all trial pairs for factoring N, in product bins."""
+    """Uniform mass 1/n_pairs over all trial pairs for factoring N, in product
+    bins: the blocks _sieve yields over the sieve windows (_windows), which
+    a streamed pass runs too."""
     rect = trial_rectangle(N)
-    keys, counts = (np.concatenate(parts) for parts in zip(*_sieve(rect, rect.n_lo * rect.m_lo)))
+    blocks = (block for window in _windows(rect) for block in _sieve(rect, *window))
+    keys, counts = (np.concatenate(parts) for parts in zip(*blocks))
     return TrialEnsemble.uniform(keys, counts, rect)
 
 
@@ -400,58 +404,40 @@ def _sieve_window(rect: Rectangle, w0: int, slot: np.ndarray) -> np.ndarray:
     return win
 
 
-def _window_sub_ranges() -> int:
-    """KERNEL_BLOCK-slot sub-ranges per sieve window: _SIEVE_WINDOW rounded
-    down to whole ones, at least one."""
-    return max(_SIEVE_WINDOW // KERNEL_BLOCK, 1)
-
-
-def _sieve(rect: Rectangle, start: int, stop=None):
-    """The rectangle's product bins from key `start` on, and below `stop` if
-    given, as (keys, counts) per KERNEL_BLOCK-slot sub-range [start +
+def _sieve(rect: Rectangle, start: int, stop: int):
+    """The rectangle's product bins in [start, stop), at most one sieve
+    window, as (keys, counts) per KERNEL_BLOCK-slot sub-range [start +
     j*KERNEL_BLOCK, start + (j+1)*KERNEL_BLOCK) that holds any, ascending.
 
-    A segmented sieve: one window of whole sub-ranges at a time is counted
-    into one window slot (_sieve_window), then gathered a sub-range at a
-    time, so no keys or counts array outgrows a kernel block.  From
-    n_lo*m_lo, or from any multiple of KERNEL_BLOCK slots past it, the
-    sub-ranges are a stored state's blocks (_blocks).
+    The range is counted into one window slot (_sieve_window), cut at the
+    rectangle's last product, then gathered a sub-range at a time, so no
+    keys or counts array outgrows a kernel block.  A window (_windows)
+    starts a whole number of KERNEL_BLOCK slots past n_lo*m_lo, so its
+    sub-ranges are a stored state's blocks (_blocks); a draw's range, from a
+    block's first key to the end of its sub-range, yields that one block.
     """
-    end = rect.n_hi * rect.m_hi + 1
-    if stop is not None:
-        end = min(end, stop)
-    width = KERNEL_BLOCK * min(_window_sub_ranges(), -(-(end - start) // KERNEL_BLOCK))
     key_dtype = _key_dtype(rect.n_hi * rect.m_hi)
-    slot = np.empty(width, dtype=np.uint16)
-    nz = np.empty(width, dtype=bool)
-    for w0 in range(start, end, width):
-        win = _sieve_window(rect, w0, slot[: end - w0])
-        found_in = np.not_equal(win, 0, out=nz[: len(win)])
-        for a in range(0, len(win), KERNEL_BLOCK):
-            found = np.flatnonzero(found_in[a : a + KERNEL_BLOCK])
-            if len(found):
-                yield (np.add(found, w0 + a, dtype=key_dtype),
-                       win[a : a + KERNEL_BLOCK].take(found).astype(np.int32))
+    win = _sieve_window(rect, start, np.empty(stop - start, dtype=np.uint16))
+    found_in = win != 0
+    for a in range(0, len(win), KERNEL_BLOCK):
+        found = np.flatnonzero(found_in[a : a + KERNEL_BLOCK])
+        if len(found):
+            yield (np.add(found, start + a, dtype=key_dtype),
+                   win[a : a + KERNEL_BLOCK].take(found).astype(np.int32))
 
 
-def _pieces(rect: Rectangle, workers: int) -> list:
-    """(start, stop) per piece of a pass over the rectangle's product range:
-    runs of consecutive KERNEL_BLOCK-slot sub-ranges counted from n_lo*m_lo,
-    in order, for the workers to take one at a time.  Each is a 1/(2 *
-    workers) share of the sub-ranges left (at least one) and at most one
-    sieve window, so pieces shrink toward the end and the workers finish
-    close together.  The cap matters because bins are densest at the low
-    end, where nearly every slot is a product: without it the first piece
-    would hold 42% of the bins at N = 205,193, and a pass would wait on the
-    process that took it whenever that process's CPU ran slower.
+def _windows(rect: Rectangle) -> list:
+    """(start, stop) of each sieve window of the rectangle's product range:
+    [v0 + j*_SIEVE_WINDOW, v0 + (j+1)*_SIEVE_WINDOW) from v0 = n_lo*m_lo,
+    the last one cut at n_hi*m_hi + 1.  A window is a whole number of
+    KERNEL_BLOCK-slot sub-ranges, so its blocks are whole blocks of a
+    stored state.  A streamed pass hands the windows to its workers, and
+    they need no finer cut: bins thin out along the range by themselves (at
+    N = 205,193 the first of 30 windows holds 7.2% of them and the last
+    0.05%).
     """
     start, end = rect.n_lo * rect.m_lo, rect.n_hi * rect.m_hi + 1
-    pieces, left = [], -(-(end - start) // KERNEL_BLOCK)
-    while left:
-        size = min(-(-left // (2 * workers)), _window_sub_ranges())
-        pieces.append((start, min(start + size * KERNEL_BLOCK, end)))
-        start, left = pieces[-1][1], left - size
-    return pieces
+    return [(w0, min(w0 + _SIEVE_WINDOW, end)) for w0 in range(start, end, _SIEVE_WINDOW)]
 
 
 def step_fraction(c: float, prev: float) -> float:
@@ -580,24 +566,24 @@ class ProductStream:
 
     `steps` holds (t, |alpha|) per iteration; one phase_tables call builds
     every step's phase table up front, all of one layout.  One pass of the
-    product sieve (_sieve) yields the rectangle's bins a KERNEL_BLOCK-slot
-    sub-range at a time, the blocks a stored state's conditioning cuts
-    (_blocks), and takes each block from its uniform masses through every
-    step: its keys' digits and on-target index are found once, then each
-    step gathers phasors, forms |eps|^2 and scales the masses.  The pass
-    runs as pieces, runs of consecutive sub-ranges (_pieces), that the
-    worker processes take off one queue in one _in_processes round, each
-    piece sieving its own slots.  Per block only the mass sum after each
-    step is kept, and of the on-target bin its count and mass, `hit`, which
-    its multiplier of exactly 1 never changes.  So total(l), the fidelity
-    of `hit` after step l and sample(l, rng) equal those of a stored state
-    after l conditional_update calls, bit for bit, however many processes
-    run the pass; a draw re-sieves and recomputes only the block it falls
-    in, from its first key to the end of its sub-range.
+    product sieve (_sieve) over the sieve windows (_windows) yields the
+    rectangle's bins a KERNEL_BLOCK-slot sub-range at a time, the blocks a
+    stored state's conditioning cuts (_blocks), and takes each block from
+    its uniform masses through every step: its keys' digits and on-target
+    index are found once, then each step gathers phasors, forms |eps|^2 and
+    scales the masses.  The worker processes take the windows off one queue
+    in one _in_processes round, each window sieving its own slots.  Per
+    block only the mass sum after each step is kept, and of the on-target
+    bin its count and mass, `hit`, which its multiplier of exactly 1 never
+    changes.  So total(l), the fidelity of `hit` after step l and
+    sample(l, rng) equal those of a stored state after l conditional_update
+    calls, bit for bit, however many processes run the pass; a draw
+    re-sieves and recomputes only the block it falls in, from its first key
+    to the end of its sub-range.
 
     `progress`, if given, is called in the calling process with the share
     of the product range below the last key it has sieved, each time that
-    passes another tenth, and with 1.0 once every piece is done.
+    passes another tenth, and with 1.0 once every window is done.
     """
 
     def __init__(self, rect: Rectangle, params: OscillatorParams, target_term: int, steps,
@@ -633,12 +619,12 @@ class ProductStream:
             mass *= _block_multipliers(table, digits, q, amag, hit, scratch)
             yield mass
 
-    def _piece(self, piece, sieved=None) -> list:
+    def _window_blocks(self, window, sieved=None) -> list:
         """(first key, mass sums after steps 0..L, on-target (count, mass) or
-        None) for each block of one piece (start, stop) from _pieces;
+        None) for each block of one window (start, stop) from _windows;
         sieved(last key), if given, is called after each block."""
         out = []
-        for keys, counts in _sieve(self.rect, *piece):
+        for keys, counts in _sieve(self.rect, *window):
             # 8 bytes a sum, against 32 as floats in a list: the calling
             # process collects the sums of thousands of blocks
             hit, sums = _index_of(keys, self.target_term), array("d")
@@ -662,9 +648,8 @@ class ProductStream:
                 tenths = int(10 * share)
                 progress(share)
 
-        workers = _worker_count()
-        run = partial(self._piece, sieved=None if progress is None else sieved)
-        blocks = [block for part in _in_processes(run, _pieces(r, workers), workers)
+        run = partial(self._window_blocks, sieved=None if progress is None else sieved)
+        blocks = [block for part in _in_processes(run, _windows(r), _worker_count())
                   for block in part]
         if progress is not None:
             progress(1.0)
@@ -704,28 +689,18 @@ def fidelity(count: int, mass: float, total: float) -> float:
 
 def member_masses(state: TrialEnsemble, bins=None) -> list:
     """(tuple, probability) for every member of the given bins (default:
-    all), ascending by tuple, each member holding an equal share of its bin.
-
-    A domain with member_rows(keys, bins) hands out every member at once,
-    and the list comes from one gather, one repeat of the shares and one
-    lexsort; otherwise the bins' members are listed bin by bin."""
-    member_rows = getattr(state.domain, "member_rows", None)
-    if member_rows is not None:
-        bins = np.arange(len(state.counts)) if bins is None else np.asarray(bins, dtype=np.intp)
-        bins = bins[state.counts[bins] > 0]
-        rows = member_rows(state.keys, bins)
-        counts = state.counts[bins]
-        shares = np.repeat(state.mass[bins] / state.total / counts, counts)
-        # by tuple, then by share, as the sort of (tuple, share) pairs orders them
-        order = np.lexsort((shares, *rows.T[::-1]))
-        return list(zip(map(tuple, rows[order].tolist()), shares[order].tolist()))
-    out = []
-    for i in range(len(state.counts)) if bins is None else bins:
-        if state.counts[i]:
-            share = state.share(i)
-            out.extend((tuple(m), share) for m in state.members(i).tolist())
-    out.sort()
-    return out
+    all), ascending by tuple, each member holding an equal share of its bin,
+    mass / total / count.  The domain's member_rows hands out every member
+    at once, and the list comes from one repeat of the shares and one
+    lexsort."""
+    bins = np.arange(len(state.counts)) if bins is None else np.asarray(bins, dtype=np.intp)
+    bins = bins[state.counts[bins] > 0]
+    rows = state.domain.member_rows(state.keys, bins)
+    counts = state.counts[bins]
+    shares = np.repeat(state.mass[bins] / state.total / counts, counts)
+    # by tuple, then by share, as the sort of (tuple, share) pairs orders them
+    order = np.lexsort((shares, *rows.T[::-1]))
+    return list(zip(map(tuple, rows[order].tolist()), shares[order].tolist()))
 
 
 def _draw(rng: SplitMix64, sums: list, block_mass) -> tuple:

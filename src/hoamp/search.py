@@ -107,6 +107,11 @@ class _Items:
             rest = np.delete(rest, self.marked)
         return rest[:, None]
 
+    def member_rows(self, keys, bins) -> np.ndarray:
+        """The members of the given bins, bin after bin."""
+        return np.concatenate([np.empty((0, 1), np.int64),
+                               *(self.members(keys, i) for i in bins)])
+
 
 # the evolution time of every iteration, pi/g_tilde in units of 1/g_tilde
 T_S = math.pi

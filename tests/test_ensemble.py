@@ -114,14 +114,21 @@ def _sub_range(rect, key: int) -> int:
     return (key - rect.n_lo * rect.m_lo) // KERNEL_BLOCK
 
 
+def _sieve_all(rect) -> list:
+    """Every block of the rectangle: _sieve over each of its windows."""
+    return [block for window in ensemble._windows(rect)
+            for block in ensemble._sieve(rect, *window)]
+
+
 @pytest.mark.parametrize("rect,window,key_dtype", [
-    (factoring_ranges(6557), 4096, np.int32),          # rounds up to 3 one-sub-range windows
-    ((50_000, 50_010, 49_990, 50_100), 1 << 20, np.int64),   # products past 2^31
+    (factoring_ranges(6557), KERNEL_BLOCK, np.int32),       # 3 one-sub-range windows
+    ((50_000, 50_010, 49_990, 50_100), 1 << 20, np.int64),   # products past 2^31, 6 windows
 ])
 def test_product_bins_across_windows(monkeypatch, rect, window, key_dtype):
     monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
     r = ensemble.Rectangle(*rect)
-    blocks = list(ensemble._sieve(r, r.n_lo * r.m_lo))
+    assert len(ensemble._windows(r)) > 2
+    blocks = _sieve_all(r)
     # every block is one nonempty sub-range, in order: the cuts conditioning makes
     subs = [_sub_range(r, int(k[0])) for k, _ in blocks]
     assert all(len(k) and _sub_range(r, int(k[-1])) == j for (k, _), j in zip(blocks, subs))
@@ -134,20 +141,20 @@ def test_product_bins_across_windows(monkeypatch, rect, window, key_dtype):
 
 @pytest.mark.parametrize("rect,window", [
     (factoring_ranges(30_000), None),                  # the real window, then a partial one
-    (factoring_ranges(30_000), 4096),                  # a window setting under one sub-range
-    (factoring_ranges(30_000), 3 * KERNEL_BLOCK + 4099),   # not a whole number of them
+    (factoring_ranges(30_000), KERNEL_BLOCK),          # windows of one sub-range
+    (factoring_ranges(30_000), 3 * KERNEL_BLOCK),      # of three
     ((46_000, 46_300, 46_500, 46_800), None),          # products on both sides of 2^31
-    ((46_000, 46_300, 46_500, 46_800), 3 * KERNEL_BLOCK + 4099),
+    ((46_000, 46_300, 46_500, 46_800), 3 * KERNEL_BLOCK),
 ])
 def test_sub_range_gather_matches_brute_force(monkeypatch, rect, window):
-    # the sieve's windows are whole sub-ranges, whatever the window setting;
+    # the sieve's windows are whole sub-ranges, whatever their number;
     # the bins, and each block re-sieved from its first key to the end of its
     # sub-range as ProductStream.sample re-sieves it, must not depend on it
     if window is not None:
         monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
     r = ensemble.Rectangle(*rect)
     vmin = r.n_lo * r.m_lo
-    blocks = list(ensemble._sieve(r, vmin))
+    blocks = _sieve_all(r)
     assert len(blocks) > 1
     keys, counts = (np.concatenate(parts) for parts in zip(*blocks))
     want_keys, want_counts = _brute_force_bins(*rect)
@@ -165,7 +172,7 @@ def test_every_block_is_one_nonempty_sub_range(monkeypatch, N):
     # KERNEL_BLOCK-slot product range that holds any, counted from n_lo*m_lo
     monkeypatch.setenv("HOAMP_THREADS", "1")
     rect = trial_rectangle(N)
-    keys = np.concatenate([k for k, _ in ensemble._sieve(rect, rect.n_lo * rect.m_lo)])
+    keys = np.concatenate([k for k, _ in _sieve_all(rect)])
     blocks = ensemble._blocks(keys)
     subs = [_sub_range(rect, int(keys[lo])) for lo, _ in blocks]
     assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
@@ -257,9 +264,9 @@ def _spy_sieve_widths(monkeypatch, path):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_pass_sieves_every_product_slot_once(monkeypatch, tmp_path, workers):
-    # the pieces of a pass split the product range at sub-range edges, so the
-    # windows the calling process and its children fill add up to the range:
-    # no slot is sieved twice, and there is no counting round
+    # the windows of a pass split the product range, so the widths the
+    # calling process and its children fill add up to the range: no slot is
+    # sieved twice, and there is no counting round
     monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
     widths = _spy_sieve_widths(monkeypatch, tmp_path / "widths")
     rect = trial_rectangle(50_000)
@@ -335,20 +342,21 @@ def test_in_processes_batches_a_long_queue(monkeypatch):
 
 
 def test_without_fork_every_piece_runs_in_the_calling_process(monkeypatch):
+    # a pass's pieces are its sieve windows, 4 at N = 50,000
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 2)
     rect = trial_rectangle(50_000)
     forked = ensemble.ProductStream(rect, PARAMS, 50_000, [(0.9, 2.0)])
     monkeypatch.delattr(os, "fork")
     pids = []
-    piece = ensemble.ProductStream._piece
+    window_blocks = ensemble.ProductStream._window_blocks
 
     def spy(self, *args, **kwargs):
         pids.append(os.getpid())
-        return piece(self, *args, **kwargs)
+        return window_blocks(self, *args, **kwargs)
 
-    monkeypatch.setattr(ensemble.ProductStream, "_piece", spy)
+    monkeypatch.setattr(ensemble.ProductStream, "_window_blocks", spy)
     serial = ensemble.ProductStream(rect, PARAMS, 50_000, [(0.9, 2.0)])
-    assert pids == [os.getpid()] * len(ensemble._pieces(rect, 2)) and len(pids) > 2
+    assert pids == [os.getpid()] * len(ensemble._windows(rect)) and len(pids) > 2
     assert (serial.sums, serial.starts, serial.hit) == (forked.sums, forked.starts, forked.hit)
 
 
@@ -380,7 +388,7 @@ def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch, affinity):
 
 @pytest.mark.parametrize("N,window", [
     (50_000, None),
-    (50_000, 3 * KERNEL_BLOCK + 4099),      # windows of 3 sub-ranges, cut at piece edges
+    (50_000, 3 * KERNEL_BLOCK),             # windows of 3 sub-ranges
     (205_193, None),
 ])
 def test_forked_pass_equals_serial_pass(monkeypatch, N, window):
@@ -388,22 +396,28 @@ def test_forked_pass_equals_serial_pass(monkeypatch, N, window):
     # first key and the on-target bin come out bit for bit as from one
     if window is not None:
         monkeypatch.setattr(ensemble, "_SIEVE_WINDOW", window)
+    width = ensemble._SIEVE_WINDOW
     rect, steps = trial_rectangle(N), [(0.9, 2.0), (4.1, 1.5)]
     vmin, end = rect.n_lo * rect.m_lo, rect.n_hi * rect.m_hi + 1
-    runs = []
+    in_processes, pieces, runs = ensemble._in_processes, [], []
+
+    def spy(fn, items, workers):
+        pieces.append(list(items))
+        return in_processes(fn, items, workers)
+
+    monkeypatch.setattr(ensemble, "_in_processes", spy)
     for workers in (1, 2, 3):
         monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
         stream = ensemble.ProductStream(rect, PARAMS, N, steps)
         runs.append((stream.sums, stream.starts, stream.hit))
-        # pieces of consecutive sub-ranges that cover the product range,
-        # shrinking, none past one sieve window
-        pieces = ensemble._pieces(rect, workers)
-        bounds = [start for start, _ in pieces] + [end]
-        assert [stop for _, stop in pieces] == bounds[1:] and bounds[0] == vmin
-        assert all((start - vmin) % KERNEL_BLOCK == 0 for start in bounds[:-1])
-        sizes = [-(-(stop - start) // KERNEL_BLOCK) for start, stop in pieces]
-        assert sizes == sorted(sizes, reverse=True) and len(pieces) > workers
-        assert sizes[0] <= ensemble._window_sub_ranges()
+    # the pieces are the sieve windows, one list at every worker count: they
+    # tile the product range on window edges, each a whole window but the last
+    windows = ensemble._windows(rect)
+    assert pieces == [windows] * 3 and len(windows) > 3
+    bounds = [start for start, _ in windows] + [end]
+    assert [stop for _, stop in windows] == bounds[1:] and bounds[0] == vmin
+    assert all(start == vmin + j * width for j, start in enumerate(bounds[:-1]))
+    assert 0 < end - bounds[-2] <= width
     assert runs[1] == runs[0] and runs[2] == runs[0]
     assert all(isinstance(s, float) for sums in runs[0][0] for s in sums)
 
@@ -411,7 +425,7 @@ def test_forked_pass_equals_serial_pass(monkeypatch, N, window):
 def test_child_failure_raises_and_reaps_every_child(monkeypatch, tmp_path, capsys):
     # a child that raises, or ends without a result, makes run_factoring
     # raise WorkerFailed (exit 2 from the CLI); an interrupt in the calling
-    # process's own piece kills the children; every child is reaped
+    # process's own window kills the children; every child is reaped
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 3)
     parent, index_of = os.getpid(), ensemble._index_of
     config = FactoringConfig(N=50_000, seed=3, L_max=2)
@@ -447,7 +461,7 @@ def test_child_failure_raises_and_reaps_every_child(monkeypatch, tmp_path, capsy
 @pytest.mark.parametrize("path", ["stored", "streamed"])
 def test_conditioning_reuses_one_scratch_per_worker(monkeypatch, path):
     # one KernelScratch per process: a stored conditioning makes one for all
-    # its blocks, and a stream one for its own pieces and its draw (a forked
+    # its blocks, and a stream one for its own windows and its draw (a forked
     # worker uses its copy of it), whatever the worker count
     made = []
 

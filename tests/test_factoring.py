@@ -236,14 +236,14 @@ def test_streamed_pass_cuts_digits_once_per_block(monkeypatch):
             _log.append(1)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(ensemble, name, counted)
-    mine, piece = [], ProductStream._piece
+    mine, window_blocks = [], ProductStream._window_blocks
 
     def spy(self, *args, **kwargs):
-        out = piece(self, *args, **kwargs)
+        out = window_blocks(self, *args, **kwargs)
         mine.append(len(out))
         return out
 
-    monkeypatch.setattr(ProductStream, "_piece", spy)
+    monkeypatch.setattr(ProductStream, "_window_blocks", spy)
     steps = [(0.9, 2.0), (4.1, 1.5), (2.2, 2.0)]
     for workers in (1, 2):
         monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)

@@ -17,7 +17,8 @@ from hoamp.ensemble import StepRecord, init_uniform_factoring, member_masses
 from hoamp.errors import DomainTooLarge, EmptyRange, InfeasibleSystem
 from hoamp.factoring import FactoringConfig, run_factoring
 from hoamp.reporting import write_iteration_csv
-from hoamp.search import BlackBox, SearchConfig, run_search
+from hoamp.search import (BlackBox, SearchConfig, apply_black_box, initial_search_state,
+                          run_search, search_iteration)
 from hoamp.solver import (AcceptedSet, build_accepted_sets, constraint_multipliers,
                           plan_steps, run_solver, solver_iteration, uniform_state)
 
@@ -317,27 +318,37 @@ def test_run_solver_cuts_once_and_builds_one_table_per_step(monkeypatch):
 
 
 @pytest.mark.parametrize("domain", [None, np.array([[3, 4], [1, 2], [2, 6], [4, 3], [1, 2],
-                                                    [0, 0], [6, 2], [12, 1], [5, 0]])])
+                                                    [0, 0], [6, 2], [12, 1], [5, 0]]),
+                                    "search"])
 def test_member_masses_one_gather_equals_the_per_bin_loop(domain):
     # the solver's members come from one gather; the list is the per-bin
-    # loop's, over the box and over a custom domain with a repeated tuple
-    system = make_system(EQ_AND_SUM)
-    state = uniform_state(system, domain)
-    plan = make_plan(system, state)
-    for l, t in enumerate((0.4, 1.3, 2.9), start=1):
-        state, _ = solver_iteration(state, plan, (2.0,), l, t)
-    assert len(np.unique(state.mass / state.counts)) > 2
+    # loop's, over the box, over a custom domain with a repeated tuple, and
+    # over both bins of a search state
+    if isinstance(domain, str):
+        box = BlackBox.from_solution_indices(200, [150, 3, 77])
+        state = apply_black_box(initial_search_state(box), box)
+        state, _ = search_iteration(state, SearchConfig(), 1)
+        size, shares, bins = 200, 2, np.array([1, 0])
+    else:
+        system = make_system(EQ_AND_SUM)
+        state = uniform_state(system, domain)
+        plan = make_plan(system, state)
+        for l, t in enumerate((0.4, 1.3, 2.9), start=1):
+            state, _ = solver_iteration(state, plan, (2.0,), l, t)
+        size, shares = (13 * 13 if domain is None else len(domain)), 3
+        bins = np.flatnonzero(state.keys[:, 1] <= 8)[::-1]
+    assert len(np.unique(state.mass / state.counts)) >= shares
 
     def per_bin(bins):
         out = []
         for i in bins:
-            out.extend((tuple(m), state.share(i)) for m in state.members(i).tolist())
+            share = float(state.mass[i]) / state.total / float(state.counts[i])
+            out.extend((tuple(m), share) for m in state.members(i).tolist())
         return sorted(out)
 
     everything = member_masses(state)
     assert everything == per_bin(range(len(state.counts)))
-    assert len(everything) == (13 * 13 if domain is None else len(domain))
-    bins = np.flatnonzero(state.keys[:, 1] <= 8)[::-1]
+    assert len(everything) == size
     assert member_masses(state, bins) == per_bin(bins)
     assert member_masses(state, bins[:0]) == []
 
